@@ -90,8 +90,7 @@ from .scene import (
     orbit_trajectory,
     perturb_depth,
     project_gt_boxes,
-    render_color,
-    render_depth,
+    render,
     save_scene,
     select_keyframes,
 )

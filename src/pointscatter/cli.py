@@ -27,10 +27,9 @@ from .pipeline import (
     _reconstruction_metrics,
     run_pipeline,
     run_sparsity_bench,
-    stage_rng,
 )
 from .scatter import ScatterConfig
-from .scene import demo_scene, load_scene, make_frame, save_scene
+from .scene import demo_scene, load_scene, save_scene
 
 logger = logging.getLogger(__name__)
 
@@ -151,13 +150,11 @@ def _cmd_export_ply(args) -> int:
     if args.images:
         img_dir = Path(args.images)
         img_dir.mkdir(parents=True, exist_ok=True)
-        for i in result.keyframes:
-            frame = make_frame(
-                scene, i, stage_rng(scene.rng_seed, "perturb", i), config.depth_range
-            )
+        for frame in result.frames:
+            i = frame.camera_index
             write_pgm(frame.depth, img_dir / f"depth_{i:03d}.pgm", max_value=config.depth_range[1])
             write_ppm(frame.color, img_dir / f"color_{i:03d}.ppm")
-        print(f"wrote {len(result.keyframes)} frame image pairs to {img_dir}")
+        print(f"wrote {len(result.frames)} frame image pairs to {img_dir}")
     return 0
 
 

@@ -243,6 +243,7 @@ class PipelineResult:
     filtered_indices: np.ndarray
     detections: list
     keyframes: list
+    frames: list
     grid: object
     sparsity: dict
 
@@ -383,6 +384,7 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
         filtered_indices=filtered_indices,
         detections=detections,
         keyframes=keyframes,
+        frames=frames,
         grid=grid,
         sparsity=sparsity,
     )

@@ -4,7 +4,10 @@ Scenes contain yaw-oriented box objects with per-object albedo and a set
 of pinhole cameras. Rendering casts one ray per pixel center and keeps
 the nearest ray-triangle intersection; depth maps store camera-frame z
 (0 marks no hit), color maps store Lambert-shaded albedo under a single
-fixed directional light plus an ambient term. Everything is
+fixed directional light plus an ambient term. Each triangle is tested
+only against the rays inside its projected bounding box, widened by one
+pixel and clipped to the image; a triangle with a vertex at or behind
+the camera plane is tested against every ray. Everything is
 deterministic: identical scene spec and seed give bit-identical frames.
 """
 
@@ -97,22 +100,40 @@ class CameraFrame:
 
 def _scene_triangles(scene: SceneSpec):
     """Stack all object shells; returns (triangles, owning object index)."""
-    tris = []
-    owner = []
-    for i, obj in enumerate(scene.objects):
-        shell = obj.mesh()
-        tris.append(shell)
-        owner.extend([i] * len(shell))
-    if not tris:
-        return np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int64)
-    return np.concatenate(tris, axis=0), np.asarray(owner, dtype=np.int64)
+    shells = [obj.mesh() for obj in scene.objects]
+    owner = np.repeat(np.arange(len(shells), dtype=np.int64), [len(s) for s in shells])
+    return np.concatenate([np.zeros((0, 3, 3)), *shells]), owner
+
+
+def _screen_boxes(triangles: np.ndarray, intrinsics: Intrinsics, pose: Pose):
+    """Per-triangle pixel windows ``(lo, hi)``, each (T, 2) as ``(u, v)``.
+
+    A triangle with all three vertices in front of the camera gets its
+    projected bounding box widened to ``floor(min) - 1 .. ceil(max) + 1``
+    and clipped to the image, bounds inclusive (``lo > hi`` on an axis
+    when it misses the image); any other triangle gets the whole image.
+    """
+    uv, _, in_front = project_points(triangles.reshape(-1, 3), intrinsics, pose)
+    uv = uv.reshape(-1, 3, 2)
+    size = np.array([intrinsics.width, intrinsics.height])
+    lo = np.clip(np.floor(uv.min(axis=1)) - 1, 0, size)
+    hi = np.clip(np.ceil(uv.max(axis=1)) + 1, -1, size - 1)
+    front = in_front.reshape(-1, 3).all(axis=1)[:, None]
+    return np.where(front, lo, 0).astype(np.int64), np.where(front, hi, size - 1).astype(np.int64)
 
 
 def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     """Nearest-hit depth and triangle index for every pixel center.
 
     Ray directions are built with camera-frame z-component 1, so the ray
-    parameter of a hit equals its camera depth directly.
+    parameter of a hit equals its camera depth directly. A triangle whose
+    vertices are all in front of the camera is tested only against the
+    rays inside its projected bounding box, widened by one pixel and
+    clipped to the image, and is skipped when that box is empty; a
+    triangle with a vertex at or behind the camera plane falls back to
+    testing every ray. Triangles are visited in order and the per-ray
+    arithmetic and strict nearer-hit test are the same on both paths, so
+    the culling changes no output bit.
     """
     h, w = intrinsics.height, intrinsics.width
     us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
@@ -124,13 +145,22 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
         ],
         axis=-1,
     ).reshape(-1, 3)
-    dirs = dir_cam @ pose.rotation.T
+    all_dirs = (dir_cam @ pose.rotation.T).reshape(h, w, 3)
     origin = pose.translation
 
     triangles, owner = _scene_triangles(scene)
-    depth = np.full(h * w, np.inf)
-    tri_index = np.full(h * w, -1, dtype=np.int64)
+    all_depth = np.full((h, w), np.inf)
+    all_index = np.full((h, w), -1, dtype=np.int64)
+    lo, hi = _screen_boxes(triangles, intrinsics, pose)
     for k in range(len(triangles)):
+        (u0, v0), (u1, v1) = lo[k], hi[k]
+        if u0 > u1 or v0 > v1:
+            continue
+        window = np.s_[v0 : v1 + 1, u0 : u1 + 1]
+        shape = (v1 + 1 - v0, u1 + 1 - u0)
+        # one (N, 3) block of rays: each product is one matrix-vector call
+        dirs = all_dirs[window].reshape(-1, 3)
+        depth = all_depth[window].reshape(-1)
         a, b, c = triangles[k]
         e1, e2 = b - a, c - a
         # Moeller-Trumbore with a shared origin: tvec and qvec are
@@ -152,11 +182,11 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
                 & (u + v <= 1.0 + eps)
                 & (t > BEHIND_CAMERA_EPS)
                 & (t < depth)
-            )
-        depth[hit] = t[hit]
-        tri_index[hit] = k
-    depth[tri_index < 0] = 0.0
-    return depth.reshape(h, w), tri_index.reshape(h, w), triangles, owner
+            ).reshape(shape)
+        all_depth[window][hit] = t.reshape(shape)[hit]
+        all_index[window][hit] = k
+    all_depth[all_index < 0] = 0.0
+    return all_depth, all_index, triangles, owner
 
 
 def _shade_triangles(scene: SceneSpec, triangles: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -164,26 +194,21 @@ def _shade_triangles(scene: SceneSpec, triangles: np.ndarray, owner: np.ndarray)
     normals = triangle_normals(triangles)
     lambert = np.maximum(0.0, normals @ LIGHT_DIR)
     intensity = AMBIENT + (1.0 - AMBIENT) * lambert
-    albedo = np.array([scene.objects[i].albedo for i in owner])
+    albedo = np.array([scene.objects[i].albedo for i in owner]).reshape(-1, 3)
     return np.clip(albedo * intensity[:, None], 0.0, 1.0)
 
 
-def render_depth(scene: SceneSpec, camera_index: int) -> np.ndarray:
-    """Noise-free (H, W) depth map for one camera; 0 where no surface."""
-    cam = scene.cameras[camera_index]
-    depth, _, _, _ = _cast_rays(scene, cam.intrinsics, cam.pose)
-    return depth
+def render(scene: SceneSpec, camera_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Noise-free render of one camera.
 
-
-def render_color(scene: SceneSpec, camera_index: int) -> np.ndarray:
-    """(H, W, 3) shaded color image in [0, 1]; background is black."""
+    Returns the (H, W) depth map, 0 where no surface, and the (H, W, 3)
+    shaded color image in [0, 1] with a black background.
+    """
     cam = scene.cameras[camera_index]
-    _, tri_index, triangles, owner = _cast_rays(scene, cam.intrinsics, cam.pose)
-    shades = _shade_triangles(scene, triangles, owner)
-    color = np.zeros((*tri_index.shape, 3))
-    hit = tri_index >= 0
-    color[hit] = shades[tri_index[hit]]
-    return color
+    depth, tri_index, triangles, owner = _cast_rays(scene, cam.intrinsics, cam.pose)
+    # the appended black row is what index -1 (no hit) picks
+    shades = np.concatenate([_shade_triangles(scene, triangles, owner), np.zeros((1, 3))])
+    return depth, shades[tri_index]
 
 
 def perturb_depth(depth, sigma, outlier_rate, rng, depth_range) -> np.ndarray:
@@ -243,11 +268,7 @@ def project_gt_boxes(scene: SceneSpec, camera_index: int, min_pixels: float = 16
 def make_frame(scene: SceneSpec, camera_index: int, rng: np.random.Generator, depth_range) -> CameraFrame:
     """Render one camera and apply the scene's depth perturbation."""
     cam = scene.cameras[camera_index]
-    depth, tri_index, triangles, owner = _cast_rays(scene, cam.intrinsics, cam.pose)
-    shades = _shade_triangles(scene, triangles, owner)
-    color = np.zeros((*tri_index.shape, 3))
-    hit = tri_index >= 0
-    color[hit] = shades[tri_index[hit]]
+    depth, color = render(scene, camera_index)
     depth = perturb_depth(depth, scene.depth_noise_sigma, scene.outlier_rate, rng, depth_range)
     return CameraFrame(
         camera_index=camera_index,

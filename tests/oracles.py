@@ -8,6 +8,8 @@ apart from plain data containers.
 
 import numpy as np
 
+from pointscatter.camera import BEHIND_CAMERA_EPS
+
 
 def point_in_obb(points, box):
     """Boolean mask of points inside a yaw-oriented box (boundary counts)."""
@@ -88,3 +90,69 @@ def brute_nn_distances(queries, references, chunk=512):
         d2 = ((block[:, None, :] - r[None, :, :]) ** 2).sum(axis=2)
         out[start : start + chunk] = np.sqrt(d2.min(axis=1))
     return out
+
+
+def _scene_triangles(scene):
+    """Stack all object shells; returns (triangles, owning object index)."""
+    tris = []
+    owner = []
+    for i, obj in enumerate(scene.objects):
+        shell = obj.mesh()
+        tris.append(shell)
+        owner.extend([i] * len(shell))
+    if not tris:
+        return np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int64)
+    return np.concatenate(tris, axis=0), np.asarray(owner, dtype=np.int64)
+
+
+def cast_rays(scene, intrinsics, pose):
+    """Nearest-hit depth and triangle index for every pixel center.
+
+    The renderer's caster before screen-box culling: every triangle is
+    tested against every pixel ray. Ray directions are built with
+    camera-frame z-component 1, so the ray parameter of a hit equals its
+    camera depth directly.
+    """
+    h, w = intrinsics.height, intrinsics.width
+    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    dir_cam = np.stack(
+        [
+            (us - intrinsics.cx) / intrinsics.fx,
+            (vs - intrinsics.cy) / intrinsics.fy,
+            np.ones_like(us),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    dirs = dir_cam @ pose.rotation.T
+    origin = pose.translation
+
+    triangles, owner = _scene_triangles(scene)
+    depth = np.full(h * w, np.inf)
+    tri_index = np.full(h * w, -1, dtype=np.int64)
+    for k in range(len(triangles)):
+        a, b, c = triangles[k]
+        e1, e2 = b - a, c - a
+        # Moeller-Trumbore with a shared origin: tvec and qvec are
+        # per-triangle constants, only pvec varies per ray
+        tvec = origin - a
+        qvec = np.cross(tvec, e1)
+        pvec = np.cross(dirs, e2)
+        det = pvec @ e1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / det
+            u = (pvec @ tvec) * inv
+            v = (dirs @ qvec) * inv
+            t = np.dot(e2, qvec) * inv
+            eps = 1e-9
+            hit = (
+                (np.abs(det) > 1e-12)
+                & (u >= -eps)
+                & (v >= -eps)
+                & (u + v <= 1.0 + eps)
+                & (t > BEHIND_CAMERA_EPS)
+                & (t < depth)
+            )
+        depth[hit] = t[hit]
+        tri_index[hit] = k
+    depth[tri_index < 0] = 0.0
+    return depth.reshape(h, w), tri_index.reshape(h, w), triangles, owner

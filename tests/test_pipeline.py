@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pointscatter import cli
-from pointscatter.fileio import read_cloud_ply, read_detections
+from pointscatter.fileio import read_cloud_ply, read_detections, write_pgm, write_ppm
 from pointscatter.pipeline import (
     ConfigError,
     DetectorConfig,
@@ -18,7 +18,7 @@ from pointscatter.pipeline import (
     stage_rng,
 )
 from pointscatter.scatter import ScatterConfig
-from pointscatter.scene import demo_scene
+from pointscatter.scene import demo_scene, load_scene, make_frame
 
 
 def small_scene(**kwargs):
@@ -323,6 +323,15 @@ class TestCli:
         ppms = sorted(p.name for p in img_dir.glob("*.ppm"))
         assert pgms == [f"depth_{i:03d}.pgm" for i in range(8)]
         assert ppms == [f"color_{i:03d}.ppm" for i in range(8)]
+        # the files match frames rendered afresh with the same perturbation seeds
+        scene = load_scene(scene_path)
+        config = small_config()
+        for i in range(8):
+            frame = make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), config.depth_range)
+            write_pgm(frame.depth, tmp_path / "depth.pgm", max_value=config.depth_range[1])
+            write_ppm(frame.color, tmp_path / "color.ppm")
+            assert (img_dir / pgms[i]).read_bytes() == (tmp_path / "depth.pgm").read_bytes()
+            assert (img_dir / ppms[i]).read_bytes() == (tmp_path / "color.ppm").read_bytes()
 
     def test_detector_flag(self, tmp_path):
         scene_path = self.gen(tmp_path)

@@ -1,5 +1,7 @@
 """Scene simulator: rendering, noise injection, GT boxes, keyframes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,19 +12,21 @@ from pointscatter.scene import (
     SceneCamera,
     SceneObject,
     SceneSpec,
+    _cast_rays,
+    _screen_boxes,
     demo_scene,
     make_frame,
     orbit_trajectory,
     perturb_depth,
     project_gt_boxes,
-    render_color,
-    render_depth,
+    render,
     scene_from_dict,
     scene_to_dict,
     select_keyframes,
 )
 
 from conftest import DEPTH_RANGE
+from oracles import cast_rays
 
 SIMPLE = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
 
@@ -37,51 +41,124 @@ def frontal_cube_scene(center=(0.0, 0.0, 2.5), camera_z=0.0):
 class TestRenderDepth:
     def test_frontal_face_depth(self):
         # near face of the cube sits at z=2
-        depth = render_depth(frontal_cube_scene(), 0)
+        depth = render(frontal_cube_scene(), 0)[0]
         assert depth[50, 50] == pytest.approx(2.0, abs=1e-12)
 
     def test_translated_camera(self):
-        depth = render_depth(frontal_cube_scene(camera_z=0.5), 0)
+        depth = render(frontal_cube_scene(camera_z=0.5), 0)[0]
         assert depth[50, 50] == pytest.approx(1.5, abs=1e-12)
 
     def test_empty_scene_is_all_invalid(self):
         cam = SceneCamera(SIMPLE, Pose.identity())
         scene = SceneSpec(objects=(), cameras=(cam,))
-        assert not render_depth(scene, 0).any()
+        assert not render(scene, 0)[0].any()
 
     def test_background_pixels_are_zero(self):
-        depth = render_depth(frontal_cube_scene(), 0)
+        depth = render(frontal_cube_scene(), 0)[0]
         # corner rays miss the cube
         assert depth[0, 0] == 0.0
 
     def test_rejects_invalid_camera_index(self):
         with pytest.raises(IndexError):
-            render_depth(frontal_cube_scene(), 3)
+            render(frontal_cube_scene(), 3)
 
     def test_deterministic(self):
-        a = render_depth(frontal_cube_scene(), 0)
-        b = render_depth(frontal_cube_scene(), 0)
+        a = render(frontal_cube_scene(), 0)[0]
+        b = render(frontal_cube_scene(), 0)[0]
         assert np.array_equal(a, b)
 
     def test_occlusion_keeps_nearest(self):
         near = SceneObject(OrientedBox((0.0, 0.0, 1.5), (0.4, 0.4, 0.4)))
         far = SceneObject(OrientedBox((0.0, 0.0, 3.0), (1.0, 1.0, 1.0)))
         cam = SceneCamera(SIMPLE, Pose.identity())
-        depth = render_depth(SceneSpec(objects=(near, far), cameras=(cam,)), 0)
+        depth = render(SceneSpec(objects=(near, far), cameras=(cam,)), 0)[0]
         assert depth[50, 50] == pytest.approx(1.3, abs=1e-12)
 
 
 class TestRenderColor:
     def test_shading_range_and_background(self):
-        color = render_color(frontal_cube_scene(), 0)
+        _, color = render(frontal_cube_scene(), 0)
         assert color.shape == (100, 100, 3)
         assert np.array_equal(color[0, 0], [0.0, 0.0, 0.0])
         assert color[50, 50].min() > 0.0 and color.max() <= 1.0
 
     def test_flat_faces_shade_uniformly(self):
-        color = render_color(frontal_cube_scene(), 0)
+        _, color = render(frontal_cube_scene(), 0)
         # pixels on the same planar face share one Lambert value
         assert np.array_equal(color[50, 50], color[45, 55])
+
+    def test_empty_scene_is_black(self):
+        cam = SceneCamera(SIMPLE, Pose.identity())
+        _, color = render(SceneSpec(objects=(), cameras=(cam,)), 0)
+        assert color.shape == (100, 100, 3) and not color.any()
+
+
+class TestCastRaysMatchesOracle:
+    """The culled caster gives the same bits as the full-image oracle."""
+
+    @staticmethod
+    def assert_matches(scene, views):
+        for i in views:
+            cam = scene.cameras[i]
+            depth, index, _, _ = _cast_rays(scene, cam.intrinsics, cam.pose)
+            ref_depth, ref_index, _, _ = cast_rays(scene, cam.intrinsics, cam.pose)
+            assert depth.shape == ref_depth.shape, f"view {i}"
+            assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
+            assert np.array_equal(index, ref_index), f"view {i}"
+
+    @staticmethod
+    def windows(scene):
+        cam = scene.cameras[0]
+        triangles = np.concatenate([o.mesh() for o in scene.objects])
+        lo, hi = _screen_boxes(triangles, cam.intrinsics, cam.pose)
+        corner = [cam.intrinsics.width - 1, cam.intrinsics.height - 1]
+        full = (lo == 0).all(axis=1) & (hi == corner).all(axis=1)
+        empty = (lo > hi).any(axis=1)
+        return full, empty
+
+    def test_demo_views(self):
+        self.assert_matches(demo_scene(), range(20))
+
+    def test_orbit80_subset(self):
+        self.assert_matches(demo_scene(steps=80), range(0, 80, 9))
+
+    def test_320x240_views(self):
+        intr = Intrinsics(fx=240.0, fy=240.0, cx=159.5, cy=119.5, width=320, height=240)
+        scene = demo_scene(steps=6)
+        cameras = tuple(SceneCamera(intr, c.pose) for c in scene.cameras)
+        self.assert_matches(dataclasses.replace(scene, cameras=cameras), range(6))
+
+    def test_camera_inside_box_falls_back(self):
+        scene = frontal_cube_scene(center=(0.0, 0.0, 0.2))
+        full, _ = self.windows(scene)
+        assert full.any()
+        self.assert_matches(scene, [0])
+        assert render(scene, 0)[0].all()
+
+    def test_box_partly_off_screen(self):
+        scene = frontal_cube_scene(center=(1.0, 0.0, 2.5))
+        full, empty = self.windows(scene)
+        assert not full.any() and not empty.all()
+        self.assert_matches(scene, [0])
+        depth = render(scene, 0)[0]
+        assert depth[:, -1].any() and not depth[:, 0].any()
+
+    def test_box_fully_off_screen(self):
+        scene = frontal_cube_scene(center=(5.0, 0.0, 2.5))
+        _, empty = self.windows(scene)
+        assert empty.all()
+        self.assert_matches(scene, [0])
+
+    def test_box_behind_camera(self):
+        scene = frontal_cube_scene(center=(0.0, 0.0, -3.0))
+        full, _ = self.windows(scene)
+        assert full.all()
+        self.assert_matches(scene, [0])
+        assert not render(scene, 0)[0].any()
+
+    def test_no_objects(self):
+        scene = SceneSpec(objects=(), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
+        self.assert_matches(scene, [0])
 
 
 class TestPerturbDepth:
