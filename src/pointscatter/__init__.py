@@ -73,7 +73,6 @@ from .scatter import (
     ScatterAccumulator,
     ScatterCloud,
     ScatterConfig,
-    SpatialHashGrid,
     box_sampling_stride,
     cap_points,
     scatter_frames,

@@ -28,7 +28,6 @@ from .pipeline import (
     run_pipeline,
     run_sparsity_bench,
 )
-from .scatter import ScatterConfig
 from .scene import demo_scene, load_scene, save_scene
 
 logger = logging.getLogger(__name__)

@@ -26,10 +26,12 @@ from scipy.spatial import cKDTree
 
 from .aggregate import aggregate_cloud, compose_features
 from .boxes import OrientedBox, iou_3d, nms
-from .fileio import boxes_to_list, write_cloud_ply, write_detections, write_json
+from .fileio import write_cloud_ply, write_detections, write_json
 from .meshes import box_shell, sample_surface_points
 from .metrics import chamfer_distance, evaluate_detections, fscore
-from .scatter import ScatterAccumulator, ScatterConfig, cap_points
+# ScatterAccumulator is not called here; perfbench's tracer resolves
+# ScatterAccumulator.add_frame through this module
+from .scatter import ScatterAccumulator, ScatterConfig, cap_points, scatter_frames  # noqa: F401
 from .scene import SceneSpec, make_frame, project_gt_boxes, select_keyframes
 from .surface import label_points, photometric_score, sample_scene_surface, soft_weight
 from .voxel import DenseGridSpec, sparsity_report, voxelize
@@ -147,24 +149,21 @@ def stage_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
 
 
 def _connected_components(points: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Index groups of points linked by distances <= eps."""
+    """Index groups of points linked by distances <= eps, ordered by
+    their smallest member, members ascending."""
+    # loaded on first use: csgraph adds about 17 ms to the import of the
+    # package, and only the cluster detector needs it
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in cKDTree(points).query_pairs(eps):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(g, dtype=np.int64) for g in groups.values()]
+    i, j = cKDTree(points).query_pairs(eps, output_type="ndarray").T
+    _, labels = connected_components(
+        coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)), directed=False
+    )
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return sorted(groups, key=lambda g: g[0])
 
 
 def _cluster_detections(cloud, config: DetectorConfig) -> list[OrientedBox]:
@@ -236,6 +235,26 @@ def _reconstruction_metrics(detections, gt_objects, settings: EvalSettings, seed
     return float(np.mean(chamfers)), float(np.mean(fscores))
 
 
+def _keyframes(scene: SceneSpec, config: PipelineConfig) -> list[int]:
+    counts = [len(project_gt_boxes(scene, i)) for i in range(len(scene.cameras))]
+    poses = [c.pose for c in scene.cameras]
+    return select_keyframes(
+        poses, counts, config.frames, config.min_translation, config.min_rotation_deg
+    )
+
+
+def _render(scene: SceneSpec, keyframes, config: PipelineConfig) -> list:
+    return [
+        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), config.depth_range)
+        for i in keyframes
+    ]
+
+
+def _scatter(frames, config: PipelineConfig):
+    cloud = scatter_frames(frames, config.scatter)
+    return cap_points(cloud, config.scatter.max_points, stage_rng(config.seed, "cap"))
+
+
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
     report: dict
@@ -264,31 +283,10 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
         except Exception as e:  # noqa: BLE001 - map to the failing stage
             raise StageError(stage, e) from e
 
-    def _keyframes():
-        counts = [len(project_gt_boxes(scene, i)) for i in range(len(scene.cameras))]
-        poses = [c.pose for c in scene.cameras]
-        return select_keyframes(
-            poses, counts, config.frames, config.min_translation, config.min_rotation_deg
-        )
-
-    keyframes = guarded("keyframes", _keyframes)
+    keyframes = guarded("keyframes", _keyframes, scene, config)
     logger.info("selected %d keyframes", len(keyframes))
-
-    def _render():
-        return [
-            make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), config.depth_range)
-            for i in keyframes
-        ]
-
-    frames = guarded("render", _render)
-
-    def _scatter():
-        acc = ScatterAccumulator(config.scatter)
-        for frame in frames:
-            acc.add_frame(frame)
-        return cap_points(acc.cloud(), config.scatter.max_points, stage_rng(config.seed, "cap"))
-
-    cloud = guarded("scatter", _scatter)
+    frames = guarded("render", _render, scene, keyframes, config)
+    cloud = guarded("scatter", _scatter, frames, config)
     logger.info("scattered %d points", len(cloud))
 
     def _aggregate():
@@ -397,23 +395,13 @@ def run_sparsity_bench(scene: SceneSpec, config: PipelineConfig) -> dict:
     ``voxel_size`` against dense grids at both ``voxel_size`` and the
     coarser ``dense_voxel_size`` reference, with build timings.
     """
-    counts = [len(project_gt_boxes(scene, i)) for i in range(len(scene.cameras))]
-    poses = [c.pose for c in scene.cameras]
-    keyframes = select_keyframes(
-        poses, counts, config.frames, config.min_translation, config.min_rotation_deg
-    )
+    keyframes = _keyframes(scene, config)
     t0 = time.perf_counter()
-    frames = [
-        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), config.depth_range)
-        for i in keyframes
-    ]
+    frames = _render(scene, keyframes, config)
     t_render = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    acc = ScatterAccumulator(config.scatter)
-    for frame in frames:
-        acc.add_frame(frame)
-    cloud = cap_points(acc.cloud(), config.scatter.max_points, stage_rng(config.seed, "cap"))
+    cloud = _scatter(frames, config)
     t_scatter = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -1,12 +1,18 @@
-"""Depth-map point scattering with stride sampling and radius dedup.
+"""Depth-map point scattering with stride sampling and exact radius dedup.
 
 Points are back-projected from strided pixels inside GT 2D boxes. The
 pixel stride adapts to object distance (``round(f * radius / depth)``)
-so the world-space spacing of fresh samples roughly matches ``radius``;
-a uniform spatial hash grid then discards any candidate closer than
-``radius`` to a point accepted earlier (in this or any previous frame).
-Acceptance order is deterministic: frames in call order, boxes in frame
-order, pixels in raster order.
+so the world-space spacing of fresh samples roughly matches ``radius``.
+Dedup then discards any candidate strictly closer than the dedup radius
+to a point accepted before it. Acceptance order is deterministic: frames
+in call order, boxes in frame order, pixels in raster order.
+
+Dedup works a frame at a time. A KD-tree query against the points of
+earlier frames removes candidates they cover; neighbour pairs among the
+survivors and one greedy pass in candidate order settle the rest. Both
+searches reach ``DEDUP_SLACK`` beyond the radius and decide with the
+same squared-distance sum as a point-by-point scan, so the cloud is the
+one that scan would accept, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,9 +21,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .camera import backproject_pixels
 from .scene import CameraFrame
+
+# relative margin the tree searches add to the dedup radius; tree
+# distances and the exact squared-distance sum differ by far less
+DEDUP_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,62 +104,6 @@ def empty_cloud() -> ScatterCloud:
     )
 
 
-class SpatialHashGrid:
-    """Uniform hash grid for fixed-radius neighbor rejection.
-
-    Cell edge equals the query radius, so any neighbor within the radius
-    lies in the 3x3x3 block of cells around the query point and the scan
-    is exact. Not thread-safe; callers serialize inserts.
-    """
-
-    def __init__(self, radius: float):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
-        self._cells: dict[tuple[int, int, int], list[int]] = {}
-        self._points: list[np.ndarray] = []
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def _key(self, point) -> tuple[int, int, int]:
-        return (
-            math.floor(point[0] / self.radius),
-            math.floor(point[1] / self.radius),
-            math.floor(point[2] / self.radius),
-        )
-
-    def insert(self, point) -> None:
-        p = np.asarray(point, dtype=np.float64)
-        self._cells.setdefault(self._key(p), []).append(len(self._points))
-        self._points.append(p)
-
-    def has_neighbor_within(self, point, radius: float | None = None) -> bool:
-        """True if any stored point is strictly closer than ``radius``.
-
-        ``radius`` must not exceed the grid's cell edge or the 27-cell
-        scan would miss neighbors.
-        """
-        r = self.radius if radius is None else float(radius)
-        if r > self.radius:
-            raise ValueError("query radius exceeds grid cell size")
-        p = np.asarray(point, dtype=np.float64)
-        kx, ky, kz = self._key(p)
-        r2 = r * r
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    bucket = self._cells.get((kx + dx, ky + dy, kz + dz))
-                    if not bucket:
-                        continue
-                    for idx in bucket:
-                        q = self._points[idx]
-                        d2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
-                        if d2 < r2:
-                            return True
-        return False
-
-
 def box_sampling_stride(focal: float, radius: float, median_depth: float) -> int:
     """Pixel stride whose back-projected spacing is about ``radius``.
 
@@ -161,30 +116,49 @@ def box_sampling_stride(focal: float, radius: float, median_depth: float) -> int
 
 
 class ScatterAccumulator:
-    """Grows a scatter cloud frame by frame with radius dedup.
+    """Grows a scatter cloud frame by frame with exact radius dedup.
 
-    Calls to :meth:`add_frame` must be serialized; the spatial index is
-    shared across frames and candidates are checked against every point
-    accepted before them, including earlier points of the same frame.
+    A candidate is accepted when no point accepted before it, in an
+    earlier frame or earlier in the same frame (boxes in frame order,
+    pixels in raster order), lies strictly closer than the dedup radius
+    ``r``. :meth:`add_frame` decides this for a whole frame in two
+    vectorized steps: one KD-tree query of the frame's candidates
+    against every point of the earlier frames, then neighbour pairs
+    among the survivors and one greedy pass in candidate order, where
+    an accepted point rejects its later neighbours.
+
+    Both steps search out to ``r * (1 + DEDUP_SLACK)`` and then decide
+    with the squared distance summed x, y, z, ``d2 < r * r``, because the
+    tree's own distances can differ from that sum by a rounding error.
+    A candidate whose nearest point lies in the band between the two
+    but fails the test is checked against every point in reach.
+
+    Calls to :meth:`add_frame` must be serialized.
     """
 
     def __init__(self, config: ScatterConfig):
         self.config = config
-        self._grid = SpatialHashGrid(config.effective_dedup_radius)
-        self._positions: list[np.ndarray] = []
-        self._frame_ids: list[int] = []
-        self._pixels: list[tuple[float, float]] = []
-        self._categories: list[int] = []
+        self._frames: list[ScatterCloud] = []
 
     def __len__(self) -> int:
-        return len(self._positions)
+        return sum(len(c) for c in self._frames)
 
     def add_frame(self, frame: CameraFrame, frame_index: int | None = None) -> int:
         """Scatter one frame; returns the number of accepted points."""
         fid = frame.camera_index if frame_index is None else frame_index
+        cands = self._candidates(frame, fid)
+        r = self.config.effective_dedup_radius
+        keep = ~_near_any(cands.positions, self.cloud().positions, r)
+        keep[keep] = _greedy_keep(cands.positions[keep], r)
+        accepted = cands.select(np.flatnonzero(keep))
+        self._frames.append(accepted)
+        return len(accepted)
+
+    def _candidates(self, frame: CameraFrame, fid: int) -> ScatterCloud:
+        """Strided valid-depth pixels of every box, in box and raster order."""
         depth = frame.depth
         intr = frame.intrinsics
-        accepted = 0
+        parts = [empty_cloud()]
         for box in frame.boxes_2d:
             u0 = max(0, math.ceil(box.u_min))
             v0 = max(0, math.ceil(box.v_min))
@@ -197,38 +171,73 @@ class ScatterAccumulator:
             if not valid.any():
                 continue
             stride = box_sampling_stride(intr.fx, self.config.radius, float(np.median(region[valid])))
-            vs = np.arange(v0, v1 + 1, stride)
-            us = np.arange(u0, u1 + 1, stride)
-            uu, vv = np.meshgrid(us, vs)
+            uu, vv = np.meshgrid(np.arange(u0, u1 + 1, stride), np.arange(v0, v1 + 1, stride))
             uu = uu.reshape(-1)
             vv = vv.reshape(-1)
             dd = depth[vv, uu]
             keep = dd > 0
             uu, vv, dd = uu[keep], vv[keep], dd[keep]
-            if len(dd) == 0:
-                continue
+            # each box is back-projected on its own, as in the reference
+            # loop, so positions match it to the last bit
             world = backproject_pixels(uu.astype(np.float64), vv.astype(np.float64), dd, intr, frame.pose)
-            for i in range(len(world)):
-                p = world[i]
-                if self._grid.has_neighbor_within(p):
-                    continue
-                self._grid.insert(p)
-                self._positions.append(p)
-                self._frame_ids.append(fid)
-                self._pixels.append((float(uu[i]), float(vv[i])))
-                self._categories.append(box.category)
-                accepted += 1
-        return accepted
+            parts.append(
+                ScatterCloud(
+                    positions=world,
+                    frame_ids=np.full(len(dd), fid, dtype=np.int64),
+                    pixels=np.stack([uu, vv], axis=1).astype(np.float64),
+                    categories=np.full(len(dd), box.category, dtype=np.int64),
+                )
+            )
+        return _concatenate(parts)
 
     def cloud(self) -> ScatterCloud:
-        if not self._positions:
-            return empty_cloud()
-        return ScatterCloud(
-            positions=np.array(self._positions),
-            frame_ids=np.array(self._frame_ids, dtype=np.int64),
-            pixels=np.array(self._pixels),
-            categories=np.array(self._categories, dtype=np.int64),
-        )
+        return _concatenate([empty_cloud(), *self._frames])
+
+
+def _concatenate(clouds: list[ScatterCloud]) -> ScatterCloud:
+    return ScatterCloud(
+        positions=np.concatenate([c.positions for c in clouds]),
+        frame_ids=np.concatenate([c.frame_ids for c in clouds]),
+        pixels=np.concatenate([c.pixels for c in clouds]),
+        categories=np.concatenate([c.categories for c in clouds]),
+    )
+
+
+def _sq_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise squared distance, summed in x, y, z order."""
+    return (p[:, 0] - q[:, 0]) ** 2 + (p[:, 1] - q[:, 1]) ** 2 + (p[:, 2] - q[:, 2]) ** 2
+
+
+def _near_any(queries: np.ndarray, points: np.ndarray, r: float) -> np.ndarray:
+    """Mask of queries with some row of ``points`` strictly closer than ``r``."""
+    reach = r * (1.0 + DEDUP_SLACK)
+    tree = cKDTree(points)
+    dist, idx = tree.query(queries, k=1, distance_upper_bound=reach)
+    found = np.flatnonzero(np.isfinite(dist))
+    near = np.zeros(len(queries), dtype=bool)
+    near[found] = _sq_dist(queries[found], points[idx[found]]) < r * r
+    # the tree's nearest point failed the exact test but lies within
+    # reach: another point in reach may still pass it
+    band = found[~near[found]]
+    for i, nbrs in zip(band, tree.query_ball_point(queries[band], reach)):
+        others = points[nbrs]
+        near[i] = (_sq_dist(np.broadcast_to(queries[i], others.shape), others) < r * r).any()
+    return near
+
+
+def _greedy_keep(points: np.ndarray, r: float) -> np.ndarray:
+    """Greedy acceptance in row order: a kept row rejects later rows
+    strictly closer than ``r``."""
+    keep = np.ones(len(points), dtype=bool)
+    pairs = cKDTree(points).query_pairs(r * (1.0 + DEDUP_SLACK), output_type="ndarray")
+    pairs = pairs[_sq_dist(points[pairs[:, 0]], points[pairs[:, 1]]) < r * r]
+    # query_pairs gives i < j; group the pairs by their earlier row
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    heads, starts = np.unique(pairs[:, 0], return_index=True)
+    for head, later in zip(heads.tolist(), np.split(pairs[:, 1], starts[1:])):
+        if keep[head]:
+            keep[later] = False
+    return keep
 
 
 def scatter_frames(frames, config: ScatterConfig) -> ScatterCloud:

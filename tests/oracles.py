@@ -6,9 +6,13 @@ tautology. Keep these free of imports from the modules they check,
 apart from plain data containers.
 """
 
-import numpy as np
+import math
 
-from pointscatter.camera import BEHIND_CAMERA_EPS
+import numpy as np
+from scipy.spatial import cKDTree
+
+from pointscatter.camera import BEHIND_CAMERA_EPS, backproject_pixels
+from pointscatter.scatter import ScatterCloud, box_sampling_stride, empty_cloud
 
 
 def point_in_obb(points, box):
@@ -156,3 +160,155 @@ def cast_rays(scene, intrinsics, pose):
         tri_index[hit] = k
     depth[tri_index < 0] = 0.0
     return depth.reshape(h, w), tri_index.reshape(h, w), triangles, owner
+
+
+class SpatialHashGrid:
+    """Uniform hash grid for fixed-radius neighbor rejection.
+
+    Cell edge equals the query radius, so any neighbor within the radius
+    lies in the 3x3x3 block of cells around the query point and the scan
+    is exact. Not thread-safe; callers serialize inserts.
+    """
+
+    def __init__(self, radius):
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        self.radius = float(radius)
+        self._cells: dict[tuple[int, int, int], list[int]] = {}
+        self._points: list[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def _key(self, point) -> tuple[int, int, int]:
+        return (
+            math.floor(point[0] / self.radius),
+            math.floor(point[1] / self.radius),
+            math.floor(point[2] / self.radius),
+        )
+
+    def insert(self, point) -> None:
+        p = np.asarray(point, dtype=np.float64)
+        self._cells.setdefault(self._key(p), []).append(len(self._points))
+        self._points.append(p)
+
+    def has_neighbor_within(self, point, radius: float | None = None) -> bool:
+        """True if any stored point is strictly closer than ``radius``.
+
+        ``radius`` must not exceed the grid's cell edge or the 27-cell
+        scan would miss neighbors.
+        """
+        r = self.radius if radius is None else float(radius)
+        if r > self.radius:
+            raise ValueError("query radius exceeds grid cell size")
+        p = np.asarray(point, dtype=np.float64)
+        kx, ky, kz = self._key(p)
+        r2 = r * r
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    bucket = self._cells.get((kx + dx, ky + dy, kz + dz))
+                    if not bucket:
+                        continue
+                    for idx in bucket:
+                        q = self._points[idx]
+                        d2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
+                        if d2 < r2:
+                            return True
+        return False
+
+
+class HashGridAccumulator:
+    """The scatter accumulator before vectorized dedup: one hash-grid
+    scan per candidate, in box and raster order. It shares the package's
+    stride rule and cloud container; what it checks is the dedup.
+
+    Calls to :meth:`add_frame` must be serialized; the spatial index is
+    shared across frames and candidates are checked against every point
+    accepted before them, including earlier points of the same frame.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self._grid = SpatialHashGrid(config.effective_dedup_radius)
+        self._positions: list[np.ndarray] = []
+        self._frame_ids: list[int] = []
+        self._pixels = []
+        self._categories: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def add_frame(self, frame, frame_index=None):
+        """Scatter one frame; returns the number of accepted points."""
+        fid = frame.camera_index if frame_index is None else frame_index
+        depth = frame.depth
+        intr = frame.intrinsics
+        accepted = 0
+        for box in frame.boxes_2d:
+            u0 = max(0, math.ceil(box.u_min))
+            v0 = max(0, math.ceil(box.v_min))
+            u1 = min(intr.width - 1, math.floor(box.u_max))
+            v1 = min(intr.height - 1, math.floor(box.v_max))
+            if u1 < u0 or v1 < v0:
+                continue
+            region = depth[v0 : v1 + 1, u0 : u1 + 1]
+            valid = region > 0
+            if not valid.any():
+                continue
+            stride = box_sampling_stride(intr.fx, self.config.radius, float(np.median(region[valid])))
+            vs = np.arange(v0, v1 + 1, stride)
+            us = np.arange(u0, u1 + 1, stride)
+            uu, vv = np.meshgrid(us, vs)
+            uu = uu.reshape(-1)
+            vv = vv.reshape(-1)
+            dd = depth[vv, uu]
+            keep = dd > 0
+            uu, vv, dd = uu[keep], vv[keep], dd[keep]
+            if len(dd) == 0:
+                continue
+            world = backproject_pixels(uu.astype(np.float64), vv.astype(np.float64), dd, intr, frame.pose)
+            for i in range(len(world)):
+                p = world[i]
+                if self._grid.has_neighbor_within(p):
+                    continue
+                self._grid.insert(p)
+                self._positions.append(p)
+                self._frame_ids.append(fid)
+                self._pixels.append((float(uu[i]), float(vv[i])))
+                self._categories.append(box.category)
+                accepted += 1
+        return accepted
+
+    def cloud(self):
+        if not self._positions:
+            return empty_cloud()
+        return ScatterCloud(
+            positions=np.array(self._positions),
+            frame_ids=np.array(self._frame_ids, dtype=np.int64),
+            pixels=np.array(self._pixels),
+            categories=np.array(self._categories, dtype=np.int64),
+        )
+
+
+def union_find_components(points, eps):
+    """Index groups of points linked by distances <= eps, by a Python
+    union-find over the KD-tree's pairs: the cluster detector's grouping
+    before it used scipy's connected components."""
+    n = len(points)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in cKDTree(points).query_pairs(eps):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [np.array(g, dtype=np.int64) for g in groups.values()]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import union_find_components
 from pointscatter import cli
 from pointscatter.fileio import read_cloud_ply, read_detections, write_pgm, write_ppm
 from pointscatter.pipeline import (
@@ -13,6 +14,7 @@ from pointscatter.pipeline import (
     EvalSettings,
     PipelineConfig,
     StageError,
+    _connected_components,
     run_pipeline,
     run_sparsity_bench,
     stage_rng,
@@ -173,6 +175,32 @@ class TestScoreClusterDetector:
             np.testing.assert_allclose(det.size, gt_sizes[det.category], atol=0.15)
 
 
+class TestConnectedComponents:
+    def assert_matches_union_find(self, points, eps):
+        groups = _connected_components(points, eps)
+        expected = union_find_components(points, eps)
+        assert len(groups) == len(expected)
+        for got, want in zip(groups, expected):
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        # sparse enough for many groups, dense enough for chains
+        points = rng.uniform(0.0, 1.0, size=(400, 3))
+        self.assert_matches_union_find(points, 0.06)
+
+    def test_single_point(self):
+        self.assert_matches_union_find(np.zeros((1, 3)), 0.1)
+
+    def test_noisy_demo_cloud(self):
+        scene = demo_scene(noise_sigma=0.05, outlier_rate=0.1)
+        config = PipelineConfig(frames=20, detector=DetectorConfig(mode="score_cluster"))
+        cloud = run_pipeline(scene, config).cloud
+        kept = cloud.positions[cloud.scores >= config.detector.score_threshold]
+        self.assert_matches_union_find(kept, config.detector.cluster_eps)
+
+
 class TestDeterminism:
     def test_metrics_bytes_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -210,6 +238,11 @@ class TestSparsityBench:
         assert set(timings) == {"render", "scatter", "voxelize"}
         assert all(t >= 0 for t in timings.values())
         assert report["metadata"]["keyframes"] == 8
+
+    def test_same_cloud_as_pipeline(self, result):
+        report = run_sparsity_bench(small_scene(), small_config())
+        assert report["scatter_points"] == len(result.cloud)
+        assert report["occupied_voxels"] == len(result.grid)
 
 
 class TestCli:

@@ -1,27 +1,30 @@
 """Point scattering: strides, radius dedup, capping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_nn_distances
+from oracles import HashGridAccumulator, SpatialHashGrid, brute_nn_distances
+from pointscatter import scatter
 from pointscatter.meshes import point_mesh_distance
 from pointscatter.scatter import (
     ScatterAccumulator,
     ScatterCloud,
     ScatterConfig,
-    SpatialHashGrid,
     box_sampling_stride,
     cap_points,
     empty_cloud,
     scatter_frames,
 )
-from pointscatter.scene import SceneCamera, SceneObject, SceneSpec, make_frame
+from pointscatter.scene import Box2D, SceneCamera, SceneObject, SceneSpec, demo_scene, make_frame
 from pointscatter.camera import Intrinsics, Pose, look_at_pose
 from pointscatter.boxes import OrientedBox
 
-from conftest import DEPTH_RANGE
+from conftest import DEPTH_RANGE, render_all
 
 
 def noiseless_frame(scene, index=0):
@@ -84,6 +87,70 @@ class TestSpatialHashGrid:
         nn = brute_nn_distances(queries, stored)
         for q, d in zip(queries, nn):
             assert grid.has_neighbor_within(q) == (d < radius)
+
+
+class TestMatchesHashGridOracle:
+    """The vectorized dedup accepts exactly the rows the per-candidate
+    hash-grid scan accepts, in the same order, frame by frame."""
+
+    def assert_matches(self, frames, config):
+        acc, ref = ScatterAccumulator(config), HashGridAccumulator(config)
+        assert [acc.add_frame(f) for f in frames] == [ref.add_frame(f) for f in frames]
+        got, want = acc.cloud(), ref.cloud()
+        assert len(acc) == len(ref) == len(got)
+        for name in ("positions", "pixels", "frame_ids", "categories"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("dedup_radius", [None, 0.02, 0.08])
+    def test_clean_scene(self, clean_frames, dedup_radius):
+        self.assert_matches(clean_frames, ScatterConfig(radius=0.04, dedup_radius=dedup_radius))
+
+    @pytest.mark.parametrize("dedup_radius", [None, 0.02, 0.08])
+    def test_noisy_scene(self, noisy_frames, dedup_radius):
+        self.assert_matches(noisy_frames, ScatterConfig(radius=0.04, dedup_radius=dedup_radius))
+
+    def test_orbit80(self):
+        self.assert_matches(render_all(demo_scene(steps=80)), ScatterConfig(radius=0.04))
+
+    def test_overlapping_boxes(self, noisy_frames):
+        # each frame gets a copy of its first box, which samples the same
+        # pixels again, and a shifted box of another category
+        frames = []
+        for frame in noisy_frames[:6]:
+            b = frame.boxes_2d[0]
+            shifted = Box2D(7, b.u_min + 3.5, b.v_min + 2.0, b.u_max + 3.5, b.v_max + 2.0)
+            frames.append(dataclasses.replace(frame, boxes_2d=(b, *frame.boxes_2d, shifted)))
+        self.assert_matches(frames, ScatterConfig(radius=0.04))
+
+    def test_frames_without_valid_depth(self, clean_frames):
+        blank = dataclasses.replace(clean_frames[1], depth=np.zeros_like(clean_frames[1].depth))
+        no_boxes = dataclasses.replace(clean_frames[2], boxes_2d=())
+        frames = [blank, clean_frames[0], no_boxes, blank, clean_frames[3]]
+        self.assert_matches(frames, ScatterConfig(radius=0.04))
+
+    def test_points_exactly_r_apart_are_kept(self, monkeypatch):
+        # 0.5 and its square are exact, so the tree finds each earlier
+        # point at distance exactly r, inside the slack band, and only the
+        # exact strict test may decide
+        ball_queries = []
+
+        class SpyTree(cKDTree):
+            def query_ball_point(self, *args, **kwargs):
+                ball_queries.append(args)
+                return super().query_ball_point(*args, **kwargs)
+
+        monkeypatch.setattr(scatter, "cKDTree", SpyTree)
+        r = 0.5
+        earlier = np.array([[0.0, 0.0, 0.0]])
+        queries = np.array([[0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.25, 0.0, 0.0]])
+        assert scatter._near_any(queries, earlier, r).tolist() == [False, False, True]
+        assert len(ball_queries) == 1
+        row = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.75], [0.0, 0.0, 1.0]])
+        # 0.75 falls to the kept 0.5, so it cannot reject 1.0; the pairs
+        # (0, 0.5) and (0.5, 1.0) lie exactly r apart
+        assert scatter._greedy_keep(row, r).tolist() == [True, True, False, True]
 
 
 class TestScatterFrames:
