@@ -11,6 +11,11 @@ from pointscatter.pipeline import DetectorConfig, PipelineConfig, run_pipeline
 from pointscatter.scene import demo_scene
 
 
+def _fmt(value, spec: str) -> str:
+    """``value`` formatted by ``spec``; None (no detection matched) as n/a."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
@@ -35,7 +40,7 @@ def main() -> int:
         print(
             f"{len(result.keyframes):>6} {result.report['filter']['points_filtered']:>8} "
             f"{mean['AP@0.25']:>8.3f} {mean['AP@0.5']:>7.3f} "
-            f"{result.report['chamfer']:>9.5f} {result.report['fscore']:>7.2f}"
+            f"{_fmt(result.report['chamfer'], '.5f'):>9} {_fmt(result.report['fscore'], '.2f'):>7}"
         )
     return 0
 

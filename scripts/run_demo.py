@@ -39,8 +39,10 @@ def main() -> int:
     print(f"detections       {len(result.detections)}")
     for key, value in sorted(report["mean"].items()):
         print(f"{key:<16} {value:.4f}")
-    print(f"chamfer          {report['chamfer']:.6f}")
-    print(f"fscore           {report['fscore']:.2f}")
+    # chamfer and fscore are None when no detection matches a GT box
+    for key, spec in (("chamfer", ".6f"), ("fscore", ".2f")):
+        value = report[key]
+        print(f"{key:<16} {'n/a' if value is None else format(value, spec)}")
     print(f"artifacts in     {args.out}")
     print(json.dumps(report["per_category"], sort_keys=True))
     return 0

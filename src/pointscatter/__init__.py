@@ -8,36 +8,24 @@ metrics. A deterministic scene simulator provides the frames.
 """
 
 from .aggregate import (
-    AggregatedFeature,
     aggregate_cloud,
     aggregate_mean,
-    aggregate_point,
     aggregate_variance,
-    append_onehot,
     bilinear_sample,
-    build_projection_set,
     compose_features,
 )
 from .boxes import (
     OrientedBox,
-    Vote,
-    assign_proposals,
     box_corners,
-    detection_loss,
     iou_3d,
     nms,
-    smooth_l1,
     wrap_angle,
 )
 from .camera import (
     Intrinsics,
-    PixelRay,
     Pose,
-    backproject,
     backproject_pixels,
     look_at_pose,
-    pixel_ray,
-    project,
     project_points,
 )
 from .depth import (
@@ -57,7 +45,6 @@ from .metrics import (
     fscore,
     match_detections,
     recall_at,
-    shape_code_loss,
 )
 from .pipeline import (
     ConfigError,
@@ -105,10 +92,7 @@ from .surface import (
 from .voxel import (
     DenseGridSpec,
     SparseVoxelGrid,
-    dense_grid_points,
-    pack_index,
     sparsity_report,
-    unpack_index,
     voxel_indices,
     voxelize,
 )

@@ -1,11 +1,13 @@
 """Multi-view feature aggregation for scattered points.
 
-Each world point is projected into every frame; frames where it lands
-in front of the camera and inside the image bounds contribute a
-bilinearly sampled feature (the frame's color). Aggregation reduces the
-contributing features to a masked mean and a masked population variance
-(centered on that mean). A point seen by no frame is degenerate: its
-mean and variance are zero and ``valid_count`` is 0.
+:func:`aggregate_cloud` projects every point of a cloud into every
+frame; frames where a point lands in front of the camera and inside the
+image bounds contribute a bilinearly sampled feature (the frame's
+color). Aggregation reduces the contributing features to a masked mean
+and a masked population variance (centered on that mean). A point seen
+by no frame is degenerate: its mean and variance are zero and its valid
+count is 0. :func:`compose_features` appends a one-hot category block
+to the mean and variance rows.
 
 Projection validity is purely geometric by default. With
 ``occlusion_check`` enabled, a frame only contributes when the point's
@@ -15,8 +17,6 @@ background are treated as visible.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,36 +59,6 @@ def bilinear_sample(image: np.ndarray, u, v):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectionSet:
-    """Per-frame projections of one world point.
-
-    ``features`` is (F, C) with rows only meaningful where ``mask`` is
-    True; ``pixels`` the continuous projections (NaN when behind the
-    camera); ``depths`` the camera-frame z per frame.
-    """
-
-    features: np.ndarray
-    mask: np.ndarray
-    pixels: np.ndarray
-    depths: np.ndarray
-
-    @property
-    def valid_count(self) -> int:
-        return int(self.mask.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class AggregatedFeature:
-    mean: np.ndarray
-    variance: np.ndarray
-    valid_count: int
-
-    @property
-    def degenerate(self) -> bool:
-        return self.valid_count == 0
-
-
 def _frame_projection(positions, frame, occlusion_check, depth_sigma):
     """Valid mask and pixel coords of (N, 3) points in one frame."""
     intr = frame.intrinsics
@@ -114,30 +84,6 @@ def _frame_projection(positions, frame, occlusion_check, depth_sigma):
     return ok, uv, z
 
 
-def build_projection_set(
-    point,
-    frames,
-    occlusion_check: bool = False,
-    depth_sigma: float = 0.0,
-) -> ProjectionSet:
-    """Project one point into every frame and sample its color feature."""
-    p = np.asarray(point, dtype=np.float64).reshape(1, 3)
-    n_frames = len(frames)
-    channels = frames[0].color.shape[2] if n_frames else 0
-    features = np.zeros((n_frames, channels))
-    mask = np.zeros(n_frames, dtype=bool)
-    pixels = np.full((n_frames, 2), np.nan)
-    depths = np.zeros(n_frames)
-    for i, frame in enumerate(frames):
-        ok, uv, z = _frame_projection(p, frame, occlusion_check, depth_sigma)
-        pixels[i] = uv[0]
-        depths[i] = z[0]
-        if ok[0]:
-            mask[i] = True
-            features[i] = bilinear_sample(frame.color, uv[0, 0], uv[0, 1])
-    return ProjectionSet(features=features, mask=mask, pixels=pixels, depths=depths)
-
-
 def aggregate_mean(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Masked mean over frames: ``sum(M_i f_i) / eta``; zeros when eta=0."""
     f = np.asarray(features, dtype=np.float64)
@@ -160,20 +106,6 @@ def aggregate_variance(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     shifted = f[m] - f[m][0]
     mean = shifted.sum(axis=0) / eta
     return ((shifted - mean) ** 2).sum(axis=0) / eta
-
-
-def aggregate_point(
-    point,
-    frames,
-    occlusion_check: bool = False,
-    depth_sigma: float = 0.0,
-) -> AggregatedFeature:
-    ps = build_projection_set(point, frames, occlusion_check, depth_sigma)
-    return AggregatedFeature(
-        mean=aggregate_mean(ps.features, ps.mask),
-        variance=aggregate_variance(ps.features, ps.mask),
-        valid_count=ps.valid_count,
-    )
 
 
 def aggregate_cloud(
@@ -209,18 +141,6 @@ def aggregate_cloud(
             sq[ok] += diff * diff
     variances = np.divide(sq, counts[:, None], out=np.zeros_like(sq), where=counts[:, None] > 0)
     return means, variances, counts
-
-
-def append_onehot(feature: np.ndarray, category: int, num_categories: int) -> np.ndarray:
-    """Append a one-hot category block; category -1 appends all zeros."""
-    if num_categories < 1:
-        raise ValueError("need at least one category")
-    if category >= num_categories or category < -1:
-        raise ValueError(f"category {category} outside [-1, {num_categories})")
-    onehot = np.zeros(num_categories)
-    if category >= 0:
-        onehot[category] = 1.0
-    return np.concatenate([np.asarray(feature, dtype=np.float64), onehot])
 
 
 def compose_features(

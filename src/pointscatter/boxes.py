@@ -1,4 +1,4 @@
-"""Oriented 3D bounding boxes (yaw about z), exact IoU, NMS, and losses.
+"""Oriented 3D bounding boxes (yaw about z), exact IoU and NMS.
 
 A box is parameterized as ``[x, y, z, w, h, d, r_z]``: center, extents
 along the box's local x/y/z axes, and yaw (rotation about world z,
@@ -48,28 +48,6 @@ class OrientedBox:
     def volume(self) -> float:
         w, h, d = self.size
         return w * h * d
-
-    def to_array(self) -> np.ndarray:
-        return np.array([*self.center, *self.size, self.yaw])
-
-    @classmethod
-    def from_array(cls, params, category: int = 0, score: float = 1.0) -> "OrientedBox":
-        p = np.asarray(params, dtype=np.float64).reshape(-1)
-        if p.shape != (7,):
-            raise ValueError(f"expected 7 box parameters, got {p.shape}")
-        return cls(tuple(p[:3]), tuple(p[3:6]), float(p[6]), category, score)
-
-
-@dataclass(frozen=True)
-class Vote:
-    """A seed point's offset prediction toward an object center."""
-
-    seed: tuple[float, float, float]
-    offset: tuple[float, float, float]
-
-    @property
-    def predicted_center(self) -> np.ndarray:
-        return np.asarray(self.seed, dtype=np.float64) + np.asarray(self.offset, dtype=np.float64)
 
 
 def box_corners(box: OrientedBox) -> np.ndarray:
@@ -185,74 +163,3 @@ def nms(boxes: list[OrientedBox], iou_threshold: float) -> list[OrientedBox]:
         if not suppressed:
             kept.append(i)
     return [boxes[i] for i in kept]
-
-
-def smooth_l1(x):
-    """Elementwise smooth L1: ``0.5 x^2`` for |x| < 1, else ``|x| - 0.5``."""
-    a = np.abs(np.asarray(x, dtype=np.float64))
-    out = np.where(a < 1.0, 0.5 * a * a, a - 0.5)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def assign_proposals(centers, gt_centers, radius: float = 0.3):
-    """Nearest-center assignment of proposals to ground truth.
-
-    Returns ``(labels, gt_index)``: ``labels`` is 1 where the nearest GT
-    center lies within ``radius``, else 0; ``gt_index`` is the index of
-    that nearest center (valid only where the label is 1).
-    """
-    c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    g = np.atleast_2d(np.asarray(gt_centers, dtype=np.float64))
-    if len(g) == 0:
-        return np.zeros(len(c), dtype=np.int64), np.full(len(c), -1, dtype=np.int64)
-    d = np.linalg.norm(c[:, None, :] - g[None, :, :], axis=2)
-    gt_index = d.argmin(axis=1)
-    labels = (d[np.arange(len(c)), gt_index] <= radius).astype(np.int64)
-    return labels, gt_index
-
-
-def detection_loss(
-    votes,
-    gt_centers,
-    class_probs,
-    class_labels,
-    box_residuals,
-    gt_residuals,
-    gamma: float = 2.0,
-) -> dict:
-    """Three-part detection loss with unit weights.
-
-    * vote: smooth L1 between each vote and its nearest GT center,
-      summed over xyz, averaged over votes;
-    * objectness: binary focal loss of ``class_probs`` against 0/1
-      ``class_labels`` (with focusing parameter ``gamma``);
-    * box: smooth L1 over the 7 box parameters with the yaw component
-      wrapped to ``(-pi, pi]`` before the penalty, summed per proposal,
-      averaged over proposals.
-
-    Returns a dict with the three terms and their sum under ``total``.
-    """
-    from .surface import focal_loss  # local import to avoid a cycle
-
-    votes = np.atleast_2d(np.asarray(votes, dtype=np.float64))
-    g = np.atleast_2d(np.asarray(gt_centers, dtype=np.float64))
-    if len(g) == 0:
-        raise ValueError("detection loss needs at least one GT center")
-    d = np.linalg.norm(votes[:, None, :] - g[None, :, :], axis=2)
-    nearest = g[d.argmin(axis=1)]
-    vote_loss = float(smooth_l1(votes - nearest).sum(axis=1).mean())
-
-    cls_loss = float(focal_loss(np.asarray(class_probs), np.asarray(class_labels), gamma))
-
-    pred = np.atleast_2d(np.asarray(box_residuals, dtype=np.float64))
-    gt = np.atleast_2d(np.asarray(gt_residuals, dtype=np.float64))
-    if pred.shape != gt.shape or pred.shape[1] != 7:
-        raise ValueError(f"box residuals must be (N, 7), got {pred.shape} vs {gt.shape}")
-    diff = pred - gt
-    diff[:, 6] = wrap_angle(diff[:, 6])
-    box_loss = float(smooth_l1(diff).sum(axis=1).mean())
-
-    total = vote_loss + cls_loss + box_loss
-    return {"vote": vote_loss, "objectness": cls_loss, "box": box_loss, "total": total}

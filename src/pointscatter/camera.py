@@ -18,12 +18,7 @@ Projection     : ``u = fx * x/z + cx``, ``v = fy * y/z + cy`` with
                  ``z <= 1e-6`` are rejected as behind (or on) the camera.
 
 Back-projection inverts projection exactly:
-``backproject(u, v, d) = R @ [(u-cx)*d/fx, (v-cy)*d/fy, d] + t``.
-
-``pixel_ray`` returns a unit direction; the un-normalized direction is
-built with camera-frame z-component equal to 1, so marching the ray by a
-camera depth ``d`` means stepping ``d / z_cam(direction)`` along the unit
-vector (see :meth:`PixelRay.point_at_depth`).
+``backproject_pixels(u, v, d) = R @ [(u-cx)*d/fx, (v-cy)*d/fy, d] + t``.
 """
 
 from __future__ import annotations
@@ -55,14 +50,6 @@ class Intrinsics:
             raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-
-    @property
-    def k_matrix(self) -> np.ndarray:
-        """3x3 calibration matrix."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]],
-            dtype=np.float64,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +84,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @property
-    def camera_center(self) -> np.ndarray:
-        return self.translation
-
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         """Map (..., 3) world points into the camera frame."""
         p = np.asarray(points, dtype=np.float64)
@@ -110,27 +93,6 @@ class Pose:
         """Map (..., 3) camera-frame points into the world frame."""
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
-
-
-@dataclass(frozen=True, eq=False)
-class PixelRay:
-    """World-space viewing ray through a pixel center.
-
-    ``direction`` is unit length. ``point_at_depth`` converts a camera
-    z-depth (not a ray length) into a world point on the ray.
-    """
-
-    pixel: tuple[float, float]
-    origin: np.ndarray
-    direction: np.ndarray
-    # Camera-frame z-component of the unit direction; marching to camera
-    # depth d means stepping d / z_scale along ``direction``.
-    z_scale: float
-
-    def point_at_depth(self, depth: float) -> np.ndarray:
-        if depth <= 0:
-            raise ValueError(f"depth must be positive, got {depth}")
-        return self.origin + (depth / self.z_scale) * self.direction
 
 
 def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> Pose:
@@ -181,14 +143,6 @@ def project_points(points: np.ndarray, intrinsics: Intrinsics, pose: Pose):
     return uv, z, in_front
 
 
-def project(point, intrinsics: Intrinsics, pose: Pose):
-    """Project one world point; returns ``(u, v, depth)`` or None if behind."""
-    uv, z, ok = project_points(np.asarray(point, dtype=np.float64)[None, :], intrinsics, pose)
-    if not ok[0]:
-        return None
-    return float(uv[0, 0]), float(uv[0, 1]), float(z[0])
-
-
 def backproject_pixels(u, v, depth, intrinsics: Intrinsics, pose: Pose) -> np.ndarray:
     """Back-project pixel coordinates with camera depths to (N, 3) world points."""
     u = np.asarray(u, dtype=np.float64)
@@ -205,26 +159,3 @@ def backproject_pixels(u, v, depth, intrinsics: Intrinsics, pose: Pose) -> np.nd
         axis=-1,
     )
     return pose.camera_to_world(cam)
-
-
-def backproject(u: float, v: float, depth: float, intrinsics: Intrinsics, pose: Pose) -> np.ndarray:
-    """Back-project one pixel; inverse of :func:`project` for valid depths."""
-    return backproject_pixels(
-        np.array([u]), np.array([v]), np.array([depth]), intrinsics, pose
-    )[0]
-
-
-def pixel_ray(u: float, v: float, intrinsics: Intrinsics, pose: Pose) -> PixelRay:
-    """World-space ray through the pixel center ``(u, v)``."""
-    dir_cam = np.array(
-        [(u - intrinsics.cx) / intrinsics.fx, (v - intrinsics.cy) / intrinsics.fy, 1.0]
-    )
-    dir_world = pose.rotation @ dir_cam
-    norm = np.linalg.norm(dir_world)
-    direction = dir_world / norm
-    return PixelRay(
-        pixel=(float(u), float(v)),
-        origin=pose.translation.copy(),
-        direction=direction,
-        z_scale=1.0 / norm,
-    )

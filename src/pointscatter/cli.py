@@ -19,12 +19,12 @@ import sys
 from pathlib import Path
 
 from .fileio import read_detections, write_cloud_ply, write_json, write_pgm, write_ppm
-from .metrics import evaluate_detections
 from .pipeline import (
     ConfigError,
     PipelineConfig,
     StageError,
-    _reconstruction_metrics,
+    evaluate,
+    guarded,
     run_pipeline,
     run_sparsity_bench,
 )
@@ -122,16 +122,8 @@ def _cmd_eval(args) -> int:
         detections = read_detections(args.detections)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         raise ConfigError(f"cannot read detections {args.detections}: {e}") from e
-    gt_boxes = [o.box for o in scene.objects]
-    detection_metrics = evaluate_detections(detections, gt_boxes, config.eval.iou_thresholds)
-    chamfer, f_val = _reconstruction_metrics(detections, scene.objects, config.eval, config.seed)
-    report = {
-        "per_category": detection_metrics["per_category"],
-        "mean": detection_metrics["mean"],
-        "chamfer": chamfer,
-        "fscore": f_val,
-        "config": config.to_dict(),
-    }
+    report = guarded("evaluate", evaluate, detections, scene, config)
+    report["config"] = config.to_dict()
     if args.out:
         write_json(report, args.out)
         print(f"wrote {args.out}")

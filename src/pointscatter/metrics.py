@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .boxes import OrientedBox, iou_3d
+from .boxes import iou_3d
 
 
 def match_detections(detections, ground_truths, iou_threshold: float) -> np.ndarray:
@@ -130,16 +130,6 @@ def fscore(gt_points: np.ndarray, pred_points: np.ndarray, threshold: float = 0.
     if precision + recall == 0.0:
         return 0.0
     return 100.0 * 2.0 * precision * recall / (precision + recall)
-
-
-def shape_code_loss(predicted, target) -> float:
-    """Squared L2 between shape code vectors; batches are averaged."""
-    p = np.asarray(predicted, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"code shapes differ: {p.shape} vs {t.shape}")
-    sq = ((p - t) ** 2).reshape(len(p), -1).sum(axis=1) if p.ndim > 1 else ((p - t) ** 2).sum()
-    return float(np.mean(sq)) if p.ndim > 1 else float(sq)
 
 
 def evaluate_detections(detections, ground_truths, iou_thresholds=(0.25, 0.5)) -> dict:

@@ -143,6 +143,17 @@ class PipelineConfig:
             raise ConfigError(str(e)) from e
 
 
+def guarded(stage: str, fn, *args, **kwargs):
+    """Call ``fn``; any failure other than a config or stage error becomes
+    a :class:`StageError` naming ``stage``."""
+    try:
+        return fn(*args, **kwargs)
+    except (ConfigError, StageError):
+        raise
+    except Exception as e:  # noqa: BLE001 - map to the failing stage
+        raise StageError(stage, e) from e
+
+
 def stage_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
     """Generator for one stage: root seed split by a fixed stage label."""
     return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(label.encode()), index])
@@ -235,17 +246,40 @@ def _reconstruction_metrics(detections, gt_objects, settings: EvalSettings, seed
     return float(np.mean(chamfers)), float(np.mean(fscores))
 
 
-def _keyframes(scene: SceneSpec, config: PipelineConfig) -> list[int]:
-    counts = [len(project_gt_boxes(scene, i)) for i in range(len(scene.cameras))]
+def evaluate(detections, scene: SceneSpec, config: PipelineConfig) -> dict:
+    """Score detections against the scene's objects.
+
+    Returns the report entries ``per_category``, ``mean``, ``chamfer``
+    and ``fscore``; the last two are None when no detection overlaps a
+    ground-truth box of its category by more than ``recon_iou``.
+    """
+    gt_boxes = [o.box for o in scene.objects]
+    detection_metrics = evaluate_detections(detections, gt_boxes, config.eval.iou_thresholds)
+    chamfer, f_val = _reconstruction_metrics(detections, scene.objects, config.eval, config.seed)
+    return {
+        "per_category": detection_metrics["per_category"],
+        "mean": detection_metrics["mean"],
+        "chamfer": chamfer,
+        "fscore": f_val,
+    }
+
+
+def _keyframes(scene: SceneSpec, config: PipelineConfig):
+    """Selected camera indices and the GT 2D boxes of every camera."""
+    boxes = [project_gt_boxes(scene, i) for i in range(len(scene.cameras))]
     poses = [c.pose for c in scene.cameras]
-    return select_keyframes(
+    counts = [len(b) for b in boxes]
+    keyframes = select_keyframes(
         poses, counts, config.frames, config.min_translation, config.min_rotation_deg
     )
+    return keyframes, boxes
 
 
-def _render(scene: SceneSpec, keyframes, config: PipelineConfig) -> list:
+def _render(scene: SceneSpec, keyframes, boxes, config: PipelineConfig) -> list:
     return [
-        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), config.depth_range)
+        make_frame(
+            scene, i, stage_rng(scene.rng_seed, "perturb", i), config.depth_range, boxes[i]
+        )
         for i in keyframes
     ]
 
@@ -274,18 +308,9 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
     ``detections.json``, ``metrics.json`` and ``sparsity.json``.
     """
     t0 = time.perf_counter()
-
-    def guarded(stage, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ConfigError, StageError):
-            raise
-        except Exception as e:  # noqa: BLE001 - map to the failing stage
-            raise StageError(stage, e) from e
-
-    keyframes = guarded("keyframes", _keyframes, scene, config)
+    keyframes, boxes = guarded("keyframes", _keyframes, scene, config)
     logger.info("selected %d keyframes", len(keyframes))
-    frames = guarded("render", _render, scene, keyframes, config)
+    frames = guarded("render", _render, scene, keyframes, boxes, config)
     cloud = guarded("scatter", _scatter, frames, config)
     logger.info("scattered %d points", len(cloud))
 
@@ -348,22 +373,9 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
     detections = guarded("detect", _detect)
     logger.info("%d detections after NMS", len(detections))
 
-    def _evaluate():
-        gt_boxes = [o.box for o in scene.objects]
-        detection_metrics = evaluate_detections(detections, gt_boxes, config.eval.iou_thresholds)
-        chamfer, f_val = _reconstruction_metrics(detections, scene.objects, config.eval, config.seed)
-        return detection_metrics, chamfer, f_val
-
-    detection_metrics, chamfer, f_val = guarded("evaluate", _evaluate)
-
-    report = {
-        "per_category": detection_metrics["per_category"],
-        "mean": detection_metrics["mean"],
-        "chamfer": chamfer,
-        "fscore": f_val,
-        "filter": filter_stats,
-        "config": config.to_dict(),
-    }
+    report = guarded("evaluate", evaluate, detections, scene, config)
+    report["filter"] = filter_stats
+    report["config"] = config.to_dict()
 
     if output_dir is not None:
         out = Path(output_dir)
@@ -395,9 +407,9 @@ def run_sparsity_bench(scene: SceneSpec, config: PipelineConfig) -> dict:
     ``voxel_size`` against dense grids at both ``voxel_size`` and the
     coarser ``dense_voxel_size`` reference, with build timings.
     """
-    keyframes = _keyframes(scene, config)
+    keyframes, boxes = _keyframes(scene, config)
     t0 = time.perf_counter()
-    frames = _render(scene, keyframes, config)
+    frames = _render(scene, keyframes, boxes, config)
     t_render = time.perf_counter() - t0
 
     t0 = time.perf_counter()

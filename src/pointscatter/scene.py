@@ -265,8 +265,14 @@ def project_gt_boxes(scene: SceneSpec, camera_index: int, min_pixels: float = 16
     return boxes
 
 
-def make_frame(scene: SceneSpec, camera_index: int, rng: np.random.Generator, depth_range) -> CameraFrame:
-    """Render one camera and apply the scene's depth perturbation."""
+def make_frame(
+    scene: SceneSpec, camera_index: int, rng: np.random.Generator, depth_range, boxes_2d
+) -> CameraFrame:
+    """Render one camera and apply the scene's depth perturbation.
+
+    ``boxes_2d`` are the camera's GT 2D boxes, as
+    :func:`project_gt_boxes` returns them.
+    """
     cam = scene.cameras[camera_index]
     depth, color = render(scene, camera_index)
     depth = perturb_depth(depth, scene.depth_noise_sigma, scene.outlier_rate, rng, depth_range)
@@ -276,7 +282,7 @@ def make_frame(scene: SceneSpec, camera_index: int, rng: np.random.Generator, de
         pose=cam.pose,
         depth=depth,
         color=color,
-        boxes_2d=tuple(project_gt_boxes(scene, camera_index)),
+        boxes_2d=tuple(boxes_2d),
     )
 
 

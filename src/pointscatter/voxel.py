@@ -1,17 +1,17 @@
 """Sparse voxelization of scatter clouds and dense-grid bookkeeping.
 
 Voxel indices are ``floor((p - origin) / voxel_size)`` per axis. Sparse
-storage is a hash map keyed on the three indices packed into one signed
-63-bit integer (21 bits per axis), so grids spanning about +/- a million
-cells per axis are representable. Dense grids are never materialized;
-only their cell counts and lazily generated cell centers exist, which is
-what makes the sparse/dense memory comparison honest.
+storage keeps the occupied voxels only, as rows sorted by a key that
+packs the three indices into one signed 63-bit integer (21 bits per
+axis), so grids spanning about +/- a million cells per axis are
+representable. Dense grids are never materialized; only their cell
+counts exist, which is what makes the sparse/dense memory comparison
+honest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -19,23 +19,7 @@ from .scatter import ScatterCloud
 
 _BITS = 21
 _OFFSET = 1 << (_BITS - 1)
-_MASK = (1 << _BITS) - 1
 INDEX_RANGE = (-_OFFSET, _OFFSET - 1)
-
-
-def pack_index(ix: int, iy: int, iz: int) -> int:
-    """Pack three signed 21-bit voxel indices into one integer key."""
-    for v in (ix, iy, iz):
-        if not INDEX_RANGE[0] <= v <= INDEX_RANGE[1]:
-            raise ValueError(f"voxel index {v} outside {INDEX_RANGE}")
-    return ((ix + _OFFSET) << (2 * _BITS)) | ((iy + _OFFSET) << _BITS) | (iz + _OFFSET)
-
-
-def unpack_index(key: int) -> tuple[int, int, int]:
-    ix = ((key >> (2 * _BITS)) & _MASK) - _OFFSET
-    iy = ((key >> _BITS) & _MASK) - _OFFSET
-    iz = (key & _MASK) - _OFFSET
-    return ix, iy, iz
 
 
 def voxel_indices(points: np.ndarray, voxel_size: float, origin) -> np.ndarray:
@@ -49,7 +33,7 @@ def voxel_indices(points: np.ndarray, voxel_size: float, origin) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SparseVoxelGrid:
-    """Occupied voxels only: parallel arrays plus a key -> row hash map."""
+    """Occupied voxels only: parallel arrays sorted by packed key."""
 
     voxel_size: float
     origin: np.ndarray
@@ -57,40 +41,23 @@ class SparseVoxelGrid:
     counts: np.ndarray
     features: np.ndarray | None
     scores: np.ndarray | None
-    cells: dict[int, int]
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def indices(self) -> np.ndarray:
-        return np.array([unpack_index(int(k)) for k in self.keys], dtype=np.int64).reshape(-1, 3)
 
-    def centers(self) -> np.ndarray:
-        return self.origin + (self.indices() + 0.5) * self.voxel_size
+def voxelize(cloud: ScatterCloud, voxel_size: float, origin=(0.0, 0.0, 0.0)) -> SparseVoxelGrid:
+    """Mean-pool a scatter cloud into occupied voxels.
 
-    def row(self, ix: int, iy: int, iz: int) -> int | None:
-        return self.cells.get(pack_index(ix, iy, iz))
-
-
-def voxelize(
-    cloud: ScatterCloud,
-    voxel_size: float,
-    origin=(0.0, 0.0, 0.0),
-    pooling: str = "mean",
-) -> SparseVoxelGrid:
-    """Pool a scatter cloud into occupied voxels.
-
-    ``pooling`` is "mean" (default) or "max" and applies to both the
-    feature rows and the scores, when present. Output rows are ordered
-    by ascending packed key, which makes the result independent of the
-    input point order up to float summation.
+    The feature rows and the scores, when present, are averaged per
+    voxel. Output rows are ordered by ascending packed key, which makes
+    the result independent of the input point order up to float
+    summation.
     """
-    if pooling not in ("mean", "max"):
-        raise ValueError(f"unknown pooling {pooling!r}")
     o = np.asarray(origin, dtype=np.float64).reshape(3)
     idx = voxel_indices(cloud.positions, voxel_size, o)
     if len(idx) == 0:
-        return SparseVoxelGrid(voxel_size, o, np.zeros(0, np.int64), np.zeros(0, np.int64), None, None, {})
+        return SparseVoxelGrid(voxel_size, o, np.zeros(0, np.int64), np.zeros(0, np.int64), None, None)
     lo, hi = INDEX_RANGE
     if idx.min() < lo or idx.max() > hi:
         raise ValueError("points fall outside the packable index range")
@@ -103,26 +70,18 @@ def voxelize(
 
     def pool(values: np.ndarray) -> np.ndarray:
         cols = values if values.ndim == 2 else values[:, None]
-        if pooling == "mean":
-            acc = np.zeros((len(keys), cols.shape[1]))
-            np.add.at(acc, inverse, cols)
-            acc /= counts[:, None]
-        else:
-            acc = np.full((len(keys), cols.shape[1]), -np.inf)
-            np.maximum.at(acc, inverse, cols)
+        acc = np.zeros((len(keys), cols.shape[1]))
+        np.add.at(acc, inverse, cols)
+        acc /= counts[:, None]
         return acc if values.ndim == 2 else acc[:, 0]
 
-    features = pool(cloud.features) if cloud.features is not None else None
-    scores = pool(cloud.scores) if cloud.scores is not None else None
-    cells = {int(k): i for i, k in enumerate(keys)}
     return SparseVoxelGrid(
         voxel_size=float(voxel_size),
         origin=o,
         keys=keys,
         counts=counts.astype(np.int64),
-        features=features,
-        scores=scores,
-        cells=cells,
+        features=pool(cloud.features) if cloud.features is not None else None,
+        scores=pool(cloud.scores) if cloud.scores is not None else None,
     )
 
 
@@ -148,17 +107,6 @@ class DenseGridSpec:
     def cell_count(self) -> int:
         nx, ny, nz = self.cells_per_axis
         return nx * ny * nz
-
-
-def dense_grid_points(spec: DenseGridSpec) -> Iterator[np.ndarray]:
-    """Lazily yield every dense cell center, x fastest, then y, then z."""
-    nx, ny, nz = spec.cells_per_axis
-    o = np.asarray(spec.origin, dtype=np.float64)
-    s = spec.voxel_size
-    for iz in range(nz):
-        for iy in range(ny):
-            for ix in range(nx):
-                yield o + (np.array([ix, iy, iz]) + 0.5) * s
 
 
 # Byte model used by the sparsity report, documented in its output:

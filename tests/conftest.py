@@ -1,7 +1,7 @@
 import pytest
 
 from pointscatter.pipeline import stage_rng
-from pointscatter.scene import demo_scene, make_frame
+from pointscatter.scene import demo_scene, make_frame, project_gt_boxes
 
 # matches the pipeline default; scenes here fit comfortably inside it
 DEPTH_RANGE = (0.2, 6.4)
@@ -9,7 +9,10 @@ DEPTH_RANGE = (0.2, 6.4)
 
 def render_all(scene):
     return [
-        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), DEPTH_RANGE)
+        make_frame(
+            scene, i, stage_rng(scene.rng_seed, "perturb", i), DEPTH_RANGE,
+            project_gt_boxes(scene, i),
+        )
         for i in range(len(scene.cameras))
     ]
 

@@ -312,3 +312,93 @@ def union_find_components(points, eps):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return [np.array(g, dtype=np.int64) for g in groups.values()]
+
+
+def pack_index(ix, iy, iz):
+    """One integer key for three voxel indices in [-2**20, 2**20): 21 bits
+    per axis, x highest, each shifted by 2**20. The scalar form of the
+    key packing inside ``voxelize``."""
+    for v in (ix, iy, iz):
+        if not -(2**20) <= v < 2**20:
+            raise ValueError(f"voxel index {v} outside [-2**20, 2**20)")
+    return (ix + 2**20) * 2**42 + (iy + 2**20) * 2**21 + (iz + 2**20)
+
+
+def unpack_index(key):
+    """Inverse of :func:`pack_index`."""
+    ix, rest = divmod(int(key), 2**42)
+    iy, iz = divmod(rest, 2**21)
+    return ix - 2**20, iy - 2**20, iz - 2**20
+
+
+def _tent_sample(image, u, v):
+    """Bilinear sample of an (H, W, C) image as a tent-weighted sum over
+    every texel: texel (x, y) weighs max(0, 1-|u-x|) * max(0, 1-|v-y|)."""
+    h, w = image.shape[:2]
+    wu = np.maximum(0.0, 1.0 - np.abs(np.arange(w) - u))
+    wv = np.maximum(0.0, 1.0 - np.abs(np.arange(h) - v))
+    return np.einsum("y,x,yxc->c", wv, wu, image)
+
+
+def project_point_views(point, frames, occlusion_check=False, depth_sigma=0.0):
+    """How each frame sees one world point, one frame at a time.
+
+    Returns ``(features, mask, pixels, depths)``: (F, C) colors sampled
+    where the frame sees the point (zero rows elsewhere), the (F,) mask
+    of those frames, (F, 2) continuous pixel coordinates (NaN behind the
+    camera) and the (F,) camera-frame depths. A frame sees the point when
+    it lies in front of the camera, projects inside [0, W-1] x [0, H-1]
+    and, with ``occlusion_check``, is no deeper than the rendered depth
+    at the nearest pixel plus max(3 * depth_sigma, 0.01); empty
+    background (rendered depth 0) never hides a point.
+    """
+    p = np.asarray(point, dtype=np.float64).reshape(3)
+    n = len(frames)
+    channels = frames[0].color.shape[2] if n else 0
+    features = np.zeros((n, channels))
+    mask = np.zeros(n, dtype=bool)
+    pixels = np.full((n, 2), np.nan)
+    depths = np.zeros(n)
+    for i, frame in enumerate(frames):
+        intr = frame.intrinsics
+        x, y, z = frame.pose.rotation.T @ (p - frame.pose.translation)
+        depths[i] = z
+        if z <= BEHIND_CAMERA_EPS:
+            continue
+        u = intr.fx * x / z + intr.cx
+        v = intr.fy * y / z + intr.cy
+        pixels[i] = u, v
+        if not (0.0 <= u <= intr.width - 1 and 0.0 <= v <= intr.height - 1):
+            continue
+        if occlusion_check:
+            rendered = frame.depth[round(v), round(u)]
+            if rendered > 0 and z > rendered + max(3.0 * depth_sigma, 0.01):
+                continue
+        mask[i] = True
+        features[i] = _tent_sample(frame.color, u, v)
+    return features, mask, pixels, depths
+
+
+def aggregate_point(point, frames, occlusion_check=False, depth_sigma=0.0):
+    """``(mean, variance, valid_count)`` of one point's colors over the
+    frames that see it: the per-point reference for ``aggregate_cloud``.
+    Mean and population variance are plain sums over the seen rows;
+    both are zero when no frame sees the point."""
+    features, mask, _, _ = project_point_views(point, frames, occlusion_check, depth_sigma)
+    seen = features[mask]
+    if len(seen) == 0:
+        return np.zeros(features.shape[1]), np.zeros(features.shape[1]), 0
+    mean = seen.sum(axis=0) / len(seen)
+    return mean, ((seen - mean) ** 2).sum(axis=0) / len(seen), len(seen)
+
+
+def append_onehot(feature, category, num_categories):
+    """A feature row followed by a one-hot block of ``num_categories``
+    entries (all zero for category -1): the per-row reference for
+    ``compose_features``."""
+    if num_categories < 1:
+        raise ValueError("need at least one category")
+    if not -1 <= category < num_categories:
+        raise ValueError(f"category {category} outside [-1, {num_categories})")
+    block = [1.0 if k == category else 0.0 for k in range(num_categories)]
+    return np.array([float(x) for x in feature] + block)

@@ -6,20 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEPTH_RANGE
+from oracles import aggregate_point, append_onehot, project_point_views
 from pointscatter.aggregate import (
     aggregate_cloud,
     aggregate_mean,
-    aggregate_point,
     aggregate_variance,
-    append_onehot,
     bilinear_sample,
-    build_projection_set,
     compose_features,
 )
 from pointscatter.boxes import OrientedBox
-from pointscatter.camera import Intrinsics, Pose, project
+from pointscatter.camera import Intrinsics, Pose, project_points
 from pointscatter.scatter import ScatterCloud
-from pointscatter.scene import CameraFrame, SceneCamera, SceneObject, SceneSpec, make_frame
+from pointscatter.scene import (
+    CameraFrame,
+    SceneCamera,
+    SceneObject,
+    SceneSpec,
+    make_frame,
+    project_gt_boxes,
+)
 from pointscatter.surface import label_points, sample_scene_surface
 
 TINY = Intrinsics(10.0, 10.0, 2.0, 2.0, 5, 5)
@@ -60,6 +65,12 @@ def as_cloud(positions):
         pixels=np.zeros((n, 2), dtype=np.int64),
         categories=np.zeros(n, dtype=np.int64),
     )
+
+
+def valid_views(point, frames, **kwargs):
+    """Per-frame visibility of one point as ``aggregate_cloud`` counts it."""
+    cloud = as_cloud([point])
+    return [int(aggregate_cloud(cloud, [f], **kwargs)[2][0]) for f in frames]
 
 
 class TestBilinearSample:
@@ -112,56 +123,62 @@ class TestBilinearSample:
 
 
 class TestProjectionSet:
+    """Visibility through ``aggregate_cloud``; pixels, depths and sampled
+    rows through the per-point oracle."""
+
     def rig(self):
         # three cameras behind the origin see it, two in front do not
         offsets = [-2.0, -3.0, -4.0, 2.0, 3.0]
         return [flat_frame((0.0, 0.0, z)) for z in offsets]
 
     def test_visibility_mask(self):
-        ps = build_projection_set((0.0, 0.0, 0.0), self.rig())
-        np.testing.assert_array_equal(ps.mask, [True, True, True, False, False])
-        assert ps.valid_count == 3
+        assert valid_views((0.0, 0.0, 0.0), self.rig()) == [1, 1, 1, 0, 0]
+        _, _, counts = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), self.rig())
+        np.testing.assert_array_equal(counts, [3])
+        _, mask, _, _ = project_point_views((0.0, 0.0, 0.0), self.rig())
+        np.testing.assert_array_equal(mask, [True, True, True, False, False])
 
     def test_behind_camera_pixels_are_nan(self):
-        ps = build_projection_set((0.0, 0.0, 0.0), self.rig())
-        assert np.isnan(ps.pixels[3:]).all()
-        assert not np.isnan(ps.pixels[:3]).any()
+        _, _, pixels, _ = project_point_views((0.0, 0.0, 0.0), self.rig())
+        assert np.isnan(pixels[3:]).all()
+        assert not np.isnan(pixels[:3]).any()
 
     def test_depths_are_camera_frame_z(self):
-        ps = build_projection_set((0.0, 0.0, 0.0), self.rig())
-        np.testing.assert_allclose(ps.depths, [2.0, 3.0, 4.0, -2.0, -3.0], atol=1e-12)
+        _, _, _, depths = project_point_views((0.0, 0.0, 0.0), self.rig())
+        np.testing.assert_allclose(depths, [2.0, 3.0, 4.0, -2.0, -3.0], atol=1e-12)
 
     def test_principal_ray_feature(self):
         # the origin projects to the principal point (2, 2) for a camera
         # looking straight at it, so the feature is the exact texel there
-        ps = build_projection_set((0.0, 0.0, 0.0), [flat_frame((0.0, 0.0, -2.0))])
-        np.testing.assert_allclose(ps.pixels[0], [2.0, 2.0], atol=1e-12)
-        np.testing.assert_array_equal(ps.features[0], RAMP[2, 2])
+        frame = flat_frame((0.0, 0.0, -2.0))
+        features, _, pixels, _ = project_point_views((0.0, 0.0, 0.0), [frame])
+        np.testing.assert_allclose(pixels[0], [2.0, 2.0], atol=1e-12)
+        np.testing.assert_array_equal(features[0], RAMP[2, 2])
+        means, _, _ = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), [frame])
+        np.testing.assert_array_equal(means[0], RAMP[2, 2])
 
     def test_out_of_bounds_projection_invalid(self):
         # u = 10 * (-1/2) + 2 = -3, outside [0, 4]
-        ps = build_projection_set((0.0, 0.0, 0.0), [flat_frame((1.0, 0.0, -2.0))])
-        assert not ps.mask[0]
-        assert ps.pixels[0, 0] == pytest.approx(-3.0, abs=1e-12)
+        frame = flat_frame((1.0, 0.0, -2.0))
+        assert valid_views((0.0, 0.0, 0.0), [frame]) == [0]
+        _, mask, pixels, _ = project_point_views((0.0, 0.0, 0.0), [frame])
+        assert not mask[0]
+        assert pixels[0, 0] == pytest.approx(-3.0, abs=1e-12)
 
     def test_invalid_rows_have_zero_features(self):
-        ps = build_projection_set((0.0, 0.0, 0.0), self.rig())
-        np.testing.assert_array_equal(ps.features[3:], 0.0)
+        features, _, _, _ = project_point_views((0.0, 0.0, 0.0), self.rig())
+        np.testing.assert_array_equal(features[3:], 0.0)
 
     def test_mask_matches_direct_projection(self, clean_frames):
         rng = np.random.default_rng(11)
         points = rng.uniform([-1.0, -1.0, 0.0], [1.0, 1.0, 1.2], size=(25, 3))
-        for p in points:
-            ps = build_projection_set(p, clean_frames)
-            for i, frame in enumerate(clean_frames):
-                res = project(p, frame.intrinsics, frame.pose)
-                if res is None:
-                    expect = False
-                else:
-                    u, v, _ = res
-                    w, h = frame.intrinsics.width, frame.intrinsics.height
-                    expect = 0.0 <= u <= w - 1 and 0.0 <= v <= h - 1
-                assert ps.mask[i] == expect
+        for frame in clean_frames:
+            _, _, counts = aggregate_cloud(as_cloud(points), [frame])
+            uv, _, in_front = project_points(points, frame.intrinsics, frame.pose)
+            w, h = frame.intrinsics.width, frame.intrinsics.height
+            with np.errstate(invalid="ignore"):
+                inside = (uv >= 0).all(axis=1) & (uv[:, 0] <= w - 1) & (uv[:, 1] <= h - 1)
+            np.testing.assert_array_equal(counts, (in_front & inside).astype(np.int64))
 
 
 class TestMeanVariance:
@@ -240,28 +257,35 @@ class TestMeanVariance:
 class TestAggregatePointAndCloud:
     def test_degenerate_point(self):
         # the only camera sits at z = 2 looking away from the point
-        agg = aggregate_point((0.0, 0.0, 0.0), [flat_frame((0.0, 0.0, 2.0))])
-        assert agg.valid_count == 0
-        assert agg.degenerate
-        np.testing.assert_array_equal(agg.mean, np.zeros(3))
-        np.testing.assert_array_equal(agg.variance, np.zeros(3))
+        means, variances, counts = aggregate_cloud(
+            as_cloud([[0.0, 0.0, 0.0]]), [flat_frame((0.0, 0.0, 2.0))]
+        )
+        np.testing.assert_array_equal(counts, [0])
+        np.testing.assert_array_equal(means, np.zeros((1, 3)))
+        np.testing.assert_array_equal(variances, np.zeros((1, 3)))
 
     def test_single_frame(self):
-        agg = aggregate_point((0.0, 0.0, 0.0), [flat_frame((0.0, 0.0, -2.0))])
-        assert agg.valid_count == 1
-        assert not agg.degenerate
-        np.testing.assert_array_equal(agg.mean, RAMP[2, 2])
-        np.testing.assert_array_equal(agg.variance, np.zeros(3))
+        means, variances, counts = aggregate_cloud(
+            as_cloud([[0.0, 0.0, 0.0]]), [flat_frame((0.0, 0.0, -2.0))]
+        )
+        np.testing.assert_array_equal(counts, [1])
+        np.testing.assert_array_equal(means[0], RAMP[2, 2])
+        np.testing.assert_array_equal(variances[0], np.zeros(3))
 
     def test_cloud_matches_per_point(self, clean_frames):
         rng = np.random.default_rng(5)
         pts = rng.uniform([-0.8, -0.8, 0.0], [0.8, 0.8, 1.0], size=(32, 3))
-        means, variances, counts = aggregate_cloud(as_cloud(pts), clean_frames)
-        for k, p in enumerate(pts):
-            agg = aggregate_point(p, clean_frames)
-            assert counts[k] == agg.valid_count
-            np.testing.assert_allclose(means[k], agg.mean, atol=1e-12)
-            np.testing.assert_allclose(variances[k], agg.variance, atol=1e-12)
+        for occlusion_check, depth_sigma in [(False, 0.0), (True, 0.0), (True, 0.05)]:
+            means, variances, counts = aggregate_cloud(
+                as_cloud(pts), clean_frames, occlusion_check, depth_sigma
+            )
+            for k, p in enumerate(pts):
+                mean, variance, valid = aggregate_point(
+                    p, clean_frames, occlusion_check, depth_sigma
+                )
+                assert counts[k] == valid
+                np.testing.assert_allclose(means[k], mean, atol=1e-12)
+                np.testing.assert_allclose(variances[k], variance, atol=1e-12)
 
     def test_empty_frame_list(self):
         means, variances, counts = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), [])
@@ -275,42 +299,35 @@ def occluder_frame():
     obj = SceneObject(OrientedBox((0.0, 0.0, 2.5), (1.0, 1.0, 1.0)))
     cam = SceneCamera(SIMPLE, Pose.identity())
     scene = SceneSpec(objects=(obj,), cameras=(cam,))
-    return make_frame(scene, 0, np.random.default_rng(0), DEPTH_RANGE)
+    return make_frame(scene, 0, np.random.default_rng(0), DEPTH_RANGE, project_gt_boxes(scene, 0))
 
 
 class TestOcclusionCheck:
     def test_flag_off_keeps_hidden_point(self):
         frame = occluder_frame()
-        ps = build_projection_set((0.0, 0.0, 4.0), [frame], occlusion_check=False)
-        assert ps.mask[0]
+        assert valid_views((0.0, 0.0, 4.0), [frame], occlusion_check=False) == [1]
 
     def test_flag_on_drops_hidden_point(self):
         # point depth 4 exceeds the rendered 2.0 by more than the 0.01 floor
         frame = occluder_frame()
-        ps = build_projection_set((0.0, 0.0, 4.0), [frame], occlusion_check=True)
-        assert not ps.mask[0]
+        assert valid_views((0.0, 0.0, 4.0), [frame], occlusion_check=True) == [0]
 
     def test_tolerance_keeps_near_surface_point(self):
         frame = occluder_frame()
-        ps = build_projection_set((0.0, 0.0, 2.005), [frame], occlusion_check=True)
-        assert ps.mask[0]
+        assert valid_views((0.0, 0.0, 2.005), [frame], occlusion_check=True) == [1]
 
     def test_depth_sigma_widens_tolerance(self):
         frame = occluder_frame()
-        hidden = build_projection_set((0.0, 0.0, 2.02), [frame], occlusion_check=True)
-        assert not hidden.mask[0]
+        assert valid_views((0.0, 0.0, 2.02), [frame], occlusion_check=True) == [0]
         # 3 * 0.05 = 0.15 tolerance admits the same point
-        kept = build_projection_set(
-            (0.0, 0.0, 2.02), [frame], occlusion_check=True, depth_sigma=0.05
-        )
-        assert kept.mask[0]
+        kept = valid_views((0.0, 0.0, 2.02), [frame], occlusion_check=True, depth_sigma=0.05)
+        assert kept == [1]
 
     def test_background_never_occludes(self):
         # (1, 0, 2.5) projects to u = 90, off the cube silhouette, where
         # the rendered depth is 0
         frame = occluder_frame()
-        ps = build_projection_set((1.0, 0.0, 2.5), [frame], occlusion_check=True)
-        assert ps.mask[0]
+        assert valid_views((1.0, 0.0, 2.5), [frame], occlusion_check=True) == [1]
         assert frame.depth[50, 90] == 0.0
 
 
@@ -357,6 +374,10 @@ class TestOnehot:
     def test_compose_rejects_bad_category(self):
         with pytest.raises(ValueError):
             compose_features(np.zeros((1, 2)), np.zeros((1, 2)), np.array([5]), 3)
+        with pytest.raises(ValueError):
+            compose_features(np.zeros((1, 2)), np.zeros((1, 2)), np.array([-2]), 3)
+        with pytest.raises(ValueError):
+            compose_features(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0]), 0)
 
 
 class TestVarianceSeparatesSurfaceFromFreeSpace:

@@ -1,4 +1,4 @@
-"""Oriented boxes: exact IoU, NMS, losses.
+"""Oriented boxes: exact IoU and NMS.
 
 IoU values used as fixtures are closed-form: two axis-aligned unit
 cubes offset by 0.5 along x intersect in 0.5, union 1.5, IoU 1/3; a
@@ -15,13 +15,9 @@ from scipy.spatial import ConvexHull
 from oracles import mc_iou
 from pointscatter.boxes import (
     OrientedBox,
-    Vote,
-    assign_proposals,
     box_corners,
-    detection_loss,
     iou_3d,
     nms,
-    smooth_l1,
     wrap_angle,
 )
 
@@ -61,11 +57,6 @@ class TestOrientedBox:
 
     def test_yaw_normalized_on_construction(self):
         assert unit_cube(yaw=2 * np.pi).yaw == 0.0
-
-    def test_array_round_trip(self):
-        box = OrientedBox((1, 2, 3), (0.5, 1.5, 2.5), 0.7, category=2, score=0.4)
-        back = OrientedBox.from_array(box.to_array(), category=2, score=0.4)
-        assert back == box
 
 
 class TestCorners:
@@ -191,100 +182,3 @@ class TestNms:
             for j in range(i + 1, len(kept)):
                 if kept[i].category == kept[j].category:
                     assert iou_3d(kept[i], kept[j]) <= 0.3
-
-
-class TestSmoothL1:
-    def test_branch_values(self):
-        assert smooth_l1(0.0) == 0.0
-        assert smooth_l1(0.5) == 0.125  # quadratic branch: 0.5 * 0.25
-        assert smooth_l1(2.0) == 1.5  # linear branch: 2 - 0.5
-        assert smooth_l1(-2.0) == 1.5
-
-    def test_c1_at_the_knee(self):
-        h = 1e-6
-        slope = (smooth_l1(1.0 + h) - smooth_l1(1.0 - h)) / (2 * h)
-        assert slope == pytest.approx(1.0, abs=1e-6)
-
-    def test_elementwise(self):
-        assert np.allclose(smooth_l1(np.array([0.0, 0.5, 2.0])), [0.0, 0.125, 1.5])
-
-
-class TestVotesAndAssignment:
-    def test_vote_predicted_center(self):
-        vote = Vote(seed=(1.0, 1.0, 1.0), offset=(0.5, 0.0, -1.0))
-        assert np.allclose(vote.predicted_center, [1.5, 1.0, 0.0])
-
-    def test_assignment_radius(self):
-        labels, gt_index = assign_proposals(
-            [[0.1, 0.0, 0.0], [1.0, 1.0, 1.0]], [[0.0, 0.0, 0.0]], radius=0.3
-        )
-        assert np.array_equal(labels, [1, 0])
-        assert gt_index[0] == 0
-
-    def test_no_ground_truth(self):
-        labels, gt_index = assign_proposals([[0.0, 0.0, 0.0]], np.zeros((0, 3)))
-        assert np.array_equal(labels, [0]) and gt_index[0] == -1
-
-
-class TestDetectionLoss:
-    def test_perfect_prediction(self):
-        gt = np.array([[1.0, 0.0, 0.0]])
-        residuals = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.2]])
-        out = detection_loss(
-            votes=gt,
-            gt_centers=gt,
-            class_probs=[1.0],
-            class_labels=[1],
-            box_residuals=residuals,
-            gt_residuals=residuals,
-        )
-        assert out["total"] < 1e-6
-
-    def test_vote_off_by_half_meter(self):
-        out = detection_loss(
-            votes=[[0.5, 0.0, 0.0]],
-            gt_centers=[[0.0, 0.0, 0.0]],
-            class_probs=[1.0],
-            class_labels=[1],
-            box_residuals=np.zeros((1, 7)),
-            gt_residuals=np.zeros((1, 7)),
-        )
-        # smooth L1 of 0.5 in one coordinate
-        assert out["vote"] == pytest.approx(0.125, abs=1e-12)
-
-    def test_yaw_residual_wraps(self):
-        pred = np.zeros((1, 7))
-        gt = np.zeros((1, 7))
-        pred[0, 6] = 2 * np.pi
-        out = detection_loss(
-            votes=[[0.0, 0.0, 0.0]],
-            gt_centers=[[0.0, 0.0, 0.0]],
-            class_probs=[1.0],
-            class_labels=[1],
-            box_residuals=pred,
-            gt_residuals=gt,
-        )
-        assert out["box"] == 0.0
-
-    def test_total_is_sum_of_terms(self):
-        rng = np.random.default_rng(9)
-        out = detection_loss(
-            votes=rng.normal(size=(4, 3)),
-            gt_centers=rng.normal(size=(2, 3)),
-            class_probs=rng.uniform(0.1, 0.9, size=4),
-            class_labels=rng.integers(0, 2, size=4),
-            box_residuals=rng.normal(size=(4, 7)),
-            gt_residuals=rng.normal(size=(4, 7)),
-        )
-        assert out["total"] == pytest.approx(out["vote"] + out["objectness"] + out["box"])
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            detection_loss(
-                votes=[[0.0, 0.0, 0.0]],
-                gt_centers=[[0.0, 0.0, 0.0]],
-                class_probs=[1.0],
-                class_labels=[1],
-                box_residuals=np.zeros((1, 6)),
-                gt_residuals=np.zeros((1, 6)),
-            )

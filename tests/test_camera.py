@@ -13,11 +13,8 @@ from pointscatter.camera import (
     BEHIND_CAMERA_EPS,
     Intrinsics,
     Pose,
-    backproject,
     backproject_pixels,
     look_at_pose,
-    pixel_ray,
-    project,
     project_points,
 )
 
@@ -35,11 +32,6 @@ def rotation_zyx(yaw, pitch, roll):
 
 
 class TestIntrinsics:
-    def test_k_matrix(self):
-        k = SIMPLE.k_matrix
-        assert k[0, 0] == 100.0 and k[1, 1] == 100.0
-        assert k[0, 2] == 50.0 and k[1, 2] == 50.0 and k[2, 2] == 1.0
-
     def test_rejects_nonpositive_focal(self):
         with pytest.raises(ValueError):
             Intrinsics(fx=0.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
@@ -71,10 +63,10 @@ class TestPose:
         assert np.abs(back - pts).max() < 1e-12
 
     def test_camera_center_is_translation(self):
-        pose = Pose(np.eye(3), np.array([3.0, 1.0, -4.0]))
-        assert np.array_equal(pose.camera_center, [3.0, 1.0, -4.0])
+        pose = Pose(rotation_zyx(0.3, -0.2, 0.7), np.array([3.0, 1.0, -4.0]))
         # the camera center maps to the camera-frame origin
-        assert np.abs(pose.world_to_camera(pose.camera_center)).max() == 0.0
+        assert np.abs(pose.world_to_camera(pose.translation)).max() == 0.0
+        assert np.array_equal(pose.camera_to_world(np.zeros(3)), [3.0, 1.0, -4.0])
 
     def test_arrays_frozen(self):
         pose = Pose.identity()
@@ -82,40 +74,53 @@ class TestPose:
             pose.rotation[0, 0] = 2.0
 
 
+def project_one(point, pose=None):
+    """``(u, v, depth)`` of one point under SIMPLE, or None when behind."""
+    pose = Pose.identity() if pose is None else pose
+    uv, z, ok = project_points(np.array([point], dtype=np.float64), SIMPLE, pose)
+    return (float(uv[0, 0]), float(uv[0, 1]), float(z[0])) if ok[0] else None
+
+
 class TestProject:
     def test_principal_point_ray(self):
         # point on the optical axis lands on the principal point
-        assert project((0.0, 0.0, 2.0), SIMPLE, Pose.identity()) == (50.0, 50.0, 2.0)
+        assert project_one((0.0, 0.0, 2.0)) == (50.0, 50.0, 2.0)
 
     def test_offset_point(self):
         # u = 100*1/2 + 50 = 100
-        assert project((1.0, 0.0, 2.0), SIMPLE, Pose.identity()) == (100.0, 50.0, 2.0)
+        assert project_one((1.0, 0.0, 2.0)) == (100.0, 50.0, 2.0)
 
     def test_behind_camera_is_absent(self):
-        assert project((0.0, 0.0, -1.0), SIMPLE, Pose.identity()) is None
+        uv, z, ok = project_points(np.array([[0.0, 0.0, -1.0]]), SIMPLE, Pose.identity())
+        assert not ok[0]
+        assert np.isnan(uv[0]).all()
+        assert z[0] == -1.0
 
     def test_absent_iff_z_at_most_eps(self):
-        pose = Pose.identity()
-        assert project((0.0, 0.0, BEHIND_CAMERA_EPS), SIMPLE, pose) is None
-        assert project((0.0, 0.0, BEHIND_CAMERA_EPS * 2), SIMPLE, pose) is not None
+        assert project_one((0.0, 0.0, BEHIND_CAMERA_EPS)) is None
+        assert project_one((0.0, 0.0, BEHIND_CAMERA_EPS * 2)) is not None
 
     def test_no_bounds_clamping(self):
         # projections may land far outside the image; the caller masks
-        u, v, _ = project((10.0, 0.0, 1.0), SIMPLE, Pose.identity())
+        u, v, _ = project_one((10.0, 0.0, 1.0))
         assert u == 1050.0 and v == 50.0
 
     def test_project_points_matches_scalar_path(self):
+        # the pinhole equations evaluated one point at a time
         rng = np.random.default_rng(3)
         pose = Pose(rotation_zyx(1.0, 0.2, -0.4), np.array([0.5, 1.5, -0.3]))
         pts = rng.normal(scale=2.0, size=(200, 3))
         uv, z, ok = project_points(pts, SIMPLE, pose)
+        assert 0 < ok.sum() < len(pts)
         for i in range(len(pts)):
-            single = project(pts[i], SIMPLE, pose)
-            if single is None:
-                assert not ok[i]
+            x, y, depth = pose.rotation.T @ (pts[i] - pose.translation)
+            assert ok[i] == (depth > BEHIND_CAMERA_EPS)
+            assert z[i] == pytest.approx(depth, abs=1e-12)
+            if ok[i]:
+                assert uv[i, 0] == pytest.approx(100.0 * x / depth + 50.0, abs=1e-9)
+                assert uv[i, 1] == pytest.approx(100.0 * y / depth + 50.0, abs=1e-9)
             else:
-                assert ok[i]
-                assert np.allclose((uv[i, 0], uv[i, 1], z[i]), single, atol=1e-12)
+                assert np.isnan(uv[i]).all()
 
     def test_pose_composition(self):
         # projecting through P equals projecting the P-inverse-mapped
@@ -131,17 +136,22 @@ class TestProject:
         assert np.allclose(z_pose[ok_pose], z_id[ok_id], atol=1e-9)
 
 
+def backproject_one(u, v, depth, pose=None):
+    pose = Pose.identity() if pose is None else pose
+    return backproject_pixels(np.array([u]), np.array([v]), np.array([depth]), SIMPLE, pose)[0]
+
+
 class TestBackproject:
     def test_principal_inverse(self):
-        assert np.allclose(backproject(50.0, 50.0, 2.0, SIMPLE, Pose.identity()), [0, 0, 2])
+        assert np.allclose(backproject_one(50.0, 50.0, 2.0), [0, 0, 2])
 
     def test_offset_inverse(self):
         # x = (100-50)*2/100 = 1
-        assert np.allclose(backproject(100.0, 50.0, 2.0, SIMPLE, Pose.identity()), [1, 0, 2])
+        assert np.allclose(backproject_one(100.0, 50.0, 2.0), [1, 0, 2])
 
     def test_rejects_nonpositive_depth(self):
         with pytest.raises(ValueError):
-            backproject(50.0, 50.0, 0.0, SIMPLE, Pose.identity())
+            backproject_one(50.0, 50.0, 0.0)
         with pytest.raises(ValueError):
             backproject_pixels(
                 np.array([50.0]), np.array([50.0]), np.array([-1.0]), SIMPLE, Pose.identity()
@@ -171,46 +181,10 @@ class TestBackproject:
     )
     def test_round_trip_property(self, u, v, d, yaw, pitch):
         pose = Pose(rotation_zyx(yaw, pitch, 0.3), np.array([0.4, -0.2, 1.0]))
-        world = backproject(u, v, d, SIMPLE, pose)
-        got = project(world, SIMPLE, pose)
+        world = backproject_one(u, v, d, pose)
+        got = project_one(world, pose)
         assert got is not None
         assert abs(got[0] - u) < 1e-6 and abs(got[1] - v) < 1e-6 and abs(got[2] - d) < 1e-6
-
-
-class TestPixelRay:
-    def test_principal_ray_is_forward_axis(self):
-        pose = Pose(rotation_zyx(0.5, 0.2, 0.0), np.zeros(3))
-        ray = pixel_ray(50.0, 50.0, SIMPLE, pose)
-        forward = pose.rotation[:, 2]
-        assert np.allclose(ray.direction, forward, atol=1e-12)
-
-    def test_direction_from_pinhole_geometry(self):
-        # (u-cx)/fx = 0.5, so the camera-frame direction is (0.5, 0, 1)
-        ray = pixel_ray(100.0, 50.0, SIMPLE, Pose.identity())
-        expected = np.array([0.5, 0.0, 1.0]) / np.linalg.norm([0.5, 0.0, 1.0])
-        assert np.allclose(ray.direction, expected, atol=1e-12)
-
-    def test_unit_direction(self):
-        ray = pixel_ray(13.0, 87.0, SIMPLE, Pose.identity())
-        assert abs(np.linalg.norm(ray.direction) - 1.0) < 1e-12
-
-    def test_distinct_pixels_non_parallel(self):
-        a = pixel_ray(10.0, 10.0, SIMPLE, Pose.identity())
-        b = pixel_ray(11.0, 10.0, SIMPLE, Pose.identity())
-        assert np.linalg.norm(np.cross(a.direction, b.direction)) > 0
-
-    def test_point_at_depth_matches_backproject(self):
-        pose = Pose(rotation_zyx(-0.7, 0.4, 0.1), np.array([1.0, 1.0, -2.0]))
-        ray = pixel_ray(30.0, 70.0, SIMPLE, pose)
-        for d in (0.5, 2.0, 13.0):
-            assert np.allclose(
-                ray.point_at_depth(d), backproject(30.0, 70.0, d, SIMPLE, pose), atol=1e-9
-            )
-
-    def test_point_at_depth_rejects_nonpositive(self):
-        ray = pixel_ray(50.0, 50.0, SIMPLE, Pose.identity())
-        with pytest.raises(ValueError):
-            ray.point_at_depth(0.0)
 
 
 class TestLookAt:
@@ -220,7 +194,7 @@ class TestLookAt:
 
     def test_target_projects_to_principal_point(self):
         pose = look_at_pose(eye=(3.0, -2.0, 1.5), target=(0.5, 0.5, 0.5))
-        u, v, depth = project((0.5, 0.5, 0.5), SIMPLE, pose)
+        u, v, depth = project_one((0.5, 0.5, 0.5), pose)
         assert abs(u - 50.0) < 1e-9 and abs(v - 50.0) < 1e-9
         assert abs(depth - np.linalg.norm([2.5, -2.5, 1.0])) < 1e-12
 

@@ -15,7 +15,6 @@ from pointscatter.metrics import (
     fscore,
     match_detections,
     recall_at,
-    shape_code_loss,
 )
 
 
@@ -230,26 +229,6 @@ class TestFscore:
             fscore(np.zeros((0, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
             fscore(np.zeros((1, 3)), np.zeros((1, 3)), threshold=0.0)
-
-
-class TestShapeCodeLoss:
-    def test_identical(self):
-        assert shape_code_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-
-    def test_unit_difference(self):
-        assert shape_code_loss(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 1.0
-
-    def test_three_four_five(self):
-        assert shape_code_loss(np.array([3.0, 4.0]), np.array([0.0, 0.0])) == 25.0
-
-    def test_batch_mean(self):
-        p = np.array([[1.0, 0.0], [0.0, 2.0]])
-        t = np.zeros((2, 2))
-        assert shape_code_loss(p, t) == 2.5
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            shape_code_loss(np.zeros(3), np.zeros(4))
 
 
 class TestEvaluateDetections:

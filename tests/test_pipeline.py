@@ -1,5 +1,6 @@
 """Tests for the staged pipeline, its config, and the CLI."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 
 from oracles import union_find_components
 from pointscatter import cli
-from pointscatter.fileio import read_cloud_ply, read_detections, write_pgm, write_ppm
+from pointscatter.fileio import (
+    read_cloud_ply,
+    read_detections,
+    write_detections,
+    write_json,
+    write_pgm,
+    write_ppm,
+)
 from pointscatter.pipeline import (
     ConfigError,
     DetectorConfig,
@@ -20,7 +28,7 @@ from pointscatter.pipeline import (
     stage_rng,
 )
 from pointscatter.scatter import ScatterConfig
-from pointscatter.scene import demo_scene, load_scene, make_frame
+from pointscatter.scene import demo_scene, load_scene, make_frame, project_gt_boxes, save_scene
 
 
 def small_scene(**kwargs):
@@ -283,6 +291,19 @@ class TestCli:
         for key in ("per_category", "mean", "chamfer", "fscore"):
             assert eval_report[key] == run_report[key]
 
+    def test_eval_writes_run_report_entries(self, tmp_path):
+        # eval writes exactly the report entries run_pipeline computes, plus
+        # the config, byte for byte
+        scene_path = self.gen(tmp_path)
+        result = run_pipeline(load_scene(scene_path), small_config())
+        write_detections(result.detections, tmp_path / "detections.json")
+        eval_out = tmp_path / "eval.json"
+        argv = ["eval", str(scene_path), str(tmp_path / "detections.json"), "--frames", "8"]
+        assert cli.main([*argv, "--out", str(eval_out)]) == 0
+        keys = ("per_category", "mean", "chamfer", "fscore", "config")
+        write_json({k: result.report[k] for k in keys}, tmp_path / "expected.json")
+        assert eval_out.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
     def test_run_overrides_echoed(self, tmp_path):
         scene_path = self.gen(tmp_path)
         out = tmp_path / "run"
@@ -360,7 +381,8 @@ class TestCli:
         scene = load_scene(scene_path)
         config = small_config()
         for i in range(8):
-            frame = make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), config.depth_range)
+            rng = stage_rng(scene.rng_seed, "perturb", i)
+            frame = make_frame(scene, i, rng, config.depth_range, project_gt_boxes(scene, i))
             write_pgm(frame.depth, tmp_path / "depth.pgm", max_value=config.depth_range[1])
             write_ppm(frame.color, tmp_path / "color.ppm")
             assert (img_dir / pgms[i]).read_bytes() == (tmp_path / "depth.pgm").read_bytes()
@@ -414,3 +436,15 @@ class TestCliExitCodes:
         code = cli.main(["run", str(scene_path), "--out", str(tmp_path / "o"), "--frames", "6"])
         assert code == 2
         assert "voxelize" in capsys.readouterr().err
+
+    def test_scene_without_objects_fails_evaluate(self, tmp_path, capsys):
+        # run and eval share the evaluate stage, so both report its failure
+        scene_path = tmp_path / "empty.json"
+        save_scene(dataclasses.replace(demo_scene(steps=6), objects=()), scene_path)
+        dets_path = tmp_path / "detections.json"
+        write_detections([], dets_path)
+        assert cli.main(["eval", str(scene_path), str(dets_path)]) == 2
+        assert "stage 'evaluate' failed" in capsys.readouterr().err
+        code = cli.main(["run", str(scene_path), "--out", str(tmp_path / "o"), "--frames", "6"])
+        assert code == 2
+        assert "stage 'evaluate' failed" in capsys.readouterr().err

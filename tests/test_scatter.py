@@ -20,7 +20,15 @@ from pointscatter.scatter import (
     empty_cloud,
     scatter_frames,
 )
-from pointscatter.scene import Box2D, SceneCamera, SceneObject, SceneSpec, demo_scene, make_frame
+from pointscatter.scene import (
+    Box2D,
+    SceneCamera,
+    SceneObject,
+    SceneSpec,
+    demo_scene,
+    make_frame,
+    project_gt_boxes,
+)
 from pointscatter.camera import Intrinsics, Pose, look_at_pose
 from pointscatter.boxes import OrientedBox
 
@@ -28,7 +36,8 @@ from conftest import DEPTH_RANGE, render_all
 
 
 def noiseless_frame(scene, index=0):
-    return make_frame(scene, index, np.random.default_rng(0), DEPTH_RANGE)
+    boxes = project_gt_boxes(scene, index)
+    return make_frame(scene, index, np.random.default_rng(0), DEPTH_RANGE, boxes)
 
 
 class TestStride:

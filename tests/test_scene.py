@@ -268,7 +268,13 @@ class TestMakeFrame:
     def test_bit_identical_rerender(self, clean_scene, clean_frames):
         from pointscatter.pipeline import stage_rng
 
-        again = make_frame(clean_scene, 3, stage_rng(clean_scene.rng_seed, "perturb", 3), DEPTH_RANGE)
+        again = make_frame(
+            clean_scene,
+            3,
+            stage_rng(clean_scene.rng_seed, "perturb", 3),
+            DEPTH_RANGE,
+            project_gt_boxes(clean_scene, 3),
+        )
         assert np.array_equal(again.depth, clean_frames[3].depth)
         assert np.array_equal(again.color, clean_frames[3].color)
         assert again.boxes_2d == clean_frames[3].boxes_2d

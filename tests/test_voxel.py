@@ -1,23 +1,13 @@
 """Tests for sparse voxelization and the dense-grid comparison."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pack_index, unpack_index
 from pointscatter.scatter import ScatterCloud, empty_cloud
-from pointscatter.voxel import (
-    INDEX_RANGE,
-    DenseGridSpec,
-    dense_grid_points,
-    pack_index,
-    sparsity_report,
-    unpack_index,
-    voxel_indices,
-    voxelize,
-)
+from pointscatter.voxel import INDEX_RANGE, DenseGridSpec, sparsity_report, voxel_indices, voxelize
 
 
 def cloud_at(positions, features=None, scores=None):
@@ -36,7 +26,16 @@ def cloud_at(positions, features=None, scores=None):
     return cloud
 
 
+def grid_row(grid, ix, iy, iz):
+    """Row of voxel (ix, iy, iz) in ``grid``, or None when unoccupied."""
+    key = pack_index(ix, iy, iz)
+    row = int(np.searchsorted(grid.keys, key))
+    return row if row < len(grid) and grid.keys[row] == key else None
+
+
 class TestPackedKeys:
+    """The scalar key oracle, and ``voxelize``'s keys against it."""
+
     def test_round_trip_examples(self):
         for triple in [(0, 0, 0), (1, 2, 3), (-5, 7, -9), (100, -200, 300)]:
             assert unpack_index(pack_index(*triple)) == triple
@@ -45,6 +44,10 @@ class TestPackedKeys:
         lo, hi = INDEX_RANGE
         assert unpack_index(pack_index(lo, lo, lo)) == (lo, lo, lo)
         assert unpack_index(pack_index(hi, hi, hi)) == (hi, hi, hi)
+        corners = cloud_at([[lo, lo, lo], [hi + 0.5, hi + 0.5, hi + 0.5]])
+        np.testing.assert_array_equal(
+            voxelize(corners, 1.0).keys, [pack_index(lo, lo, lo), pack_index(hi, hi, hi)]
+        )
 
     def test_out_of_range_rejected(self):
         lo, hi = INDEX_RANGE
@@ -63,13 +66,10 @@ class TestPackedKeys:
         assert unpack_index(pack_index(ix, iy, iz)) == (ix, iy, iz)
 
     def test_keys_are_unique_per_cell(self):
-        keys = {
-            pack_index(ix, iy, iz)
-            for ix in range(-3, 4)
-            for iy in range(-3, 4)
-            for iz in range(-3, 4)
-        }
-        assert len(keys) == 7**3
+        cells = [(ix, iy, iz) for ix in range(-3, 4) for iy in range(-3, 4) for iz in range(-3, 4)]
+        grid = voxelize(cloud_at((np.array(cells) + 0.5) * 0.1), 0.1)
+        assert len(grid) == 7**3
+        np.testing.assert_array_equal(grid.keys, sorted(pack_index(*c) for c in cells))
 
 
 class TestVoxelIndices:
@@ -127,23 +127,10 @@ class TestVoxelize:
             groups.setdefault(key, []).append(f)
         assert len(grid) == len(groups)
         for key, rows in groups.items():
-            row = grid.row(*key)
+            row = grid_row(grid, *key)
             assert row is not None
             np.testing.assert_allclose(grid.features[row], np.mean(rows, axis=0), atol=1e-9)
             assert grid.counts[row] == len(rows)
-
-    def test_max_pooling(self):
-        grid = voxelize(
-            cloud_at(
-                [[0.01, 0.01, 0.01], [0.02, 0.02, 0.02]],
-                features=[[1.0, 5.0], [3.0, 2.0]],
-                scores=[0.2, 0.9],
-            ),
-            0.05,
-            pooling="max",
-        )
-        np.testing.assert_array_equal(grid.features, [[3.0, 5.0]])
-        np.testing.assert_array_equal(grid.scores, [0.9])
 
     def test_score_mean(self):
         grid = voxelize(
@@ -166,10 +153,11 @@ class TestVoxelize:
 
     def test_indices_and_centers(self):
         grid = voxelize(cloud_at([[0.07, 0.0, -0.01]]), 0.05)
-        np.testing.assert_array_equal(grid.indices(), [[1, 0, -1]])
-        np.testing.assert_allclose(grid.centers(), [[0.075, 0.025, -0.025]], atol=1e-12)
-        assert grid.row(1, 0, -1) == 0
-        assert grid.row(0, 0, 0) is None
+        assert unpack_index(grid.keys[0]) == (1, 0, -1)
+        center = grid.origin + (np.array(unpack_index(grid.keys[0])) + 0.5) * grid.voxel_size
+        np.testing.assert_allclose(center, [0.075, 0.025, -0.025], atol=1e-12)
+        assert grid_row(grid, 1, 0, -1) == 0
+        assert grid_row(grid, 0, 0, 0) is None
 
     def test_origin_translation_consistency(self):
         rng = np.random.default_rng(11)
@@ -178,11 +166,7 @@ class TestVoxelize:
         a = voxelize(cloud_at(pts), 0.2, origin=(0.0, 0.0, 0.0))
         b = voxelize(cloud_at(pts + shift), 0.2, origin=tuple(shift))
         np.testing.assert_array_equal(a.counts, b.counts)
-        np.testing.assert_array_equal(a.indices(), b.indices())
-
-    def test_unknown_pooling_rejected(self):
-        with pytest.raises(ValueError):
-            voxelize(cloud_at([[0.0, 0.0, 0.0]]), 0.05, pooling="median")
+        np.testing.assert_array_equal(a.keys, b.keys)
 
     def test_unpackable_points_rejected(self):
         with pytest.raises(ValueError):
@@ -210,33 +194,6 @@ class TestDenseGridSpec:
             DenseGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             DenseGridSpec((0.0, 0.0, 0.0), (1.0, -1.0, 1.0), 0.1)
-
-
-class TestDenseGridPoints:
-    def test_single_cell_center(self):
-        spec = DenseGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1.0)
-        pts = list(dense_grid_points(spec))
-        assert len(pts) == 1
-        np.testing.assert_allclose(pts[0], [0.5, 0.5, 0.5], atol=1e-15)
-
-    def test_x_fastest_order(self):
-        spec = DenseGridSpec((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), 1.0)
-        first_four = list(itertools.islice(dense_grid_points(spec), 4))
-        np.testing.assert_allclose(first_four[0], [0.5, 0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(first_four[1], [1.5, 0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(first_four[2], [0.5, 1.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(first_four[3], [1.5, 1.5, 0.5], atol=1e-15)
-
-    def test_count_matches_spec(self):
-        spec = DenseGridSpec((0.0, 0.0, 0.0), (0.9, 0.6, 0.3), 0.3)
-        pts = list(dense_grid_points(spec))
-        assert len(pts) == spec.cell_count == 3 * 2 * 1
-
-    def test_lazy(self):
-        # the 3M-cell bench grid must never be materialized to iterate
-        spec = DenseGridSpec((-4.0, -4.0, 0.0), (8.0, 8.0, 3.0), 0.04)
-        first = next(iter(dense_grid_points(spec)))
-        np.testing.assert_allclose(first, [-3.98, -3.98, 0.02], atol=1e-12)
 
 
 class TestSparsityReport:
