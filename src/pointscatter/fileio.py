@@ -15,8 +15,13 @@ from .boxes import OrientedBox
 from .scatter import ScatterCloud
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _float_strs(column):
+    """repr-shortest strings of a float column, lazily."""
+    return map(repr, np.asarray(column, dtype=np.float64).tolist())
+
+
+def _int_strs(column):
+    return map(str, np.asarray(column, dtype=np.int64).tolist())
 
 
 def write_cloud_ply(cloud: ScatterCloud, path) -> None:
@@ -46,21 +51,13 @@ def write_cloud_ply(cloud: ScatterCloud, path) -> None:
     for c in range(channels):
         lines.append(f"property double f{c}")
     lines.append("end_header")
-    for i in range(n):
-        row = [
-            _fmt(cloud.positions[i, 0]),
-            _fmt(cloud.positions[i, 1]),
-            _fmt(cloud.positions[i, 2]),
-            str(int(cloud.frame_ids[i])),
-            str(int(cloud.categories[i])),
-            _fmt(cloud.pixels[i, 0]),
-            _fmt(cloud.pixels[i, 1]),
-        ]
-        if cloud.scores is not None:
-            row.append(_fmt(cloud.scores[i]))
-        if channels:
-            row.extend(_fmt(v) for v in cloud.features[i])
-        lines.append(" ".join(row))
+    columns = [_float_strs(cloud.positions[:, j]) for j in range(3)]
+    columns += [_int_strs(cloud.frame_ids), _int_strs(cloud.categories)]
+    columns += [_float_strs(cloud.pixels[:, j]) for j in range(2)]
+    if cloud.scores is not None:
+        columns.append(_float_strs(cloud.scores))
+    columns += [_float_strs(cloud.features[:, c]) for c in range(channels)]
+    lines.extend(map(" ".join, zip(*columns)))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -107,6 +104,11 @@ def read_cloud_ply(path) -> ScatterCloud:
     return cloud
 
 
+def _write_rows(f, quant: np.ndarray) -> None:
+    """One text line per row of a 2D integer array, space-separated."""
+    f.writelines(" ".join(map(str, row)) + "\n" for row in quant.tolist())
+
+
 def write_pgm(image: np.ndarray, path, max_value: float | None = None) -> None:
     """16-bit ASCII PGM of a scalar map (e.g. depth).
 
@@ -122,8 +124,7 @@ def write_pgm(image: np.ndarray, path, max_value: float | None = None) -> None:
     h, w = img.shape
     with open(path, "w") as f:
         f.write(f"P2\n# scale: {scale!r} units per count\n{w} {h}\n65535\n")
-        for row in quant:
-            f.write(" ".join(str(v) for v in row) + "\n")
+        _write_rows(f, quant)
 
 
 def write_ppm(image: np.ndarray, path) -> None:
@@ -135,8 +136,7 @@ def write_ppm(image: np.ndarray, path) -> None:
     h, w, _ = img.shape
     with open(path, "w") as f:
         f.write(f"P3\n{w} {h}\n255\n")
-        for row in quant:
-            f.write(" ".join(" ".join(str(c) for c in px) for px in row) + "\n")
+        _write_rows(f, quant.reshape(h, w * 3))
 
 
 def boxes_to_list(boxes) -> list[dict]:

@@ -13,6 +13,7 @@ deterministic: identical scene spec and seed give bit-identical frames.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -122,22 +123,17 @@ def _screen_boxes(triangles: np.ndarray, intrinsics: Intrinsics, pose: Pose):
     return np.where(front, lo, 0).astype(np.int64), np.where(front, hi, size - 1).astype(np.int64)
 
 
-def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
-    """Nearest-hit depth and triangle index for every pixel center.
+@functools.lru_cache(maxsize=8)
+def _camera_rays(intrinsics: Intrinsics) -> np.ndarray:
+    """Read-only (H*W, 3) camera-frame ray per pixel center, z-component 1.
 
-    Ray directions are built with camera-frame z-component 1, so the ray
-    parameter of a hit equals its camera depth directly. A triangle whose
-    vertices are all in front of the camera is tested only against the
-    rays inside its projected bounding box, widened by one pixel and
-    clipped to the image, and is skipped when that box is empty; a
-    triangle with a vertex at or behind the camera plane falls back to
-    testing every ray. Triangles are visited in order and the per-ray
-    arithmetic and strict nearer-hit test are the same on both paths, so
-    the culling changes no output bit.
+    Rows run over pixels in row-major (v, u) order.
     """
-    h, w = intrinsics.height, intrinsics.width
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    dir_cam = np.stack(
+    us, vs = np.meshgrid(
+        np.arange(intrinsics.width, dtype=np.float64),
+        np.arange(intrinsics.height, dtype=np.float64),
+    )
+    rays = np.stack(
         [
             (us - intrinsics.cx) / intrinsics.fx,
             (vs - intrinsics.cy) / intrinsics.fy,
@@ -145,13 +141,39 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
         ],
         axis=-1,
     ).reshape(-1, 3)
-    all_dirs = (dir_cam @ pose.rotation.T).reshape(h, w, 3)
-    origin = pose.translation
+    rays.flags.writeable = False
+    return rays
+
+
+def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
+    """Nearest-hit depth and triangle index for every pixel center.
+
+    Ray directions are built with camera-frame z-component 1, so the ray
+    parameter of a hit equals its camera depth directly; the camera-frame
+    rays are built once per ``Intrinsics`` and each view only rotates
+    them. A triangle whose vertices are all in front of the camera is
+    tested only against the rays inside its projected bounding box,
+    widened by one pixel and clipped to the image, and is skipped when
+    that box is empty; a triangle with a vertex at or behind the camera
+    plane falls back to testing every ray. The per-triangle Moeller-
+    Trumbore constants (edges, ``tvec``, ``qvec``) are computed for all
+    triangles at once per view. Triangles are visited in order and the
+    per-ray arithmetic and strict nearer-hit test are the same on both
+    paths, so the culling changes no output bit.
+    """
+    h, w = intrinsics.height, intrinsics.width
+    all_dirs = (_camera_rays(intrinsics) @ pose.rotation.T).reshape(h, w, 3)
 
     triangles, owner = _scene_triangles(scene)
     all_depth = np.full((h, w), np.inf)
     all_index = np.full((h, w), -1, dtype=np.int64)
     lo, hi = _screen_boxes(triangles, intrinsics, pose)
+    # Moeller-Trumbore with a shared origin: the edges, tvec and qvec are
+    # per-triangle constants, only pvec varies per ray
+    edge1 = triangles[:, 1] - triangles[:, 0]
+    edge2 = triangles[:, 2] - triangles[:, 0]
+    tvecs = pose.translation - triangles[:, 0]
+    qvecs = np.cross(tvecs, edge1)
     for k in range(len(triangles)):
         (u0, v0), (u1, v1) = lo[k], hi[k]
         if u0 > u1 or v0 > v1:
@@ -161,13 +183,14 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
         # one (N, 3) block of rays: each product is one matrix-vector call
         dirs = all_dirs[window].reshape(-1, 3)
         depth = all_depth[window].reshape(-1)
-        a, b, c = triangles[k]
-        e1, e2 = b - a, c - a
-        # Moeller-Trumbore with a shared origin: tvec and qvec are
-        # per-triangle constants, only pvec varies per ray
-        tvec = origin - a
-        qvec = np.cross(tvec, e1)
-        pvec = np.cross(dirs, e2)
+        e1, e2, tvec, qvec = edge1[k], edge2[k], tvecs[k], qvecs[k]
+        # np.cross(dirs, e2) column by column, the same multiplies and
+        # subtracts without its per-call axis handling
+        d0, d1, d2 = dirs.T
+        pvec = np.empty_like(dirs)
+        pvec[:, 0] = d1 * e2[2] - d2 * e2[1]
+        pvec[:, 1] = d2 * e2[0] - d0 * e2[2]
+        pvec[:, 2] = d0 * e2[1] - d1 * e2[0]
         det = pvec @ e1
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / det
@@ -217,19 +240,21 @@ def perturb_depth(depth, sigma, outlier_rate, rng, depth_range) -> np.ndarray:
     Valid (non-zero) depths get ``N(0, sigma^2)`` noise and are clipped
     into ``depth_range``; a fraction ``outlier_rate`` of them is instead
     replaced by a uniform draw from ``depth_range``. Invalid pixels stay
-    0. The rng is consumed in a fixed order regardless of the mask, so
-    equal seeds give equal results.
+    0. The rng draws the noise only when ``sigma > 0`` and the outlier
+    mask and uniform values only when ``outlier_rate > 0``, each over the
+    whole image regardless of validity, so equal seeds give equal
+    results.
     """
     d = np.asarray(depth, dtype=np.float64)
     lo, hi = float(depth_range[0]), float(depth_range[1])
     if not hi > lo > 0:
         raise ValueError(f"bad depth range [{lo}, {hi}]")
     noise = rng.normal(0.0, sigma, size=d.shape) if sigma > 0 else np.zeros_like(d)
-    outlier_mask = rng.random(d.shape) < outlier_rate
-    uniform = rng.uniform(lo, hi, size=d.shape)
     valid = d > 0
     out = np.clip(d + noise, lo, hi)
-    out = np.where(outlier_mask, uniform, out)
+    if outlier_rate > 0:
+        outlier_mask = rng.random(d.shape) < outlier_rate
+        out = np.where(outlier_mask, rng.uniform(lo, hi, size=d.shape), out)
     out[~valid] = 0.0
     return out
 

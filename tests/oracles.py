@@ -402,3 +402,111 @@ def append_onehot(feature, category, num_categories):
         raise ValueError(f"category {category} outside [-1, {num_categories})")
     block = [1.0 if k == category else 0.0 for k in range(num_categories)]
     return np.array([float(x) for x in feature] + block)
+
+
+def perturb_depth(depth, sigma, outlier_rate, rng, depth_range) -> np.ndarray:
+    """Add Gaussian noise and uniform outliers to the valid pixels.
+
+    The reference for the renderer's ``perturb_depth``, which skips the
+    outlier draws when ``outlier_rate`` is 0; this one always draws them.
+
+    Valid (non-zero) depths get ``N(0, sigma^2)`` noise and are clipped
+    into ``depth_range``; a fraction ``outlier_rate`` of them is instead
+    replaced by a uniform draw from ``depth_range``. Invalid pixels stay
+    0. The rng is consumed in a fixed order regardless of the mask, so
+    equal seeds give equal results.
+    """
+    d = np.asarray(depth, dtype=np.float64)
+    lo, hi = float(depth_range[0]), float(depth_range[1])
+    if not hi > lo > 0:
+        raise ValueError(f"bad depth range [{lo}, {hi}]")
+    noise = rng.normal(0.0, sigma, size=d.shape) if sigma > 0 else np.zeros_like(d)
+    outlier_mask = rng.random(d.shape) < outlier_rate
+    uniform = rng.uniform(lo, hi, size=d.shape)
+    valid = d > 0
+    out = np.clip(d + noise, lo, hi)
+    out = np.where(outlier_mask, uniform, out)
+    out[~valid] = 0.0
+    return out
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def write_cloud_ply(cloud: ScatterCloud, path) -> None:
+    """ASCII PLY with provenance properties per vertex, row by row.
+
+    Always writes x/y/z, source frame, category and the source pixel;
+    a ``score`` property and ``f<i>`` feature properties appear when the
+    cloud carries them.
+    """
+    n = len(cloud)
+    channels = 0 if cloud.features is None else cloud.features.shape[1]
+    lines = [
+        "ply",
+        "format ascii 1.0",
+        "comment multi-view scatter cloud",
+        f"element vertex {n}",
+        "property double x",
+        "property double y",
+        "property double z",
+        "property int frame",
+        "property int category",
+        "property double pu",
+        "property double pv",
+    ]
+    if cloud.scores is not None:
+        lines.append("property double score")
+    for c in range(channels):
+        lines.append(f"property double f{c}")
+    lines.append("end_header")
+    for i in range(n):
+        row = [
+            _fmt(cloud.positions[i, 0]),
+            _fmt(cloud.positions[i, 1]),
+            _fmt(cloud.positions[i, 2]),
+            str(int(cloud.frame_ids[i])),
+            str(int(cloud.categories[i])),
+            _fmt(cloud.pixels[i, 0]),
+            _fmt(cloud.pixels[i, 1]),
+        ]
+        if cloud.scores is not None:
+            row.append(_fmt(cloud.scores[i]))
+        if channels:
+            row.extend(_fmt(v) for v in cloud.features[i])
+        lines.append(" ".join(row))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def write_pgm(image: np.ndarray, path, max_value: float | None = None) -> None:
+    """16-bit ASCII PGM of a scalar map (e.g. depth), value by value.
+
+    Values are scaled so ``max_value`` (default: the array maximum) maps
+    to 65535; the scale is recorded in a header comment.
+    """
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError("PGM export needs a 2D map")
+    peak = float(img.max()) if max_value is None else float(max_value)
+    scale = 65535.0 / peak if peak > 0 else 0.0
+    quant = np.clip(np.rint(img * scale), 0, 65535).astype(np.int64)
+    h, w = img.shape
+    with open(path, "w") as f:
+        f.write(f"P2\n# scale: {scale!r} units per count\n{w} {h}\n65535\n")
+        for row in quant:
+            f.write(" ".join(str(v) for v in row) + "\n")
+
+
+def write_ppm(image: np.ndarray, path) -> None:
+    """8-bit ASCII PPM of a unit-range (H, W, 3) color image, value by value."""
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim != 3 or img.shape[2] != 3:
+        raise ValueError("PPM export needs an (H, W, 3) image")
+    quant = np.clip(np.rint(img * 255.0), 0, 255).astype(np.int64)
+    h, w, _ = img.shape
+    with open(path, "w") as f:
+        f.write(f"P3\n{w} {h}\n255\n")
+        for row in quant:
+            f.write(" ".join(" ".join(str(c) for c in px) for px in row) + "\n")

@@ -1,5 +1,6 @@
 """Tests for PLY, PGM/PPM, and JSON artifact formats."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,7 +18,11 @@ from pointscatter.fileio import (
     write_pgm,
     write_ppm,
 )
+from pointscatter.pipeline import DetectorConfig, PipelineConfig, run_pipeline
 from pointscatter.scatter import ScatterCloud, empty_cloud
+from pointscatter.scene import demo_scene
+
+import oracles
 
 
 def sample_cloud(with_features=True, with_scores=True):
@@ -117,6 +122,63 @@ class TestPlyHeader:
         )
         with pytest.raises(ValueError):
             read_cloud_ply(path)
+
+
+@pytest.fixture(scope="module")
+def noisy_demo_result():
+    config = PipelineConfig(frames=20, detector=DetectorConfig(mode="score_cluster"))
+    return run_pipeline(demo_scene(noise_sigma=0.05, outlier_rate=0.1), config)
+
+
+class TestWritersMatchOracle:
+    """The column-wise writers give the bytes of the row-by-row ones."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, write, oracle_write, *args, **kwargs):
+        got, want = tmp_path / "got", tmp_path / "want"
+        write(*args, got, **kwargs)
+        oracle_write(*args, want, **kwargs)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("part", ["raw", "filtered"])
+    @pytest.mark.parametrize("with_features", [True, False])
+    @pytest.mark.parametrize("with_scores", [True, False])
+    def test_demo_clouds(self, tmp_path, noisy_demo_result, part, with_features, with_scores):
+        cloud = noisy_demo_result.cloud
+        if part == "filtered":
+            cloud = cloud.select(noisy_demo_result.filtered_indices)
+        assert len(cloud) > 0 and cloud.features is not None and cloud.scores is not None
+        cloud = dataclasses.replace(
+            cloud,
+            features=cloud.features if with_features else None,
+            scores=cloud.scores if with_scores else None,
+        )
+        self.assert_same_bytes(tmp_path, write_cloud_ply, oracles.write_cloud_ply, cloud)
+
+    def test_special_values(self, tmp_path):
+        special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e22, -1e22, 0.1])
+        n = len(special)
+        cloud = ScatterCloud(
+            positions=np.stack([special, special[::-1], np.roll(special, 3)], axis=1),
+            frame_ids=np.arange(n) - 4,
+            pixels=np.stack([special, -special], axis=1),
+            categories=np.full(n, 2),
+            features=np.stack([special] * 3, axis=1),
+            scores=special,
+        )
+        self.assert_same_bytes(tmp_path, write_cloud_ply, oracles.write_cloud_ply, cloud)
+        assert "-0.0 " in (tmp_path / "got").read_text()
+
+    def test_empty_cloud(self, tmp_path):
+        self.assert_same_bytes(tmp_path, write_cloud_ply, oracles.write_cloud_ply, empty_cloud())
+
+    def test_demo_frames(self, tmp_path, noisy_frames):
+        for frame in noisy_frames[:4]:
+            self.assert_same_bytes(tmp_path, write_pgm, oracles.write_pgm, frame.depth)
+            self.assert_same_bytes(
+                tmp_path, write_pgm, oracles.write_pgm, frame.depth, max_value=6.4
+            )
+            self.assert_same_bytes(tmp_path, write_ppm, oracles.write_ppm, frame.color)
 
 
 class TestPgm:

@@ -11,7 +11,9 @@ from pointscatter.meshes import point_mesh_distance
 from pointscatter.scene import (
     SceneCamera,
     SceneObject,
+    DEFAULT_INTRINSICS,
     SceneSpec,
+    _camera_rays,
     _cast_rays,
     _screen_boxes,
     demo_scene,
@@ -26,7 +28,7 @@ from pointscatter.scene import (
 )
 
 from conftest import DEPTH_RANGE
-from oracles import cast_rays
+from oracles import cast_rays, perturb_depth as oracle_perturb_depth
 
 SIMPLE = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
 
@@ -161,6 +163,27 @@ class TestCastRaysMatchesOracle:
         self.assert_matches(scene, [0])
 
 
+class TestCameraRayCache:
+    def test_resolution_switch_matches_oracle(self):
+        large = Intrinsics(fx=240.0, fy=240.0, cx=159.5, cy=119.5, width=320, height=240)
+        wide = dataclasses.replace(DEFAULT_INTRINSICS, fx=90.0, fy=90.0)
+        scene = demo_scene(steps=6)
+        for intr in (DEFAULT_INTRINSICS, large, DEFAULT_INTRINSICS, wide):
+            for cam in scene.cameras[::2]:
+                depth, index, _, _ = _cast_rays(scene, intr, cam.pose)
+                ref_depth, ref_index, _, _ = cast_rays(scene, intr, cam.pose)
+                assert depth.shape == (intr.height, intr.width)
+                assert depth.tobytes() == ref_depth.tobytes()
+                assert np.array_equal(index, ref_index)
+        assert _camera_rays(DEFAULT_INTRINSICS) is _camera_rays(DEFAULT_INTRINSICS)
+
+    def test_cached_rays_are_read_only(self):
+        rays = _camera_rays(SIMPLE)
+        with pytest.raises(ValueError):
+            rays[0, 0] = 1.0
+        assert rays.shape == (SIMPLE.height * SIMPLE.width, 3)
+
+
 class TestPerturbDepth:
     def test_noiseless_identity(self):
         depth = np.full((20, 20), 2.0)
@@ -190,6 +213,20 @@ class TestPerturbDepth:
         depth = np.full((40, 40), 6.39)
         out = perturb_depth(depth, 0.5, 0.0, np.random.default_rng(4), DEPTH_RANGE)
         assert out.max() <= DEPTH_RANGE[1] and out.min() >= DEPTH_RANGE[0]
+
+    @pytest.mark.parametrize("shape", [(120, 160), (480, 640)])
+    @pytest.mark.parametrize("outlier_rate", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_matches_oracle(self, sigma, outlier_rate, shape):
+        # depths beyond both ends of the range, and about a fifth invalid
+        depth = np.random.default_rng(shape[0]).uniform(0.1, 7.0, size=shape)
+        depth[depth < 1.5] = 0.0
+        for image in (depth, np.zeros(shape)):
+            for seed in range(3):
+                args = (image, sigma, outlier_rate)
+                got = perturb_depth(*args, np.random.default_rng(seed), DEPTH_RANGE)
+                want = oracle_perturb_depth(*args, np.random.default_rng(seed), DEPTH_RANGE)
+                assert got.tobytes() == want.tobytes(), f"seed {seed}"
 
     def test_deterministic_given_generator_seed(self):
         depth = np.full((30, 30), 2.0)
