@@ -24,12 +24,14 @@ def _int_strs(column):
     return map(str, np.asarray(column, dtype=np.int64).tolist())
 
 
-def write_cloud_ply(cloud: ScatterCloud, path) -> None:
-    """ASCII PLY with provenance properties per vertex.
+def write_cloud_ply(cloud: ScatterCloud, path, rows: list[str] | None = None) -> list[str]:
+    """ASCII PLY with provenance properties per vertex; returns the vertex rows.
 
     Always writes x/y/z, source frame, category and the source pixel;
     a ``score`` property and ``f<i>`` feature properties appear when the
-    cloud carries them.
+    cloud carries them. ``rows``, when given, are the cloud's vertex
+    lines as an earlier call returned them (for a subset cloud, the
+    matching subset of those lines), and are written as they are.
     """
     n = len(cloud)
     channels = 0 if cloud.features is None else cloud.features.shape[1]
@@ -51,15 +53,19 @@ def write_cloud_ply(cloud: ScatterCloud, path) -> None:
     for c in range(channels):
         lines.append(f"property double f{c}")
     lines.append("end_header")
-    columns = [_float_strs(cloud.positions[:, j]) for j in range(3)]
-    columns += [_int_strs(cloud.frame_ids), _int_strs(cloud.categories)]
-    columns += [_float_strs(cloud.pixels[:, j]) for j in range(2)]
-    if cloud.scores is not None:
-        columns.append(_float_strs(cloud.scores))
-    columns += [_float_strs(cloud.features[:, c]) for c in range(channels)]
-    lines.extend(map(" ".join, zip(*columns)))
+    if rows is None:
+        columns = [_float_strs(cloud.positions[:, j]) for j in range(3)]
+        columns += [_int_strs(cloud.frame_ids), _int_strs(cloud.categories)]
+        columns += [_float_strs(cloud.pixels[:, j]) for j in range(2)]
+        if cloud.scores is not None:
+            columns.append(_float_strs(cloud.scores))
+        columns += [_float_strs(cloud.features[:, c]) for c in range(channels)]
+        rows = list(map(" ".join, zip(*columns)))
+    elif len(rows) != n:
+        raise ValueError(f"{len(rows)} rows given for a cloud of {n} points")
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join(lines + rows) + "\n")
+    return rows
 
 
 def read_cloud_ply(path) -> ScatterCloud:

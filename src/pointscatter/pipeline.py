@@ -74,7 +74,7 @@ class DetectorConfig:
 @dataclass(frozen=True)
 class EvalSettings:
     iou_thresholds: tuple[float, ...] = (0.25, 0.5)
-    # detections must overlap GT at this IoU to enter reconstruction metrics
+    # detections must overlap GT by more than this IoU to enter reconstruction metrics
     recon_iou: float = 0.25
     sample_count: int = 2048
     fscore_threshold: float = 0.004
@@ -139,7 +139,7 @@ class PipelineConfig:
                 if key in data:
                     data[key] = tuple(data[key])
             return cls(**data)
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
 
 
@@ -213,8 +213,8 @@ def _cluster_detections(cloud, config: DetectorConfig) -> list[OrientedBox]:
 def _reconstruction_metrics(detections, gt_objects, settings: EvalSettings, seed: int):
     """Chamfer/F-score of detection shells vs matched GT shells.
 
-    Only detections whose best same-category IoU reaches ``recon_iou``
-    participate; returns (None, None) when none qualifies.
+    Only detections whose best same-category IoU is more than
+    ``recon_iou`` participate; returns (None, None) when none qualifies.
     """
     pairs = []
     for det in detections:
@@ -380,8 +380,12 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_cloud_ply(cloud, out / "cloud_raw.ply")
-        write_cloud_ply(cloud.select(filtered_indices), out / "cloud_filtered.ply")
+        rows = write_cloud_ply(cloud, out / "cloud_raw.ply")
+        write_cloud_ply(
+            cloud.select(filtered_indices),
+            out / "cloud_filtered.ply",
+            rows=[rows[i] for i in filtered_indices.tolist()],
+        )
         write_detections(detections, out / "detections.json")
         write_json(report, out / "metrics.json")
         write_json(sparsity, out / "sparsity.json")

@@ -174,40 +174,35 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     edge2 = triangles[:, 2] - triangles[:, 0]
     tvecs = pose.translation - triangles[:, 0]
     qvecs = np.cross(tvecs, edge1)
-    for k in range(len(triangles)):
-        (u0, v0), (u1, v1) = lo[k], hi[k]
-        if u0 > u1 or v0 > v1:
-            continue
-        window = np.s_[v0 : v1 + 1, u0 : u1 + 1]
-        shape = (v1 + 1 - v0, u1 + 1 - u0)
-        # one (N, 3) block of rays: each product is one matrix-vector call
-        dirs = all_dirs[window].reshape(-1, 3)
-        depth = all_depth[window].reshape(-1)
-        e1, e2, tvec, qvec = edge1[k], edge2[k], tvecs[k], qvecs[k]
-        # np.cross(dirs, e2) column by column, the same multiplies and
-        # subtracts without its per-call axis handling
-        d0, d1, d2 = dirs.T
-        pvec = np.empty_like(dirs)
-        pvec[:, 0] = d1 * e2[2] - d2 * e2[1]
-        pvec[:, 1] = d2 * e2[0] - d0 * e2[2]
-        pvec[:, 2] = d0 * e2[1] - d1 * e2[0]
-        det = pvec @ e1
-        with np.errstate(divide="ignore", invalid="ignore"):
+    bounds = np.concatenate([lo, hi], 1).tolist()
+    eps = 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (u0, v0, u1, v1) in enumerate(bounds):
+            if u0 > u1 or v0 > v1:
+                continue
+            window = np.s_[v0 : v1 + 1, u0 : u1 + 1]
+            shape = (v1 + 1 - v0, u1 + 1 - u0)
+            # one (N, 3) block of rays: each product is one matrix-vector
+            # call; the depth test and writes go through 2-D views
+            dirs = all_dirs[window].reshape(-1, 3)
+            depth = all_depth[window]
+            e1, e2, tvec, qvec = edge1[k], edge2[k], tvecs[k], qvecs[k]
+            # np.cross(dirs, e2) column by column, the same multiplies and
+            # subtracts without its per-call axis handling
+            d0, d1, d2 = dirs.T
+            pvec = np.empty_like(dirs)
+            pvec[:, 0] = d1 * e2[2] - d2 * e2[1]
+            pvec[:, 1] = d2 * e2[0] - d0 * e2[2]
+            pvec[:, 2] = d0 * e2[1] - d1 * e2[0]
+            det = pvec @ e1
             inv = 1.0 / det
             u = (pvec @ tvec) * inv
             v = (dirs @ qvec) * inv
-            t = np.dot(e2, qvec) * inv
-            eps = 1e-9
-            hit = (
-                (np.abs(det) > 1e-12)
-                & (u >= -eps)
-                & (v >= -eps)
-                & (u + v <= 1.0 + eps)
-                & (t > BEHIND_CAMERA_EPS)
-                & (t < depth)
-            ).reshape(shape)
-        all_depth[window][hit] = t.reshape(shape)[hit]
-        all_index[window][hit] = k
+            t = (np.dot(e2, qvec) * inv).reshape(shape)
+            inside = (np.abs(det) > 1e-12) & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps)
+            hit = inside.reshape(shape) & (t > BEHIND_CAMERA_EPS) & (t < depth)
+            depth[hit] = t[hit]
+            all_index[window][hit] = k
     all_depth[all_index < 0] = 0.0
     return all_depth, all_index, triangles, owner
 
@@ -231,7 +226,7 @@ def render(scene: SceneSpec, camera_index: int) -> tuple[np.ndarray, np.ndarray]
     depth, tri_index, triangles, owner = _cast_rays(scene, cam.intrinsics, cam.pose)
     # the appended black row is what index -1 (no hit) picks
     shades = np.concatenate([_shade_triangles(scene, triangles, owner), np.zeros((1, 3))])
-    return depth, shades[tri_index]
+    return depth, np.take(shades, tri_index, axis=0)
 
 
 def perturb_depth(depth, sigma, outlier_rate, rng, depth_range) -> np.ndarray:
@@ -249,9 +244,10 @@ def perturb_depth(depth, sigma, outlier_rate, rng, depth_range) -> np.ndarray:
     lo, hi = float(depth_range[0]), float(depth_range[1])
     if not hi > lo > 0:
         raise ValueError(f"bad depth range [{lo}, {hi}]")
-    noise = rng.normal(0.0, sigma, size=d.shape) if sigma > 0 else np.zeros_like(d)
     valid = d > 0
-    out = np.clip(d + noise, lo, hi)
+    # with sigma 0, d + 0.0 would differ from d only at -0.0, an invalid
+    # pixel that is zeroed below
+    out = np.clip(d + rng.normal(0.0, sigma, size=d.shape) if sigma > 0 else d, lo, hi)
     if outlier_rate > 0:
         outlier_mask = rng.random(d.shape) < outlier_rate
         out = np.where(outlier_mask, rng.uniform(lo, hi, size=d.shape), out)

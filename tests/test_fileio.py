@@ -181,6 +181,60 @@ class TestWritersMatchOracle:
             self.assert_same_bytes(tmp_path, write_ppm, oracles.write_ppm, frame.color)
 
 
+class TestFilteredPlyFromRawRows:
+    """cloud_filtered.ply is written from the rows formatted for cloud_raw.ply."""
+
+    @pytest.mark.parametrize("case", ["noisy", "none_kept", "clean"])
+    def test_pipeline_artifacts_match_oracle(self, tmp_path, case):
+        scene = demo_scene() if case == "clean" else demo_scene(noise_sigma=0.05, outlier_rate=0.1)
+        # scores lie in [0, 1], so a threshold of 1.5 keeps no point
+        threshold = 1.5 if case == "none_kept" else 0.5
+        config = PipelineConfig(
+            frames=20, detector=DetectorConfig(mode="score_cluster", score_threshold=threshold)
+        )
+        result = run_pipeline(scene, config, output_dir=tmp_path / "run")
+        kept = len(result.filtered_indices)
+        if case == "none_kept":
+            assert kept == 0
+        else:
+            assert 0 < kept < len(result.cloud)
+        for name, cloud in [
+            ("cloud_raw.ply", result.cloud),
+            ("cloud_filtered.ply", result.cloud.select(result.filtered_indices)),
+        ]:
+            oracles.write_cloud_ply(cloud, tmp_path / name)
+            got = (tmp_path / "run" / name).read_bytes()
+            assert got == (tmp_path / name).read_bytes(), name
+        if case == "none_kept":
+            assert b"element vertex 0\n" in got and got.endswith(b"end_header\n")
+
+    def test_given_rows_match_oracle(self, tmp_path, noisy_demo_result):
+        cloud = noisy_demo_result.cloud
+        rows = write_cloud_ply(cloud, tmp_path / "raw.ply")
+        assert len(rows) == len(cloud)
+        subsets = [
+            np.arange(len(cloud)),
+            noisy_demo_result.filtered_indices,
+            np.arange(len(cloud))[::-7],
+            np.zeros(0, dtype=np.int64),
+        ]
+        for indices in subsets:
+            subset = cloud.select(indices)
+            written = write_cloud_ply(
+                subset, tmp_path / "got.ply", rows=[rows[i] for i in indices.tolist()]
+            )
+            oracles.write_cloud_ply(subset, tmp_path / "want.ply")
+            assert (tmp_path / "got.ply").read_bytes() == (tmp_path / "want.ply").read_bytes()
+            assert written == write_cloud_ply(subset, tmp_path / "again.ply")
+
+    def test_row_count_must_match(self, tmp_path):
+        cloud = sample_cloud()
+        rows = write_cloud_ply(cloud, tmp_path / "raw.ply")
+        with pytest.raises(ValueError, match="rows"):
+            write_cloud_ply(cloud, tmp_path / "bad.ply", rows=rows[:-1])
+        assert not (tmp_path / "bad.ply").exists()
+
+
 class TestPgm:
     def test_header_and_scale(self, tmp_path):
         depth = np.array([[0.0, 1.0], [2.0, 4.0]])

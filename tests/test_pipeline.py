@@ -78,6 +78,12 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(k_sigma=-1.0)
 
+    def test_invalid_nested_value_is_config_error(self):
+        with pytest.raises(ConfigError, match="radius"):
+            PipelineConfig.from_dict({"scatter": {"radius": -1}})
+        with pytest.raises(ConfigError, match="max_points"):
+            PipelineConfig.from_dict({"scatter": {"max_points": 0}})
+
     def test_bad_detector_rejected(self):
         with pytest.raises(ConfigError):
             DetectorConfig(mode="votenet")
@@ -424,6 +430,30 @@ class TestCliExitCodes:
         )
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "{scene}", "--out", "{out}", "--outlier-rate", "2"], "outlier rate"),
+            (["run", "{scene}", "--out", "{out}", "--noise-sigma", "-1"], "noise sigma"),
+            (["run", "{scene}", "--out", "{out}", "--max-points", "0"], "max_points"),
+            (["bench", "{scene}", "--max-points", "-3"], "max_points"),
+            (["gen-scene", "{out}", "--outlier-rate", "2"], "outlier rate"),
+            (["gen-scene", "{out}", "--steps", "0"], "steps"),
+            (["run", "{scene}", "--out", "{out}", "--config", "{config}"], "radius"),
+        ],
+    )
+    def test_invalid_values_are_config_errors(self, tmp_path, capsys, argv, message):
+        scene_path = tmp_path / "scene.json"
+        assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"scatter": {"radius": -1}}\n')
+        paths = {"scene": scene_path, "out": tmp_path / "o", "config": config_path}
+        capsys.readouterr()
+        assert cli.main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "o").exists()
 
     def test_stage_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         scene_path = tmp_path / "scene.json"

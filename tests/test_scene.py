@@ -16,6 +16,7 @@ from pointscatter.scene import (
     _camera_rays,
     _cast_rays,
     _screen_boxes,
+    _shade_triangles,
     demo_scene,
     make_frame,
     orbit_trajectory,
@@ -130,6 +131,24 @@ class TestCastRaysMatchesOracle:
         cameras = tuple(SceneCamera(intr, c.pose) for c in scene.cameras)
         self.assert_matches(dataclasses.replace(scene, cameras=cameras), range(6))
 
+    def test_640x480_views(self):
+        # two poses of the hires_6view benchmark workload
+        intr = Intrinsics(fx=480.0, fy=480.0, cx=319.5, cy=239.5, width=640, height=480)
+        scene = demo_scene(steps=6)
+        cameras = tuple(SceneCamera(intr, c.pose) for c in scene.cameras)
+        scene = dataclasses.replace(scene, cameras=cameras)
+        for i in (0, 3):
+            cam = scene.cameras[i]
+            ref_depth, ref_index, triangles, owner = cast_rays(scene, cam.intrinsics, cam.pose)
+            depth, index, _, _ = _cast_rays(scene, cam.intrinsics, cam.pose)
+            assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
+            assert np.array_equal(index, ref_index), f"view {i}"
+            # render's colour is the shade gather over the oracle's index map
+            shades = np.concatenate([_shade_triangles(scene, triangles, owner), np.zeros((1, 3))])
+            depth, color = render(scene, i)
+            assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
+            assert color.tobytes() == shades[ref_index].tobytes(), f"view {i}"
+
     def test_camera_inside_box_falls_back(self):
         scene = frontal_cube_scene(center=(0.0, 0.0, 0.2))
         full, _ = self.windows(scene)
@@ -227,6 +246,17 @@ class TestPerturbDepth:
                 got = perturb_depth(*args, np.random.default_rng(seed), DEPTH_RANGE)
                 want = oracle_perturb_depth(*args, np.random.default_rng(seed), DEPTH_RANGE)
                 assert got.tobytes() == want.tobytes(), f"seed {seed}"
+
+    @pytest.mark.parametrize("outlier_rate", [0.0, 0.1])
+    def test_noiseless_special_values_match_oracle(self, outlier_rate):
+        special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 2.0, 7.0, -1.0]
+        depth = np.resize(np.array(special), (24, 30))
+        for seed in range(3):
+            args = (depth, 0.0, outlier_rate)
+            got = perturb_depth(*args, np.random.default_rng(seed), DEPTH_RANGE)
+            want = oracle_perturb_depth(*args, np.random.default_rng(seed), DEPTH_RANGE)
+            assert got.tobytes() == want.tobytes(), f"seed {seed}"
+        assert (np.signbit(depth) & (depth == 0)).any() and np.isnan(depth).any()
 
     def test_deterministic_given_generator_seed(self):
         depth = np.full((30, 30), 2.0)
