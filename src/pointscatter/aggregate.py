@@ -2,12 +2,13 @@
 
 :func:`aggregate_cloud` projects every point of a cloud into every
 frame; frames where a point lands in front of the camera and inside the
-image bounds contribute a bilinearly sampled feature (the frame's
-color). Aggregation reduces the contributing features to a masked mean
-and a masked population variance (centered on that mean). A point seen
-by no frame is degenerate: its mean and variance are zero and its valid
-count is 0. :func:`compose_features` appends a one-hot category block
-to the mean and variance rows.
+image bounds contribute a bilinearly sampled feature: the frame's color,
+read as ``shades[tri_index[y, x]]`` at the four corner texels, so no RGB
+image is built. Aggregation reduces the contributing features to a
+masked mean and a masked population variance (centered on that mean). A
+point seen by no frame is degenerate: its mean and variance are zero and
+its valid count is 0. :func:`compose_features` appends a one-hot
+category block to the mean and variance rows.
 
 Projection validity is purely geometric by default. With
 ``occlusion_check`` enabled, a frame only contributes when the point's
@@ -24,19 +25,21 @@ from .camera import project_points
 from .scatter import ScatterCloud
 
 
-def bilinear_sample(image: np.ndarray, u, v):
-    """Bilinear interpolation of an (H, W) or (H, W, C) image.
+def bilinear_sample(index: np.ndarray, shades: np.ndarray, u, v):
+    """Bilinear interpolation of a palette image.
 
-    ``u`` and ``v`` are continuous pixel coordinates (pixel centers at
-    integers) and must lie inside ``[0, W-1] x [0, H-1]``; integer
-    coordinates return the exact texel value. Scalars in, scalar (or
-    (C,)) out; arrays in, arrays out.
+    The texel at row ``y``, column ``x`` is ``shades[index[y, x]]``:
+    ``index`` is an (H, W) integer map into ``shades``, a (K,) or (K, C)
+    table. ``u`` and ``v`` are continuous pixel coordinates (pixel
+    centers at integers) and must lie inside ``[0, W-1] x [0, H-1]``;
+    integer coordinates return the exact texel value. Scalars in, scalar
+    (or (C,)) out; arrays in, arrays out.
     """
-    img = np.asarray(image, dtype=np.float64)
+    table = np.asarray(shades, dtype=np.float64)
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    h, w = img.shape[:2]
+    h, w = index.shape
     if np.any((u < 0) | (u > w - 1) | (v < 0) | (v > h - 1)):
         raise ValueError("sample coordinates outside the image domain")
     x0 = np.minimum(np.floor(u), w - 2).astype(np.int64) if w > 1 else np.zeros(len(u), np.int64)
@@ -45,18 +48,16 @@ def bilinear_sample(image: np.ndarray, u, v):
     y1 = np.minimum(y0 + 1, h - 1)
     fx = u - x0
     fy = v - y0
-    if img.ndim == 3:
+    if table.ndim == 2:
         fx = fx[:, None]
         fy = fy[:, None]
     out = (
-        img[y0, x0] * (1 - fx) * (1 - fy)
-        + img[y0, x1] * fx * (1 - fy)
-        + img[y1, x0] * (1 - fx) * fy
-        + img[y1, x1] * fx * fy
+        np.take(table, index[y0, x0], axis=0) * (1 - fx) * (1 - fy)
+        + np.take(table, index[y0, x1], axis=0) * fx * (1 - fy)
+        + np.take(table, index[y1, x0], axis=0) * (1 - fx) * fy
+        + np.take(table, index[y1, x1], axis=0) * fx * fy
     )
-    if scalar:
-        return out[0] if img.ndim == 2 else out[0, :]
-    return out
+    return out[0] if scalar else out
 
 
 def _frame_projection(positions, frame, occlusion_check, depth_sigma):
@@ -122,7 +123,7 @@ def aggregate_cloud(
     """
     positions = cloud.positions
     n = len(positions)
-    channels = frames[0].color.shape[2] if frames else 0
+    channels = frames[0].shades.shape[1] if frames else 0
     sums = np.zeros((n, channels))
     counts = np.zeros(n, dtype=np.int64)
     cached = []
@@ -130,14 +131,14 @@ def aggregate_cloud(
         ok, uv, _ = _frame_projection(positions, frame, occlusion_check, depth_sigma)
         cached.append((ok, uv))
         if ok.any():
-            sums[ok] += bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1])
+            sums[ok] += bilinear_sample(frame.tri_index, frame.shades, uv[ok, 0], uv[ok, 1])
             counts[ok] += 1
     means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
 
     sq = np.zeros((n, channels))
     for frame, (ok, uv) in zip(frames, cached):
         if ok.any():
-            diff = bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1]) - means[ok]
+            diff = bilinear_sample(frame.tri_index, frame.shades, uv[ok, 0], uv[ok, 1]) - means[ok]
             sq[ok] += diff * diff
     variances = np.divide(sq, counts[:, None], out=np.zeros_like(sq), where=counts[:, None] > 0)
     return means, variances, counts

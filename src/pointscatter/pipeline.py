@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import numbers
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -107,6 +108,10 @@ class PipelineConfig:
     eval: EvalSettings = field(default_factory=EvalSettings)
 
     def __post_init__(self):
+        for name in ("seed", "frames"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.frames < 1:
             raise ConfigError("frames must be positive")
         lo, hi = self.depth_range
@@ -114,6 +119,8 @@ class PipelineConfig:
             raise ConfigError(f"bad depth range {self.depth_range}")
         if self.tau <= 0 or self.k_sigma <= 0:
             raise ConfigError("tau and k_sigma must be positive")
+        if not (self.voxel_size > 0 and self.dense_voxel_size > 0):
+            raise ConfigError("voxel_size and dense_voxel_size must be positive")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -411,17 +418,17 @@ def run_sparsity_bench(scene: SceneSpec, config: PipelineConfig) -> dict:
     ``voxel_size`` against dense grids at both ``voxel_size`` and the
     coarser ``dense_voxel_size`` reference, with build timings.
     """
-    keyframes, boxes = _keyframes(scene, config)
+    keyframes, boxes = guarded("keyframes", _keyframes, scene, config)
     t0 = time.perf_counter()
-    frames = _render(scene, keyframes, boxes, config)
+    frames = guarded("render", _render, scene, keyframes, boxes, config)
     t_render = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cloud = _scatter(frames, config)
+    cloud = guarded("scatter", _scatter, frames, config)
     t_scatter = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    grid = voxelize(cloud, config.voxel_size, config.bench_origin)
+    grid = guarded("voxelize", voxelize, cloud, config.voxel_size, config.bench_origin)
     t_voxel = time.perf_counter() - t0
 
     fine = DenseGridSpec(config.bench_origin, config.bench_extent, config.voxel_size)

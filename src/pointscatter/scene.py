@@ -3,8 +3,12 @@
 Scenes contain yaw-oriented box objects with per-object albedo and a set
 of pinhole cameras. Rendering casts one ray per pixel center and keeps
 the nearest ray-triangle intersection; depth maps store camera-frame z
-(0 marks no hit), color maps store Lambert-shaded albedo under a single
-fixed directional light plus an ambient term. Each triangle is tested
+(0 marks no hit). Every triangle has one flat color, its Lambert-shaded
+albedo under a single fixed directional light plus an ambient term, so
+a view's color is stored as an (H, W) int32 map of the triangle hit at
+each pixel (-1 marks no hit) plus the scene's (T+1, 3) shade table,
+whose last, black row is what -1 picks; ``CameraFrame.color`` builds
+the RGB image from the two on demand. Each triangle is tested
 only against the rays inside its projected bounding box, widened by one
 pixel and clipped to the image; a triangle with a vertex at or behind
 the camera plane is tested against every ray. Everything is
@@ -89,14 +93,26 @@ class Box2D:
 
 @dataclass(frozen=True, eq=False)
 class CameraFrame:
-    """One rendered view: perturbed depth, shaded color, GT 2D boxes."""
+    """One rendered view: perturbed depth, color as a triangle-index map
+    into a shade table, GT 2D boxes.
+
+    ``tri_index`` is the (H, W) index of the triangle seen at each pixel,
+    -1 where none; ``shades`` is the (T+1, 3) color per triangle with a
+    black last row, which index -1 picks.
+    """
 
     camera_index: int
     intrinsics: Intrinsics
     pose: Pose
     depth: np.ndarray
-    color: np.ndarray
+    tri_index: np.ndarray
+    shades: np.ndarray
     boxes_2d: tuple[Box2D, ...]
+
+    @property
+    def color(self) -> np.ndarray:
+        """(H, W, 3) shaded color image in [0, 1], built on each access."""
+        return np.take(self.shades, self.tri_index, axis=0)
 
 
 def _scene_triangles(scene: SceneSpec):
@@ -146,7 +162,8 @@ def _camera_rays(intrinsics: Intrinsics) -> np.ndarray:
 
 
 def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
-    """Nearest-hit depth and triangle index for every pixel center.
+    """Nearest-hit depth and int32 triangle index (-1 for no hit) for
+    every pixel center.
 
     Ray directions are built with camera-frame z-component 1, so the ray
     parameter of a hit equals its camera depth directly; the camera-frame
@@ -166,7 +183,7 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
 
     triangles, owner = _scene_triangles(scene)
     all_depth = np.full((h, w), np.inf)
-    all_index = np.full((h, w), -1, dtype=np.int64)
+    all_index = np.full((h, w), -1, dtype=np.int32)
     lo, hi = _screen_boxes(triangles, intrinsics, pose)
     # Moeller-Trumbore with a shared origin: the edges, tvec and qvec are
     # per-triangle constants, only pvec varies per ray
@@ -216,17 +233,19 @@ def _shade_triangles(scene: SceneSpec, triangles: np.ndarray, owner: np.ndarray)
     return np.clip(albedo * intensity[:, None], 0.0, 1.0)
 
 
-def render(scene: SceneSpec, camera_index: int) -> tuple[np.ndarray, np.ndarray]:
+def render(scene: SceneSpec, camera_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noise-free render of one camera.
 
-    Returns the (H, W) depth map, 0 where no surface, and the (H, W, 3)
-    shaded color image in [0, 1] with a black background.
+    Returns ``(depth, tri_index, shades)``: the (H, W) depth map, 0 where
+    no surface; the (H, W) int32 index of the triangle seen at each
+    pixel, -1 where none; and the (T+1, 3) shade table in [0, 1], one row
+    per triangle plus a black last row for index -1. The shaded color
+    image is ``np.take(shades, tri_index, axis=0)``.
     """
     cam = scene.cameras[camera_index]
     depth, tri_index, triangles, owner = _cast_rays(scene, cam.intrinsics, cam.pose)
-    # the appended black row is what index -1 (no hit) picks
     shades = np.concatenate([_shade_triangles(scene, triangles, owner), np.zeros((1, 3))])
-    return depth, np.take(shades, tri_index, axis=0)
+    return depth, tri_index, shades
 
 
 def perturb_depth(depth, sigma, outlier_rate, rng, depth_range) -> np.ndarray:
@@ -295,14 +314,15 @@ def make_frame(
     :func:`project_gt_boxes` returns them.
     """
     cam = scene.cameras[camera_index]
-    depth, color = render(scene, camera_index)
+    depth, tri_index, shades = render(scene, camera_index)
     depth = perturb_depth(depth, scene.depth_noise_sigma, scene.outlier_rate, rng, depth_range)
     return CameraFrame(
         camera_index=camera_index,
         intrinsics=cam.intrinsics,
         pose=cam.pose,
         depth=depth,
-        color=color,
+        tri_index=tri_index,
+        shades=shades,
         boxes_2d=tuple(boxes_2d),
     )
 

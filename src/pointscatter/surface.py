@@ -122,12 +122,15 @@ def photometric_score(
     ``exp(-mean_channel_variance / k_sigma)``: photometrically
     consistent points score near 1, inconsistent ones near 0. Points
     seen by fewer than two views have no meaningful variance and get
-    ``default_score``.
+    ``default_score``, and so does every point when ``variances`` has no
+    channel (no frame, as in a scene without cameras).
     """
     if k_sigma <= 0:
         raise ValueError("k_sigma must be positive")
     var = np.atleast_2d(np.asarray(variances, dtype=np.float64))
     counts = np.asarray(valid_counts)
+    if var.shape[1] == 0:
+        return np.full(len(var), default_score)
     mean_var = var.mean(axis=1)
     scores = np.exp(-mean_var / k_sigma)
     return np.where(counts < 2, default_score, scores)

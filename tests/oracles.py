@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from pointscatter.camera import BEHIND_CAMERA_EPS, backproject_pixels
+from pointscatter.camera import BEHIND_CAMERA_EPS, backproject_pixels, project_points
 from pointscatter.scatter import ScatterCloud, box_sampling_stride, empty_cloud
 
 
@@ -390,6 +390,109 @@ def aggregate_point(point, frames, occlusion_check=False, depth_sigma=0.0):
         return np.zeros(features.shape[1]), np.zeros(features.shape[1]), 0
     mean = seen.sum(axis=0) / len(seen)
     return mean, ((seen - mean) ** 2).sum(axis=0) / len(seen), len(seen)
+
+
+def bilinear_sample(image: np.ndarray, u, v):
+    """Bilinear interpolation of an (H, W) or (H, W, C) image.
+
+    The package's sampler as it was when frames stored color images;
+    the package's palette sampler must give the same bits.
+
+    ``u`` and ``v`` are continuous pixel coordinates (pixel centers at
+    integers) and must lie inside ``[0, W-1] x [0, H-1]``; integer
+    coordinates return the exact texel value. Scalars in, scalar (or
+    (C,)) out; arrays in, arrays out.
+    """
+    img = np.asarray(image, dtype=np.float64)
+    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    h, w = img.shape[:2]
+    if np.any((u < 0) | (u > w - 1) | (v < 0) | (v > h - 1)):
+        raise ValueError("sample coordinates outside the image domain")
+    x0 = np.minimum(np.floor(u), w - 2).astype(np.int64) if w > 1 else np.zeros(len(u), np.int64)
+    y0 = np.minimum(np.floor(v), h - 2).astype(np.int64) if h > 1 else np.zeros(len(v), np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = u - x0
+    fy = v - y0
+    if img.ndim == 3:
+        fx = fx[:, None]
+        fy = fy[:, None]
+    out = (
+        img[y0, x0] * (1 - fx) * (1 - fy)
+        + img[y0, x1] * fx * (1 - fy)
+        + img[y1, x0] * (1 - fx) * fy
+        + img[y1, x1] * fx * fy
+    )
+    if scalar:
+        return out[0] if img.ndim == 2 else out[0, :]
+    return out
+
+
+def _frame_projection(positions, frame, occlusion_check, depth_sigma):
+    """Valid mask and pixel coords of (N, 3) points in one frame."""
+    intr = frame.intrinsics
+    uv, z, in_front = project_points(positions, intr, frame.pose)
+    ok = in_front.copy()
+    np.logical_and(ok, ~np.isnan(uv[:, 0]), out=ok)
+    inside = (
+        (uv[:, 0] >= 0)
+        & (uv[:, 0] <= intr.width - 1)
+        & (uv[:, 1] >= 0)
+        & (uv[:, 1] <= intr.height - 1)
+    )
+    ok &= inside
+    if occlusion_check and ok.any():
+        # nearest-pixel depth comparison; background (depth 0) cannot occlude
+        tol = max(3.0 * depth_sigma, 0.01)
+        ui = np.rint(uv[ok, 0]).astype(np.int64)
+        vi = np.rint(uv[ok, 1]).astype(np.int64)
+        rendered = frame.depth[vi, ui]
+        visible = (rendered <= 0) | (z[ok] <= rendered + tol)
+        sub = np.where(ok)[0]
+        ok[sub[~visible]] = False
+    return ok, uv, z
+
+
+def aggregate_cloud(
+    cloud,
+    frames,
+    occlusion_check: bool = False,
+    depth_sigma: float = 0.0,
+):
+    """Batch mean/variance/valid-count aggregation for a whole cloud.
+
+    The package's ``aggregate_cloud`` as it was when frames stored an
+    (H, W, 3) color image: it samples ``frame.color`` with the image
+    ``bilinear_sample`` above, and is the byte-level reference for the
+    version that samples the triangle-index map through the shade table.
+
+    Two passes over the frames (mean, then centered second moments) keep
+    memory at O(N * C) regardless of the frame count. Returns
+    ``(means, variances, valid_counts)`` with shapes (N, C), (N, C), (N,).
+    """
+    positions = cloud.positions
+    n = len(positions)
+    channels = frames[0].color.shape[2] if frames else 0
+    sums = np.zeros((n, channels))
+    counts = np.zeros(n, dtype=np.int64)
+    cached = []
+    for frame in frames:
+        ok, uv, _ = _frame_projection(positions, frame, occlusion_check, depth_sigma)
+        cached.append((ok, uv))
+        if ok.any():
+            sums[ok] += bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1])
+            counts[ok] += 1
+    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
+
+    sq = np.zeros((n, channels))
+    for frame, (ok, uv) in zip(frames, cached):
+        if ok.any():
+            diff = bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1]) - means[ok]
+            sq[ok] += diff * diff
+    variances = np.divide(sq, counts[:, None], out=np.zeros_like(sq), where=counts[:, None] > 0)
+    return means, variances, counts
 
 
 def append_onehot(feature, category, num_categories):

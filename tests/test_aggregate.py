@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEPTH_RANGE
+import oracles
 from oracles import aggregate_point, append_onehot, project_point_views
 from pointscatter.aggregate import (
     aggregate_cloud,
@@ -16,7 +17,7 @@ from pointscatter.aggregate import (
 )
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose, project_points
-from pointscatter.scatter import ScatterCloud
+from pointscatter.scatter import ScatterCloud, ScatterConfig, scatter_frames
 from pointscatter.scene import (
     CameraFrame,
     SceneCamera,
@@ -43,7 +44,8 @@ RAMP = np.stack(
 
 
 def flat_frame(translation, rotation=None):
-    """Synthetic frame with the RAMP color image and empty depth."""
+    """Synthetic palette frame whose color image is RAMP, with empty depth:
+    every pixel indexes its own row of the shade table."""
     rot = np.eye(3) if rotation is None else rotation
     pose = Pose(rot, np.asarray(translation, dtype=np.float64))
     return CameraFrame(
@@ -51,9 +53,18 @@ def flat_frame(translation, rotation=None):
         intrinsics=TINY,
         pose=pose,
         depth=np.zeros((5, 5)),
-        color=RAMP,
+        tri_index=np.arange(25).reshape(5, 5),
+        shades=RAMP.reshape(-1, 3),
         boxes_2d=(),
     )
+
+
+def sample_image(image, u, v):
+    """``bilinear_sample`` of a plain (H, W) or (H, W, C) image, as a
+    palette image in which every pixel indexes its own shade."""
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape[:2]
+    return bilinear_sample(np.arange(h * w).reshape(h, w), img.reshape(h * w, *img.shape[2:]), u, v)
 
 
 def as_cloud(positions):
@@ -77,18 +88,18 @@ class TestBilinearSample:
     def test_cell_center(self):
         img = np.array([[0.0, 1.0], [2.0, 3.0]])
         # all four corners weighted 0.25: (0+1+2+3)/4 = 1.5
-        assert bilinear_sample(img, 0.5, 0.5) == pytest.approx(1.5, abs=1e-15)
+        assert sample_image(img, 0.5, 0.5) == pytest.approx(1.5, abs=1e-15)
 
     def test_integer_coordinates_return_texels(self):
         img = np.array([[0.0, 1.0], [2.0, 3.0]])
-        assert bilinear_sample(img, 1.0, 0.0) == 1.0
-        assert bilinear_sample(img, 0.0, 1.0) == 2.0
-        assert bilinear_sample(img, 1.0, 1.0) == 3.0
+        assert sample_image(img, 1.0, 0.0) == 1.0
+        assert sample_image(img, 0.0, 1.0) == 2.0
+        assert sample_image(img, 1.0, 1.0) == 3.0
 
     def test_edge_interpolation(self):
         img = np.array([[0.0, 1.0], [2.0, 3.0]])
-        assert bilinear_sample(img, 0.5, 0.0) == pytest.approx(0.5, abs=1e-15)
-        assert bilinear_sample(img, 0.0, 0.5) == pytest.approx(1.0, abs=1e-15)
+        assert sample_image(img, 0.5, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert sample_image(img, 0.0, 0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_reproduces_affine_images_exactly(self):
         # img[y, x] = x + 2y, and bilinear interpolation is exact on
@@ -96,10 +107,10 @@ class TestBilinearSample:
         img = np.add.outer(2.0 * np.arange(4), np.arange(4))
         for u in np.linspace(0.0, 3.0, 7):
             for v in np.linspace(0.0, 3.0, 7):
-                assert bilinear_sample(img, u, v) == pytest.approx(u + 2 * v, abs=1e-12)
+                assert sample_image(img, u, v) == pytest.approx(u + 2 * v, abs=1e-12)
 
     def test_multichannel(self):
-        got = bilinear_sample(RAMP, 1.25, 2.75)
+        got = sample_image(RAMP, 1.25, 2.75)
         assert got.shape == (3,)
         np.testing.assert_allclose(got, [1.25, 2.75, 4.0], atol=1e-12)
 
@@ -107,19 +118,30 @@ class TestBilinearSample:
         rng = np.random.default_rng(7)
         u = rng.uniform(0.0, 4.0, size=20)
         v = rng.uniform(0.0, 4.0, size=20)
-        batch = bilinear_sample(RAMP, u, v)
-        single = np.array([bilinear_sample(RAMP, ui, vi) for ui, vi in zip(u, v)])
+        batch = sample_image(RAMP, u, v)
+        single = np.array([sample_image(RAMP, ui, vi) for ui, vi in zip(u, v)])
         np.testing.assert_array_equal(batch, single)
 
     def test_out_of_bounds_rejected(self):
         img = np.zeros((2, 2))
         for u, v in [(-0.01, 0.0), (1.01, 0.0), (0.0, -0.01), (0.0, 1.01)]:
             with pytest.raises(ValueError):
-                bilinear_sample(img, u, v)
+                sample_image(img, u, v)
 
     def test_single_column_image(self):
         img = np.array([[4.0], [5.0], [6.0]])
-        assert bilinear_sample(img, 0.0, 1.5) == pytest.approx(5.5, abs=1e-15)
+        assert sample_image(img, 0.0, 1.5) == pytest.approx(5.5, abs=1e-15)
+
+    def test_palette_matches_image_oracle(self, clean_frames):
+        # the palette gather gives the bits of the image sampler on the
+        # frame's color image, at integer, edge and interior coordinates
+        rng = np.random.default_rng(3)
+        for frame in clean_frames[::4]:
+            w, h = frame.intrinsics.width, frame.intrinsics.height
+            u = np.concatenate([rng.uniform(0.0, w - 1, 200), [0.0, w - 1.0, 7.0, 0.0]])
+            v = np.concatenate([rng.uniform(0.0, h - 1, 200), [0.0, h - 1.0, 5.0, h - 1.0]])
+            got = bilinear_sample(frame.tri_index, frame.shades, u, v)
+            assert got.tobytes() == oracles.bilinear_sample(frame.color, u, v).tobytes()
 
 
 class TestProjectionSet:
@@ -286,6 +308,21 @@ class TestAggregatePointAndCloud:
                 assert counts[k] == valid
                 np.testing.assert_allclose(means[k], mean, atol=1e-12)
                 np.testing.assert_allclose(variances[k], variance, atol=1e-12)
+
+    @pytest.mark.parametrize("scene_name", ["clean", "noisy"])
+    @pytest.mark.parametrize("occlusion_check", [False, True])
+    def test_cloud_matches_color_image_oracle(self, request, scene_name, occlusion_check):
+        # byte-equal to the aggregation that sampled (H, W, 3) color images,
+        # on the cloud the pipeline scatters from these frames
+        scene = request.getfixturevalue(f"{scene_name}_scene")
+        frames = request.getfixturevalue(f"{scene_name}_frames")
+        cloud = scatter_frames(frames, ScatterConfig())
+        assert len(cloud) > 1000
+        got = aggregate_cloud(cloud, frames, occlusion_check, scene.depth_noise_sigma)
+        ref = oracles.aggregate_cloud(cloud, frames, occlusion_check, scene.depth_noise_sigma)
+        for name, a, b in zip(("means", "variances", "counts"), got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
 
     def test_empty_frame_list(self):
         means, variances, counts = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), [])

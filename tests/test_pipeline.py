@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,56 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ('{"voxel_size": -1}', "voxel_size"),
+            ('{"seed": "x"}', "seed"),
+            ('{"dense_voxel_size": 0}', "dense_voxel_size"),
+            ('{"frames": 2.5}', "frames"),
+        ],
+        ids=["voxel_size", "seed", "dense_voxel_size", "frames"],
+    )
+    def test_invalid_config_values_are_config_errors(
+        self, tmp_path, capsys, command, config, message
+    ):
+        scene_path = tmp_path / "scene.json"
+        assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config + "\n")
+        argv = [command, str(scene_path), "--config", str(config_path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and message in captured.err
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    def test_bench_stage_failure_names_stage(self, tmp_path, capsys, monkeypatch):
+        scene_path = tmp_path / "scene.json"
+        assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("pointscatter.pipeline.voxelize", boom)
+        capsys.readouterr()
+        assert cli.main(["bench", str(scene_path), "--frames", "6"]) == 2
+        assert "stage 'voxelize' failed: boom" in capsys.readouterr().err
+
+    def test_scene_without_cameras_runs_warning_free(self, tmp_path, capsys):
+        # no frame means no color channel to score; numpy's empty-mean
+        # warning would fail the aggregate stage here
+        scene_path = tmp_path / "nocam.json"
+        save_scene(dataclasses.replace(demo_scene(steps=6), cameras=()), scene_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["run", str(scene_path), "--out", str(tmp_path / "o")])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "o" / "metrics.json").exists()
 
     def test_stage_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         scene_path = tmp_path / "scene.json"

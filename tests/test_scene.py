@@ -34,6 +34,22 @@ from oracles import cast_rays, perturb_depth as oracle_perturb_depth
 SIMPLE = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
 
 
+HIRES = Intrinsics(fx=480.0, fy=480.0, cx=319.5, cy=239.5, width=640, height=480)
+
+
+def hires_scene():
+    """The six orbit poses of the hires_6view benchmark workload at 640x480."""
+    scene = demo_scene(steps=6)
+    cameras = tuple(SceneCamera(HIRES, c.pose) for c in scene.cameras)
+    return dataclasses.replace(scene, cameras=cameras)
+
+
+def render_color(scene, camera_index=0):
+    """One view's color image, as ``CameraFrame.color`` builds it."""
+    frame = make_frame(scene, camera_index, np.random.default_rng(0), DEPTH_RANGE, ())
+    return frame.color
+
+
 def frontal_cube_scene(center=(0.0, 0.0, 2.5), camera_z=0.0):
     """Unit cube ahead of an identity-orientation camera."""
     obj = SceneObject(OrientedBox(center, (1.0, 1.0, 1.0)))
@@ -80,19 +96,23 @@ class TestRenderDepth:
 
 class TestRenderColor:
     def test_shading_range_and_background(self):
-        _, color = render(frontal_cube_scene(), 0)
+        _, tri_index, shades = render(frontal_cube_scene(), 0)
+        assert tri_index.shape == (100, 100) and tri_index.dtype == np.int32
+        # one shade per cube triangle plus the black row index -1 picks
+        assert shades.shape == (13, 3) and not shades[-1].any()
+        color = render_color(frontal_cube_scene())
         assert color.shape == (100, 100, 3)
         assert np.array_equal(color[0, 0], [0.0, 0.0, 0.0])
         assert color[50, 50].min() > 0.0 and color.max() <= 1.0
 
     def test_flat_faces_shade_uniformly(self):
-        _, color = render(frontal_cube_scene(), 0)
+        color = render_color(frontal_cube_scene())
         # pixels on the same planar face share one Lambert value
         assert np.array_equal(color[50, 50], color[45, 55])
 
     def test_empty_scene_is_black(self):
         cam = SceneCamera(SIMPLE, Pose.identity())
-        _, color = render(SceneSpec(objects=(), cameras=(cam,)), 0)
+        color = render_color(SceneSpec(objects=(), cameras=(cam,)))
         assert color.shape == (100, 100, 3) and not color.any()
 
 
@@ -122,6 +142,16 @@ class TestCastRaysMatchesOracle:
     def test_demo_views(self):
         self.assert_matches(demo_scene(), range(20))
 
+    def test_demo_views_color(self, clean_scene, clean_frames):
+        # a frame's color is the shade gather over the oracle's index map
+        for i, frame in enumerate(clean_frames):
+            cam = clean_scene.cameras[i]
+            _, ref_index, triangles, owner = cast_rays(clean_scene, cam.intrinsics, cam.pose)
+            shades = np.concatenate(
+                [_shade_triangles(clean_scene, triangles, owner), np.zeros((1, 3))]
+            )
+            assert frame.color.tobytes() == shades[ref_index].tobytes(), f"view {i}"
+
     def test_orbit80_subset(self):
         self.assert_matches(demo_scene(steps=80), range(0, 80, 9))
 
@@ -133,19 +163,17 @@ class TestCastRaysMatchesOracle:
 
     def test_640x480_views(self):
         # two poses of the hires_6view benchmark workload
-        intr = Intrinsics(fx=480.0, fy=480.0, cx=319.5, cy=239.5, width=640, height=480)
-        scene = demo_scene(steps=6)
-        cameras = tuple(SceneCamera(intr, c.pose) for c in scene.cameras)
-        scene = dataclasses.replace(scene, cameras=cameras)
+        scene = hires_scene()
         for i in (0, 3):
             cam = scene.cameras[i]
             ref_depth, ref_index, triangles, owner = cast_rays(scene, cam.intrinsics, cam.pose)
             depth, index, _, _ = _cast_rays(scene, cam.intrinsics, cam.pose)
             assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
             assert np.array_equal(index, ref_index), f"view {i}"
-            # render's colour is the shade gather over the oracle's index map
+            # a frame's colour is the shade gather over the oracle's index map
             shades = np.concatenate([_shade_triangles(scene, triangles, owner), np.zeros((1, 3))])
-            depth, color = render(scene, i)
+            depth = render(scene, i)[0]
+            color = render_color(scene, i)
             assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
             assert color.tobytes() == shades[ref_index].tobytes(), f"view {i}"
 
@@ -345,6 +373,24 @@ class TestMakeFrame:
         assert np.array_equal(again.depth, clean_frames[3].depth)
         assert np.array_equal(again.color, clean_frames[3].color)
         assert again.boxes_2d == clean_frames[3].boxes_2d
+
+    def test_640x480_frame_memory(self):
+        # depth (8 bytes) and the int32 triangle index (4 bytes) per pixel
+        # plus the shade table; no (H, W, 3) float image is kept
+        scene = hires_scene()
+        frame = make_frame(scene, 0, np.random.default_rng(0), DEPTH_RANGE, ())
+        arrays = [getattr(frame, f.name) for f in dataclasses.fields(frame)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+
+        def held(a):
+            # a view keeps its whole base buffer alive
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a.nbytes
+
+        assert sum(held(a) for a in arrays) <= 12 * HIRES.width * HIRES.height + held(frame.shades)
+        assert not any(a.ndim == 3 and a.dtype.kind == "f" for a in arrays)
+        assert frame.color.shape == (HIRES.height, HIRES.width, 3)
 
     def test_depth_values_zero_or_in_range(self, noisy_frames):
         for frame in noisy_frames[:5]:
