@@ -117,8 +117,12 @@ def aggregate_cloud(
 ):
     """Batch mean/variance/valid-count aggregation for a whole cloud.
 
-    Two passes over the frames (mean, then centered second moments) keep
-    memory at O(N * C) regardless of the frame count. Returns
+    Two passes over the frames: the first samples each frame's colour at
+    the points it sees and sums the samples into the means, the second
+    sums the centered second moments of the same samples, so each
+    point-view is sampled once. The samples and their point indices are
+    kept from the first pass to the second: 8 + 8C bytes per valid
+    point-view, 32 for C = 3 channels. Returns
     ``(means, variances, valid_counts)`` with shapes (N, C), (N, C), (N,).
     """
     positions = cloud.positions
@@ -126,20 +130,21 @@ def aggregate_cloud(
     channels = frames[0].shades.shape[1] if frames else 0
     sums = np.zeros((n, channels))
     counts = np.zeros(n, dtype=np.int64)
-    cached = []
+    seen = []
     for frame in frames:
         ok, uv, _ = _frame_projection(positions, frame, occlusion_check, depth_sigma)
-        cached.append((ok, uv))
-        if ok.any():
-            sums[ok] += bilinear_sample(frame.tri_index, frame.shades, uv[ok, 0], uv[ok, 1])
-            counts[ok] += 1
+        idx = np.flatnonzero(ok)
+        if len(idx):
+            samples = bilinear_sample(frame.tri_index, frame.shades, uv[idx, 0], uv[idx, 1])
+            sums[idx] += samples
+            counts[idx] += 1
+            seen.append((idx, samples))
     means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
 
     sq = np.zeros((n, channels))
-    for frame, (ok, uv) in zip(frames, cached):
-        if ok.any():
-            diff = bilinear_sample(frame.tri_index, frame.shades, uv[ok, 0], uv[ok, 1]) - means[ok]
-            sq[ok] += diff * diff
+    for idx, samples in seen:
+        diff = samples - means[idx]
+        sq[idx] += diff * diff
     variances = np.divide(sq, counts[:, None], out=np.zeros_like(sq), where=counts[:, None] > 0)
     return means, variances, counts
 

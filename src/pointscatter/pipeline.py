@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import numbers
 import time
 import zlib
@@ -56,6 +57,51 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# per kind of config field: the test a value must pass and what it says
+_KINDS = {
+    "integer": (_is_integer, "an integer"),
+    "count": (lambda v: _is_integer(v) and v >= 1, "a positive integer"),
+    "number": (_is_number, "a finite number"),
+    "positive": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "non-negative": (lambda v: _is_number(v) and v >= 0, "a non-negative number"),
+    "fraction": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _check(config, **kinds) -> None:
+    """Raise :class:`ConfigError` for the first named field of ``config``
+    whose value is not of its kind.
+
+    A kind is a key of ``_KINDS``, or ``(kind, length)`` for a sequence
+    of that many values of the kind, where a length of None asks for one
+    or more.
+    """
+    for name, kind in kinds.items():
+        value = getattr(config, name)
+        if isinstance(kind, tuple):
+            (test, what), length = _KINDS[kind[0]], kind[1]
+            ok = (
+                isinstance(value, (tuple, list))
+                and (len(value) == length if length else len(value) > 0)
+                and all(test(v) for v in value)
+            )
+            what = f"{length or 'one or more'} values, each {what}"
+        else:
+            test, what = _KINDS[kind]
+            ok = test(value)
+        if not ok:
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     # "gt_passthrough" emits the GT boxes; "score_cluster" boxes the
@@ -68,8 +114,7 @@ class DetectorConfig:
     def __post_init__(self):
         if self.mode not in ("gt_passthrough", "score_cluster"):
             raise ConfigError(f"unknown detector mode {self.mode!r}")
-        if self.cluster_eps <= 0:
-            raise ConfigError("cluster_eps must be positive")
+        _check(self, cluster_eps="positive", min_cluster_points="integer", score_threshold="number")
 
 
 @dataclass(frozen=True)
@@ -82,6 +127,18 @@ class EvalSettings:
     fscore_squared: bool = True
     # None means: derive the sampling generator from the pipeline seed
     rng_seed: int | None = None
+
+    def __post_init__(self):
+        _check(
+            self,
+            iou_thresholds=("fraction", None),
+            recon_iou="fraction",
+            sample_count="count",
+            fscore_threshold="positive",
+            fscore_squared="flag",
+        )
+        if self.rng_seed is not None:
+            _check(self, rng_seed="integer")
 
 
 @dataclass(frozen=True)
@@ -108,19 +165,29 @@ class PipelineConfig:
     eval: EvalSettings = field(default_factory=EvalSettings)
 
     def __post_init__(self):
-        for name in ("seed", "frames"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.frames < 1:
-            raise ConfigError("frames must be positive")
-        lo, hi = self.depth_range
-        if not 0 < lo < hi:
+        _check(
+            self,
+            seed="integer",
+            frames="count",
+            depth_range=("positive", 2),
+            min_translation="non-negative",
+            min_rotation_deg="non-negative",
+            tau="positive",
+            gamma="non-negative",
+            k_sigma="positive",
+            occlusion_check="flag",
+            voxel_size="positive",
+            dense_voxel_size="positive",
+            bench_origin=("number", 3),
+            bench_extent=("positive", 3),
+            nms_iou="fraction",
+        )
+        if not self.depth_range[0] < self.depth_range[1]:
             raise ConfigError(f"bad depth range {self.depth_range}")
-        if self.tau <= 0 or self.k_sigma <= 0:
-            raise ConfigError("tau and k_sigma must be positive")
-        if not (self.voxel_size > 0 and self.dense_voxel_size > 0):
-            raise ConfigError("voxel_size and dense_voxel_size must be positive")
+        parts = {"scatter": ScatterConfig, "detector": DetectorConfig, "eval": EvalSettings}
+        for name, kind in parts.items():
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -357,15 +424,17 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
 
     filtered_indices, filter_stats = guarded("filter", _filter_stats)
 
-    grid = guarded(
-        "voxelize", voxelize, cloud, config.voxel_size, config.bench_origin
-    )
-    dense = DenseGridSpec(config.bench_origin, config.bench_extent, config.voxel_size)
-    sparsity = sparsity_report(cloud, grid, dense)
-    sparsity["metadata"] = {
-        "dense_voxel_size": config.dense_voxel_size,
-        "gs_reference_proposals": GS_REFERENCE_PROPOSALS,
-    }
+    def _voxelize():
+        grid = voxelize(cloud, config.voxel_size, config.bench_origin)
+        dense = DenseGridSpec(config.bench_origin, config.bench_extent, config.voxel_size)
+        sparsity = sparsity_report(cloud, grid, dense)
+        sparsity["metadata"] = {
+            "dense_voxel_size": config.dense_voxel_size,
+            "gs_reference_proposals": GS_REFERENCE_PROPOSALS,
+        }
+        return grid, sparsity
+
+    grid, sparsity = guarded("voxelize", _voxelize)
 
     def _detect():
         if config.detector.mode == "gt_passthrough":
@@ -431,10 +500,14 @@ def run_sparsity_bench(scene: SceneSpec, config: PipelineConfig) -> dict:
     grid = guarded("voxelize", voxelize, cloud, config.voxel_size, config.bench_origin)
     t_voxel = time.perf_counter() - t0
 
-    fine = DenseGridSpec(config.bench_origin, config.bench_extent, config.voxel_size)
-    coarse = DenseGridSpec(config.bench_origin, config.bench_extent, config.dense_voxel_size)
-    report = sparsity_report(cloud, grid, fine)
-    report["coarse_dense_cells"] = coarse.cell_count
+    def _report():
+        fine = DenseGridSpec(config.bench_origin, config.bench_extent, config.voxel_size)
+        coarse = DenseGridSpec(config.bench_origin, config.bench_extent, config.dense_voxel_size)
+        report = sparsity_report(cloud, grid, fine)
+        report["coarse_dense_cells"] = coarse.cell_count
+        return report
+
+    report = guarded("voxelize", _report)
     report["metadata"] = {
         "dense_voxel_size": config.dense_voxel_size,
         "gs_reference_proposals": GS_REFERENCE_PROPOSALS,

@@ -3,21 +3,24 @@
 Points are back-projected from strided pixels inside GT 2D boxes. The
 pixel stride adapts to object distance (``round(f * radius / depth)``)
 so the world-space spacing of fresh samples roughly matches ``radius``.
-Dedup then discards any candidate strictly closer than the dedup radius
-to a point accepted before it. Acceptance order is deterministic: frames
-in call order, boxes in frame order, pixels in raster order.
+Each box takes its own stride, and the pixels of all a frame's boxes
+are back-projected together. Dedup then discards any candidate strictly
+closer than the dedup radius to a point accepted before it. Acceptance
+order is deterministic: frames in call order, boxes in frame order,
+pixels in raster order.
 
-Dedup works a frame at a time. A KD-tree query against the points of
-earlier frames removes candidates they cover; neighbour pairs among the
-survivors and one greedy pass in candidate order settle the rest. Both
-searches reach ``DEDUP_SLACK`` beyond the radius and decide with the
-same squared-distance sum as a point-by-point scan, so the cloud is the
-one that scan would accept, bit for bit.
+Dedup works a frame at a time. A query of a KD-tree built anew over the
+points of earlier frames removes candidates they cover; neighbour pairs
+among the survivors and one greedy pass in candidate order settle the
+rest. Both searches reach ``DEDUP_SLACK`` beyond the radius and decide
+with the same squared-distance sum as a point-by-point scan, so the
+cloud is the one that scan would accept, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +34,14 @@ from .scene import CameraFrame
 DEDUP_SLACK = 1e-9
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_positive(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+
+
 @dataclass(frozen=True)
 class ScatterConfig:
     radius: float = 0.04
@@ -40,12 +51,14 @@ class ScatterConfig:
     dedup_radius: float | None = None
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.max_points < 1:
-            raise ValueError(f"max_points must be positive, got {self.max_points}")
-        if self.dedup_radius is not None and self.dedup_radius <= 0:
-            raise ValueError("dedup_radius must be positive when given")
+        if not _is_positive(self.radius):
+            raise ValueError(f"radius must be a positive number, got {self.radius!r}")
+        if not (_is_integer(self.max_points) and self.max_points >= 1):
+            raise ValueError(f"max_points must be a positive integer, got {self.max_points!r}")
+        if not _is_integer(self.rng_seed):
+            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        if self.dedup_radius is not None and not _is_positive(self.dedup_radius):
+            raise ValueError(f"dedup_radius must be a positive number, got {self.dedup_radius!r}")
 
     @property
     def effective_dedup_radius(self) -> float:
@@ -148,17 +161,23 @@ class ScatterAccumulator:
         fid = frame.camera_index if frame_index is None else frame_index
         cands = self._candidates(frame, fid)
         r = self.config.effective_dedup_radius
-        keep = ~_near_any(cands.positions, self.cloud().positions, r)
+        earlier = np.concatenate([np.zeros((0, 3)), *(c.positions for c in self._frames)])
+        keep = ~_near_any(cands.positions, earlier, r)
         keep[keep] = _greedy_keep(cands.positions[keep], r)
         accepted = cands.select(np.flatnonzero(keep))
         self._frames.append(accepted)
         return len(accepted)
 
     def _candidates(self, frame: CameraFrame, fid: int) -> ScatterCloud:
-        """Strided valid-depth pixels of every box, in box and raster order."""
+        """Strided valid-depth pixels of every box, in box and raster order.
+
+        Each box takes its stride from the median valid depth inside it;
+        the pixels of all boxes are then back-projected in one call.
+        """
         depth = frame.depth
         intr = frame.intrinsics
-        parts = [empty_cloud()]
+        empty = np.zeros(0, dtype=np.int64)
+        us, vs, cats = [empty], [empty], [empty]
         for box in frame.boxes_2d:
             u0 = max(0, math.ceil(box.u_min))
             v0 = max(0, math.ceil(box.v_min))
@@ -171,24 +190,20 @@ class ScatterAccumulator:
             if not valid.any():
                 continue
             stride = box_sampling_stride(intr.fx, self.config.radius, float(np.median(region[valid])))
-            uu, vv = np.meshgrid(np.arange(u0, u1 + 1, stride), np.arange(v0, v1 + 1, stride))
-            uu = uu.reshape(-1)
-            vv = vv.reshape(-1)
-            dd = depth[vv, uu]
-            keep = dd > 0
-            uu, vv, dd = uu[keep], vv[keep], dd[keep]
-            # each box is back-projected on its own, as in the reference
-            # loop, so positions match it to the last bit
-            world = backproject_pixels(uu.astype(np.float64), vv.astype(np.float64), dd, intr, frame.pose)
-            parts.append(
-                ScatterCloud(
-                    positions=world,
-                    frame_ids=np.full(len(dd), fid, dtype=np.int64),
-                    pixels=np.stack([uu, vv], axis=1).astype(np.float64),
-                    categories=np.full(len(dd), box.category, dtype=np.int64),
-                )
-            )
-        return _concatenate(parts)
+            # nonzero walks the strided block in raster order
+            rows, cols = np.nonzero(valid[::stride, ::stride])
+            us.append(u0 + stride * cols)
+            vs.append(v0 + stride * rows)
+            cats.append(np.full(len(rows), box.category, dtype=np.int64))
+        uu, vv = np.concatenate(us), np.concatenate(vs)
+        pixels = np.stack([uu, vv], axis=1).astype(np.float64)
+        world = backproject_pixels(pixels[:, 0], pixels[:, 1], depth[vv, uu], intr, frame.pose)
+        return ScatterCloud(
+            positions=world,
+            frame_ids=np.full(len(uu), fid, dtype=np.int64),
+            pixels=pixels,
+            categories=np.concatenate(cats),
+        )
 
     def cloud(self) -> ScatterCloud:
         return _concatenate([empty_cloud(), *self._frames])
@@ -211,7 +226,11 @@ def _sq_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _near_any(queries: np.ndarray, points: np.ndarray, r: float) -> np.ndarray:
     """Mask of queries with some row of ``points`` strictly closer than ``r``."""
     reach = r * (1.0 + DEDUP_SLACK)
-    tree = cKDTree(points)
+    # the tree is rebuilt for every frame and queried once, so a quick
+    # sliding-midpoint build beats a balanced one; which of several tied
+    # neighbours it returns does not matter, since the band check below
+    # tries every point in reach when the returned one fails
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
     dist, idx = tree.query(queries, k=1, distance_upper_bound=reach)
     found = np.flatnonzero(np.isfinite(dist))
     near = np.zeros(len(queries), dtype=bool)

@@ -8,7 +8,10 @@ albedo under a single fixed directional light plus an ambient term, so
 a view's color is stored as an (H, W) int32 map of the triangle hit at
 each pixel (-1 marks no hit) plus the scene's (T+1, 3) shade table,
 whose last, black row is what -1 picks; ``CameraFrame.color`` builds
-the RGB image from the two on demand. Each triangle is tested
+the RGB image from the two on demand. The triangle stack, its owning
+objects and the shade table depend only on the scene, so each scene
+builds them once (``SceneSpec.geometry``) and every view, GT box
+projection and surface sample shares them. Each triangle is tested
 only against the rays inside its projected bounding box, widened by one
 pixel and clipped to the image; a triangle with a vertex at or behind
 the camera plane is tested against every ray. Everything is
@@ -21,6 +24,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +58,20 @@ class SceneCamera:
     pose: Pose
 
 
+class SceneGeometry(NamedTuple):
+    """What every view of a scene shares.
+
+    ``triangles`` (T, 3, 3) stacks the objects' shells in object order,
+    ``owner`` (T,) is the object index of each triangle, and ``shades``
+    (T+1, 3) is the flat color of each triangle with a black last row,
+    which triangle index -1 picks.
+    """
+
+    triangles: np.ndarray
+    owner: np.ndarray
+    shades: np.ndarray
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     objects: tuple[SceneObject, ...]
@@ -74,6 +92,18 @@ class SceneSpec:
         if not self.objects:
             return 0
         return max(o.box.category for o in self.objects) + 1
+
+    @functools.cached_property
+    def geometry(self) -> SceneGeometry:
+        """The scene's read-only triangle stack, owner index and shade
+        table, built on first access and shared from then on."""
+        shells = [obj.mesh() for obj in self.objects]
+        owner = np.repeat(np.arange(len(shells), dtype=np.int64), [len(s) for s in shells])
+        triangles = np.concatenate([np.zeros((0, 3, 3)), *shells])
+        shades = np.concatenate([_shade_triangles(self, triangles, owner), np.zeros((1, 3))])
+        for array in (triangles, owner, shades):
+            array.flags.writeable = False
+        return SceneGeometry(triangles, owner, shades)
 
 
 @dataclass(frozen=True)
@@ -113,13 +143,6 @@ class CameraFrame:
     def color(self) -> np.ndarray:
         """(H, W, 3) shaded color image in [0, 1], built on each access."""
         return np.take(self.shades, self.tri_index, axis=0)
-
-
-def _scene_triangles(scene: SceneSpec):
-    """Stack all object shells; returns (triangles, owning object index)."""
-    shells = [obj.mesh() for obj in scene.objects]
-    owner = np.repeat(np.arange(len(shells), dtype=np.int64), [len(s) for s in shells])
-    return np.concatenate([np.zeros((0, 3, 3)), *shells]), owner
 
 
 def _screen_boxes(triangles: np.ndarray, intrinsics: Intrinsics, pose: Pose):
@@ -181,7 +204,7 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     h, w = intrinsics.height, intrinsics.width
     all_dirs = (_camera_rays(intrinsics) @ pose.rotation.T).reshape(h, w, 3)
 
-    triangles, owner = _scene_triangles(scene)
+    triangles = scene.geometry.triangles
     all_depth = np.full((h, w), np.inf)
     all_index = np.full((h, w), -1, dtype=np.int32)
     lo, hi = _screen_boxes(triangles, intrinsics, pose)
@@ -221,7 +244,7 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
             depth[hit] = t[hit]
             all_index[window][hit] = k
     all_depth[all_index < 0] = 0.0
-    return all_depth, all_index, triangles, owner
+    return all_depth, all_index
 
 
 def _shade_triangles(scene: SceneSpec, triangles: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -239,13 +262,13 @@ def render(scene: SceneSpec, camera_index: int) -> tuple[np.ndarray, np.ndarray,
     Returns ``(depth, tri_index, shades)``: the (H, W) depth map, 0 where
     no surface; the (H, W) int32 index of the triangle seen at each
     pixel, -1 where none; and the (T+1, 3) shade table in [0, 1], one row
-    per triangle plus a black last row for index -1. The shaded color
-    image is ``np.take(shades, tri_index, axis=0)``.
+    per triangle plus a black last row for index -1, the scene's shared
+    read-only ``geometry.shades``. The shaded color image is
+    ``np.take(shades, tri_index, axis=0)``.
     """
     cam = scene.cameras[camera_index]
-    depth, tri_index, triangles, owner = _cast_rays(scene, cam.intrinsics, cam.pose)
-    shades = np.concatenate([_shade_triangles(scene, triangles, owner), np.zeros((1, 3))])
-    return depth, tri_index, shades
+    depth, tri_index = _cast_rays(scene, cam.intrinsics, cam.pose)
+    return depth, tri_index, scene.geometry.shades
 
 
 def perturb_depth(depth, sigma, outlier_rate, rng, depth_range) -> np.ndarray:
@@ -281,17 +304,21 @@ def project_gt_boxes(scene: SceneSpec, camera_index: int, min_pixels: float = 16
     is in front of the camera and the clipped axis-aligned hull covers
     at least ``min_pixels`` of pixel area. Partially-behind objects use
     only their in-front vertices, which under-covers; acceptable for the
-    orbit scenes this simulator targets.
+    orbit scenes this simulator targets. The vertices of all objects
+    are projected in one call and sliced per object.
     """
     cam = scene.cameras[camera_index]
     w, h = cam.intrinsics.width, cam.intrinsics.height
+    triangles, owner, _ = scene.geometry
+    uv_all, _, front_all = project_points(triangles.reshape(-1, 3), cam.intrinsics, cam.pose)
+    # owner is sorted, so object k owns the vertex rows ends[k] .. ends[k + 1]
+    ends = (3 * np.searchsorted(owner, np.arange(len(scene.objects) + 1))).tolist()
     boxes = []
-    for obj in scene.objects:
-        verts = obj.mesh().reshape(-1, 3)
-        uv, _, in_front = project_points(verts, cam.intrinsics, cam.pose)
+    for obj, a, b in zip(scene.objects, ends, ends[1:]):
+        in_front = front_all[a:b]
         if not in_front.any():
             continue
-        uv = uv[in_front]
+        uv = uv_all[a:b][in_front]
         u0 = max(0.0, float(uv[:, 0].min()))
         v0 = max(0.0, float(uv[:, 1].min()))
         u1 = min(float(w - 1), float(uv[:, 0].max()))

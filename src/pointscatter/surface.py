@@ -72,7 +72,7 @@ def sample_scene_surface(scene, tau: float, rng: np.random.Generator, density: f
         raise ValueError("tau must be positive")
     if density is None:
         density = 4.0 / (tau * tau)
-    triangles = np.concatenate([obj.mesh() for obj in scene.objects], axis=0)
+    triangles = scene.geometry.triangles
     total_area = float(triangle_areas(triangles).sum())
     count = max(1, math.ceil(total_area * density))
     return sample_surface_points(triangles, count, rng)

@@ -13,6 +13,7 @@ from scipy.spatial import cKDTree
 
 from pointscatter.camera import BEHIND_CAMERA_EPS, backproject_pixels, project_points
 from pointscatter.scatter import ScatterCloud, box_sampling_stride, empty_cloud
+from pointscatter.scene import Box2D
 
 
 def point_in_obb(points, box):
@@ -162,6 +163,36 @@ def cast_rays(scene, intrinsics, pose):
     return depth.reshape(h, w), tri_index.reshape(h, w), triangles, owner
 
 
+def project_gt_boxes(scene, camera_index, min_pixels=16.0):
+    """GT 2D boxes of one camera, one object at a time.
+
+    The package's ``project_gt_boxes`` as it was before it projected the
+    vertices of all objects in one call: each object's mesh is built and
+    projected on its own, and its in-front vertices give the clipped
+    hull. Returns a list of ``Box2D``.
+    """
+    cam = scene.cameras[camera_index]
+    w, h = cam.intrinsics.width, cam.intrinsics.height
+    boxes = []
+    for obj in scene.objects:
+        verts = obj.mesh().reshape(-1, 3)
+        uv, _, in_front = project_points(verts, cam.intrinsics, cam.pose)
+        if not in_front.any():
+            continue
+        uv = uv[in_front]
+        u0 = max(0.0, float(uv[:, 0].min()))
+        v0 = max(0.0, float(uv[:, 1].min()))
+        u1 = min(float(w - 1), float(uv[:, 0].max()))
+        v1 = min(float(h - 1), float(uv[:, 1].max()))
+        if u1 <= u0 or v1 <= v0:
+            continue
+        box = Box2D(obj.box.category, u0, v0, u1, v1)
+        if box.area < min_pixels:
+            continue
+        boxes.append(box)
+    return boxes
+
+
 class SpatialHashGrid:
     """Uniform hash grid for fixed-radius neighbor rejection.
 
@@ -218,10 +249,53 @@ class SpatialHashGrid:
         return False
 
 
+def box_candidates(frame, fid, radius):
+    """Scatter candidates of one frame: strided valid-depth pixels of
+    every 2D box, in box and raster order, as a ScatterCloud.
+
+    The scatter stage's candidate builder as it was before it gathered a
+    frame's boxes into one back-projection: each box is gridded,
+    filtered and back-projected on its own.
+    """
+    depth = frame.depth
+    intr = frame.intrinsics
+    parts = [empty_cloud()]
+    for box in frame.boxes_2d:
+        u0 = max(0, math.ceil(box.u_min))
+        v0 = max(0, math.ceil(box.v_min))
+        u1 = min(intr.width - 1, math.floor(box.u_max))
+        v1 = min(intr.height - 1, math.floor(box.v_max))
+        if u1 < u0 or v1 < v0:
+            continue
+        region = depth[v0 : v1 + 1, u0 : u1 + 1]
+        valid = region > 0
+        if not valid.any():
+            continue
+        stride = box_sampling_stride(intr.fx, radius, float(np.median(region[valid])))
+        uu, vv = np.meshgrid(np.arange(u0, u1 + 1, stride), np.arange(v0, v1 + 1, stride))
+        uu = uu.reshape(-1)
+        vv = vv.reshape(-1)
+        dd = depth[vv, uu]
+        keep = dd > 0
+        uu, vv, dd = uu[keep], vv[keep], dd[keep]
+        world = backproject_pixels(uu.astype(np.float64), vv.astype(np.float64), dd, intr, frame.pose)
+        parts.append(
+            ScatterCloud(
+                positions=world,
+                frame_ids=np.full(len(dd), fid, dtype=np.int64),
+                pixels=np.stack([uu, vv], axis=1).astype(np.float64),
+                categories=np.full(len(dd), box.category, dtype=np.int64),
+            )
+        )
+    columns = ("positions", "frame_ids", "pixels", "categories")
+    return ScatterCloud(*(np.concatenate([getattr(c, name) for c in parts]) for name in columns))
+
+
 class HashGridAccumulator:
     """The scatter accumulator before vectorized dedup: one hash-grid
-    scan per candidate, in box and raster order. It shares the package's
-    stride rule and cloud container; what it checks is the dedup.
+    scan per candidate of :func:`box_candidates`, in box and raster
+    order. It shares the package's stride rule and cloud container; what
+    it checks is the dedup.
 
     Calls to :meth:`add_frame` must be serialized; the spatial index is
     shared across frames and candidates are checked against every point
@@ -242,42 +316,17 @@ class HashGridAccumulator:
     def add_frame(self, frame, frame_index=None):
         """Scatter one frame; returns the number of accepted points."""
         fid = frame.camera_index if frame_index is None else frame_index
-        depth = frame.depth
-        intr = frame.intrinsics
+        cands = box_candidates(frame, fid, self.config.radius)
         accepted = 0
-        for box in frame.boxes_2d:
-            u0 = max(0, math.ceil(box.u_min))
-            v0 = max(0, math.ceil(box.v_min))
-            u1 = min(intr.width - 1, math.floor(box.u_max))
-            v1 = min(intr.height - 1, math.floor(box.v_max))
-            if u1 < u0 or v1 < v0:
+        for p, pixel, category in zip(cands.positions, cands.pixels, cands.categories.tolist()):
+            if self._grid.has_neighbor_within(p):
                 continue
-            region = depth[v0 : v1 + 1, u0 : u1 + 1]
-            valid = region > 0
-            if not valid.any():
-                continue
-            stride = box_sampling_stride(intr.fx, self.config.radius, float(np.median(region[valid])))
-            vs = np.arange(v0, v1 + 1, stride)
-            us = np.arange(u0, u1 + 1, stride)
-            uu, vv = np.meshgrid(us, vs)
-            uu = uu.reshape(-1)
-            vv = vv.reshape(-1)
-            dd = depth[vv, uu]
-            keep = dd > 0
-            uu, vv, dd = uu[keep], vv[keep], dd[keep]
-            if len(dd) == 0:
-                continue
-            world = backproject_pixels(uu.astype(np.float64), vv.astype(np.float64), dd, intr, frame.pose)
-            for i in range(len(world)):
-                p = world[i]
-                if self._grid.has_neighbor_within(p):
-                    continue
-                self._grid.insert(p)
-                self._positions.append(p)
-                self._frame_ids.append(fid)
-                self._pixels.append((float(uu[i]), float(vv[i])))
-                self._categories.append(box.category)
-                accepted += 1
+            self._grid.insert(p)
+            self._positions.append(p)
+            self._frame_ids.append(fid)
+            self._pixels.append(tuple(pixel))
+            self._categories.append(category)
+            accepted += 1
         return accepted
 
     def cloud(self):

@@ -1,5 +1,7 @@
 """Tests for multi-view feature aggregation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from pointscatter.aggregate import (
     compose_features,
 )
 from pointscatter.boxes import OrientedBox
-from pointscatter.camera import Intrinsics, Pose, project_points
+from pointscatter.camera import Intrinsics, Pose, look_at_pose, project_points
 from pointscatter.scatter import ScatterCloud, ScatterConfig, scatter_frames
 from pointscatter.scene import (
     CameraFrame,
@@ -323,6 +325,24 @@ class TestAggregatePointAndCloud:
         for name, a, b in zip(("means", "variances", "counts"), got, ref):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("occlusion_check", [False, True])
+    def test_frames_seeing_no_point_match_oracle(self, clean_frames, occlusion_check):
+        # a camera 10 m out, looking away from the scene, sees none of its
+        # points; such frames come first, between others and last
+        away_pose = look_at_pose((10.0, 0.0, 1.0), (20.0, 0.0, 1.0))
+        away = dataclasses.replace(clean_frames[0], pose=away_pose)
+        frames = [away, clean_frames[0], clean_frames[7], away, clean_frames[13], away]
+        cloud = scatter_frames(clean_frames[:8], ScatterConfig())
+        for views in (frames, [away, away]):
+            got = aggregate_cloud(cloud, views, occlusion_check)
+            ref = oracles.aggregate_cloud(cloud, views, occlusion_check)
+            for name, a, b in zip(("means", "variances", "counts"), got, ref):
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+        # some points are seen by all three real frames, none by a turned-away one
+        assert aggregate_cloud(cloud, frames, occlusion_check)[2].max() == 3
+        assert not aggregate_cloud(cloud, [away, away], occlusion_check)[2].any()
 
     def test_empty_frame_list(self):
         means, variances, counts = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), [])

@@ -85,6 +85,43 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="max_points"):
             PipelineConfig.from_dict({"scatter": {"max_points": 0}})
 
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"gamma": -1.0}, "gamma"),
+            ({"k_sigma": "x"}, "k_sigma"),
+            ({"min_rotation_deg": float("nan")}, "min_rotation_deg"),
+            ({"occlusion_check": "yes"}, "occlusion_check"),
+            ({"depth_range": [0.2]}, "depth_range"),
+            ({"bench_origin": [0.0, 0.0]}, "bench_origin"),
+            ({"bench_extent": [8.0, float("inf"), 3.0]}, "bench_extent"),
+            ({"nms_iou": 1.5}, "nms_iou"),
+            ({"eval": {"recon_iou": -0.1}}, "recon_iou"),
+            ({"eval": {"iou_thresholds": []}}, "iou_thresholds"),
+            ({"eval": {"fscore_threshold": 0}}, "fscore_threshold"),
+            ({"eval": {"fscore_squared": 1}}, "fscore_squared"),
+            ({"eval": {"rng_seed": 1.5}}, "rng_seed"),
+            ({"eval": {"sample_count": True}}, "sample_count"),
+            ({"detector": {"score_threshold": float("nan")}}, "score_threshold"),
+            ({"detector": {"min_cluster_points": 2.5}}, "min_cluster_points"),
+            ({"scatter": {"rng_seed": "x"}}, "rng_seed"),
+            ({"scatter": {"dedup_radius": 0}}, "dedup_radius"),
+            ({"scatter": {"radius": True}}, "radius"),
+        ],
+    )
+    def test_field_kinds_checked(self, data, field):
+        with pytest.raises(ConfigError, match=field):
+            PipelineConfig.from_dict(data)
+
+    def test_field_kinds_accept_numpy_and_int_values(self):
+        config = PipelineConfig(
+            seed=np.int64(3), tau=1, nms_iou=np.float64(0.5), bench_extent=(8, 8, 3)
+        )
+        assert config.seed == 3
+        assert PipelineConfig.from_dict({"eval": {"rng_seed": None}}).eval.rng_seed is None
+        with pytest.raises(ConfigError, match="scatter"):
+            PipelineConfig(scatter={"radius": 0.04})
+
     def test_bad_detector_rejected(self):
         with pytest.raises(ConfigError):
             DetectorConfig(mode="votenet")
@@ -482,6 +519,60 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and message in captured.err
         assert captured.out == "" and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ('{"bench_extent": [0, 0, 0]}', "bench_extent"),
+            ('{"bench_extent": [8, 8]}', "bench_extent"),
+            ('{"nms_iou": "x"}', "nms_iou"),
+            ('{"eval": {"iou_thresholds": [2.0]}}', "iou_thresholds"),
+            ('{"min_translation": "x"}', "min_translation"),
+            ('{"eval": {"sample_count": 0}}', "sample_count"),
+            ('{"detector": {"min_cluster_points": "x"}}', "min_cluster_points"),
+            ('{"scatter": {"max_points": 1.5}}', "max_points"),
+        ],
+        ids=[
+            "bench_extent_zero",
+            "bench_extent_short",
+            "nms_iou",
+            "iou_thresholds",
+            "min_translation",
+            "sample_count",
+            "min_cluster_points",
+            "max_points",
+        ],
+    )
+    def test_invalid_field_kinds_are_config_errors(
+        self, tmp_path, capsys, command, config, message
+    ):
+        scene_path = tmp_path / "scene.json"
+        assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config + "\n")
+        argv = [command, str(scene_path), "--config", str(config_path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and message in captured.err
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    def test_sparsity_report_failure_names_voxelize(self, tmp_path, capsys, monkeypatch):
+        scene_path = tmp_path / "scene.json"
+        assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
+
+        def boom(*args, **kwargs):
+            raise ValueError("extent must be positive per axis")
+
+        monkeypatch.setattr("pointscatter.pipeline.DenseGridSpec", boom)
+        run = ["run", str(scene_path), "--out", str(tmp_path / "o")]
+        for argv in (run, ["bench", str(scene_path)]):
+            capsys.readouterr()
+            assert cli.main(argv + ["--frames", "6"]) == 2
+            assert "stage 'voxelize' failed: extent" in capsys.readouterr().err
 
     def test_bench_stage_failure_names_stage(self, tmp_path, capsys, monkeypatch):
         scene_path = tmp_path / "scene.json"

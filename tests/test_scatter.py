@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import HashGridAccumulator, SpatialHashGrid, brute_nn_distances
+from oracles import HashGridAccumulator, SpatialHashGrid, box_candidates, brute_nn_distances
 from pointscatter import scatter
 from pointscatter.meshes import point_mesh_distance
 from pointscatter.scatter import (
@@ -155,11 +155,127 @@ class TestMatchesHashGridOracle:
         earlier = np.array([[0.0, 0.0, 0.0]])
         queries = np.array([[0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.25, 0.0, 0.0]])
         assert scatter._near_any(queries, earlier, r).tolist() == [False, False, True]
-        assert len(ball_queries) == 1
+        # one ball query, over the two queries whose nearest point lies
+        # exactly r away
+        assert len(ball_queries) == 1 and len(ball_queries[0][0]) == 2
         row = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.75], [0.0, 0.0, 1.0]])
         # 0.75 falls to the kept 0.5, so it cannot reject 1.0; the pairs
         # (0, 0.5) and (0.5, 1.0) lie exactly r apart
         assert scatter._greedy_keep(row, r).tolist() == [True, True, False, True]
+
+
+class TestCandidatesMatchOracle:
+    """One back-projection per frame gives the bits of one per box."""
+
+    @staticmethod
+    def assert_matches(frames, radius=0.04):
+        acc = ScatterAccumulator(ScatterConfig(radius=radius))
+        for k, frame in enumerate(frames):
+            got, want = acc._candidates(frame, k), box_candidates(frame, k, radius)
+            for name in ("positions", "pixels", "frame_ids", "categories"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), (k, name)
+                assert a.tobytes() == b.tobytes(), (k, name)
+
+    def test_clean_demo_frames(self, clean_frames):
+        self.assert_matches(clean_frames)
+
+    def test_noisy_demo_frames(self, noisy_frames):
+        self.assert_matches(noisy_frames)
+        self.assert_matches(noisy_frames[:4], radius=0.01)
+
+    def test_640x480_frame(self):
+        intr = Intrinsics(fx=480.0, fy=480.0, cx=319.5, cy=239.5, width=640, height=480)
+        scene = demo_scene(steps=6)
+        scene = dataclasses.replace(scene, cameras=(SceneCamera(intr, scene.cameras[2].pose),))
+        frame = noiseless_frame(scene)
+        assert len(frame.boxes_2d) == 3
+        self.assert_matches([frame])
+
+    def test_off_screen_and_missing_boxes(self, clean_frames):
+        frame = clean_frames[5]
+        w, h = frame.intrinsics.width, frame.intrinsics.height
+        off = Box2D(4, w + 2.0, 10.0, w + 30.0, 40.0)
+        partly = Box2D(5, w - 12.5, -8.0, w + 20.0, 30.0)
+        above = Box2D(6, 10.0, -40.0, 50.0, -1.0)
+        frames = [
+            dataclasses.replace(frame, boxes_2d=(off, *frame.boxes_2d, partly, above)),
+            dataclasses.replace(frame, boxes_2d=(off, above)),
+            dataclasses.replace(frame, boxes_2d=()),
+        ]
+        self.assert_matches(frames)
+        acc = ScatterAccumulator(ScatterConfig(radius=0.04))
+        assert len(acc._candidates(frames[1], 0)) == len(acc._candidates(frames[2], 0)) == 0
+
+
+class TestNearAnyTies:
+    """Dedup decides the strict ``d2 < r * r`` whichever of several tied
+    neighbours the tree returns."""
+
+    @staticmethod
+    def lattice(r, shrink):
+        # a lattice with holes: each hole has up to six lattice neighbours
+        # tied at the spacing, r itself (up to the rounding of the
+        # coordinates) or just below it
+        idx = np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        lattice = idx * (r * shrink)
+        hole = idx.sum(axis=1) % 3 == 0
+        return lattice[~hole], lattice[hole]
+
+    @staticmethod
+    def brute(queries, points, r):
+        """Strict test on the squared distance summed x, y, z, per query."""
+        out = []
+        for q in queries:
+            d = points - q
+            out.append(bool((d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2 < r * r).any()))
+        return out
+
+    @pytest.mark.parametrize("r", [0.04, 0.5])
+    @pytest.mark.parametrize("shrink", [1.0, 1.0 - 1e-12])
+    def test_lattice_matches_brute_force(self, r, shrink):
+        points, queries = self.lattice(r, shrink)
+        reach = r * (1.0 + scatter.DEDUP_SLACK)
+        _, balanced = cKDTree(points).query(queries, distance_upper_bound=reach)
+        _, sliding = cKDTree(points, balanced_tree=False, compact_nodes=False).query(
+            queries, distance_upper_bound=reach
+        )
+        # the two builds break the ties differently
+        assert (balanced != sliding).any()
+        brute = self.brute(queries, points, r)
+        assert scatter._near_any(queries, points, r).tolist() == brute
+        if shrink == 1.0 and r == 0.5:
+            # exact coordinates: every hole's neighbours lie exactly r away
+            assert not any(brute)
+        elif shrink < 1.0:
+            assert all(brute)
+
+    def test_worst_tied_neighbour_falls_back_to_band(self, monkeypatch):
+        # at r = 0.04 the rounded coordinates put some of a hole's tied
+        # neighbours just below r and others at or above it; a tree that
+        # returns the farthest of them (as other tie-breaking or other
+        # rounding of its distances could) must not decide the query
+        r = 0.04
+        points, queries = self.lattice(r, 1.0)
+        picks = []
+
+        class WorstTieTree(cKDTree):
+            def query(self, x, k=1, distance_upper_bound=np.inf, **kwargs):
+                dist, idx = super().query(x, k, distance_upper_bound=distance_upper_bound)
+                for i, nbrs in enumerate(self.query_ball_point(x, distance_upper_bound)):
+                    if nbrs:
+                        d = self.data[nbrs] - x[i]
+                        idx[i] = nbrs[int(np.argmax(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2))]
+                picks.append(idx)
+                return dist, idx
+
+        monkeypatch.setattr(scatter, "cKDTree", WorstTieTree)
+        brute = self.brute(queries, points, r)
+        assert scatter._near_any(queries, points, r).tolist() == brute
+        d = points[picks[0]] - queries
+        pick_passes = d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2 < r * r
+        # some holes are near only through a neighbour other than the pick
+        assert (np.array(brute) & ~pick_passes).any()
 
 
 class TestScatterFrames:

@@ -29,7 +29,12 @@ from pointscatter.scene import (
 )
 
 from conftest import DEPTH_RANGE
-from oracles import cast_rays, perturb_depth as oracle_perturb_depth
+from oracles import (
+    _scene_triangles as oracle_scene_triangles,
+    cast_rays,
+    perturb_depth as oracle_perturb_depth,
+    project_gt_boxes as oracle_project_gt_boxes,
+)
 
 SIMPLE = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
 
@@ -123,7 +128,7 @@ class TestCastRaysMatchesOracle:
     def assert_matches(scene, views):
         for i in views:
             cam = scene.cameras[i]
-            depth, index, _, _ = _cast_rays(scene, cam.intrinsics, cam.pose)
+            depth, index = _cast_rays(scene, cam.intrinsics, cam.pose)
             ref_depth, ref_index, _, _ = cast_rays(scene, cam.intrinsics, cam.pose)
             assert depth.shape == ref_depth.shape, f"view {i}"
             assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
@@ -167,7 +172,7 @@ class TestCastRaysMatchesOracle:
         for i in (0, 3):
             cam = scene.cameras[i]
             ref_depth, ref_index, triangles, owner = cast_rays(scene, cam.intrinsics, cam.pose)
-            depth, index, _, _ = _cast_rays(scene, cam.intrinsics, cam.pose)
+            depth, index = _cast_rays(scene, cam.intrinsics, cam.pose)
             assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
             assert np.array_equal(index, ref_index), f"view {i}"
             # a frame's colour is the shade gather over the oracle's index map
@@ -217,7 +222,7 @@ class TestCameraRayCache:
         scene = demo_scene(steps=6)
         for intr in (DEFAULT_INTRINSICS, large, DEFAULT_INTRINSICS, wide):
             for cam in scene.cameras[::2]:
-                depth, index, _, _ = _cast_rays(scene, intr, cam.pose)
+                depth, index = _cast_rays(scene, intr, cam.pose)
                 ref_depth, ref_index, _, _ = cast_rays(scene, intr, cam.pose)
                 assert depth.shape == (intr.height, intr.width)
                 assert depth.tobytes() == ref_depth.tobytes()
@@ -339,6 +344,76 @@ class TestProjectGtBoxes:
         for box, exp in zip(got, expected):
             assert box.category == exp[0]
             assert (box.u_min, box.v_min, box.u_max, box.v_max) == pytest.approx(exp[1:])
+
+
+class TestProjectGtBoxesMatchesOracle:
+    """One projection of all vertices per camera gives the boxes of one
+    projection per object, to the bit."""
+
+    @staticmethod
+    def assert_matches(scene, min_pixels=16.0):
+        for i in range(len(scene.cameras)):
+            got = project_gt_boxes(scene, i, min_pixels)
+            assert got == oracle_project_gt_boxes(scene, i, min_pixels), f"view {i}"
+
+    def test_demo_scenes(self, clean_scene):
+        self.assert_matches(clean_scene)
+        self.assert_matches(demo_scene(steps=80))
+        self.assert_matches(clean_scene, min_pixels=0.0)
+
+    def test_640x480_views(self):
+        self.assert_matches(hires_scene())
+
+    def test_off_screen_and_partly_behind_objects(self):
+        objects = (
+            SceneObject(OrientedBox((0.0, 0.0, 2.5), (1.0, 1.0, 1.0), category=0)),
+            # straddles the camera plane: some vertices behind, some in front
+            SceneObject(OrientedBox((0.2, 0.1, 0.3), (0.6, 0.6, 1.0), category=1)),
+            SceneObject(OrientedBox((6.0, 0.0, 2.5), (0.5, 0.5, 0.5), category=2)),
+            SceneObject(OrientedBox((0.0, 0.0, -3.0), (1.0, 1.0, 1.0), category=3)),
+            SceneObject(OrientedBox((-1.2, 0.9, 4.0), (0.4, 0.7, 0.3), yaw=0.4, category=4)),
+        )
+        cam = SceneCamera(SIMPLE, Pose.identity())
+        scene = SceneSpec(objects=objects, cameras=(cam,))
+        got = project_gt_boxes(scene, 0)
+        assert [b.category for b in got] == [0, 1, 4]
+        self.assert_matches(scene)
+
+    def test_no_objects(self):
+        scene = SceneSpec(objects=(), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
+        assert project_gt_boxes(scene, 0) == oracle_project_gt_boxes(scene, 0) == []
+
+
+class TestSceneGeometry:
+    def test_arrays_are_read_only_and_shared(self, clean_scene):
+        geometry = clean_scene.geometry
+        assert geometry is clean_scene.geometry
+        for array in geometry:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert render(clean_scene, 0)[2] is geometry.shades
+
+    def test_matches_per_object_shells(self, clean_scene):
+        triangles, owner, shades = clean_scene.geometry
+        ref_triangles, ref_owner = oracle_scene_triangles(clean_scene)
+        assert triangles.tobytes() == ref_triangles.tobytes()
+        assert np.array_equal(owner, ref_owner)
+        ref_shades = _shade_triangles(clean_scene, ref_triangles, ref_owner)
+        assert shades.tobytes() == np.concatenate([ref_shades, np.zeros((1, 3))]).tobytes()
+
+    def test_zero_object_scene_renders(self):
+        scene = SceneSpec(objects=(), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
+        triangles, owner, shades = scene.geometry
+        assert triangles.shape == (0, 3, 3) and owner.shape == (0,)
+        assert shades.shape == (1, 3) and not shades.any()
+        depth, tri_index, _ = render(scene, 0)
+        assert not depth.any() and (tri_index == -1).all()
+
+    def test_replaced_scene_gets_its_own_geometry(self, clean_scene):
+        moved = dataclasses.replace(clean_scene, objects=clean_scene.objects[:1])
+        assert len(moved.geometry.triangles) == 12
+        assert len(clean_scene.geometry.triangles) == 36
 
 
 class TestMakeFrame:
