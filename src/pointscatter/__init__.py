@@ -7,13 +7,7 @@ the result, and scores detections with standard AP / Chamfer / F-score
 metrics. A deterministic scene simulator provides the frames.
 """
 
-from .aggregate import (
-    aggregate_cloud,
-    aggregate_mean,
-    aggregate_variance,
-    bilinear_sample,
-    compose_features,
-)
+from .aggregate import aggregate_cloud, bilinear_sample, compose_features
 from .boxes import (
     OrientedBox,
     box_corners,
@@ -30,10 +24,7 @@ from .camera import (
 )
 from .depth import (
     DepthBins,
-    apply_residual,
     decode_depth,
-    depth_loss,
-    encode_label,
     ordinal_loss,
     ordinal_loss_grad,
     probs_for_label,

@@ -4,11 +4,14 @@
 frame; frames where a point lands in front of the camera and inside the
 image bounds contribute a bilinearly sampled feature: the frame's color,
 read as ``shades[tri_index[y, x]]`` at the four corner texels, so no RGB
-image is built. Aggregation reduces the contributing features to a
-masked mean and a masked population variance (centered on that mean). A
-point seen by no frame is degenerate: its mean and variance are zero and
-its valid count is 0. :func:`compose_features` appends a one-hot
-category block to the mean and variance rows.
+image is built. :func:`reduce_views` reduces the contributing features
+to a masked mean and a masked population variance. The variance is
+taken over samples shifted by the point's first observed sample, so a
+point whose samples agree in every view gets exactly 0, which centering
+on the rounded mean alone does not give. A point seen by no frame is
+degenerate: its mean and variance are zero and its valid count is 0.
+:func:`compose_features` appends a one-hot category block to the mean
+and variance rows.
 
 Projection validity is purely geometric by default. With
 ``occlusion_check`` enabled, a frame only contributes when the point's
@@ -85,30 +88,6 @@ def _frame_projection(positions, frame, occlusion_check, depth_sigma):
     return ok, uv, z
 
 
-def aggregate_mean(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Masked mean over frames: ``sum(M_i f_i) / eta``; zeros when eta=0."""
-    f = np.asarray(features, dtype=np.float64)
-    m = np.asarray(mask, dtype=bool)
-    eta = int(m.sum())
-    if eta == 0:
-        return np.zeros(f.shape[1])
-    return f[m].sum(axis=0) / eta
-
-
-def aggregate_variance(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Masked population variance about the masked mean; zeros when eta=0."""
-    f = np.asarray(features, dtype=np.float64)
-    m = np.asarray(mask, dtype=bool)
-    eta = int(m.sum())
-    if eta == 0:
-        return np.zeros(f.shape[1])
-    # shifting by one observed row keeps the result exactly zero when every
-    # masked row is identical, which the rounded unshifted mean cannot
-    shifted = f[m] - f[m][0]
-    mean = shifted.sum(axis=0) / eta
-    return ((shifted - mean) ** 2).sum(axis=0) / eta
-
-
 def aggregate_cloud(
     cloud: ScatterCloud,
     frames,
@@ -117,35 +96,60 @@ def aggregate_cloud(
 ):
     """Batch mean/variance/valid-count aggregation for a whole cloud.
 
-    Two passes over the frames: the first samples each frame's colour at
-    the points it sees and sums the samples into the means, the second
-    sums the centered second moments of the same samples, so each
-    point-view is sampled once. The samples and their point indices are
-    kept from the first pass to the second: 8 + 8C bytes per valid
-    point-view, 32 for C = 3 channels. Returns
-    ``(means, variances, valid_counts)`` with shapes (N, C), (N, C), (N,).
+    Samples each frame's colour at the points it sees, once per
+    point-view, and reduces the samples with :func:`reduce_views`.
+    Returns ``(means, variances, valid_counts)`` with shapes (N, C),
+    (N, C), (N,).
     """
     positions = cloud.positions
-    n = len(positions)
     channels = frames[0].shades.shape[1] if frames else 0
-    sums = np.zeros((n, channels))
-    counts = np.zeros(n, dtype=np.int64)
-    seen = []
+    views = []
     for frame in frames:
         ok, uv, _ = _frame_projection(positions, frame, occlusion_check, depth_sigma)
         idx = np.flatnonzero(ok)
         if len(idx):
-            samples = bilinear_sample(frame.tri_index, frame.shades, uv[idx, 0], uv[idx, 1])
-            sums[idx] += samples
-            counts[idx] += 1
-            seen.append((idx, samples))
-    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
+            views.append((idx, bilinear_sample(frame.tri_index, frame.shades, uv[idx, 0], uv[idx, 1])))
+    return reduce_views(views, len(positions), channels)
+
+
+def reduce_views(views, n: int, channels: int):
+    """Masked mean, population variance and count of each point's samples.
+
+    ``views`` holds one ``(idx, samples)`` pair per view, in view order:
+    the indices of the points the view sees, without repeats, and their
+    (K, C) samples. The mean is ``sum(s) / count``. The variance is the
+    two-pass form over samples shifted by the point's first sample,
+    ``d = s - shift``, then ``sum((d - sum(d) / count)^2) / count``
+    (Chan, Golub & LeVeque, 1983): identical samples give exactly 0,
+    which centering on the rounded mean does not. The sums run in view
+    order, so each row has the bits of the same sums over that point's
+    samples alone. A point no view sees gets zero mean and variance and
+    count 0. Holds the shifted samples between the passes, 8C bytes per
+    point-view. Returns arrays of shapes (N, C), (N, C), (N,).
+    """
+    shift = np.zeros((n, channels))
+    # earlier views overwrite later ones, leaving each point's first sample
+    for idx, samples in reversed(views):
+        shift[idx] = samples
+    sums = np.zeros((n, channels))
+    dsums = np.zeros((n, channels))
+    counts = np.zeros(n, dtype=np.int64)
+    shifted = []
+    for idx, samples in views:
+        sums[idx] += samples
+        counts[idx] += 1
+        d = samples - shift[idx]
+        dsums[idx] += d
+        shifted.append(d)
+    seen = counts[:, None] > 0
+    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=seen)
+    dmeans = np.divide(dsums, counts[:, None], out=np.zeros_like(dsums), where=seen)
 
     sq = np.zeros((n, channels))
-    for idx, samples in seen:
-        diff = samples - means[idx]
-        sq[idx] += diff * diff
-    variances = np.divide(sq, counts[:, None], out=np.zeros_like(sq), where=counts[:, None] > 0)
+    for (idx, _), d in zip(views, shifted):
+        r = d - dmeans[idx]
+        sq[idx] += r * r
+    variances = np.divide(sq, counts[:, None], out=np.zeros_like(sq), where=seen)
     return means, variances, counts
 
 

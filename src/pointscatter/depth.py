@@ -45,22 +45,6 @@ class DepthBins:
         return (self.d_max - self.d_min) / self.num_bins
 
 
-def encode_label(depth, bins: DepthBins):
-    """Ordinal label (bin index) of a metric depth, clamped to the range.
-
-    Accepts scalars or arrays. Depths below ``d_min`` map to bin 0,
-    depths at or above ``d_max`` to the last bin.
-    """
-    d = np.asarray(depth, dtype=np.float64)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("depth must be finite")
-    idx = np.floor((d - bins.d_min) / bins.width).astype(np.int64)
-    idx = np.clip(idx, 0, bins.num_bins - 1)
-    if np.ndim(depth) == 0:
-        return int(idx)
-    return idx
-
-
 def decode_depth(probs, bins: DepthBins):
     """Decode ordinal probabilities to the midpoint of the selected bin.
 
@@ -136,20 +120,3 @@ def ordinal_loss_grad(probs, labels) -> np.ndarray:
     below = np.arange(p.shape[1])[None, :] < l[:, None]
     grad = np.where(below, -1.0 / p, 1.0 / (1.0 - p)) / len(p)
     return grad.reshape(np.shape(probs))
-
-
-def apply_residual(coarse, residual):
-    """Refined depth = decoded coarse depth + predicted residual."""
-    return np.asarray(coarse, dtype=np.float64) + np.asarray(residual, dtype=np.float64)
-
-
-def depth_loss(probs, labels, coarse, residual, gt_depth) -> float:
-    """Ordinal loss plus mean absolute error of the refined depth.
-
-    ``coarse`` is the decoded depth per pixel, ``residual`` the additive
-    refinement, ``gt_depth`` the target. All three broadcast together.
-    """
-    refined = apply_residual(coarse, residual)
-    gt = np.asarray(gt_depth, dtype=np.float64)
-    mae = float(np.mean(np.abs(refined - gt)))
-    return ordinal_loss(probs, labels) + mae

@@ -1,4 +1,4 @@
-"""Triangle mesh helpers: box shells, area-weighted sampling, distances.
+"""Triangle mesh helpers: box shells, area-weighted sampling.
 
 Meshes are plain ``(T, 3, 3)`` float arrays (triangle, vertex, xyz).
 Box shells are wound so that triangle normals
@@ -62,62 +62,3 @@ def sample_surface_points(triangles: np.ndarray, count: int, rng: np.random.Gene
     v[flip] = 1.0 - v[flip]
     a, b, c = tri[idx, 0], tri[idx, 1], tri[idx, 2]
     return a + u[:, None] * (b - a) + v[:, None] * (c - a)
-
-
-def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom == 0.0:
-        return np.linalg.norm(points - a, axis=1)
-    t = np.clip((points - a) @ ab / denom, 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return np.linalg.norm(points - closest, axis=1)
-
-
-def point_triangle_distance(points: np.ndarray, triangle: np.ndarray) -> np.ndarray:
-    """Euclidean distance from (N, 3) points to one triangle.
-
-    The closest point of a triangle lies either on an edge or in the
-    interior of its plane, so the exact distance is the minimum of the
-    three clamped segment distances and, where the plane projection
-    falls inside the triangle, the plane distance.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    a, b, c = (np.asarray(v, dtype=np.float64) for v in triangle)
-    best = _point_segment_distance(pts, a, b)
-    np.minimum(best, _point_segment_distance(pts, b, c), out=best)
-    np.minimum(best, _point_segment_distance(pts, a, c), out=best)
-
-    n = np.cross(b - a, c - a)
-    nn = float(np.dot(n, n))
-    if nn > 0.0:
-        ap = pts - a
-        signed = ap @ n / nn
-        proj = pts - signed[:, None] * n
-        v0, v1 = b - a, c - a
-        v2 = proj - a
-        d00 = float(np.dot(v0, v0))
-        d01 = float(np.dot(v0, v1))
-        d11 = float(np.dot(v1, v1))
-        d20 = v2 @ v0
-        d21 = v2 @ v1
-        denom = d00 * d11 - d01 * d01
-        if denom > 0.0:
-            u = (d11 * d20 - d01 * d21) / denom
-            w = (d00 * d21 - d01 * d20) / denom
-            inside = (u >= 0.0) & (w >= 0.0) & (u + w <= 1.0)
-            plane_dist = np.abs(signed) * np.sqrt(nn)
-            best = np.where(inside, np.minimum(best, plane_dist), best)
-    return best
-
-
-def point_mesh_distance(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Distance from each of (N, 3) points to the nearest triangle."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    tri = np.asarray(triangles, dtype=np.float64)
-    if len(tri) == 0:
-        raise ValueError("mesh has no triangles")
-    best = point_triangle_distance(pts, tri[0])
-    for t in tri[1:]:
-        np.minimum(best, point_triangle_distance(pts, t), out=best)
-    return best

@@ -150,7 +150,6 @@ class PipelineConfig:
     min_rotation_deg: float = 10.0
     scatter: ScatterConfig = field(default_factory=ScatterConfig)
     tau: float = 0.05
-    gamma: float = 2.0
     k_sigma: float = 0.01
     # the pipeline masks occluded views during aggregation so photometric
     # scores measure consistency only over frames that actually saw the
@@ -173,7 +172,6 @@ class PipelineConfig:
             min_translation="non-negative",
             min_rotation_deg="non-negative",
             tau="positive",
-            gamma="non-negative",
             k_sigma="positive",
             occlusion_check="flag",
             voxel_size="positive",

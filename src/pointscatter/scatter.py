@@ -46,7 +46,6 @@ def _is_positive(value) -> bool:
 class ScatterConfig:
     radius: float = 0.04
     max_points: int = 100_000
-    rng_seed: int = 0
     # dedup distance defaults to the sampling radius; override to decouple
     dedup_radius: float | None = None
 
@@ -55,8 +54,6 @@ class ScatterConfig:
             raise ValueError(f"radius must be a positive number, got {self.radius!r}")
         if not (_is_integer(self.max_points) and self.max_points >= 1):
             raise ValueError(f"max_points must be a positive integer, got {self.max_points!r}")
-        if not _is_integer(self.rng_seed):
-            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
         if self.dedup_radius is not None and not _is_positive(self.dedup_radius):
             raise ValueError(f"dedup_radius must be a positive number, got {self.dedup_radius!r}")
 
@@ -156,10 +153,9 @@ class ScatterAccumulator:
     def __len__(self) -> int:
         return sum(len(c) for c in self._frames)
 
-    def add_frame(self, frame: CameraFrame, frame_index: int | None = None) -> int:
+    def add_frame(self, frame: CameraFrame) -> int:
         """Scatter one frame; returns the number of accepted points."""
-        fid = frame.camera_index if frame_index is None else frame_index
-        cands = self._candidates(frame, fid)
+        cands = self._candidates(frame, frame.camera_index)
         r = self.config.effective_dedup_radius
         earlier = np.concatenate([np.zeros((0, 3)), *(c.positions for c in self._frames)])
         keep = ~_near_any(cands.positions, earlier, r)

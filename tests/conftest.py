@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from pointscatter.aggregate import reduce_views
 from pointscatter.pipeline import stage_rng
 from pointscatter.scene import demo_scene, make_frame, project_gt_boxes
 
@@ -15,6 +17,15 @@ def render_all(scene):
         )
         for i in range(len(scene.cameras))
     ]
+
+
+def reduce_rows(features, mask):
+    """``(mean, variance)`` from ``reduce_views`` of one point whose
+    samples are the masked rows of (F, C) ``features``, one view per row."""
+    f = np.asarray(features, dtype=np.float64)
+    views = [(np.zeros(1, dtype=np.int64), f[i : i + 1]) for i in np.flatnonzero(mask)]
+    means, variances, _ = reduce_views(views, 1, f.shape[1])
+    return means[0], variances[0]
 
 
 @pytest.fixture(scope="session")

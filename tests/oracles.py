@@ -3,7 +3,8 @@
 Everything here is deliberately naive (loops, O(n^2) scans, Monte
 Carlo) so that agreement with the package is evidence rather than
 tautology. Keep these free of imports from the modules they check,
-apart from plain data containers.
+apart from plain data containers and, in :func:`aggregate_cloud`, the
+reduction that :func:`aggregate_variance` checks.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
+from pointscatter.aggregate import reduce_views
 from pointscatter.camera import BEHIND_CAMERA_EPS, backproject_pixels, project_points
 from pointscatter.scatter import ScatterCloud, box_sampling_stride, empty_cloud
 from pointscatter.scene import Box2D
@@ -95,6 +97,65 @@ def brute_nn_distances(queries, references, chunk=512):
         d2 = ((block[:, None, :] - r[None, :, :]) ** 2).sum(axis=2)
         out[start : start + chunk] = np.sqrt(d2.min(axis=1))
     return out
+
+
+def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ab = b - a
+    denom = float(np.dot(ab, ab))
+    if denom == 0.0:
+        return np.linalg.norm(points - a, axis=1)
+    t = np.clip((points - a) @ ab / denom, 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    return np.linalg.norm(points - closest, axis=1)
+
+
+def point_triangle_distance(points: np.ndarray, triangle: np.ndarray) -> np.ndarray:
+    """Euclidean distance from (N, 3) points to one triangle.
+
+    The closest point of a triangle lies either on an edge or in the
+    interior of its plane, so the exact distance is the minimum of the
+    three clamped segment distances and, where the plane projection
+    falls inside the triangle, the plane distance.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    a, b, c = (np.asarray(v, dtype=np.float64) for v in triangle)
+    best = _point_segment_distance(pts, a, b)
+    np.minimum(best, _point_segment_distance(pts, b, c), out=best)
+    np.minimum(best, _point_segment_distance(pts, a, c), out=best)
+
+    n = np.cross(b - a, c - a)
+    nn = float(np.dot(n, n))
+    if nn > 0.0:
+        ap = pts - a
+        signed = ap @ n / nn
+        proj = pts - signed[:, None] * n
+        v0, v1 = b - a, c - a
+        v2 = proj - a
+        d00 = float(np.dot(v0, v0))
+        d01 = float(np.dot(v0, v1))
+        d11 = float(np.dot(v1, v1))
+        d20 = v2 @ v0
+        d21 = v2 @ v1
+        denom = d00 * d11 - d01 * d01
+        if denom > 0.0:
+            u = (d11 * d20 - d01 * d21) / denom
+            w = (d00 * d21 - d01 * d20) / denom
+            inside = (u >= 0.0) & (w >= 0.0) & (u + w <= 1.0)
+            plane_dist = np.abs(signed) * np.sqrt(nn)
+            best = np.where(inside, np.minimum(best, plane_dist), best)
+    return best
+
+
+def point_mesh_distance(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Distance from each of (N, 3) points to the nearest triangle."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    tri = np.asarray(triangles, dtype=np.float64)
+    if len(tri) == 0:
+        raise ValueError("mesh has no triangles")
+    best = point_triangle_distance(pts, tri[0])
+    for t in tri[1:]:
+        np.minimum(best, point_triangle_distance(pts, t), out=best)
+    return best
 
 
 def _scene_triangles(scene):
@@ -313,9 +374,9 @@ class HashGridAccumulator:
     def __len__(self) -> int:
         return len(self._positions)
 
-    def add_frame(self, frame, frame_index=None):
+    def add_frame(self, frame):
         """Scatter one frame; returns the number of accepted points."""
-        fid = frame.camera_index if frame_index is None else frame_index
+        fid = frame.camera_index
         cands = box_candidates(frame, fid, self.config.radius)
         accepted = 0
         for p, pixel, category in zip(cands.positions, cands.pixels, cands.categories.tolist()):
@@ -516,32 +577,46 @@ def aggregate_cloud(
     (H, W, 3) color image: it samples ``frame.color`` with the image
     ``bilinear_sample`` above, and is the byte-level reference for the
     version that samples the triangle-index map through the shade table.
-
-    Two passes over the frames (mean, then centered second moments) keep
-    memory at O(N * C) regardless of the frame count. Returns
-    ``(means, variances, valid_counts)`` with shapes (N, C), (N, C), (N,).
+    It reduces the samples through the package's ``reduce_views``, so
+    what it checks is the sampling; :func:`aggregate_mean` and
+    :func:`aggregate_variance` are the reference for the reduction.
+    Returns ``(means, variances, valid_counts)`` with shapes (N, C),
+    (N, C), (N,).
     """
     positions = cloud.positions
-    n = len(positions)
     channels = frames[0].color.shape[2] if frames else 0
-    sums = np.zeros((n, channels))
-    counts = np.zeros(n, dtype=np.int64)
-    cached = []
+    views = []
     for frame in frames:
         ok, uv, _ = _frame_projection(positions, frame, occlusion_check, depth_sigma)
-        cached.append((ok, uv))
         if ok.any():
-            sums[ok] += bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1])
-            counts[ok] += 1
-    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
+            views.append((np.flatnonzero(ok), bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1])))
+    return reduce_views(views, len(positions), channels)
 
-    sq = np.zeros((n, channels))
-    for frame, (ok, uv) in zip(frames, cached):
-        if ok.any():
-            diff = bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1]) - means[ok]
-            sq[ok] += diff * diff
-    variances = np.divide(sq, counts[:, None], out=np.zeros_like(sq), where=counts[:, None] > 0)
-    return means, variances, counts
+
+def aggregate_mean(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Masked mean over frames: ``sum(M_i f_i) / eta``; zeros when eta=0.
+    The per-row reference for the means of ``reduce_views``."""
+    f = np.asarray(features, dtype=np.float64)
+    m = np.asarray(mask, dtype=bool)
+    eta = int(m.sum())
+    if eta == 0:
+        return np.zeros(f.shape[1])
+    return f[m].sum(axis=0) / eta
+
+
+def aggregate_variance(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Masked population variance about the masked mean; zeros when eta=0.
+    The per-row reference for the variances of ``reduce_views``."""
+    f = np.asarray(features, dtype=np.float64)
+    m = np.asarray(mask, dtype=bool)
+    eta = int(m.sum())
+    if eta == 0:
+        return np.zeros(f.shape[1])
+    # shifting by one observed row keeps the result exactly zero when every
+    # masked row is identical, which the rounded unshifted mean cannot
+    shifted = f[m] - f[m][0]
+    mean = shifted.sum(axis=0) / eta
+    return ((shifted - mean) ** 2).sum(axis=0) / eta
 
 
 def append_onehot(feature, category, num_categories):

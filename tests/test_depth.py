@@ -1,20 +1,11 @@
-"""Ordinal depth encoding, decoding and losses."""
+"""Ordinal depth bins, decoding and losses."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointscatter.depth import (
-    DepthBins,
-    apply_residual,
-    decode_depth,
-    depth_loss,
-    encode_label,
-    ordinal_loss,
-    ordinal_loss_grad,
-    probs_for_label,
-)
+from pointscatter.depth import DepthBins, decode_depth, ordinal_loss, ordinal_loss_grad, probs_for_label
 
 FIVE = DepthBins(d_min=0.0, d_max=5.0, num_bins=5)
 
@@ -29,29 +20,6 @@ class TestBins:
             DepthBins(2.0, 2.0, 4)
         with pytest.raises(ValueError):
             DepthBins(0.0, 5.0, 0)
-
-
-class TestEncode:
-    def test_interior_depth(self):
-        # 3.5 falls in bin [3, 4)
-        assert encode_label(3.5, FIVE) == 3
-
-    def test_lower_edge(self):
-        assert encode_label(0.0, FIVE) == 0
-
-    def test_clamps_beyond_range(self):
-        assert encode_label(99.0, FIVE) == 4
-        assert encode_label(-3.0, FIVE) == 0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            encode_label(float("nan"), FIVE)
-        with pytest.raises(ValueError):
-            encode_label(np.array([1.0, np.inf]), FIVE)
-
-    def test_array_input(self):
-        out = encode_label(np.array([0.5, 1.5, 4.999]), FIVE)
-        assert np.array_equal(out, [0, 1, 4])
 
 
 class TestDecode:
@@ -77,7 +45,8 @@ class TestDecode:
     @settings(deadline=None)
     @given(depth=st.floats(0.0, 4.999999))
     def test_decode_encode_half_width(self, depth):
-        label = encode_label(depth, FIVE)
+        # the bin holding the depth; the range keeps it inside [0, 4]
+        label = int(np.floor((depth - FIVE.d_min) / FIVE.width))
         decoded = decode_depth(probs_for_label(label, FIVE), FIVE)
         assert decoded == (FIVE.edges[label] + FIVE.edges[label + 1]) / 2.0
         assert abs(decoded - depth) <= FIVE.width / 2.0
@@ -135,30 +104,3 @@ class TestOrdinalLoss:
                 minus[k, j] -= h
                 fd = (ordinal_loss(plus, labels) - ordinal_loss(minus, labels)) / (2 * h)
                 assert abs(grad[k, j] - fd) <= 1e-4 * max(abs(fd), 1e-8)
-
-
-class TestResidualAndCombinedLoss:
-    def test_apply_residual(self):
-        assert apply_residual(3.5, 0.12) == pytest.approx(3.62)
-        assert apply_residual(3.5, 0.0) == 3.5
-
-    def test_residual_zeroing_the_gap(self):
-        # decoded coarse depth 3.5, ground truth 3.62: the residual that
-        # removes the absolute term is exactly the gap
-        coarse = decode_depth([0.9, 0.8, 0.6, 0.4, 0.2], FIVE)
-        assert abs(apply_residual(coarse, 0.12) - 3.62) < 1e-12
-
-    def test_worked_combination(self):
-        # ordinal term 0.5798184952529422 plus |3.5 - 3.62| = 0.12
-        loss = depth_loss([[0.8, 0.3]], [1], coarse=[3.5], residual=[0.0], gt_depth=[3.62])
-        assert loss == pytest.approx(0.6998184952529422, abs=1e-12)
-
-    def test_perfect_terms_vanish(self):
-        probs = [probs_for_label(3, FIVE)]
-        loss = depth_loss(probs, [3], coarse=[3.5], residual=[0.12], gt_depth=[3.62])
-        assert loss < 1e-5
-
-    def test_duplication_leaves_loss_unchanged(self):
-        one = depth_loss([[0.8, 0.3]], [1], [3.5], [0.0], [3.62])
-        two = depth_loss([[0.8, 0.3]] * 2, [1, 1], [3.5, 3.5], [0.0, 0.0], [3.62, 3.62])
-        assert two == pytest.approx(one, abs=1e-15)

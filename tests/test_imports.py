@@ -1,10 +1,13 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and
+every name the package exports has a caller.
 
-No linter ships with the test dependencies, so this is a small ``ast``
-pass in the spirit of pyflakes' F401: an import binds names, and each
-bound name must be read somewhere in the module. An import statement
-carrying ``# noqa: F401`` is exempt, and so is ``__init__.py``, whose
-imports are the package's re-exports.
+No linter ships with the test dependencies, so these are small ``ast``
+passes. The first is in the spirit of pyflakes' F401: an import binds
+names, and each bound name must be read somewhere in the module. An
+import statement carrying ``# noqa: F401`` is exempt, and so is
+``__init__.py``, whose imports are the package's re-exports. The second
+holds those re-exports to a caller: each must be read by the package,
+its scripts or its benchmark, or be imported by the acceptance tests.
 """
 
 import ast
@@ -12,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pointscatter"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pointscatter"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -49,3 +53,33 @@ def test_checker_flags_unused_and_honours_noqa():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == ["Iterator (line 1)"]
+
+
+def imported_names(path: Path) -> set[str]:
+    """Names that ``from ... import`` statements of ``path`` take."""
+    tree = ast.parse(path.read_text())
+    return {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+def read_names(path: Path) -> set[str]:
+    """Names ``path`` reads, as a variable or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_caller():
+    callers = [
+        p
+        for d in ("src", "scripts", "perfbench")
+        for p in sorted((ROOT / d).rglob("*.py"))
+        if p != PACKAGE / "__init__.py"
+    ]
+    read = set().union(*map(read_names, callers))
+    accepted = imported_names(ROOT / "tests" / "test_acceptance.py")
+    exports = imported_names(PACKAGE / "__init__.py")
+    assert sorted(exports - read - accepted) == []

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import point_mesh_distance, point_triangle_distance
 from pointscatter.boxes import OrientedBox, box_corners
-from pointscatter.meshes import (
-    box_shell,
-    point_mesh_distance,
-    point_triangle_distance,
-    sample_surface_points,
-    triangle_areas,
-    triangle_normals,
-)
+from pointscatter.meshes import box_shell, sample_surface_points, triangle_areas, triangle_normals
 
 RIGHT_TRIANGLE = np.array([[[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]]])
 

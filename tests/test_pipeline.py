@@ -88,6 +88,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "data, field",
         [
+            # neither gamma nor scatter.rng_seed is a setting: both are unknown keys
             ({"gamma": -1.0}, "gamma"),
             ({"k_sigma": "x"}, "k_sigma"),
             ({"min_rotation_deg": float("nan")}, "min_rotation_deg"),
@@ -107,6 +108,8 @@ class TestPipelineConfig:
             ({"scatter": {"rng_seed": "x"}}, "rng_seed"),
             ({"scatter": {"dedup_radius": 0}}, "dedup_radius"),
             ({"scatter": {"radius": True}}, "radius"),
+            ({"tau": float("inf")}, "tau"),
+            ({"scatter": {"max_points": True}}, "max_points"),
         ],
     )
     def test_field_kinds_checked(self, data, field):

@@ -8,9 +8,14 @@ from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import HashGridAccumulator, SpatialHashGrid, box_candidates, brute_nn_distances
+from oracles import (
+    HashGridAccumulator,
+    SpatialHashGrid,
+    box_candidates,
+    brute_nn_distances,
+    point_mesh_distance,
+)
 from pointscatter import scatter
-from pointscatter.meshes import point_mesh_distance
 from pointscatter.scatter import (
     ScatterAccumulator,
     ScatterCloud,

@@ -7,7 +7,6 @@ import pytest
 
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose, backproject_pixels
-from pointscatter.meshes import point_mesh_distance
 from pointscatter.scene import (
     SceneCamera,
     SceneObject,
@@ -33,6 +32,7 @@ from oracles import (
     _scene_triangles as oracle_scene_triangles,
     cast_rays,
     perturb_depth as oracle_perturb_depth,
+    point_mesh_distance,
     project_gt_boxes as oracle_project_gt_boxes,
 )
 

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_nn_distances
+from oracles import brute_nn_distances, point_mesh_distance
 from pointscatter.aggregate import aggregate_cloud
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose
-from pointscatter.meshes import point_mesh_distance
 from pointscatter.scatter import ScatterConfig, scatter_frames
 from pointscatter.scene import SceneCamera, SceneObject, SceneSpec
 from pointscatter.surface import (
