@@ -14,8 +14,16 @@ builds them once (``SceneSpec.geometry``) and every view, GT box
 projection and surface sample shares them. Each triangle is tested
 only against the rays inside its projected bounding box, widened by one
 pixel and clipped to the image; a triangle with a vertex at or behind
-the camera plane is tested against every ray. Everything is
-deterministic: identical scene spec and seed give bit-identical frames.
+the camera plane is tested against every ray. Every object is a closed,
+outward-wound box shell, so a view skips (back-face culls) the triangles
+that face away from the camera, but only for an object whose vertices
+are all in front of it, and only when no pixel center lies within a
+tolerance of the projection of an edge between a skipped and a kept
+triangle of that object (the silhouette guard); otherwise that object
+keeps all its triangles in that view. Away from the silhouette such a
+triangle is never the nearest hit, so the frames do not change by a
+bit. Everything is deterministic: identical scene spec and seed give
+bit-identical frames.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import numpy as np
 
 from .boxes import OrientedBox
 from .camera import BEHIND_CAMERA_EPS, Intrinsics, Pose, look_at_pose, project_points
-from .meshes import box_shell, triangle_normals
+from .meshes import _BOX_FACES, box_shell, triangle_normals
 
 # Fixed directional light (unit vector pointing from the scene toward
 # the light) and ambient floor used by the shader.
@@ -46,6 +54,15 @@ class SceneObject:
 
     box: OrientedBox
     albedo: tuple[float, float, float] = (0.7, 0.7, 0.7)
+
+    def __post_init__(self):
+        try:
+            albedo = tuple(float(a) for a in self.albedo)
+        except (TypeError, ValueError):
+            albedo = ()
+        if len(albedo) != 3 or not all(0.0 <= a <= 1.0 for a in albedo):
+            raise ValueError(f"albedo must be 3 finite numbers in [0, 1], got {self.albedo!r}")
+        object.__setattr__(self, "albedo", albedo)
 
     def mesh(self) -> np.ndarray:
         """(12, 3, 3) closed triangle shell of the box."""
@@ -145,21 +162,122 @@ class CameraFrame:
         return np.take(self.shades, self.tri_index, axis=0)
 
 
-def _screen_boxes(triangles: np.ndarray, intrinsics: Intrinsics, pose: Pose):
+def _screen_boxes(triangles: np.ndarray, intrinsics: Intrinsics, pose: Pose, projection=None):
     """Per-triangle pixel windows ``(lo, hi)``, each (T, 2) as ``(u, v)``.
 
     A triangle with all three vertices in front of the camera gets its
     projected bounding box widened to ``floor(min) - 1 .. ceil(max) + 1``
     and clipped to the image, bounds inclusive (``lo > hi`` on an axis
     when it misses the image); any other triangle gets the whole image.
+    ``projection`` is the :func:`project_points` result of the (T*3)
+    vertices when the caller has it already.
     """
-    uv, _, in_front = project_points(triangles.reshape(-1, 3), intrinsics, pose)
+    if projection is None:
+        projection = project_points(triangles.reshape(-1, 3), intrinsics, pose)
+    uv, _, in_front = projection
     uv = uv.reshape(-1, 3, 2)
     size = np.array([intrinsics.width, intrinsics.height])
     lo = np.clip(np.floor(uv.min(axis=1)) - 1, 0, size)
     hi = np.clip(np.ceil(uv.max(axis=1)) + 1, -1, size - 1)
     front = in_front.reshape(-1, 3).all(axis=1)[:, None]
     return np.where(front, lo, 0).astype(np.int64), np.where(front, hi, size - 1).astype(np.int64)
+
+
+def _shared_edges(faces: np.ndarray) -> np.ndarray:
+    """(E, 4) int rows ``(a, i, j, b)`` of a closed mesh's face table:
+    the edge from vertex ``i`` to vertex ``j`` of triangle ``a`` is also
+    an edge of triangle ``b``."""
+    first, rows = {}, []
+    for a, tri in enumerate(faces.tolist()):
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            key = frozenset((tri[i], tri[j]))
+            if key in first:
+                rows.append((*first.pop(key), a))
+            else:
+                first[key] = (a, i, j)
+    return np.array(rows, dtype=np.int64)
+
+
+# every edge of a box shell, each listed once with both of its triangles
+_SHELL_EDGES = _shared_edges(_BOX_FACES)
+_SHELL_TRIANGLES = len(_BOX_FACES)
+# how far outside a triangle, in barycentric units, the caster still hits it
+_BARYCENTRIC_EPS = 1e-9
+
+
+def _back_faces(edge1, edge2, tvecs, qvecs, projection, intrinsics: Intrinsics):
+    """``(back, culled)`` boolean (T,) masks over a view's box-shell
+    triangles, ``len(_BOX_FACES)`` per object in object order.
+
+    ``back`` marks the strictly back-facing triangles,
+    ``cross(edge1, edge2) . tvec < -1e-9 |cross(edge1, edge2)| |tvec|``,
+    of the objects whose vertices are all in front of the camera;
+    ``projection`` is the :func:`project_points` result of the (T*3)
+    vertices. ``culled`` is ``back`` less every object that fails the
+    silhouette guard: some pixel center lies within ``tau`` pixels of the
+    projection of an edge between a back triangle and a kept one, where
+    ``tau`` is the caster's barycentric tolerance times 10 times the
+    object's longest edge, in pixels at its nearest vertex
+    (``max(fx, fy) / z``), plus 1e-9.
+    """
+    n = len(edge1) // _SHELL_TRIANGLES
+    uv, z, in_front = projection
+    e11, e22, e12, tt = (
+        np.einsum("ij,ij->i", x, y)
+        for x, y in ((edge1, edge1), (edge2, edge2), (edge1, edge2), (tvecs, tvecs))
+    )
+    # the triple product cross(edge1, edge2) . tvec is edge2 . qvec, and
+    # |cross(edge1, edge2)|^2 is e11 * e22 - e12^2 (Lagrange's identity)
+    facing = np.einsum("ij,ij->i", edge2, qvecs)
+    back = facing < -1e-9 * np.sqrt(np.maximum(e11 * e22 - e12 * e12, 0.0) * tt)
+    back = back.reshape(n, _SHELL_TRIANGLES)
+    back &= in_front.reshape(n, 3 * _SHELL_TRIANGLES).all(axis=1)[:, None]
+    a, i, j, b = _SHELL_EDGES.T
+    objects, edges = np.nonzero(back[:, a] != back[:, b])
+    if len(objects) == 0:
+        return back.ravel(), back.ravel()
+    tri = _SHELL_TRIANGLES * objects + a[edges]
+    uv = uv.reshape(-1, 3, 2)
+    span = np.sqrt(np.maximum(e11, e22).reshape(n, _SHELL_TRIANGLES).max(axis=1))
+    nearest = z.reshape(n, 3 * _SHELL_TRIANGLES).min(axis=1)
+    focal = max(intrinsics.fx, intrinsics.fy)
+    tau = 10 * _BARYCENTRIC_EPS * span[objects] * focal / nearest[objects] + 1e-9
+    near = _near_pixel_centers(
+        uv[tri, i[edges]], uv[tri, j[edges]], tau, intrinsics.width, intrinsics.height
+    )
+    culled = back.copy()
+    culled[objects[near]] = False
+    return back.ravel(), culled.ravel()
+
+
+def _near_pixel_centers(p, q, tau, width: int, height: int) -> np.ndarray:
+    """Whether some image pixel center lies within ``tau`` of the line
+    through ``p`` and ``q`` (each (S, 2) in pixels) while its coordinate
+    along the segment's major axis is within ``tau`` of the segment's
+    span: a superset of the centers within ``tau`` of each segment. The
+    integer major-axis coordinates of all segments are enumerated at
+    once."""
+    # x is each segment's major axis, y its minor one
+    swap = np.abs(q[:, 1] - p[:, 1]) > np.abs(q[:, 0] - p[:, 0])
+    x0, x1 = np.where(swap, p[:, 1], p[:, 0]), np.where(swap, q[:, 1], q[:, 0])
+    y0, y1 = np.where(swap, p[:, 0], p[:, 1]), np.where(swap, q[:, 0], q[:, 1])
+    x_lo = np.maximum(np.ceil(np.minimum(x0, x1) - tau), 0)
+    x_hi = np.minimum(np.floor(np.maximum(x0, x1) + tau), np.where(swap, height, width) - 1)
+    counts = np.maximum(x_hi - x_lo + 1, 0).astype(np.int64)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    x = x_lo[seg] + (np.arange(len(seg)) - starts[seg])
+    # the line's y there; tau across the line is tau * length / |dx| along y
+    dx, dy = x1 - x0, y1 - y0
+    major = np.abs(dx)
+    slope = np.divide(dy, dx, out=np.zeros(len(dx)), where=major > 0)
+    reach = tau * np.divide(np.hypot(dx, dy), major, out=np.ones(len(dx)), where=major > 0)
+    y = y0[seg] + (x - x0[seg]) * slope[seg]
+    y_lo = np.maximum(np.ceil(y - reach[seg]), 0)
+    y_hi = np.minimum(np.floor(y + reach[seg]), np.where(swap, width, height)[seg] - 1)
+    near = np.zeros(len(counts), dtype=bool)
+    near[seg[y_lo <= y_hi]] = True
+    return near
 
 
 @functools.lru_cache(maxsize=8)
@@ -197,9 +315,15 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     that box is empty; a triangle with a vertex at or behind the camera
     plane falls back to testing every ray. The per-triangle Moeller-
     Trumbore constants (edges, ``tvec``, ``qvec``) are computed for all
-    triangles at once per view. Triangles are visited in order and the
-    per-ray arithmetic and strict nearer-hit test are the same on both
-    paths, so the culling changes no output bit.
+    triangles at once per view. A back-facing triangle of an object
+    wholly in front of the camera is skipped like an empty window,
+    unless a pixel center lies within the silhouette guard's tolerance
+    of an edge between that object's skipped and kept triangles, in
+    which case the object keeps all of them (:func:`_back_faces`): only
+    there can a back face tie the front face's depth and win by its
+    lower index. Triangles are visited in order and the per-ray
+    arithmetic and strict nearer-hit test are the same on every path,
+    so the culling changes no output bit.
     """
     h, w = intrinsics.height, intrinsics.width
     all_dirs = (_camera_rays(intrinsics) @ pose.rotation.T).reshape(h, w, 3)
@@ -207,15 +331,18 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     triangles = scene.geometry.triangles
     all_depth = np.full((h, w), np.inf)
     all_index = np.full((h, w), -1, dtype=np.int32)
-    lo, hi = _screen_boxes(triangles, intrinsics, pose)
+    projection = project_points(triangles.reshape(-1, 3), intrinsics, pose)
+    lo, hi = _screen_boxes(triangles, intrinsics, pose, projection)
     # Moeller-Trumbore with a shared origin: the edges, tvec and qvec are
     # per-triangle constants, only pvec varies per ray
     edge1 = triangles[:, 1] - triangles[:, 0]
     edge2 = triangles[:, 2] - triangles[:, 0]
     tvecs = pose.translation - triangles[:, 0]
     qvecs = np.cross(tvecs, edge1)
+    # a culled triangle is passed over like an empty window
+    hi[_back_faces(edge1, edge2, tvecs, qvecs, projection, intrinsics)[1]] = -1
     bounds = np.concatenate([lo, hi], 1).tolist()
-    eps = 1e-9
+    eps = _BARYCENTRIC_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, (u0, v0, u1, v1) in enumerate(bounds):
             if u0 > u1 or v0 > v1:

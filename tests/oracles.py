@@ -4,7 +4,8 @@ Everything here is deliberately naive (loops, O(n^2) scans, Monte
 Carlo) so that agreement with the package is evidence rather than
 tautology. Keep these free of imports from the modules they check,
 apart from plain data containers and, in :func:`aggregate_cloud`, the
-reduction that :func:`aggregate_variance` checks.
+visibility mask that :func:`point_view_mask` checks and the reduction
+that :func:`aggregate_variance` checks.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from pointscatter.aggregate import reduce_views
+from pointscatter.aggregate import _frame_projection, reduce_views
 from pointscatter.camera import BEHIND_CAMERA_EPS, backproject_pixels, project_points
 from pointscatter.scatter import ScatterCloud, box_sampling_stride, empty_cloud
 from pointscatter.scene import Box2D
@@ -454,8 +455,22 @@ def project_point_views(point, frames, occlusion_check=False, depth_sigma=0.0):
     """How each frame sees one world point, one frame at a time.
 
     Returns ``(features, mask, pixels, depths)``: (F, C) colors sampled
-    where the frame sees the point (zero rows elsewhere), the (F,) mask
-    of those frames, (F, 2) continuous pixel coordinates (NaN behind the
+    where the frame sees the point (zero rows elsewhere), and the
+    ``(mask, pixels, depths)`` of :func:`point_view_mask`.
+    """
+    mask, pixels, depths = point_view_mask(point, frames, occlusion_check, depth_sigma)
+    channels = frames[0].color.shape[2] if frames else 0
+    features = np.zeros((len(frames), channels))
+    for i in np.flatnonzero(mask):
+        features[i] = _tent_sample(frames[i].color, *pixels[i])
+    return features, mask, pixels, depths
+
+
+def point_view_mask(point, frames, occlusion_check=False, depth_sigma=0.0):
+    """Which frames see one world point, one frame at a time.
+
+    Returns ``(mask, pixels, depths)``: the (F,) mask of the frames that
+    see the point, (F, 2) continuous pixel coordinates (NaN behind the
     camera) and the (F,) camera-frame depths. A frame sees the point when
     it lies in front of the camera, projects inside [0, W-1] x [0, H-1]
     and, with ``occlusion_check``, is no deeper than the rendered depth
@@ -464,8 +479,6 @@ def project_point_views(point, frames, occlusion_check=False, depth_sigma=0.0):
     """
     p = np.asarray(point, dtype=np.float64).reshape(3)
     n = len(frames)
-    channels = frames[0].color.shape[2] if n else 0
-    features = np.zeros((n, channels))
     mask = np.zeros(n, dtype=bool)
     pixels = np.full((n, 2), np.nan)
     depths = np.zeros(n)
@@ -485,8 +498,7 @@ def project_point_views(point, frames, occlusion_check=False, depth_sigma=0.0):
             if rendered > 0 and z > rendered + max(3.0 * depth_sigma, 0.01):
                 continue
         mask[i] = True
-        features[i] = _tent_sample(frame.color, u, v)
-    return features, mask, pixels, depths
+    return mask, pixels, depths
 
 
 def aggregate_point(point, frames, occlusion_check=False, depth_sigma=0.0):
@@ -540,31 +552,6 @@ def bilinear_sample(image: np.ndarray, u, v):
     return out
 
 
-def _frame_projection(positions, frame, occlusion_check, depth_sigma):
-    """Valid mask and pixel coords of (N, 3) points in one frame."""
-    intr = frame.intrinsics
-    uv, z, in_front = project_points(positions, intr, frame.pose)
-    ok = in_front.copy()
-    np.logical_and(ok, ~np.isnan(uv[:, 0]), out=ok)
-    inside = (
-        (uv[:, 0] >= 0)
-        & (uv[:, 0] <= intr.width - 1)
-        & (uv[:, 1] >= 0)
-        & (uv[:, 1] <= intr.height - 1)
-    )
-    ok &= inside
-    if occlusion_check and ok.any():
-        # nearest-pixel depth comparison; background (depth 0) cannot occlude
-        tol = max(3.0 * depth_sigma, 0.01)
-        ui = np.rint(uv[ok, 0]).astype(np.int64)
-        vi = np.rint(uv[ok, 1]).astype(np.int64)
-        rendered = frame.depth[vi, ui]
-        visible = (rendered <= 0) | (z[ok] <= rendered + tol)
-        sub = np.where(ok)[0]
-        ok[sub[~visible]] = False
-    return ok, uv, z
-
-
 def aggregate_cloud(
     cloud,
     frames,
@@ -577,9 +564,11 @@ def aggregate_cloud(
     (H, W, 3) color image: it samples ``frame.color`` with the image
     ``bilinear_sample`` above, and is the byte-level reference for the
     version that samples the triangle-index map through the shade table.
-    It reduces the samples through the package's ``reduce_views``, so
-    what it checks is the sampling; :func:`aggregate_mean` and
-    :func:`aggregate_variance` are the reference for the reduction.
+    It takes the visibility mask from the package's ``_frame_projection``
+    and reduces through its ``reduce_views``, so what it checks is the
+    sampling; :func:`point_view_mask` is the reference for the mask, and
+    :func:`aggregate_mean` and :func:`aggregate_variance` for the
+    reduction.
     Returns ``(means, variances, valid_counts)`` with shapes (N, C),
     (N, C), (N,).
     """

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from conftest import DEPTH_RANGE, reduce_rows
 import oracles
 from oracles import aggregate_point, append_onehot, project_point_views
-from pointscatter.aggregate import aggregate_cloud, bilinear_sample, compose_features
+from pointscatter.aggregate import (
+    _frame_projection,
+    aggregate_cloud,
+    bilinear_sample,
+    compose_features,
+)
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose, look_at_pose, project_points
 from pointscatter.scatter import ScatterCloud, ScatterConfig, scatter_frames
@@ -324,6 +329,22 @@ class TestAggregatePointAndCloud:
             assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("scene_name", ["clean", "noisy"])
+    @pytest.mark.parametrize("occlusion_check", [False, True])
+    def test_view_counts_match_per_point_oracle(self, request, scene_name, occlusion_check):
+        # the visibility mask checked apart from the package's projection:
+        # every point of the scattered cloud, one frame at a time
+        scene = request.getfixturevalue(f"{scene_name}_scene")
+        frames = request.getfixturevalue(f"{scene_name}_frames")
+        sigma = scene.depth_noise_sigma
+        cloud = scatter_frames(frames, ScatterConfig())
+        counts = aggregate_cloud(cloud, frames, occlusion_check, sigma)[2]
+        ref = [
+            int(oracles.point_view_mask(p, frames, occlusion_check, sigma)[0].sum())
+            for p in cloud.positions
+        ]
+        np.testing.assert_array_equal(counts, ref)
+
+    @pytest.mark.parametrize("scene_name", ["clean", "noisy"])
     def test_variance_rows_match_per_row_oracle(self, request, scene_name):
         # with occlusion on, as the pipeline runs, each variance row has the
         # bits of the per-row oracle over that point's samples, so a point
@@ -336,7 +357,7 @@ class TestAggregatePointAndCloud:
         features = np.zeros((len(frames), len(cloud), 3))
         mask = np.zeros((len(frames), len(cloud)), dtype=bool)
         for i, frame in enumerate(frames):
-            ok, uv, _ = oracles._frame_projection(cloud.positions, frame, True, sigma)
+            ok, uv, _ = _frame_projection(cloud.positions, frame, True, sigma)
             mask[i] = ok
             features[i, ok] = oracles.bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1])
         identical = 0

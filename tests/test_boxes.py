@@ -58,6 +58,26 @@ class TestOrientedBox:
     def test_yaw_normalized_on_construction(self):
         assert unit_cube(yaw=2 * np.pi).yaw == 0.0
 
+    @pytest.mark.parametrize(
+        "center, size, yaw",
+        [
+            ((np.nan, 0, 0), (1, 1, 1), 0.0),
+            ((0, np.inf, 0), (1, 1, 1), 0.0),
+            ((0, 0, 0), (1, np.inf, 1), 0.0),
+            ((0, 0, 0), (1, 1, np.nan), 0.0),
+            ((0, 0, 0), (1, 1, 1), np.nan),
+            ((0, 0, 0), (1, 1, 1), -np.inf),
+        ],
+    )
+    def test_rejects_non_finite_values(self, center, size, yaw):
+        with pytest.raises(ValueError, match="finite"):
+            OrientedBox(center, size, yaw)
+
+    def test_rejects_negative_category(self):
+        with pytest.raises(ValueError, match="category"):
+            unit_cube(category=-1)
+        assert unit_cube(category=0).category == 0
+
 
 class TestCorners:
     def test_unit_cube(self):

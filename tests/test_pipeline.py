@@ -29,7 +29,14 @@ from pointscatter.pipeline import (
     stage_rng,
 )
 from pointscatter.scatter import ScatterConfig
-from pointscatter.scene import demo_scene, load_scene, make_frame, project_gt_boxes, save_scene
+from pointscatter.scene import (
+    demo_scene,
+    load_scene,
+    make_frame,
+    project_gt_boxes,
+    save_scene,
+    scene_to_dict,
+)
 
 
 def small_scene(**kwargs):
@@ -495,6 +502,21 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("center", [float("nan"), 0.0, 0.35]), ("albedo", [0.5]), ("category", -1)],
+        ids=["nan_center", "short_albedo", "negative_category"],
+    )
+    def test_invalid_scene_values_are_config_errors(self, tmp_path, capsys, field, value):
+        data = scene_to_dict(demo_scene(steps=6))
+        data["objects"][0][field] = value
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(data))
+        assert cli.main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read scene {scene_path}: ")
+        assert field in err and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "bench"])
     @pytest.mark.parametrize(

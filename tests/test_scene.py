@@ -1,17 +1,19 @@
 """Scene simulator: rendering, noise injection, GT boxes, keyframes."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from pointscatter.boxes import OrientedBox
-from pointscatter.camera import Intrinsics, Pose, backproject_pixels
+from pointscatter.camera import Intrinsics, Pose, backproject_pixels, look_at_pose, project_points
 from pointscatter.scene import (
     SceneCamera,
     SceneObject,
     DEFAULT_INTRINSICS,
     SceneSpec,
+    _back_faces,
     _camera_rays,
     _cast_rays,
     _screen_boxes,
@@ -60,6 +62,22 @@ def frontal_cube_scene(center=(0.0, 0.0, 2.5), camera_z=0.0):
     obj = SceneObject(OrientedBox(center, (1.0, 1.0, 1.0)))
     cam = SceneCamera(SIMPLE, Pose(np.eye(3), np.array([0.0, 0.0, camera_z])))
     return SceneSpec(objects=(obj,), cameras=(cam,))
+
+
+class TestSceneObject:
+    @pytest.mark.parametrize(
+        "albedo",
+        [(0.5,), (0.5, 0.5, 0.5, 0.5), (0.5, np.nan, 0.5), (0.5, 0.5, np.inf), (1.5, 0, 0),
+         (0, -0.1, 0), ("a", 0, 0), (None, 0, 0), "abc"],
+    )
+    def test_rejects_bad_albedo(self, albedo):
+        with pytest.raises(ValueError, match="albedo"):
+            SceneObject(OrientedBox((0, 0, 0), (1, 1, 1)), albedo)
+
+    def test_albedo_stored_as_floats(self):
+        obj = SceneObject(OrientedBox((0, 0, 0), (1, 1, 1)), [1, 0, np.float32(0.5)])
+        assert obj.albedo == (1.0, 0.0, 0.5)
+        assert all(type(a) is float for a in obj.albedo)
 
 
 class TestRenderDepth:
@@ -213,6 +231,151 @@ class TestCastRaysMatchesOracle:
     def test_no_objects(self):
         scene = SceneSpec(objects=(), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
         self.assert_matches(scene, [0])
+
+
+def cull_masks(scene, camera_index):
+    """``(back, culled)`` of one view, from the constants the caster uses."""
+    cam = scene.cameras[camera_index]
+    triangles = scene.geometry.triangles
+    projection = project_points(triangles.reshape(-1, 3), cam.intrinsics, cam.pose)
+    edge1 = triangles[:, 1] - triangles[:, 0]
+    edge2 = triangles[:, 2] - triangles[:, 0]
+    tvecs = cam.pose.translation - triangles[:, 0]
+    qvecs = np.cross(tvecs, edge1)
+    return _back_faces(edge1, edge2, tvecs, qvecs, projection, cam.intrinsics)
+
+
+def looking_scene(objects, eyes, target, intrinsics=SIMPLE):
+    """``objects`` seen from each of ``eyes``, every camera aimed at ``target``."""
+    cameras = tuple(SceneCamera(intrinsics, look_at_pose(eye, target)) for eye in eyes)
+    return SceneSpec(objects=tuple(objects), cameras=cameras)
+
+
+class TestBackFaceCulling:
+    """Back faces are skipped only where that changes no bit: every rig
+    is byte-checked against the full-image oracle, and each says which
+    path it takes."""
+
+    assert_matches = staticmethod(TestCastRaysMatchesOracle.assert_matches)
+
+    def test_demo_views_cull_every_view(self, clean_scene):
+        culled_total = 0
+        for i in range(len(clean_scene.cameras)):
+            back, culled = cull_masks(clean_scene, i)
+            assert culled.any() and np.array_equal(back, culled), f"view {i}"
+            culled_total += int(culled.sum())
+        assert culled_total == 384
+
+    def test_guard_falls_back_on_partly_off_screen_box(self, monkeypatch):
+        # pixel rays run exactly through silhouette edges: there the back
+        # faces (triangles 5 and 8) give the front face's (10 and 11)
+        # bit-equal depth and win by their lower index, so the guard keeps
+        # the whole box
+        scene = frontal_cube_scene(center=(1.0, 0.0, 2.5))
+        back, culled = cull_masks(scene, 0)
+        assert back.any() and not culled.any()
+        self.assert_matches(scene, [0])
+        # culling without the guard hands those pixels to the front face
+        monkeypatch.setattr(
+            "pointscatter.scene._back_faces", lambda *args: 2 * (_back_faces(*args)[0],)
+        )
+        cam = scene.cameras[0]
+        _, index = _cast_rays(scene, cam.intrinsics, cam.pose)
+        ref_index = cast_rays(scene, cam.intrinsics, cam.pose)[1]
+        changed = index != ref_index
+        assert changed.sum() == 16 and set(ref_index[changed].tolist()) == {5, 8}
+        assert set(index[changed].tolist()) == {10, 11} and back[[5, 8]].all()
+
+    @pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9])
+    def test_guard_covers_rays_just_off_the_silhouette(self, offset):
+        # the edges between the box's -x face and its +-y faces project
+        # within 100 * offset / 3.2 px (at most 3.2e-8) of the pixel-center
+        # diagonals u + v = 100 and u - v = 0; a back face hit inside the
+        # caster's barycentric tolerance can win there, so a guard that
+        # caught only centers exactly on an edge would cull wrongly
+        scene = frontal_cube_scene(center=(1.0 + offset, 0.0, 3.7))
+        back, culled = cull_masks(scene, 0)
+        assert back.any() and not culled.any()
+        self.assert_matches(scene, [0])
+
+    def test_guard_is_per_object(self):
+        # the partly-off-screen box falls back, a second box is still culled
+        other = SceneObject(OrientedBox((-0.8, 0.0, 3.0), (0.5, 0.5, 0.5), yaw=0.4))
+        scene = frontal_cube_scene(center=(1.0, 0.0, 2.5))
+        scene = dataclasses.replace(scene, objects=scene.objects + (other,))
+        back, culled = cull_masks(scene, 0)
+        assert back[:12].any() and not culled[:12].any()
+        assert culled[12:].any() and np.array_equal(back[12:], culled[12:])
+        self.assert_matches(scene, [0])
+
+    def test_yawed_boxes_at_generic_poses(self):
+        objects = [
+            SceneObject(OrientedBox((0.3, -0.2, 0.1), (0.7, 0.4, 0.5), yaw=0.37)),
+            SceneObject(OrientedBox((-0.6, 0.5, -0.1), (0.3, 0.9, 0.6), yaw=-2.1)),
+            SceneObject(OrientedBox((0.1, 0.9, 0.4), (0.5, 0.5, 0.2), yaw=1.234)),
+        ]
+        eyes = [(2.7, 1.1, 0.9), (-1.3, -2.9, 1.7), (0.4, 3.1, -0.8), (-2.2, 0.3, 0.05)]
+        scene = looking_scene(objects, eyes, (0.05, 0.1, 0.0))
+        for i in range(len(eyes)):
+            assert cull_masks(scene, i)[1].any(), f"view {i}"
+        self.assert_matches(scene, range(len(eyes)))
+
+    def test_intersecting_boxes(self):
+        objects = [
+            SceneObject(OrientedBox((0.0, 0.0, 0.0), (1.0, 0.6, 0.6), yaw=0.2)),
+            SceneObject(OrientedBox((0.3, 0.2, 0.1), (0.6, 1.0, 0.5), yaw=-0.5)),
+        ]
+        eyes = [(2.5, -1.0, 1.0), (-2.0, -2.0, 0.5), (0.5, 2.8, 1.5)]
+        scene = looking_scene(objects, eyes, (0.1, 0.1, 0.0))
+        for i in range(len(eyes)):
+            assert cull_masks(scene, i)[1].reshape(2, 12).any(axis=1).all(), f"view {i}"
+        self.assert_matches(scene, range(len(eyes)))
+
+    @pytest.mark.parametrize("x", [0.1, 0.5 - 1.234e-4])
+    def test_camera_just_outside_a_face(self, x):
+        # the near face (z = 2) is 1e-3 ahead of the camera and fills the
+        # view; at x = 0.5 - 1.234e-4 its edge with the +x face crosses
+        # the image at u = 62.34, so the other five faces are culled
+        box = SceneObject(OrientedBox((0.0, 0.0, 2.5), (1.0, 1.0, 1.0)))
+        cam = SceneCamera(SIMPLE, Pose(np.eye(3), np.array([x, 0.05, 2.0 - 1e-3])))
+        scene = SceneSpec(objects=(box,), cameras=(cam,))
+        back, culled = cull_masks(scene, 0)
+        assert culled.sum() == 10 and np.array_equal(back, culled)
+        self.assert_matches(scene, [0])
+
+    @pytest.mark.parametrize("offset", [1e-3, -1e-3, 3e-4, -3e-4, 0.0])
+    def test_face_nearly_edge_on(self, offset):
+        # the camera sits within 1e-3 rad of the plane x = 0.5 of the +x
+        # face, or in it
+        box = SceneObject(OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+        eye = (0.5 + 3.0 * math.tan(offset), -3.0, 0.2)
+        scene = looking_scene([box], [eye], (0.5, 0.0, 0.0))
+        back = cull_masks(scene, 0)[0]
+        # the +x face (triangles 6 and 7) is back-facing only from inside
+        # its plane, and not when seen exactly edge-on
+        assert back[6:8].all() == (offset < 0) and back.any()
+        self.assert_matches(scene, [0])
+
+    def test_object_straddling_camera_plane_is_not_culled(self):
+        straddling = SceneObject(OrientedBox((0.6, 0.0, 0.2), (0.8, 1.0, 1.0)))
+        ahead = SceneObject(OrientedBox((-0.5, 0.0, 3.0), (0.6, 0.6, 0.6), yaw=0.3))
+        cam = SceneCamera(SIMPLE, Pose.identity())
+        scene = SceneSpec(objects=(straddling, ahead), cameras=(cam,))
+        back, culled = cull_masks(scene, 0)
+        assert not back[:12].any() and culled[12:].any()
+        self.assert_matches(scene, [0])
+        assert render(scene, 0)[0][:, -1].any()
+
+    def test_every_orbit80_view(self):
+        # the views test_orbit80_subset leaves out
+        self.assert_matches(demo_scene(steps=80), [i for i in range(80) if i % 9])
+
+    def test_every_hires_6view_view(self):
+        # the poses test_640x480_views leaves out
+        scene = hires_scene()
+        for i in range(6):
+            assert cull_masks(scene, i)[1].any(), f"view {i}"
+        self.assert_matches(scene, [1, 2, 4, 5])
 
 
 class TestCameraRayCache:
