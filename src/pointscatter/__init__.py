@@ -32,6 +32,7 @@ from .depth import (
 from .metrics import (
     average_precision_11pt,
     chamfer_distance,
+    chamfer_fscore,
     evaluate_detections,
     fscore,
     match_detections,

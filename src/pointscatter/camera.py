@@ -44,8 +44,10 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError(
+                f"focal lengths must be finite and positive, got fx={self.fx} fy={self.fy}"
+            )
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -71,6 +73,8 @@ class Pose:
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
         if t.shape != (3,):
             raise ValueError(f"translation must have 3 entries, got {t.shape}")
+        if not np.isfinite(t).all():
+            raise ValueError(f"translation must be finite, got {t.tolist()}")
         if not np.allclose(r.T @ r, np.eye(3), atol=1e-6):
             raise ValueError("rotation is not orthonormal")
         if not np.isclose(np.linalg.det(r), 1.0, atol=1e-6):

@@ -15,9 +15,15 @@ from .boxes import OrientedBox
 from .scatter import ScatterCloud
 
 
-def _float_strs(column):
-    """repr-shortest strings of a float column, lazily."""
-    return map(repr, np.asarray(column, dtype=np.float64).tolist())
+def _float_strs(column) -> list[str]:
+    """repr-shortest strings of a float column, one ``repr`` per distinct bit pattern.
+
+    Keying on bits rather than on ``==`` keeps ``-0.0`` apart from ``0.0``.
+    """
+    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    strs = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return strs[inverse].tolist()
 
 
 def _int_strs(column):

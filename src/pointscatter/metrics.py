@@ -89,19 +89,48 @@ def recall_at(flags, gt_count: int) -> float:
     return float(sum(bool(f) for f in flags) / gt_count)
 
 
+def _point_pair(points_a, points_b, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both sets as (N, 3) float64 arrays; raises when either is empty."""
+    a = np.atleast_2d(np.asarray(points_a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(points_b, dtype=np.float64))
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError(f"{metric} needs non-empty point sets")
+    return a, b
+
+
+def chamfer_fscore(
+    gt_points: np.ndarray, pred_points: np.ndarray, threshold: float = 0.004, squared: bool = True
+) -> tuple[float, float]:
+    """Chamfer distance and F-score of one pair from one nearest-neighbour pass.
+
+    Builds one KD-tree per point set and queries each direction once;
+    the two scores are those of :func:`chamfer_distance` and
+    :func:`fscore`, bit for bit.
+    """
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    gt, pred = _point_pair(gt_points, pred_points, "chamfer_fscore")
+    d_pred, _ = cKDTree(gt).query(pred)
+    d_gt, _ = cKDTree(pred).query(gt)
+    sq_pred = d_pred**2
+    sq_gt = d_gt**2
+    chamfer = float(np.mean(sq_gt) + np.mean(sq_pred))
+    if squared:
+        d_pred, d_gt = sq_pred, sq_gt
+    precision = float(np.mean(d_pred < threshold))
+    recall = float(np.mean(d_gt < threshold))
+    if precision + recall == 0.0:
+        return chamfer, 0.0
+    return chamfer, 100.0 * 2.0 * precision * recall / (precision + recall)
+
+
 def chamfer_distance(points_a: np.ndarray, points_b: np.ndarray) -> float:
     """Symmetric Chamfer distance with squared nearest-neighbor terms.
 
     ``mean_a min_b ||a-b||^2 + mean_b min_a ||a-b||^2``; both sets must
     be non-empty.
     """
-    a = np.atleast_2d(np.asarray(points_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(points_b, dtype=np.float64))
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("chamfer distance needs non-empty point sets")
-    d_ab, _ = cKDTree(b).query(a)
-    d_ba, _ = cKDTree(a).query(b)
-    return float(np.mean(d_ab**2) + np.mean(d_ba**2))
+    return chamfer_fscore(*_point_pair(points_a, points_b, "chamfer distance"))[0]
 
 
 def fscore(gt_points: np.ndarray, pred_points: np.ndarray, threshold: float = 0.004, squared: bool = True) -> float:
@@ -115,21 +144,8 @@ def fscore(gt_points: np.ndarray, pred_points: np.ndarray, threshold: float = 0.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    gt = np.atleast_2d(np.asarray(gt_points, dtype=np.float64))
-    pred = np.atleast_2d(np.asarray(pred_points, dtype=np.float64))
-    if len(gt) == 0 or len(pred) == 0:
-        raise ValueError("fscore needs non-empty point sets")
-    d_pred, _ = cKDTree(gt).query(pred)
-    d_gt, _ = cKDTree(pred).query(gt)
-    if squared:
-        precision = float(np.mean(d_pred**2 < threshold))
-        recall = float(np.mean(d_gt**2 < threshold))
-    else:
-        precision = float(np.mean(d_pred < threshold))
-        recall = float(np.mean(d_gt < threshold))
-    if precision + recall == 0.0:
-        return 0.0
-    return 100.0 * 2.0 * precision * recall / (precision + recall)
+    gt, pred = _point_pair(gt_points, pred_points, "fscore")
+    return chamfer_fscore(gt, pred, threshold, squared)[1]
 
 
 def evaluate_detections(detections, ground_truths, iou_thresholds=(0.25, 0.5)) -> dict:

@@ -30,7 +30,7 @@ from .aggregate import aggregate_cloud, compose_features
 from .boxes import OrientedBox, iou_3d, nms
 from .fileio import write_cloud_ply, write_detections, write_json
 from .meshes import box_shell, sample_surface_points
-from .metrics import chamfer_distance, evaluate_detections, fscore
+from .metrics import chamfer_fscore, evaluate_detections
 # ScatterAccumulator is not called here; perfbench's tracer resolves
 # ScatterAccumulator.add_frame through this module
 from .scatter import ScatterAccumulator, ScatterConfig, cap_points, scatter_frames  # noqa: F401
@@ -311,10 +311,11 @@ def _reconstruction_metrics(detections, gt_objects, settings: EvalSettings, seed
         rng = stage_rng(seed, "evalsample", k)
         gt_pts = sample_surface_points(obj.mesh(), settings.sample_count, rng)
         det_pts = sample_surface_points(box_shell(det), settings.sample_count, rng)
-        chamfers.append(chamfer_distance(gt_pts, det_pts))
-        fscores.append(
-            fscore(gt_pts, det_pts, settings.fscore_threshold, settings.fscore_squared)
+        chamfer, f_val = chamfer_fscore(
+            gt_pts, det_pts, settings.fscore_threshold, settings.fscore_squared
         )
+        chamfers.append(chamfer)
+        fscores.append(f_val)
     return float(np.mean(chamfers)), float(np.mean(fscores))
 
 

@@ -100,8 +100,10 @@ class SceneSpec:
     def __post_init__(self):
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise ValueError(f"outlier rate must be in [0, 1], got {self.outlier_rate}")
-        if self.depth_noise_sigma < 0.0:
-            raise ValueError("noise sigma must be non-negative")
+        if not 0.0 <= self.depth_noise_sigma < math.inf:
+            raise ValueError(
+                f"noise sigma must be finite and non-negative, got {self.depth_noise_sigma}"
+            )
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "cameras", tuple(self.cameras))
 

@@ -88,6 +88,52 @@ def brute_average_precision(flags, scores, gt_count):
     return total / 11
 
 
+# The package's Chamfer distance and F-score as two separate passes, each
+# with its own KD-trees and queries: the merged pass must equal them bit
+# for bit.
+def chamfer_distance(points_a: np.ndarray, points_b: np.ndarray) -> float:
+    """Symmetric Chamfer distance with squared nearest-neighbor terms.
+
+    ``mean_a min_b ||a-b||^2 + mean_b min_a ||a-b||^2``; both sets must
+    be non-empty.
+    """
+    a = np.atleast_2d(np.asarray(points_a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(points_b, dtype=np.float64))
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError("chamfer distance needs non-empty point sets")
+    d_ab, _ = cKDTree(b).query(a)
+    d_ba, _ = cKDTree(a).query(b)
+    return float(np.mean(d_ab**2) + np.mean(d_ba**2))
+
+
+def fscore(gt_points: np.ndarray, pred_points: np.ndarray, threshold: float = 0.004, squared: bool = True) -> float:
+    """Reconstruction F-score on a 0-100 scale.
+
+    Precision is the fraction of predicted points whose nearest GT
+    point passes the threshold test; recall the converse. With
+    ``squared`` (default) the test is ``||.||^2 < threshold``, matching
+    the Chamfer convention; disable it to threshold plain distances.
+    Returns 0 when precision and recall are both zero.
+    """
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    gt = np.atleast_2d(np.asarray(gt_points, dtype=np.float64))
+    pred = np.atleast_2d(np.asarray(pred_points, dtype=np.float64))
+    if len(gt) == 0 or len(pred) == 0:
+        raise ValueError("fscore needs non-empty point sets")
+    d_pred, _ = cKDTree(gt).query(pred)
+    d_gt, _ = cKDTree(pred).query(gt)
+    if squared:
+        precision = float(np.mean(d_pred**2 < threshold))
+        recall = float(np.mean(d_gt**2 < threshold))
+    else:
+        precision = float(np.mean(d_pred < threshold))
+        recall = float(np.mean(d_gt < threshold))
+    if precision + recall == 0.0:
+        return 0.0
+    return 100.0 * 2.0 * precision * recall / (precision + recall)
+
+
 def brute_nn_distances(queries, references, chunk=512):
     """Exact nearest-neighbor distance per query via a blocked O(n*m) scan."""
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -147,16 +193,55 @@ def point_triangle_distance(points: np.ndarray, triangle: np.ndarray) -> np.ndar
     return best
 
 
-def point_mesh_distance(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Distance from each of (N, 3) points to the nearest triangle."""
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (x * y).sum(axis=-1)
+
+
+def _points_segments_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, T) distances from (N, 1, 3) points to (T, 3) segments a-b."""
+    ab = b - a
+    denom = _dot(ab, ab)
+    # a zero-length segment is its point a: t = 0
+    t = np.clip(_dot(p - a, ab) / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
+    return np.linalg.norm(p - (a + t[..., None] * ab), axis=-1)
+
+
+def point_mesh_distance(points: np.ndarray, triangles: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    """Distance from each of (N, 3) points to the nearest triangle.
+
+    :func:`point_triangle_distance` for every triangle at once, as
+    (points x triangles) arrays over blocks of ``chunk`` points.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     tri = np.asarray(triangles, dtype=np.float64)
     if len(tri) == 0:
         raise ValueError("mesh has no triangles")
-    best = point_triangle_distance(pts, tri[0])
-    for t in tri[1:]:
-        np.minimum(best, point_triangle_distance(pts, t), out=best)
-    return best
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    v0, v1 = b - a, c - a
+    n = np.cross(v0, v1)
+    nn = _dot(n, n)
+    d00, d01, d11 = _dot(v0, v0), _dot(v0, v1), _dot(v1, v1)
+    denom = d00 * d11 - d01 * d01
+    # a triangle with no area or no in-plane basis has edge distances only
+    has_plane = (nn > 0.0) & (denom > 0.0)
+    nn_safe = np.where(has_plane, nn, 1.0)
+    denom_safe = np.where(has_plane, denom, 1.0)
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), chunk):
+        p = pts[start : start + chunk, None, :]
+        best = _points_segments_distance(p, a, b)
+        np.minimum(best, _points_segments_distance(p, b, c), out=best)
+        np.minimum(best, _points_segments_distance(p, a, c), out=best)
+        signed = _dot(p - a, n) / nn_safe
+        v2 = p - signed[..., None] * n - a
+        d20, d21 = _dot(v2, v0), _dot(v2, v1)
+        u = (d11 * d20 - d01 * d21) / denom_safe
+        w = (d00 * d21 - d01 * d20) / denom_safe
+        inside = has_plane & (u >= 0.0) & (w >= 0.0) & (u + w <= 1.0)
+        plane_dist = np.abs(signed) * np.sqrt(nn)
+        best = np.where(inside, np.minimum(best, plane_dist), best)
+        out[start : start + chunk] = best.min(axis=1)
+    return out
 
 
 def _scene_triangles(scene):

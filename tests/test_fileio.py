@@ -169,6 +169,28 @@ class TestWritersMatchOracle:
         self.assert_same_bytes(tmp_path, write_cloud_ply, oracles.write_cloud_ply, cloud)
         assert "-0.0 " in (tmp_path / "got").read_text()
 
+    def test_repeated_and_special_values(self, tmp_path):
+        # NaNs with three payloads, both zeros, infinities, subnormals and
+        # plain values, each repeated, mixed within every float column
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000ABC], dtype=np.uint64)
+        special = np.concatenate([
+            nans.view(np.float64),
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308, 0.1, 0.30000000000000004],
+        ])
+        values = np.random.default_rng(8).choice(special, size=(97, 9))
+        values[:2] = [[0.0] * 9, [-0.0] * 9]
+        cloud = ScatterCloud(
+            positions=values[:, :3],
+            frame_ids=np.arange(97) % 5,
+            pixels=values[:, 3:5],
+            categories=np.zeros(97, dtype=np.int64),
+            features=values[:, 6:],
+            scores=values[:, 5],
+        )
+        self.assert_same_bytes(tmp_path, write_cloud_ply, oracles.write_cloud_ply, cloud)
+        rows = (tmp_path / "got").read_text().splitlines()[-97:]
+        assert rows[0].split()[:3] == ["0.0"] * 3 and rows[1].split()[:3] == ["-0.0"] * 3
+
     def test_empty_cloud(self, tmp_path):
         self.assert_same_bytes(tmp_path, write_cloud_ply, oracles.write_cloud_ply, empty_cloud())
 

@@ -108,3 +108,18 @@ class TestPointMeshDistance:
         shell = box_shell(OrientedBox((0, 0, 0), (1, 1, 1)))
         d = point_mesh_distance(np.zeros((1, 3)), shell)
         assert d[0] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("chunk", [4096, 7])
+    def test_matches_per_triangle_loop(self, clean_scene, chunk):
+        # the demo meshes plus a collinear and a point-like triangle
+        degenerate = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [[1.0] * 3] * 3])
+        mesh = np.concatenate([o.mesh() for o in clean_scene.objects] + [degenerate])
+        rng = np.random.default_rng(12)
+        on_surface = sample_surface_points(mesh[:-2], 100, rng)
+        pts = np.concatenate([rng.uniform(-2.5, 2.5, size=(300, 3)), on_surface])
+        want = point_triangle_distance(pts, mesh[0])
+        for triangle in mesh[1:]:
+            np.minimum(want, point_triangle_distance(pts, triangle), out=want)
+        # the same arithmetic summed in another order: float64 rounding on
+        # coordinates of a few metres
+        np.testing.assert_allclose(point_mesh_distance(pts, mesh, chunk), want, rtol=0, atol=1e-12)

@@ -1,21 +1,28 @@
 """Tests for detection matching, AP, and reconstruction metrics."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import brute_average_precision, brute_nn_distances
+from pointscatter import pipeline
 from pointscatter.boxes import OrientedBox
+from pointscatter.camera import Intrinsics
 from pointscatter.meshes import box_shell, sample_surface_points
 from pointscatter.metrics import (
     average_precision_11pt,
     chamfer_distance,
+    chamfer_fscore,
     evaluate_detections,
     fscore,
     match_detections,
     recall_at,
 )
+from pointscatter.pipeline import DetectorConfig, PipelineConfig
+from pointscatter.scene import SceneCamera, demo_scene
 
 
 def box(x=0.0, score=1.0, category=0, size=(1.0, 1.0, 1.0)):
@@ -229,6 +236,112 @@ class TestFscore:
             fscore(np.zeros((0, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
             fscore(np.zeros((1, 3)), np.zeros((1, 3)), threshold=0.0)
+
+
+def assert_matches_oracle(gt, pred, threshold=0.004, squared=True):
+    want = (oracles.chamfer_distance(gt, pred), oracles.fscore(gt, pred, threshold, squared))
+    assert chamfer_fscore(gt, pred, threshold, squared) == want
+    assert chamfer_distance(gt, pred) == want[0]
+    assert fscore(gt, pred, threshold, squared) == want[1]
+
+
+def error_message(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def workload(name):
+    """Reduced forms of the three benchmark workloads, at seed 11."""
+    seed = 11
+    if name == "demo_noisy":
+        scene = demo_scene(noise_sigma=0.05, outlier_rate=0.1, steps=6, seed=seed)
+        return scene, PipelineConfig(seed=seed, frames=6, detector=DetectorConfig(mode="score_cluster"))
+    if name == "orbit80_clean":
+        scene = demo_scene(steps=16, seed=seed)
+        return scene, PipelineConfig(seed=seed, frames=16, detector=DetectorConfig(mode="score_cluster"))
+    intr = Intrinsics(fx=240.0, fy=240.0, cx=159.5, cy=119.5, width=320, height=240)
+    scene = demo_scene(steps=6, seed=seed)
+    scene = dataclasses.replace(
+        scene, cameras=tuple(SceneCamera(intr, c.pose) for c in scene.cameras)
+    )
+    return scene, PipelineConfig(seed=seed, frames=6)
+
+
+class TestChamferFscoreMatchesOracle:
+    """One nearest-neighbour pass gives the scores of the two separate ones, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
+    def test_evaluated_pairs_of_workloads(self, monkeypatch, name):
+        calls = []
+
+        def record(*args):
+            result = chamfer_fscore(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(pipeline, "chamfer_fscore", record)
+        scene, config = workload(name)
+        report = pipeline.run_pipeline(scene, config).report
+        assert calls
+        for (gt, pred, threshold, squared), result in calls:
+            assert len(gt) == len(pred) == config.eval.sample_count
+            assert result == (
+                oracles.chamfer_distance(gt, pred),
+                oracles.fscore(gt, pred, threshold, squared),
+            )
+        assert report["chamfer"] == float(np.mean([r[0] for _, r in calls]))
+        assert report["fscore"] == float(np.mean([r[1] for _, r in calls]))
+
+    def test_identical_sets(self):
+        pts = np.random.default_rng(3).normal(size=(200, 3))
+        assert_matches_oracle(pts, pts)
+        assert chamfer_fscore(pts, pts) == (0.0, 100.0)
+
+    def test_disjoint_sets(self):
+        rng = np.random.default_rng(4)
+        gt = rng.uniform(0.0, 1.0, size=(150, 3))
+        assert_matches_oracle(gt, gt + 5.0)
+        assert chamfer_fscore(gt, gt + 5.0)[1] == 0.0
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(5)
+        base = rng.uniform(-0.1, 0.1, size=(30, 3))
+        gt = np.concatenate([base, base, base[:7]])
+        pred = np.concatenate([base[::2] + 0.03, base[::2] + 0.03, base[1::3]])
+        assert_matches_oracle(gt, pred)
+        assert_matches_oracle(pred, gt)
+
+    @pytest.mark.parametrize("threshold", [0.004, 0.05, 0.2])
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_overlapping_sets(self, threshold, squared):
+        rng = np.random.default_rng(6)
+        gt = rng.uniform(-0.5, 0.5, size=(300, 3))
+        pred = np.concatenate([gt[:200] + rng.normal(scale=0.05, size=(200, 3)), gt[:50]])
+        assert_matches_oracle(gt, pred, threshold, squared)
+        assert_matches_oracle(pred, gt, threshold, squared)
+
+    def test_single_points(self):
+        assert_matches_oracle(np.zeros(3), np.array([0.05, 0.0, 0.0]))
+        assert_matches_oracle(np.zeros((1, 3)), np.array([[0.05, 0.0, 0.0]]), 0.06, False)
+
+    @pytest.mark.parametrize("sizes", [(0, 1), (1, 0), (0, 0)])
+    def test_empty_sets_raise_the_same_messages(self, sizes):
+        gt, pred = np.zeros((sizes[0], 3)), np.zeros((sizes[1], 3))
+        assert error_message(chamfer_distance, gt, pred) == error_message(
+            oracles.chamfer_distance, gt, pred
+        )
+        for threshold in (0.004, 0.0):
+            assert error_message(fscore, gt, pred, threshold) == error_message(
+                oracles.fscore, gt, pred, threshold
+            )
+        assert "non-empty" in error_message(chamfer_fscore, gt, pred)
+
+    def test_rejects_nonpositive_threshold(self):
+        pts = np.zeros((2, 3))
+        assert error_message(chamfer_fscore, pts, pts, 0.0) == error_message(
+            oracles.fscore, pts, pts, 0.0
+        )
 
 
 class TestEvaluateDetections:

@@ -345,6 +345,18 @@ class TestCli:
         for key in ("per_category", "mean", "chamfer", "fscore"):
             assert eval_report[key] == run_report[key]
 
+    def test_run_with_no_matched_detection(self, tmp_path, capsys):
+        # every depth pixel an outlier: clusters match no object, so the
+        # report's chamfer and fscore are None and the run prints neither
+        scene_path = self.gen(tmp_path, extra=["--outlier-rate", "1.0"])
+        out = tmp_path / "run"
+        argv = ["run", str(scene_path), "--out", str(out), "--frames", "1"]
+        assert cli.main([*argv, "--detector", "score_cluster"]) == 0
+        printed = capsys.readouterr().out
+        assert "AP@0.5: " in printed and "chamfer" not in printed and "fscore" not in printed
+        report = json.loads((out / "metrics.json").read_text())
+        assert report["chamfer"] is None and report["fscore"] is None
+
     def test_eval_writes_run_report_entries(self, tmp_path):
         # eval writes exactly the report entries run_pipeline computes, plus
         # the config, byte for byte
@@ -504,19 +516,41 @@ class TestCliExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("center", [float("nan"), 0.0, 0.35]), ("albedo", [0.5]), ("category", -1)],
-        ids=["nan_center", "short_albedo", "negative_category"],
+        "path, value, message",
+        [
+            (("objects", 0, "center"), [float("nan"), 0.0, 0.35], "center"),
+            (("objects", 0, "albedo"), [0.5], "albedo"),
+            (("objects", 0, "category"), -1, "category"),
+            (("cameras", 0, "fx"), float("nan"), "fx=nan"),
+            (("cameras", 0, "fy"), float("inf"), "fy=inf"),
+            (("cameras", 0, "translation"), [float("nan"), 0.0, 1.0], "translation"),
+            (("depth_noise_sigma",), float("nan"), "noise sigma"),
+            (("depth_noise_sigma",), float("inf"), "noise sigma"),
+        ],
+        ids=[
+            "nan_center",
+            "short_albedo",
+            "negative_category",
+            "nan_fx",
+            "inf_fy",
+            "nan_translation",
+            "nan_noise_sigma",
+            "inf_noise_sigma",
+        ],
     )
-    def test_invalid_scene_values_are_config_errors(self, tmp_path, capsys, field, value):
+    def test_invalid_scene_values_are_config_errors(self, tmp_path, capsys, path, value, message):
         data = scene_to_dict(demo_scene(steps=6))
-        data["objects"][0][field] = value
+        *parents, field = path
+        entry = data
+        for key in parents:
+            entry = entry[key]
+        entry[field] = value
         scene_path = tmp_path / "scene.json"
         scene_path.write_text(json.dumps(data))
         assert cli.main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot read scene {scene_path}: ")
-        assert field in err and not (tmp_path / "o").exists()
+        assert message in err and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "bench"])
     @pytest.mark.parametrize(

@@ -19,25 +19,6 @@ def run_script(name, monkeypatch, capsys, *args) -> str:
     return capsys.readouterr().out
 
 
-def test_run_demo(tmp_path, monkeypatch, capsys):
-    out = run_script("run_demo.py", monkeypatch, capsys, "--frames", 2, "--out", tmp_path / "demo")
-    assert "keyframes        2" in out
-    assert "chamfer          n/a" not in out
-    assert json.loads((tmp_path / "demo" / "metrics.json").read_text())["chamfer"] is not None
-
-
-def test_run_demo_no_matching_detection(tmp_path, monkeypatch, capsys):
-    # every depth pixel an outlier: clusters match no object, so the
-    # report's chamfer and fscore are None
-    out = run_script(
-        "run_demo.py", monkeypatch, capsys,
-        "--frames", 1, "--outlier-rate", 1.0, "--detector", "score_cluster",
-        "--out", tmp_path / "demo",
-    )
-    assert "chamfer          n/a" in out
-    assert "fscore           n/a" in out
-
-
 def test_frame_sweep(monkeypatch, capsys):
     out = run_script("frame_sweep.py", monkeypatch, capsys, "--frames", 1, 2)
     rows = out.splitlines()[1:]
