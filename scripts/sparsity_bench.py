@@ -6,8 +6,8 @@ writes the last report as JSON.
 """
 
 import argparse
-import json
 
+from pointscatter.fileio import write_json
 from pointscatter.pipeline import PipelineConfig, run_sparsity_bench
 from pointscatter.scatter import ScatterConfig
 from pointscatter.scene import demo_scene
@@ -41,9 +41,7 @@ def main() -> int:
             f"{report['dense_cells']:>9} {report['reduction_factor']:>9.1f}x"
         )
     if args.out and report is not None:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(report, args.out)
         print(f"wrote {args.out}")
     return 0
 

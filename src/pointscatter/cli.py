@@ -2,8 +2,9 @@
 
 Subcommands: ``gen-scene`` (write a scene JSON), ``run`` (full pipeline
 with artifacts), ``bench`` (sparsity benchmark), ``eval`` (re-score a
-detections file against a scene), ``export-ply`` (scatter a scene to a
-PLY cloud, optionally dumping PGM/PPM frame images).
+detections file against a scene), ``export-ply`` (scatter and aggregate
+a scene to a PLY cloud, optionally dumping PGM/PPM frame images; no
+stage after aggregation runs).
 
 Exit codes: 0 success, 1 bad configuration or input files, 2 stage
 failure inside the pipeline.
@@ -25,6 +26,7 @@ from .pipeline import (
     StageError,
     evaluate,
     guarded,
+    run_front,
     run_pipeline,
     run_sparsity_bench,
 )
@@ -66,7 +68,7 @@ def _load_config(args) -> PipelineConfig:
 def _load_scene(args):
     try:
         scene = load_scene(args.scene)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"cannot read scene {args.scene}: {e}") from e
     updates = {}
     if getattr(args, "noise_sigma", None) is not None:
@@ -84,6 +86,15 @@ def _add_overrides(parser: argparse.ArgumentParser, scene_overrides: bool = True
     if scene_overrides:
         parser.add_argument("--noise-sigma", type=float, help="depth noise sigma override")
         parser.add_argument("--outlier-rate", type=float, help="depth outlier rate override")
+
+
+def _write_report(report: dict, out) -> None:
+    """Canonical JSON to ``out``, or to stdout when no path is given."""
+    if out:
+        write_json(report, out)
+        print(f"wrote {out}")
+    else:
+        print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _cmd_gen_scene(args) -> int:
@@ -118,12 +129,7 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     config = _load_config(args)
     scene = _load_scene(args)
-    report = run_sparsity_bench(scene, config)
-    if args.out:
-        write_json(report, args.out)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+    _write_report(run_sparsity_bench(scene, config), args.out)
     return 0
 
 
@@ -132,32 +138,28 @@ def _cmd_eval(args) -> int:
     scene = _load_scene(args)
     try:
         detections = read_detections(args.detections)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"cannot read detections {args.detections}: {e}") from e
     report = guarded("evaluate", evaluate, detections, scene, config)
     report["config"] = config.to_dict()
-    if args.out:
-        write_json(report, args.out)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+    _write_report(report, args.out)
     return 0
 
 
 def _cmd_export_ply(args) -> int:
     config = _load_config(args)
     scene = _load_scene(args)
-    result = run_pipeline(scene, config, output_dir=None)
-    write_cloud_ply(result.cloud, args.out)
-    print(f"wrote {args.out} ({len(result.cloud)} points)")
+    _, frames, cloud = run_front(scene, config)
+    write_cloud_ply(cloud, args.out)
+    print(f"wrote {args.out} ({len(cloud)} points)")
     if args.images:
         img_dir = Path(args.images)
         img_dir.mkdir(parents=True, exist_ok=True)
-        for frame in result.frames:
+        for frame in frames:
             i = frame.camera_index
             write_pgm(frame.depth, img_dir / f"depth_{i:03d}.pgm", max_value=config.depth_range[1])
             write_ppm(frame.color, img_dir / f"color_{i:03d}.ppm")
-        print(f"wrote {len(result.frames)} frame image pairs to {img_dir}")
+        print(f"wrote {len(frames)} frame image pairs to {img_dir}")
     return 0
 
 

@@ -165,6 +165,8 @@ def boxes_to_list(boxes) -> list[dict]:
 
 
 def boxes_from_list(items) -> list[OrientedBox]:
+    if not isinstance(items, list):
+        raise ValueError(f"detections must be a JSON list, got {type(items).__name__}")
     return [
         OrientedBox(
             center=tuple(d["center"]),
@@ -178,9 +180,7 @@ def boxes_from_list(items) -> list[OrientedBox]:
 
 
 def write_detections(boxes, path) -> None:
-    with open(path, "w") as f:
-        json.dump(boxes_to_list(boxes), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(boxes_to_list(boxes), path)
 
 
 def read_detections(path) -> list[OrientedBox]:
@@ -188,7 +188,7 @@ def read_detections(path) -> list[OrientedBox]:
         return boxes_from_list(json.load(f))
 
 
-def write_json(data: dict, path) -> None:
+def write_json(data, path) -> None:
     """Canonical JSON: sorted keys, fixed indentation, trailing newline."""
     with open(path, "w") as f:
         json.dump(data, f, indent=2, sort_keys=True)

@@ -192,6 +192,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {data!r}")
         data = dict(data)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
@@ -215,15 +217,25 @@ class PipelineConfig:
             raise ConfigError(str(e)) from e
 
 
-def guarded(stage: str, fn, *args, **kwargs):
-    """Call ``fn``; any failure other than a config or stage error becomes
-    a :class:`StageError` naming ``stage``."""
+def guarded(stage: str, fn, *args, timings: dict | None = None):
+    """Call ``fn`` as pipeline stage ``stage`` and log its wall time.
+
+    Any failure other than a config or stage error becomes a
+    :class:`StageError` naming ``stage``. With ``timings`` given, the
+    wall time in seconds is also stored there under ``stage``.
+    """
+    start = time.perf_counter()
     try:
-        return fn(*args, **kwargs)
+        result = fn(*args)
     except (ConfigError, StageError):
         raise
     except Exception as e:  # noqa: BLE001 - map to the failing stage
         raise StageError(stage, e) from e
+    elapsed = time.perf_counter() - start
+    logger.info("stage %s took %.3fs", stage, elapsed)
+    if timings is not None:
+        timings[stage] = elapsed
+    return result
 
 
 def stage_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
@@ -250,15 +262,12 @@ def _connected_components(points: np.ndarray, eps: float) -> list[np.ndarray]:
 
 
 def _cluster_detections(cloud, config: DetectorConfig) -> list[OrientedBox]:
-    """Axis-aligned boxes around connected clusters of kept points."""
-    if cloud.scores is None:
-        raise ValueError("cluster detector needs per-point scores")
-    keep = np.where(cloud.scores >= config.score_threshold)[0]
-    if len(keep) == 0:
+    """Axis-aligned boxes around connected clusters of the given points,
+    which the filter stage has already cut to those at or above the
+    score threshold."""
+    if len(cloud) == 0:
         return []
-    pts = cloud.positions[keep]
-    cats = cloud.categories[keep]
-    scores = cloud.scores[keep]
+    pts, cats, scores = cloud.positions, cloud.categories, cloud.scores
     detections = []
     for group in _connected_components(pts, config.cluster_eps):
         if len(group) < config.min_cluster_points:
@@ -290,16 +299,10 @@ def _reconstruction_metrics(detections, gt_objects, settings: EvalSettings, seed
     """
     pairs = []
     for det in detections:
-        best = None
-        best_iou = 0.0
-        for obj in gt_objects:
-            if obj.box.category != det.category:
-                continue
-            iou = iou_3d(det, obj.box)
-            if iou > best_iou:
-                best_iou = iou
-                best = obj
-        if best is not None and best_iou > settings.recon_iou:
+        ious = [(iou_3d(det, o.box), o) for o in gt_objects if o.box.category == det.category]
+        # the first of equal IoUs wins; an IoU of 0 never passes recon_iou >= 0
+        best_iou, best = max(ious, key=lambda pair: pair[0], default=(0.0, None))
+        if best_iou > settings.recon_iou:
             pairs.append((det, best))
     if not pairs:
         return None, None
@@ -362,6 +365,80 @@ def _scatter(frames, config: PipelineConfig):
     return cap_points(cloud, config.scatter.max_points, stage_rng(config.seed, "cap"))
 
 
+def _aggregate(cloud, frames, scene: SceneSpec, config: PipelineConfig):
+    means, variances, counts = aggregate_cloud(
+        cloud, frames, config.occlusion_check, scene.depth_noise_sigma
+    )
+    num_cats = max(1, scene.num_categories())
+    features = compose_features(means, variances, cloud.categories, num_cats)
+    scores = photometric_score(variances, counts, config.k_sigma)
+    weighted = soft_weight(features, scores, num_onehot=num_cats)
+    return cloud.with_features(weighted).with_scores(scores)
+
+
+def run_front(scene: SceneSpec, config: PipelineConfig, aggregate: bool = True, timings=None):
+    """The stages every command starts with: keyframes, render, scatter
+    and, unless ``aggregate`` is False, aggregate.
+
+    Returns ``(keyframes, frames, cloud)``; ``timings`` is passed on to
+    :func:`guarded`.
+    """
+    keyframes, boxes = guarded("keyframes", _keyframes, scene, config, timings=timings)
+    logger.info("selected %d keyframes", len(keyframes))
+    frames = guarded("render", _render, scene, keyframes, boxes, config, timings=timings)
+    cloud = guarded("scatter", _scatter, frames, config, timings=timings)
+    logger.info("scattered %d points", len(cloud))
+    if aggregate:
+        cloud = guarded("aggregate", _aggregate, cloud, frames, scene, config, timings=timings)
+    return keyframes, frames, cloud
+
+
+def _filter(cloud, scene: SceneSpec, config: PipelineConfig):
+    """Indices of the points at or above the score threshold, and the
+    outlier fractions before and after the cut."""
+    if len(cloud) == 0:
+        return np.zeros(0, dtype=np.int64), {
+            "points_raw": 0,
+            "points_filtered": 0,
+            "outlier_fraction_raw": None,
+            "outlier_fraction_filtered": None,
+        }
+    surface = sample_scene_surface(scene, config.tau, stage_rng(config.seed, "surface"))
+    labeling = label_points(cloud.positions, surface, config.tau)
+    kept = np.where(cloud.scores >= config.detector.score_threshold)[0]
+    outlier_kept = float(1.0 - labeling.labels[kept].mean()) if len(kept) else None
+    return kept, {
+        "points_raw": int(len(cloud)),
+        "points_filtered": int(len(kept)),
+        "outlier_fraction_raw": float(1.0 - labeling.inlier_fraction),
+        "outlier_fraction_filtered": outlier_kept,
+    }
+
+
+def _voxelize(cloud, config: PipelineConfig):
+    """The sparse grid and its report against a dense grid of the same
+    resolution over the configured bounds."""
+    grid = voxelize(cloud, config.voxel_size, config.bench_origin)
+    dense = DenseGridSpec(config.bench_origin, config.bench_extent, config.voxel_size)
+    sparsity = sparsity_report(cloud, grid, dense)
+    sparsity["metadata"] = {
+        "dense_voxel_size": config.dense_voxel_size,
+        "gs_reference_proposals": GS_REFERENCE_PROPOSALS,
+    }
+    return grid, sparsity
+
+
+def _detect(cloud, kept, scene: SceneSpec, config: PipelineConfig) -> list[OrientedBox]:
+    if config.detector.mode == "gt_passthrough":
+        raw = [
+            OrientedBox(o.box.center, o.box.size, o.box.yaw, o.box.category, score=1.0)
+            for o in scene.objects
+        ]
+    else:
+        raw = _cluster_detections(cloud.select(kept), config.detector)
+    return nms(raw, config.nms_iou)
+
+
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
     report: dict
@@ -381,73 +458,11 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
     ``detections.json``, ``metrics.json`` and ``sparsity.json``.
     """
     t0 = time.perf_counter()
-    keyframes, boxes = guarded("keyframes", _keyframes, scene, config)
-    logger.info("selected %d keyframes", len(keyframes))
-    frames = guarded("render", _render, scene, keyframes, boxes, config)
-    cloud = guarded("scatter", _scatter, frames, config)
-    logger.info("scattered %d points", len(cloud))
-
-    def _aggregate():
-        means, variances, counts = aggregate_cloud(
-            cloud, frames, config.occlusion_check, scene.depth_noise_sigma
-        )
-        num_cats = max(1, scene.num_categories())
-        features = compose_features(means, variances, cloud.categories, num_cats)
-        scores = photometric_score(variances, counts, config.k_sigma)
-        weighted = soft_weight(features, scores, num_onehot=num_cats)
-        return cloud.with_features(weighted).with_scores(scores)
-
-    cloud = guarded("aggregate", _aggregate)
-
-    def _filter_stats():
-        if len(cloud) == 0:
-            return np.zeros(0, dtype=np.int64), {
-                "points_raw": 0,
-                "points_filtered": 0,
-                "outlier_fraction_raw": None,
-                "outlier_fraction_filtered": None,
-            }
-        surface = sample_scene_surface(scene, config.tau, stage_rng(config.seed, "surface"))
-        labeling = label_points(cloud.positions, surface, config.tau)
-        kept = np.where(cloud.scores >= config.detector.score_threshold)[0]
-        outlier_raw = 1.0 - labeling.inlier_fraction
-        outlier_kept = (
-            float(1.0 - labeling.labels[kept].mean()) if len(kept) else None
-        )
-        return kept, {
-            "points_raw": int(len(cloud)),
-            "points_filtered": int(len(kept)),
-            "outlier_fraction_raw": float(outlier_raw),
-            "outlier_fraction_filtered": outlier_kept,
-        }
-
-    filtered_indices, filter_stats = guarded("filter", _filter_stats)
-
-    def _voxelize():
-        grid = voxelize(cloud, config.voxel_size, config.bench_origin)
-        dense = DenseGridSpec(config.bench_origin, config.bench_extent, config.voxel_size)
-        sparsity = sparsity_report(cloud, grid, dense)
-        sparsity["metadata"] = {
-            "dense_voxel_size": config.dense_voxel_size,
-            "gs_reference_proposals": GS_REFERENCE_PROPOSALS,
-        }
-        return grid, sparsity
-
-    grid, sparsity = guarded("voxelize", _voxelize)
-
-    def _detect():
-        if config.detector.mode == "gt_passthrough":
-            raw = [
-                OrientedBox(o.box.center, o.box.size, o.box.yaw, o.box.category, score=1.0)
-                for o in scene.objects
-            ]
-        else:
-            raw = _cluster_detections(cloud, config.detector)
-        return nms(raw, config.nms_iou)
-
-    detections = guarded("detect", _detect)
+    keyframes, frames, cloud = run_front(scene, config)
+    filtered_indices, filter_stats = guarded("filter", _filter, cloud, scene, config)
+    grid, sparsity = guarded("voxelize", _voxelize, cloud, config)
+    detections = guarded("detect", _detect, cloud, filtered_indices, scene, config)
     logger.info("%d detections after NMS", len(detections))
-
     report = guarded("evaluate", evaluate, detections, scene, config)
     report["filter"] = filter_stats
     report["config"] = config.to_dict()
@@ -484,37 +499,14 @@ def run_sparsity_bench(scene: SceneSpec, config: PipelineConfig) -> dict:
 
     Reports the sparsity of the scattered representation at
     ``voxel_size`` against dense grids at both ``voxel_size`` and the
-    coarser ``dense_voxel_size`` reference, with build timings.
+    coarser ``dense_voxel_size`` reference, with the wall times of the
+    render, scatter and voxelize stages.
     """
-    keyframes, boxes = guarded("keyframes", _keyframes, scene, config)
-    t0 = time.perf_counter()
-    frames = guarded("render", _render, scene, keyframes, boxes, config)
-    t_render = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cloud = guarded("scatter", _scatter, frames, config)
-    t_scatter = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    grid = guarded("voxelize", voxelize, cloud, config.voxel_size, config.bench_origin)
-    t_voxel = time.perf_counter() - t0
-
-    def _report():
-        fine = DenseGridSpec(config.bench_origin, config.bench_extent, config.voxel_size)
-        coarse = DenseGridSpec(config.bench_origin, config.bench_extent, config.dense_voxel_size)
-        report = sparsity_report(cloud, grid, fine)
-        report["coarse_dense_cells"] = coarse.cell_count
-        return report
-
-    report = guarded("voxelize", _report)
-    report["metadata"] = {
-        "dense_voxel_size": config.dense_voxel_size,
-        "gs_reference_proposals": GS_REFERENCE_PROPOSALS,
-        "keyframes": len(keyframes),
-        "timings_s": {
-            "render": t_render,
-            "scatter": t_scatter,
-            "voxelize": t_voxel,
-        },
-    }
+    timings = {}
+    keyframes, _, cloud = run_front(scene, config, aggregate=False, timings=timings)
+    _, report = guarded("voxelize", _voxelize, cloud, config, timings=timings)
+    coarse = DenseGridSpec(config.bench_origin, config.bench_extent, config.dense_voxel_size)
+    report["coarse_dense_cells"] = coarse.cell_count
+    report["metadata"]["keyframes"] = len(keyframes)
+    report["metadata"]["timings_s"] = {k: timings[k] for k in ("render", "scatter", "voxelize")}
     return report

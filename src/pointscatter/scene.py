@@ -623,6 +623,8 @@ def scene_from_dict(data: dict) -> SceneSpec:
     optional top-level ``intrinsics`` entry, defaulting to a 160x120
     f=120 pinhole.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"scene must be a JSON object, got {type(data).__name__}")
     objects = tuple(
         SceneObject(
             box=OrientedBox(
@@ -638,7 +640,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
     cam_spec = data["cameras"]
     if isinstance(cam_spec, dict):
         traj = cam_spec.get("trajectory")
-        if traj is None or traj.get("type") != "orbit":
+        if not isinstance(traj, dict) or traj.get("type") != "orbit":
             raise ValueError("camera object form requires a trajectory of type 'orbit'")
         intr = (
             _intrinsics_from_dict(data["intrinsics"])

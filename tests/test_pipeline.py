@@ -1,8 +1,10 @@
 """Tests for the staged pipeline, its config, and the CLI."""
 
 import dataclasses
+import importlib.util
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,18 @@ from pointscatter.scene import (
     save_scene,
     scene_to_dict,
 )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark directory, loaded from its file without
+    putting that directory on the import path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def small_scene(**kwargs):
@@ -306,6 +320,41 @@ class TestSparsityBench:
         assert report["scatter_points"] == len(result.cloud)
         assert report["occupied_voxels"] == len(result.grid)
 
+    @pytest.mark.parametrize(
+        "name, stage",
+        [("make_frame", "render"), ("scatter_frames", "scatter"), ("voxelize", "voxelize")],
+    )
+    def test_stage_failure_names_stage(self, monkeypatch, name, stage):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(f"pointscatter.pipeline.{name}", boom)
+        with pytest.raises(StageError) as err:
+            run_sparsity_bench(small_scene(), small_config())
+        assert err.value.stage == stage
+
+
+class TestTracerTargets:
+    def test_only_stale_targets_are_unresolved(self, tmp_path):
+        # the benchmark's tracer wraps names of pointscatter.pipeline; a
+        # name the module no longer binds records nothing
+        tracer_module = load_perfbench("tracer")
+        scene, config = load_perfbench("workloads").build("demo_noisy", 3, reduced=True)
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            tracer.run(run_pipeline, scene, config, output_dir=tmp_path)
+        finally:
+            tracer.restore()
+        assert sorted(tracer.missing) == [
+            "pipeline.boxes_to_list",
+            "pipeline.chamfer_distance",
+            "pipeline.fscore",
+        ]
+        _, _, calls = tracer.last_summary()
+        names = {tracer_module.span_name(owner, attr) for owner, attr, _ in tracer_module.TARGETS}
+        assert sorted(n for n in names - set(tracer.missing) if not calls.get(n)) == []
+
 
 class TestCli:
     def gen(self, tmp_path, name="scene.json", extra=()):
@@ -526,6 +575,9 @@ class TestCliExitCodes:
             (("cameras", 0, "translation"), [float("nan"), 0.0, 1.0], "translation"),
             (("depth_noise_sigma",), float("nan"), "noise sigma"),
             (("depth_noise_sigma",), float("inf"), "noise sigma"),
+            (("objects",), 5, "not iterable"),
+            (("cameras",), {"trajectory": [1]}, "trajectory of type 'orbit'"),
+            (("objects", 0, "yaw"), [1], "float()"),
         ],
         ids=[
             "nan_center",
@@ -536,6 +588,9 @@ class TestCliExitCodes:
             "nan_translation",
             "nan_noise_sigma",
             "inf_noise_sigma",
+            "number_objects",
+            "list_trajectory",
+            "list_yaw",
         ],
     )
     def test_invalid_scene_values_are_config_errors(self, tmp_path, capsys, path, value, message):
@@ -552,6 +607,27 @@ class TestCliExitCodes:
         assert err.startswith(f"config error: cannot read scene {scene_path}: ")
         assert message in err and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (["run", "{bad}", "--out", "{out}"], "[1, 2]", "scene must be a JSON object"),
+            (["eval", "{scene}", "{bad}"], '{"center": [0, 0, 0]}', "must be a JSON list"),
+            (["eval", "{scene}", "{bad}"], '[{"center": 5, "size": [1, 1, 1]}]', "not iterable"),
+        ],
+        ids=["list_scene", "object_detections", "number_center"],
+    )
+    def test_malformed_files_are_config_errors(self, tmp_path, capsys, argv, content, message):
+        scene_path = tmp_path / "scene.json"
+        assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(content + "\n")
+        paths = {"scene": scene_path, "bad": bad_path, "out": tmp_path / "o"}
+        capsys.readouterr()
+        assert cli.main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot read ") and message in captured.err
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["run", "bench"])
     @pytest.mark.parametrize(
         "config, message",
@@ -560,8 +636,10 @@ class TestCliExitCodes:
             ('{"seed": "x"}', "seed"),
             ('{"dense_voxel_size": 0}', "dense_voxel_size"),
             ('{"frames": 2.5}', "frames"),
+            ("[1, 2]", "config must be a JSON object"),
+            ("5", "config must be a JSON object"),
         ],
-        ids=["voxel_size", "seed", "dense_voxel_size", "frames"],
+        ids=["voxel_size", "seed", "dense_voxel_size", "frames", "list_config", "number_config"],
     )
     def test_invalid_config_values_are_config_errors(
         self, tmp_path, capsys, command, config, message
@@ -679,3 +757,26 @@ class TestCliExitCodes:
         code = cli.main(["run", str(scene_path), "--out", str(tmp_path / "o"), "--frames", "6"])
         assert code == 2
         assert "stage 'evaluate' failed" in capsys.readouterr().err
+
+    def test_export_ply_of_scene_without_objects(self, tmp_path, capsys):
+        # export-ply stops after aggregation, so the evaluate failure above
+        # does not reach it
+        scene_path = tmp_path / "empty.json"
+        save_scene(dataclasses.replace(demo_scene(steps=6), objects=()), scene_path)
+        ply_path = tmp_path / "cloud.ply"
+        assert cli.main(["export-ply", str(scene_path), str(ply_path)]) == 0, capsys.readouterr().err
+        assert "element vertex 0\n" in ply_path.read_text()
+        assert len(read_cloud_ply(ply_path)) == 0
+
+    @pytest.mark.parametrize(
+        "name", ["sample_scene_surface", "voxelize", "nms", "evaluate_detections"]
+    )
+    def test_export_ply_runs_no_stage_after_aggregate(self, tmp_path, monkeypatch, name):
+        scene_path = tmp_path / "scene.json"
+        assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(f"pointscatter.pipeline.{name}", boom)
+        assert cli.main(["export-ply", str(scene_path), str(tmp_path / "cloud.ply")]) == 0
