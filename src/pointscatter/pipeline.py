@@ -34,7 +34,7 @@ from .metrics import chamfer_fscore, evaluate_detections
 # ScatterAccumulator is not called here; perfbench's tracer resolves
 # ScatterAccumulator.add_frame through this module
 from .scatter import ScatterAccumulator, ScatterConfig, cap_points, scatter_frames  # noqa: F401
-from .scene import SceneSpec, make_frame, project_gt_boxes, select_keyframes
+from .scene import SceneSpec, _is_integer, make_frame, project_gt_boxes, select_keyframes
 from .surface import label_points, photometric_score, sample_scene_surface, soft_weight
 from .voxel import DenseGridSpec, sparsity_report, voxelize
 
@@ -55,10 +55,6 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:

@@ -27,15 +27,11 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import backproject_pixels
-from .scene import CameraFrame
+from .scene import CameraFrame, _is_integer
 
 # relative margin the tree searches add to the dedup radius; tree
 # distances and the exact squared-distance sum differ by far less
 DEDUP_SLACK = 1e-9
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_positive(value) -> bool:

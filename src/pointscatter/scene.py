@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -282,53 +283,34 @@ def _near_pixel_centers(p, q, tau, width: int, height: int) -> np.ndarray:
     return near
 
 
-@functools.lru_cache(maxsize=8)
-def _camera_rays(intrinsics: Intrinsics) -> np.ndarray:
-    """Read-only (H*W, 3) camera-frame ray per pixel center, z-component 1.
-
-    Rows run over pixels in row-major (v, u) order.
-    """
-    us, vs = np.meshgrid(
-        np.arange(intrinsics.width, dtype=np.float64),
-        np.arange(intrinsics.height, dtype=np.float64),
-    )
-    rays = np.stack(
-        [
-            (us - intrinsics.cx) / intrinsics.fx,
-            (vs - intrinsics.cy) / intrinsics.fy,
-            np.ones_like(us),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    rays.flags.writeable = False
-    return rays
-
-
 def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     """Nearest-hit depth and int32 triangle index (-1 for no hit) for
     every pixel center.
 
-    Ray directions are built with camera-frame z-component 1, so the ray
-    parameter of a hit equals its camera depth directly; the camera-frame
-    rays are built once per ``Intrinsics`` and each view only rotates
-    them. A triangle whose vertices are all in front of the camera is
-    tested only against the rays inside its projected bounding box,
-    widened by one pixel and clipped to the image, and is skipped when
-    that box is empty; a triangle with a vertex at or behind the camera
-    plane falls back to testing every ray. The per-triangle Moeller-
-    Trumbore constants (edges, ``tvec``, ``qvec``) are computed for all
-    triangles at once per view. A back-facing triangle of an object
-    wholly in front of the camera is skipped like an empty window,
-    unless a pixel center lies within the silhouette guard's tolerance
-    of an edge between that object's skipped and kept triangles, in
-    which case the object keeps all of them (:func:`_back_faces`): only
-    there can a back face tie the front face's depth and win by its
-    lower index. Triangles are visited in order and the per-ray
-    arithmetic and strict nearer-hit test are the same on every path,
-    so the culling changes no output bit.
+    Each window builds its own rays in blocks reused by every window,
+    ``((u - cx) / fx, (v - cy) / fy, 1)`` from one per-column and one
+    per-row vector, and rotates them with one matrix product. A ray's
+    camera-frame z-component is 1, so the ray parameter of a hit is its
+    camera depth. No ray grid is cached or built: at 640x480 the caster
+    holds about 6 to 9 bytes per pixel beyond its 12-byte output maps. A
+    triangle whose vertices are all in front of the camera is tested only
+    against the rays inside its projected bounding box, widened by one
+    pixel and clipped to the image, and is skipped when that box is empty;
+    a triangle with a vertex at or behind the camera plane falls back to
+    testing every ray. The per-triangle Moeller-Trumbore constants (edges,
+    ``tvec``, ``qvec``) are computed for all triangles at once per view. A
+    back-facing triangle of an object wholly in front of the camera is
+    skipped like an empty window, unless a pixel center lies within the
+    silhouette guard's tolerance of an edge between that object's skipped
+    and kept triangles, in which case the object keeps all of them
+    (:func:`_back_faces`): only there can a back face tie the front face's
+    depth and win by its lower index. Triangles are visited in order and
+    the per-ray arithmetic and strict nearer-hit test are the same on
+    every path, so the culling changes no output bit.
     """
     h, w = intrinsics.height, intrinsics.width
-    all_dirs = (_camera_rays(intrinsics) @ pose.rotation.T).reshape(h, w, 3)
+    xs = (np.arange(w, dtype=np.float64) - intrinsics.cx) / intrinsics.fx
+    ys = (np.arange(h, dtype=np.float64) - intrinsics.cy) / intrinsics.fy
 
     triangles = scene.geometry.triangles
     all_depth = np.full((h, w), np.inf)
@@ -343,6 +325,10 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     qvecs = np.cross(tvecs, edge1)
     # a culled triangle is passed over like an empty window
     hi[_back_faces(edge1, edge2, tvecs, qvecs, projection, intrinsics)[1]] = -1
+    size = int(np.maximum(hi - lo + 1, 0).prod(axis=1).max(initial=0))
+    # zeroed blocks reused by every window, one row longer than the largest
+    rays, rotated = np.zeros((2, size + 1, 3))
+    scalars, flags = np.empty((6, size + 1)), np.empty((2, size + 1), dtype=bool)
     bounds = np.concatenate([lo, hi], 1).tolist()
     eps = _BARYCENTRIC_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -351,27 +337,37 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
                 continue
             window = np.s_[v0 : v1 + 1, u0 : u1 + 1]
             shape = (v1 + 1 - v0, u1 + 1 - u0)
-            # one (N, 3) block of rays: each product is one matrix-vector
-            # call; the depth test and writes go through 2-D views
-            dirs = all_dirs[window].reshape(-1, 3)
-            depth = all_depth[window]
+            n = shape[0] * shape[1]
+            # the window's rays, row-major in (v, u), then a finite spare row: numpy hands a
+            # one-row product to BLAS as a vector call, whose bits can differ from the oracle's
+            grid = rays[:n].reshape(*shape, 3)
+            grid[..., 0] = xs[u0 : u1 + 1]
+            grid[..., 1] = ys[v0 : v1 + 1, None]
+            grid[..., 2] = 1.0
+            m = n + 1
+            dirs = np.matmul(rays[:m], pose.rotation.T, out=rotated[:m])
+            pvec, (det, inv, u, v, t, tmp), (hit, test) = rays[:m], scalars[:, :m], flags[:, :m]
             e1, e2, tvec, qvec = edge1[k], edge2[k], tvecs[k], qvecs[k]
-            # np.cross(dirs, e2) column by column, the same multiplies and
-            # subtracts without its per-call axis handling
-            d0, d1, d2 = dirs.T
-            pvec = np.empty_like(dirs)
-            pvec[:, 0] = d1 * e2[2] - d2 * e2[1]
-            pvec[:, 1] = d2 * e2[0] - d0 * e2[2]
-            pvec[:, 2] = d0 * e2[1] - d1 * e2[0]
-            det = pvec @ e1
-            inv = 1.0 / det
-            u = (pvec @ tvec) * inv
-            v = (dirs @ qvec) * inv
-            t = (np.dot(e2, qvec) * inv).reshape(shape)
-            inside = (np.abs(det) > 1e-12) & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps)
-            hit = inside.reshape(shape) & (t > BEHIND_CAMERA_EPS) & (t < depth)
-            depth[hit] = t[hit]
-            all_index[window][hit] = k
+            # np.cross(dirs, e2) column by column into the spent camera-frame
+            # rays, the same multiplies and subtracts without its axis handling
+            (d0, d1, d2), (p0, p1, p2) = dirs.T, pvec.T
+            np.subtract(np.multiply(d1, e2[2], out=p0), np.multiply(d2, e2[1], out=tmp), out=p0)
+            np.subtract(np.multiply(d2, e2[0], out=p1), np.multiply(d0, e2[2], out=tmp), out=p1)
+            np.subtract(np.multiply(d0, e2[1], out=p2), np.multiply(d1, e2[0], out=tmp), out=p2)
+            np.matmul(pvec, e1, out=det)
+            np.divide(1.0, det, out=inv)
+            np.multiply(np.matmul(pvec, tvec, out=u), inv, out=u)
+            np.multiply(np.matmul(dirs, qvec, out=v), inv, out=v)
+            np.multiply(np.dot(e2, qvec), inv, out=t)
+            np.greater(np.abs(det, out=tmp), 1e-12, out=hit)
+            hit &= np.greater_equal(u, -eps, out=test)
+            hit &= np.greater_equal(v, -eps, out=test)
+            hit &= np.less_equal(np.add(u, v, out=tmp), 1.0 + eps, out=test)
+            hit &= np.greater(t, BEHIND_CAMERA_EPS, out=test)
+            depth, t, hit = all_depth[window], t[:n].reshape(shape), hit[:n].reshape(shape)
+            hit &= np.less(t, depth, out=test[:n].reshape(shape))
+            np.copyto(depth, t, where=hit)
+            np.copyto(all_index[window], k, where=hit)
     all_depth[all_index < 0] = 0.0
     return all_depth, all_index
 
@@ -577,14 +573,26 @@ def _intrinsics_to_dict(i: Intrinsics) -> dict:
     return {"fx": i.fx, "fy": i.fy, "cx": i.cx, "cy": i.cy, "width": i.width, "height": i.height}
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(d: dict, key: str, default=None) -> int:
+    """``d[key]`` (``default`` if given and absent), checked to be an integer."""
+    value = d[key] if default is None else d.get(key, default)
+    if not _is_integer(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _intrinsics_from_dict(d: dict) -> Intrinsics:
     return Intrinsics(
         fx=float(d["fx"]),
         fy=float(d["fy"]),
         cx=float(d["cx"]),
         cy=float(d["cy"]),
-        width=int(d["width"]),
-        height=int(d["height"]),
+        width=_integer(d, "width"),
+        height=_integer(d, "height"),
     )
 
 
@@ -631,7 +639,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
                 center=tuple(o["center"]),
                 size=tuple(o["size"]),
                 yaw=float(o.get("yaw", 0.0)),
-                category=int(o.get("category", 0)),
+                category=_integer(o, "category", 0),
             ),
             albedo=tuple(o.get("albedo", (0.7, 0.7, 0.7))),
         )
@@ -650,7 +658,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
         poses = orbit_trajectory(
             radius=float(traj["radius"]),
             height=float(traj["height"]),
-            steps=int(traj["steps"]),
+            steps=_integer(traj, "steps"),
             look_at=traj.get("look_at", (0.0, 0.0, 0.0)),
         )
         cameras = tuple(SceneCamera(intr, p) for p in poses)
@@ -665,7 +673,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
     return SceneSpec(
         objects=objects,
         cameras=cameras,
-        rng_seed=int(data.get("rng_seed", 0)),
+        rng_seed=_integer(data, "rng_seed", 0),
         depth_noise_sigma=float(data.get("depth_noise_sigma", 0.0)),
         outlier_rate=float(data.get("outlier_rate", 0.0)),
     )

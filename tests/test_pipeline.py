@@ -42,6 +42,8 @@ from pointscatter.scene import (
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# an orbit trajectory for a scene file's camera object form, less its steps
+ORBIT = {"type": "orbit", "radius": 3.0, "height": 1.7}
 
 
 def load_perfbench(name: str):
@@ -578,6 +580,11 @@ class TestCliExitCodes:
             (("objects",), 5, "not iterable"),
             (("cameras",), {"trajectory": [1]}, "trajectory of type 'orbit'"),
             (("objects", 0, "yaw"), [1], "float()"),
+            (("cameras", 0, "width"), 160.9, "width must be an integer, got 160.9"),
+            (("rng_seed",), 3.9, "rng_seed must be an integer, got 3.9"),
+            (("objects", 0, "category"), 1.5, "category must be an integer, got 1.5"),
+            (("cameras",), {"trajectory": ORBIT | {"steps": 6.7}}, "steps must be an integer"),
+            (("cameras",), {"trajectory": ORBIT | {"steps": True}}, "steps must be an integer"),
         ],
         ids=[
             "nan_center",
@@ -591,6 +598,11 @@ class TestCliExitCodes:
             "number_objects",
             "list_trajectory",
             "list_yaw",
+            "fractional_width",
+            "fractional_rng_seed",
+            "fractional_category",
+            "fractional_steps",
+            "bool_steps",
         ],
     )
     def test_invalid_scene_values_are_config_errors(self, tmp_path, capsys, path, value, message):

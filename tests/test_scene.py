@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from pointscatter.scene import (
     DEFAULT_INTRINSICS,
     SceneSpec,
     _back_faces,
-    _camera_rays,
     _cast_rays,
     _screen_boxes,
     _shade_triangles,
@@ -200,6 +200,46 @@ class TestCastRaysMatchesOracle:
             assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
             assert color.tobytes() == shades[ref_index].tobytes(), f"view {i}"
 
+    def test_resolution_switch(self):
+        large = Intrinsics(fx=240.0, fy=240.0, cx=159.5, cy=119.5, width=320, height=240)
+        wide = dataclasses.replace(DEFAULT_INTRINSICS, fx=90.0, fy=90.0)
+        scene = demo_scene(steps=6)
+        for intr in (DEFAULT_INTRINSICS, large, DEFAULT_INTRINSICS, wide):
+            for cam in scene.cameras[::2]:
+                depth, index = _cast_rays(scene, intr, cam.pose)
+                ref_depth, ref_index, _, _ = cast_rays(scene, intr, cam.pose)
+                assert depth.shape == (intr.height, intr.width)
+                assert depth.tobytes() == ref_depth.tobytes()
+                assert np.array_equal(index, ref_index)
+
+    def test_off_centre_principal_point(self):
+        # fx != fy and a principal point off the image centre and off the
+        # pixel grid; a box over each image corner and one inside it
+        intr = Intrinsics(fx=90.0, fy=130.0, cx=10.25, cy=100.75, width=160, height=120)
+        centers = [(-0.3, -2.3), (4.9, -2.3), (-0.3, 0.4), (4.9, 0.4), (2.3, -1.0)]
+        boxes = [OrientedBox((x, y, 3.0), (0.6, 0.6, 0.6), yaw=0.3) for x, y in centers]
+        cam = SceneCamera(intr, Pose.identity())
+        scene = SceneSpec(objects=tuple(SceneObject(b) for b in boxes), cameras=(cam,))
+        full, empty = self.windows(scene)
+        assert not full.any() and not empty.all()
+        lo, hi = _screen_boxes(scene.geometry.triangles, intr, cam.pose)
+        corner = [intr.width - 1, intr.height - 1]
+        # some window reaches each of the four image borders
+        assert (lo[~empty] == 0).any(axis=0).all() and (hi[~empty] == corner).any(axis=0).all()
+        self.assert_matches(scene, [0])
+        depth = render(scene, 0)[0]
+        assert all(edge.any() for edge in (depth[0], depth[-1], depth[:, 0], depth[:, -1]))
+
+    def test_one_pixel_windows(self):
+        # a box projecting about 1.5 px beyond the top-left image corner:
+        # its windows clip to the single pixel (0, 0), whose products run
+        # with a spare row like every other window's
+        box = SceneObject(OrientedBox((-1.545, -1.545, 3.0), (0.005, 0.005, 0.005)))
+        scene = SceneSpec(objects=(box,), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
+        lo, hi = _screen_boxes(scene.geometry.triangles, SIMPLE, Pose.identity())
+        assert (lo == 0).all() and (hi == 0).all()
+        self.assert_matches(scene, [0])
+
     def test_camera_inside_box_falls_back(self):
         scene = frontal_cube_scene(center=(0.0, 0.0, 0.2))
         full, _ = self.windows(scene)
@@ -376,27 +416,6 @@ class TestBackFaceCulling:
         for i in range(6):
             assert cull_masks(scene, i)[1].any(), f"view {i}"
         self.assert_matches(scene, [1, 2, 4, 5])
-
-
-class TestCameraRayCache:
-    def test_resolution_switch_matches_oracle(self):
-        large = Intrinsics(fx=240.0, fy=240.0, cx=159.5, cy=119.5, width=320, height=240)
-        wide = dataclasses.replace(DEFAULT_INTRINSICS, fx=90.0, fy=90.0)
-        scene = demo_scene(steps=6)
-        for intr in (DEFAULT_INTRINSICS, large, DEFAULT_INTRINSICS, wide):
-            for cam in scene.cameras[::2]:
-                depth, index = _cast_rays(scene, intr, cam.pose)
-                ref_depth, ref_index, _, _ = cast_rays(scene, intr, cam.pose)
-                assert depth.shape == (intr.height, intr.width)
-                assert depth.tobytes() == ref_depth.tobytes()
-                assert np.array_equal(index, ref_index)
-        assert _camera_rays(DEFAULT_INTRINSICS) is _camera_rays(DEFAULT_INTRINSICS)
-
-    def test_cached_rays_are_read_only(self):
-        rays = _camera_rays(SIMPLE)
-        with pytest.raises(ValueError):
-            rays[0, 0] = 1.0
-        assert rays.shape == (SIMPLE.height * SIMPLE.width, 3)
 
 
 class TestPerturbDepth:
@@ -630,6 +649,21 @@ class TestMakeFrame:
         assert not any(a.ndim == 3 and a.dtype.kind == "f" for a in arrays)
         assert frame.color.shape == (HIRES.height, HIRES.width, 3)
 
+    def test_640x480_cast_peak_memory(self):
+        # rays are built per window in reused blocks, so one view's peak
+        # allocation stays under twice its depth and index maps; a full
+        # (H*W, 3) float64 ray grid alone is twice those maps
+        scene = hires_scene()
+        cam = scene.cameras[0]
+        scene.geometry  # built once per scene, outside the measured call
+        tracemalloc.start()
+        try:
+            depth, index = _cast_rays(scene, cam.intrinsics, cam.pose)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (depth.nbytes + index.nbytes)
+
     def test_depth_values_zero_or_in_range(self, noisy_frames):
         for frame in noisy_frames[:5]:
             valid = frame.depth[frame.depth > 0]
@@ -707,7 +741,7 @@ class TestOrbitAndSerialization:
 
     def test_trajectory_form_expands_to_cameras(self):
         data = {
-            "objects": [{"center": [0, 0, 0.5], "size": [1, 1, 1], "yaw": 0.0, "category": 0}],
+            "objects": [{"center": [0, 0, 0.5], "size": [1, 1, 1], "yaw": 0.0, "category": 2}],
             "cameras": {
                 "trajectory": {
                     "type": "orbit",
@@ -717,12 +751,18 @@ class TestOrbitAndSerialization:
                     "look_at": [0.0, 0.0, 0.5],
                 }
             },
+            "intrinsics": {
+                "fx": 200, "fy": 200, "cx": 159.5, "cy": 119.5, "width": 320, "height": 240
+            },
             "rng_seed": 7,
             "depth_noise_sigma": 0.0,
             "outlier_rate": 0.0,
         }
         scene = scene_from_dict(data)
         assert len(scene.cameras) == 6 and scene.rng_seed == 7
+        # integer fields load unchanged
+        intr = scene.cameras[0].intrinsics
+        assert (intr.width, intr.height, scene.objects[0].box.category) == (320, 240, 2)
 
     def test_to_dict_lists_cameras_explicitly(self, clean_scene):
         data = scene_to_dict(clean_scene)
