@@ -9,10 +9,11 @@ intersection volume factors into an exact 2D footprint intersection
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .checks import _check
 
 
 def wrap_angle(angle):
@@ -27,7 +28,8 @@ def wrap_angle(angle):
 @dataclass(frozen=True)
 class OrientedBox:
     """Yaw-oriented box: finite center (3,), finite size (w, h, d) > 0,
-    finite yaw normalized to (-pi, pi], category >= 0."""
+    finite yaw normalized to (-pi, pi], integer category >= 0, finite
+    score."""
 
     center: tuple[float, float, float]
     size: tuple[float, float, float]
@@ -36,20 +38,14 @@ class OrientedBox:
     score: float = 1.0
 
     def __post_init__(self):
-        center = tuple(float(c) for c in self.center)
-        size = tuple(float(s) for s in self.size)
-        yaw = float(self.yaw)
-        if len(center) != 3 or len(size) != 3:
-            raise ValueError("center and size must have 3 entries")
-        if not all(map(math.isfinite, (*center, *size, yaw))):
-            raise ValueError(f"box center, size and yaw must be finite, got {center}, {size}, {yaw}")
-        if any(s <= 0 for s in size):
-            raise ValueError(f"box extents must be positive, got {size}")
-        if self.category < 0:
-            raise ValueError(f"box category must be non-negative, got {self.category}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "yaw", wrap_angle(yaw))
+        _check(
+            self, center=("number", 3), size=("positive", 3), yaw="number", category="index", score="number"
+        )
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
+        object.__setattr__(self, "size", tuple(map(float, self.size)))
+        object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
+        object.__setattr__(self, "category", int(self.category))
+        object.__setattr__(self, "score", float(self.score))
 
     @property
     def volume(self) -> float:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import ConfigError, _check
+
 # Points with camera-frame depth at or below this are treated as behind
 # the camera and cannot be projected.
 BEHIND_CAMERA_EPS = 1e-6
@@ -44,14 +46,15 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
-            raise ValueError(
-                f"focal lengths must be finite and positive, got fx={self.fx} fy={self.fy}"
-            )
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
+        _check(
+            self, fx="positive", fy="positive", cx="number", cy="number", width="count", height="count"
+        )
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
+            raise ConfigError("principal point must lie inside the image")
+        for name in ("fx", "fy", "cx", "cy"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "width", int(self.width))
+        object.__setattr__(self, "height", int(self.height))
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,15 +35,6 @@ from .scene import demo_scene, load_scene, save_scene
 logger = logging.getLogger(__name__)
 
 
-def _replace(obj, **updates):
-    """``dataclasses.replace`` that reports an invalid value as a
-    :class:`ConfigError`."""
-    try:
-        return dataclasses.replace(obj, **updates)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
 def _load_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         try:
@@ -59,10 +50,10 @@ def _load_config(args) -> PipelineConfig:
     if getattr(args, "frames", None) is not None:
         updates["frames"] = args.frames
     if getattr(args, "max_points", None) is not None:
-        updates["scatter"] = _replace(config.scatter, max_points=args.max_points)
+        updates["scatter"] = dataclasses.replace(config.scatter, max_points=args.max_points)
     if getattr(args, "detector", None) is not None:
-        updates["detector"] = _replace(config.detector, mode=args.detector)
-    return _replace(config, **updates) if updates else config
+        updates["detector"] = dataclasses.replace(config.detector, mode=args.detector)
+    return dataclasses.replace(config, **updates) if updates else config
 
 
 def _load_scene(args):
@@ -75,7 +66,7 @@ def _load_scene(args):
         updates["depth_noise_sigma"] = args.noise_sigma
     if getattr(args, "outlier_rate", None) is not None:
         updates["outlier_rate"] = args.outlier_rate
-    return _replace(scene, **updates) if updates else scene
+    return dataclasses.replace(scene, **updates) if updates else scene
 
 
 def _add_overrides(parser: argparse.ArgumentParser, scene_overrides: bool = True) -> None:
@@ -98,15 +89,12 @@ def _write_report(report: dict, out) -> None:
 
 
 def _cmd_gen_scene(args) -> int:
-    try:
-        scene = demo_scene(
-            noise_sigma=args.noise_sigma if args.noise_sigma is not None else 0.0,
-            outlier_rate=args.outlier_rate if args.outlier_rate is not None else 0.0,
-            steps=args.steps,
-            seed=args.seed if args.seed is not None else 0,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    scene = demo_scene(
+        noise_sigma=args.noise_sigma if args.noise_sigma is not None else 0.0,
+        outlier_rate=args.outlier_rate if args.outlier_rate is not None else 0.0,
+        steps=args.steps,
+        seed=args.seed if args.seed is not None else 0,
+    )
     save_scene(scene, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -77,7 +77,7 @@ def probs_for_label(label, bins: DepthBins) -> np.ndarray:
     return p
 
 
-def _check_probs_labels(probs, labels, num_bins=None):
+def _check_probs_labels(probs, labels):
     p = np.asarray(probs, dtype=np.float64)
     l = np.asarray(labels, dtype=np.int64)
     if p.ndim == 1:
@@ -88,8 +88,6 @@ def _check_probs_labels(probs, labels, num_bins=None):
         raise ValueError(f"shape mismatch: probs {p.shape} labels {l.shape}")
     if len(p) == 0:
         raise ValueError("need at least one pixel")
-    if num_bins is not None and p.shape[1] != num_bins:
-        raise ValueError(f"expected {num_bins} bins, got {p.shape[1]}")
     if np.any(l < 0) or np.any(l >= p.shape[1]):
         raise ValueError("labels outside bin range")
     return p, l

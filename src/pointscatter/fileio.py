@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from .boxes import OrientedBox
+from .checks import ConfigError
 from .scatter import ScatterCloud
 
 
@@ -166,14 +167,10 @@ def boxes_to_list(boxes) -> list[dict]:
 
 def boxes_from_list(items) -> list[OrientedBox]:
     if not isinstance(items, list):
-        raise ValueError(f"detections must be a JSON list, got {type(items).__name__}")
+        raise ConfigError(f"detections must be a JSON list, got {type(items).__name__}")
     return [
         OrientedBox(
-            center=tuple(d["center"]),
-            size=tuple(d["size"]),
-            yaw=float(d.get("yaw", 0.0)),
-            category=int(d.get("category", 0)),
-            score=float(d.get("score", 1.0)),
+            d["center"], d["size"], d.get("yaw", 0.0), d.get("category", 0), d.get("score", 1.0)
         )
         for d in items
     ]

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import math
-import numbers
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -28,13 +26,14 @@ from scipy.spatial import cKDTree
 
 from .aggregate import aggregate_cloud, compose_features
 from .boxes import OrientedBox, iou_3d, nms
+from .checks import ConfigError, _check
 from .fileio import write_cloud_ply, write_detections, write_json
 from .meshes import box_shell, sample_surface_points
 from .metrics import chamfer_fscore, evaluate_detections
 # ScatterAccumulator is not called here; perfbench's tracer resolves
 # ScatterAccumulator.add_frame through this module
 from .scatter import ScatterAccumulator, ScatterConfig, cap_points, scatter_frames  # noqa: F401
-from .scene import SceneSpec, _is_integer, make_frame, project_gt_boxes, select_keyframes
+from .scene import SceneSpec, make_frame, project_gt_boxes, select_keyframes
 from .surface import label_points, photometric_score, sample_scene_surface, soft_weight
 from .voxel import DenseGridSpec, sparsity_report, voxelize
 
@@ -45,57 +44,12 @@ logger = logging.getLogger(__name__)
 GS_REFERENCE_PROPOSALS = 8192
 
 
-class ConfigError(ValueError):
-    """Invalid pipeline configuration."""
-
-
 class StageError(RuntimeError):
     """A pipeline stage failed; ``stage`` names it."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-# per kind of config field: the test a value must pass and what it says
-_KINDS = {
-    "integer": (_is_integer, "an integer"),
-    "count": (lambda v: _is_integer(v) and v >= 1, "a positive integer"),
-    "number": (_is_number, "a finite number"),
-    "positive": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "non-negative": (lambda v: _is_number(v) and v >= 0, "a non-negative number"),
-    "fraction": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "flag": (lambda v: isinstance(v, bool), "true or false"),
-}
-
-
-def _check(config, **kinds) -> None:
-    """Raise :class:`ConfigError` for the first named field of ``config``
-    whose value is not of its kind.
-
-    A kind is a key of ``_KINDS``, or ``(kind, length)`` for a sequence
-    of that many values of the kind, where a length of None asks for one
-    or more.
-    """
-    for name, kind in kinds.items():
-        value = getattr(config, name)
-        if isinstance(kind, tuple):
-            (test, what), length = _KINDS[kind[0]], kind[1]
-            ok = (
-                isinstance(value, (tuple, list))
-                and (len(value) == length if length else len(value) > 0)
-                and all(test(v) for v in value)
-            )
-            what = f"{length or 'one or more'} values, each {what}"
-        else:
-            test, what = _KINDS[kind]
-            ok = test(value)
-        if not ok:
-            raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,6 +89,11 @@ class EvalSettings:
         )
         if self.rng_seed is not None:
             _check(self, rng_seed="integer")
+        object.__setattr__(self, "iou_thresholds", tuple(self.iou_thresholds))
+
+
+# the nested parts of a PipelineConfig, by field name
+_PARTS = {"scatter": ScatterConfig, "detector": DetectorConfig, "eval": EvalSettings}
 
 
 @dataclass(frozen=True)
@@ -178,8 +137,9 @@ class PipelineConfig:
         )
         if not self.depth_range[0] < self.depth_range[1]:
             raise ConfigError(f"bad depth range {self.depth_range}")
-        parts = {"scatter": ScatterConfig, "detector": DetectorConfig, "eval": EvalSettings}
-        for name, kind in parts.items():
+        for name in ("depth_range", "bench_origin", "bench_extent"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name, kind in _PARTS.items():
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
 
@@ -196,18 +156,9 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            if "scatter" in data:
-                data["scatter"] = ScatterConfig(**data["scatter"])
-            if "detector" in data:
-                data["detector"] = DetectorConfig(**data["detector"])
-            if "eval" in data:
-                ev = dict(data["eval"])
-                if "iou_thresholds" in ev:
-                    ev["iou_thresholds"] = tuple(ev["iou_thresholds"])
-                data["eval"] = EvalSettings(**ev)
-            for key in ("depth_range", "bench_origin", "bench_extent"):
-                if key in data:
-                    data[key] = tuple(data[key])
+            for name, part in _PARTS.items():
+                if name in data:
+                    data[name] = part(**data[name])
             return cls(**data)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e

@@ -20,22 +20,18 @@ cloud is the one that scan would accept, bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import backproject_pixels
-from .scene import CameraFrame, _is_integer
+from .checks import _check
+from .scene import CameraFrame
 
 # relative margin the tree searches add to the dedup radius; tree
 # distances and the exact squared-distance sum differ by far less
 DEDUP_SLACK = 1e-9
-
-
-def _is_positive(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 @dataclass(frozen=True)
@@ -46,12 +42,9 @@ class ScatterConfig:
     dedup_radius: float | None = None
 
     def __post_init__(self):
-        if not _is_positive(self.radius):
-            raise ValueError(f"radius must be a positive number, got {self.radius!r}")
-        if not (_is_integer(self.max_points) and self.max_points >= 1):
-            raise ValueError(f"max_points must be a positive integer, got {self.max_points!r}")
-        if self.dedup_radius is not None and not _is_positive(self.dedup_radius):
-            raise ValueError(f"dedup_radius must be a positive number, got {self.dedup_radius!r}")
+        _check(self, radius="positive", max_points="count")
+        if self.dedup_radius is not None:
+            _check(self, dedup_radius="positive")
 
     @property
     def effective_dedup_radius(self) -> float:

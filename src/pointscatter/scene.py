@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,6 +38,7 @@ import numpy as np
 
 from .boxes import OrientedBox
 from .camera import BEHIND_CAMERA_EPS, Intrinsics, Pose, look_at_pose, project_points
+from .checks import ConfigError, _check
 from .meshes import _BOX_FACES, box_shell, triangle_normals
 
 # Fixed directional light (unit vector pointing from the scene toward
@@ -57,13 +57,8 @@ class SceneObject:
     albedo: tuple[float, float, float] = (0.7, 0.7, 0.7)
 
     def __post_init__(self):
-        try:
-            albedo = tuple(float(a) for a in self.albedo)
-        except (TypeError, ValueError):
-            albedo = ()
-        if len(albedo) != 3 or not all(0.0 <= a <= 1.0 for a in albedo):
-            raise ValueError(f"albedo must be 3 finite numbers in [0, 1], got {self.albedo!r}")
-        object.__setattr__(self, "albedo", albedo)
+        _check(self, albedo=("fraction", 3))
+        object.__setattr__(self, "albedo", tuple(map(float, self.albedo)))
 
     def mesh(self) -> np.ndarray:
         """(12, 3, 3) closed triangle shell of the box."""
@@ -99,12 +94,10 @@ class SceneSpec:
     outlier_rate: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.outlier_rate <= 1.0:
-            raise ValueError(f"outlier rate must be in [0, 1], got {self.outlier_rate}")
-        if not 0.0 <= self.depth_noise_sigma < math.inf:
-            raise ValueError(
-                f"noise sigma must be finite and non-negative, got {self.depth_noise_sigma}"
-            )
+        _check(self, rng_seed="integer", depth_noise_sigma="non-negative", outlier_rate="fraction")
+        object.__setattr__(self, "rng_seed", int(self.rng_seed))
+        object.__setattr__(self, "depth_noise_sigma", float(self.depth_noise_sigma))
+        object.__setattr__(self, "outlier_rate", float(self.outlier_rate))
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "cameras", tuple(self.cameras))
 
@@ -493,12 +486,12 @@ def select_keyframes(
 ) -> list[int]:
     """Greedy keyframe selection preferring detections and ego-motion.
 
-    First pass keeps frames (in temporal order) that carry at least one
-    detection and moved enough relative to the previously selected frame
-    (translation OR rotation threshold). If that yields fewer than
-    ``target_count``, the detection requirement is relaxed, then the
-    motion requirement, each pass filling in temporal order. Returns
-    sorted indices, at most ``target_count``.
+    Frames are kept in temporal order under three relaxation levels in
+    turn: detection and motion, then motion only, then neither, until
+    ``target_count`` are kept. A frame has a detection when it carries
+    at least one; it moved enough when its translation OR rotation from
+    the latest kept earlier frame (if any) reaches its threshold.
+    Returns sorted indices, at most ``target_count``.
     """
     n = len(poses)
     if len(detections_per_frame) != n:
@@ -510,50 +503,27 @@ def select_keyframes(
         dt = float(np.linalg.norm(poses[i].translation - poses[j].translation))
         return dt >= min_translation or _rotation_angle_deg(poses[i], poses[j]) >= min_rotation_deg
 
-    selected: list[int] = []
-    last = None
-    for i in range(n):
-        if len(selected) >= target_count:
-            break
-        if detections_per_frame[i] >= 1 and (last is None or moved(i, last)):
-            selected.append(i)
-            last = i
-
-    if len(selected) < target_count:
-        # relax the detection requirement, keep the motion requirement
-        chosen = set(selected)
+    chosen: set[int] = set()
+    for need_detection, need_motion in ((True, True), (False, True), (False, False)):
         for i in range(n):
             if len(chosen) >= target_count:
                 break
-            if i in chosen:
+            if i in chosen or (need_detection and detections_per_frame[i] < 1):
                 continue
-            prior = [j for j in sorted(chosen) if j < i]
-            if not prior or moved(i, prior[-1]):
+            prior = max((j for j in chosen if j < i), default=None)
+            if not need_motion or prior is None or moved(i, prior):
                 chosen.add(i)
-        selected = sorted(chosen)
-
-    if len(selected) < target_count:
-        chosen = set(selected)
-        for i in range(n):
-            if len(chosen) >= target_count:
-                break
-            chosen.add(i)
-        selected = sorted(chosen)
-
-    return sorted(selected[:target_count])
+    return sorted(chosen)
 
 
 def orbit_trajectory(radius: float, height: float, steps: int, look_at) -> list[Pose]:
     """Poses evenly spaced on a circle of ``radius`` around ``look_at``.
 
     Cameras sit at absolute world height ``height`` and look at the
-    target point. ``steps`` must be positive; ``radius`` nonzero so the
+    target point. ``steps`` must be positive; ``radius`` positive so the
     viewing direction never degenerates.
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check(locals(), radius="positive", height="number", steps="count", look_at=("number", 3))
     look = np.asarray(look_at, dtype=np.float64)
     poses = []
     for k in range(steps):
@@ -573,27 +543,8 @@ def _intrinsics_to_dict(i: Intrinsics) -> dict:
     return {"fx": i.fx, "fy": i.fy, "cx": i.cx, "cy": i.cy, "width": i.width, "height": i.height}
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _integer(d: dict, key: str, default=None) -> int:
-    """``d[key]`` (``default`` if given and absent), checked to be an integer."""
-    value = d[key] if default is None else d.get(key, default)
-    if not _is_integer(value):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _intrinsics_from_dict(d: dict) -> Intrinsics:
-    return Intrinsics(
-        fx=float(d["fx"]),
-        fy=float(d["fy"]),
-        cx=float(d["cx"]),
-        cy=float(d["cy"]),
-        width=_integer(d, "width"),
-        height=_integer(d, "height"),
-    )
+    return Intrinsics(d["fx"], d["fy"], d["cx"], d["cy"], d["width"], d["height"])
 
 
 def scene_to_dict(scene: SceneSpec) -> dict:
@@ -632,16 +583,11 @@ def scene_from_dict(data: dict) -> SceneSpec:
     f=120 pinhole.
     """
     if not isinstance(data, dict):
-        raise ValueError(f"scene must be a JSON object, got {type(data).__name__}")
+        raise ConfigError(f"scene must be a JSON object, got {type(data).__name__}")
     objects = tuple(
         SceneObject(
-            box=OrientedBox(
-                center=tuple(o["center"]),
-                size=tuple(o["size"]),
-                yaw=float(o.get("yaw", 0.0)),
-                category=_integer(o, "category", 0),
-            ),
-            albedo=tuple(o.get("albedo", (0.7, 0.7, 0.7))),
+            box=OrientedBox(o["center"], o["size"], o.get("yaw", 0.0), o.get("category", 0)),
+            albedo=o.get("albedo", (0.7, 0.7, 0.7)),
         )
         for o in data["objects"]
     )
@@ -649,33 +595,28 @@ def scene_from_dict(data: dict) -> SceneSpec:
     if isinstance(cam_spec, dict):
         traj = cam_spec.get("trajectory")
         if not isinstance(traj, dict) or traj.get("type") != "orbit":
-            raise ValueError("camera object form requires a trajectory of type 'orbit'")
+            raise ConfigError("camera object form requires a trajectory of type 'orbit'")
         intr = (
             _intrinsics_from_dict(data["intrinsics"])
             if "intrinsics" in data
             else DEFAULT_INTRINSICS
         )
         poses = orbit_trajectory(
-            radius=float(traj["radius"]),
-            height=float(traj["height"]),
-            steps=_integer(traj, "steps"),
-            look_at=traj.get("look_at", (0.0, 0.0, 0.0)),
+            traj["radius"], traj["height"], traj["steps"], traj.get("look_at", (0.0, 0.0, 0.0))
         )
         cameras = tuple(SceneCamera(intr, p) for p in poses)
     else:
-        cameras = tuple(
-            SceneCamera(
-                _intrinsics_from_dict(c),
-                Pose(np.array(c["rotation"], dtype=np.float64).reshape(3, 3), np.array(c["translation"])),
-            )
-            for c in cam_spec
-        )
+        cameras = []
+        for c in cam_spec:
+            intr = _intrinsics_from_dict(c)
+            _check(c, rotation=("number", 9), translation=("number", 3))
+            cameras.append(SceneCamera(intr, Pose(np.reshape(c["rotation"], (3, 3)), c["translation"])))
     return SceneSpec(
         objects=objects,
         cameras=cameras,
-        rng_seed=_integer(data, "rng_seed", 0),
-        depth_noise_sigma=float(data.get("depth_noise_sigma", 0.0)),
-        outlier_rate=float(data.get("outlier_rate", 0.0)),
+        rng_seed=data.get("rng_seed", 0),
+        depth_noise_sigma=data.get("depth_noise_sigma", 0.0),
+        outlier_rate=data.get("outlier_rate", 0.0),
     )
 
 

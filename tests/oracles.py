@@ -811,3 +811,50 @@ def write_ppm(image: np.ndarray, path) -> None:
         f.write(f"P3\n{w} {h}\n255\n")
         for row in quant:
             f.write(" ".join(" ".join(str(c) for c in px) for px in row) + "\n")
+
+
+def select_keyframes(poses, detections_per_frame, target_count, min_translation=0.1, min_rotation_deg=10.0):
+    """Keyframe selection in three separate passes over the frames.
+
+    The first keeps frames with a detection that moved enough from the
+    previously kept frame; the second relaxes the detection requirement,
+    comparing each frame with the latest kept earlier frame; the third
+    fills in frames in temporal order until ``target_count``.
+    """
+
+    def moved(i, j):
+        dt = float(np.linalg.norm(poses[i].translation - poses[j].translation))
+        cos = (np.trace(poses[i].rotation.T @ poses[j].rotation) - 1.0) / 2.0
+        angle = math.degrees(math.acos(float(np.clip(cos, -1.0, 1.0))))
+        return dt >= min_translation or angle >= min_rotation_deg
+
+    selected = []
+    last = None
+    for i in range(len(poses)):
+        if len(selected) >= target_count:
+            break
+        if detections_per_frame[i] >= 1 and (last is None or moved(i, last)):
+            selected.append(i)
+            last = i
+
+    if len(selected) < target_count:
+        chosen = set(selected)
+        for i in range(len(poses)):
+            if len(chosen) >= target_count:
+                break
+            if i in chosen:
+                continue
+            prior = [j for j in sorted(chosen) if j < i]
+            if not prior or moved(i, prior[-1]):
+                chosen.add(i)
+        selected = sorted(chosen)
+
+    if len(selected) < target_count:
+        chosen = set(selected)
+        for i in range(len(poses)):
+            if len(chosen) >= target_count:
+                break
+            chosen.add(i)
+        selected = sorted(chosen)
+
+    return sorted(selected[:target_count])

@@ -44,6 +44,8 @@ from pointscatter.scene import (
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # an orbit trajectory for a scene file's camera object form, less its steps
 ORBIT = {"type": "orbit", "radius": 3.0, "height": 1.7}
+# a detections file of one box, with one more entry filled in
+DETECTION = '[{"center": [0, 0, 0.3], "size": [1, 1, 1], %s}]'
 
 
 def load_perfbench(name: str):
@@ -545,13 +547,22 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["run", "{scene}", "--out", "{out}", "--outlier-rate", "2"], "outlier rate"),
-            (["run", "{scene}", "--out", "{out}", "--noise-sigma", "-1"], "noise sigma"),
+            (["run", "{scene}", "--out", "{out}", "--outlier-rate", "2"], "outlier_rate"),
+            (["run", "{scene}", "--out", "{out}", "--noise-sigma", "-1"], "depth_noise_sigma"),
             (["run", "{scene}", "--out", "{out}", "--max-points", "0"], "max_points"),
             (["bench", "{scene}", "--max-points", "-3"], "max_points"),
-            (["gen-scene", "{out}", "--outlier-rate", "2"], "outlier rate"),
+            (["gen-scene", "{out}", "--outlier-rate", "2"], "outlier_rate"),
             (["gen-scene", "{out}", "--steps", "0"], "steps"),
             (["run", "{scene}", "--out", "{out}", "--config", "{config}"], "radius"),
+        ],
+        ids=[
+            "argv0-outlier rate",
+            "argv1-noise sigma",
+            "argv2-max_points",
+            "argv3-max_points",
+            "argv4-outlier rate",
+            "argv5-steps",
+            "argv6-radius",
         ],
     )
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, argv, message):
@@ -572,19 +583,29 @@ class TestCliExitCodes:
             (("objects", 0, "center"), [float("nan"), 0.0, 0.35], "center"),
             (("objects", 0, "albedo"), [0.5], "albedo"),
             (("objects", 0, "category"), -1, "category"),
-            (("cameras", 0, "fx"), float("nan"), "fx=nan"),
-            (("cameras", 0, "fy"), float("inf"), "fy=inf"),
+            (("cameras", 0, "fx"), float("nan"), "fx must be a finite positive number, got nan"),
+            (("cameras", 0, "fy"), float("inf"), "fy must be a finite positive number, got inf"),
             (("cameras", 0, "translation"), [float("nan"), 0.0, 1.0], "translation"),
-            (("depth_noise_sigma",), float("nan"), "noise sigma"),
-            (("depth_noise_sigma",), float("inf"), "noise sigma"),
+            (("depth_noise_sigma",), float("nan"), "depth_noise_sigma must be a finite non-negative"),
+            (("depth_noise_sigma",), float("inf"), "depth_noise_sigma must be a finite non-negative"),
             (("objects",), 5, "not iterable"),
             (("cameras",), {"trajectory": [1]}, "trajectory of type 'orbit'"),
-            (("objects", 0, "yaw"), [1], "float()"),
-            (("cameras", 0, "width"), 160.9, "width must be an integer, got 160.9"),
+            (("objects", 0, "yaw"), [1], "yaw must be a finite number, got [1]"),
+            (("cameras", 0, "width"), 160.9, "width must be a positive integer, got 160.9"),
             (("rng_seed",), 3.9, "rng_seed must be an integer, got 3.9"),
-            (("objects", 0, "category"), 1.5, "category must be an integer, got 1.5"),
-            (("cameras",), {"trajectory": ORBIT | {"steps": 6.7}}, "steps must be an integer"),
-            (("cameras",), {"trajectory": ORBIT | {"steps": True}}, "steps must be an integer"),
+            (("objects", 0, "category"), 1.5, "category must be a non-negative integer, got 1.5"),
+            (("cameras",), {"trajectory": ORBIT | {"steps": 6.7}}, "steps must be a positive integer"),
+            (("cameras",), {"trajectory": ORBIT | {"steps": True}}, "steps must be a positive integer"),
+            (("cameras", 0, "fx"), True, "fx must be a finite positive number, got True"),
+            (("cameras", 0, "fx"), "120", "fx must be a finite positive number, got '120'"),
+            (("outlier_rate",), True, "outlier_rate must be a number in [0, 1], got True"),
+            (("depth_noise_sigma",), True, "depth_noise_sigma must be a finite non-negative"),
+            (("objects", 0, "yaw"), True, "yaw must be a finite number, got True"),
+            (("objects", 0, "center"), ["1", "0", "0.3"], "center must be 3 values"),
+            (("cameras",), {"trajectory": ORBIT | {"steps": 6, "radius": True}}, "radius must be a finite"),
+            (("cameras", 0, "cx"), "79.5", "cx must be a finite number, got '79.5'"),
+            (("cameras", 0, "translation"), [True, 0.0, 1.0], "translation must be 3 values"),
+            (("cameras",), {"trajectory": ORBIT | {"steps": 6, "look_at": ["0", 0, 0]}}, "look_at must be"),
         ],
         ids=[
             "nan_center",
@@ -603,6 +624,16 @@ class TestCliExitCodes:
             "fractional_category",
             "fractional_steps",
             "bool_steps",
+            "bool_fx",
+            "string_fx",
+            "bool_outlier_rate",
+            "bool_noise_sigma",
+            "bool_yaw",
+            "string_center",
+            "bool_radius",
+            "string_cx",
+            "bool_translation",
+            "string_look_at",
         ],
     )
     def test_invalid_scene_values_are_config_errors(self, tmp_path, capsys, path, value, message):
@@ -624,9 +655,27 @@ class TestCliExitCodes:
         [
             (["run", "{bad}", "--out", "{out}"], "[1, 2]", "scene must be a JSON object"),
             (["eval", "{scene}", "{bad}"], '{"center": [0, 0, 0]}', "must be a JSON list"),
-            (["eval", "{scene}", "{bad}"], '[{"center": 5, "size": [1, 1, 1]}]', "not iterable"),
+            (["eval", "{scene}", "{bad}"], '[{"center": 5, "size": [1, 1, 1]}]', "center must be 3"),
+            (["eval", "{scene}", "{bad}"], DETECTION % '"score": NaN', "score must be a finite"),
+            (["eval", "{scene}", "{bad}"], DETECTION % '"score": Infinity', "score must be a finite"),
+            (["eval", "{scene}", "{bad}"], DETECTION % '"category": true', "category must be"),
+            (["eval", "{scene}", "{bad}"], DETECTION % '"category": 1.5', "category must be"),
+            (
+                ["eval", "{scene}", "{bad}"],
+                '[{"center": ["1", "0", "0.3"], "size": [1, 1, 1]}]',
+                "center must be 3 values",
+            ),
         ],
-        ids=["list_scene", "object_detections", "number_center"],
+        ids=[
+            "list_scene",
+            "object_detections",
+            "number_center",
+            "nan_score",
+            "inf_score",
+            "bool_category",
+            "fractional_category",
+            "string_center",
+        ],
     )
     def test_malformed_files_are_config_errors(self, tmp_path, capsys, argv, content, message):
         scene_path = tmp_path / "scene.json"
@@ -681,6 +730,8 @@ class TestCliExitCodes:
             ('{"eval": {"sample_count": 0}}', "sample_count"),
             ('{"detector": {"min_cluster_points": "x"}}', "min_cluster_points"),
             ('{"scatter": {"max_points": 1.5}}', "max_points"),
+            ('{"depth_range": 5}', "depth_range must be 2 values"),
+            ('{"eval": {"iou_thresholds": 0.5}}', "iou_thresholds must be one or more"),
         ],
         ids=[
             "bench_extent_zero",
@@ -691,6 +742,8 @@ class TestCliExitCodes:
             "sample_count",
             "min_cluster_points",
             "max_points",
+            "number_depth_range",
+            "number_iou_thresholds",
         ],
     )
     def test_invalid_field_kinds_are_config_errors(

@@ -36,6 +36,7 @@ from oracles import (
     perturb_depth as oracle_perturb_depth,
     point_mesh_distance,
     project_gt_boxes as oracle_project_gt_boxes,
+    select_keyframes as oracle_select_keyframes,
 )
 
 SIMPLE = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
@@ -704,6 +705,32 @@ class TestSelectKeyframes:
         picked = select_keyframes(poses, detections, target_count=12)
         assert picked == sorted(set(picked))
         assert len(picked) <= 12
+
+    @pytest.mark.parametrize("steps", [20, 80])
+    def test_orbit_matches_three_pass_oracle(self, steps):
+        scene = demo_scene(steps=steps)
+        poses = [c.pose for c in scene.cameras]
+        counts = [len(project_gt_boxes(scene, i)) for i in range(steps)]
+        # every third frame without detections makes the first pass fall short
+        for detections in (counts, [c if i % 3 else 0 for i, c in enumerate(counts)]):
+            for target in (1, 7, steps // 2, steps, steps + 3):
+                for thresholds in ((0.1, 10.0), (2.0, 60.0), (0.0, 0.0), (100.0, 360.0)):
+                    got = select_keyframes(poses, detections, target, *thresholds)
+                    assert got == oracle_select_keyframes(poses, detections, target, *thresholds)
+
+    def test_random_inputs_match_three_pass_oracle(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            poses = [
+                look_at_pose(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3) + [0.0, 0.0, 5.0])
+                for _ in range(n)
+            ]
+            detections = rng.integers(0, 3, n) * (rng.random(n) < rng.random())
+            target = int(rng.integers(1, n + 4))
+            thresholds = (float(rng.uniform(0, 3)), float(rng.uniform(0, 90)))
+            got = select_keyframes(poses, detections.tolist(), target, *thresholds)
+            assert got == oracle_select_keyframes(poses, detections.tolist(), target, *thresholds)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
