@@ -82,8 +82,8 @@ from .surface import (
     soft_weight,
 )
 from .voxel import (
-    DenseGridSpec,
     SparseVoxelGrid,
+    dense_cell_count,
     sparsity_report,
     voxel_indices,
     voxelize,

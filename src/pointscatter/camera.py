@@ -102,26 +102,25 @@ class Pose:
         return p @ self.rotation.T + self.translation
 
 
-def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> Pose:
+def look_at_pose(eye, target) -> Pose:
     """World-from-camera pose for a camera at ``eye`` looking at ``target``.
 
     The camera z-axis points from eye toward target; the image v-axis
     (camera y, which grows downward in the image) is aligned against
-    ``up`` as closely as possible. Raises ValueError when the viewing
-    direction is parallel to ``up``.
+    world +z as closely as possible. Raises ValueError when the viewing
+    direction is vertical.
     """
     eye = np.asarray(eye, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    up = np.asarray(up, dtype=np.float64)
     forward = target - eye
     norm = np.linalg.norm(forward)
     if norm < 1e-12:
         raise ValueError("eye and target coincide")
     forward = forward / norm
-    right = np.cross(forward, up)
+    right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
     rnorm = np.linalg.norm(right)
     if rnorm < 1e-12:
-        raise ValueError("viewing direction is parallel to the up vector")
+        raise ValueError("viewing direction is vertical")
     right = right / rnorm
     down = np.cross(forward, right)
     rot = np.column_stack([right, down, forward])

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .boxes import OrientedBox
-from .checks import ConfigError
+from .checks import _entries
 from .scatter import ScatterCloud
 
 
@@ -31,90 +31,52 @@ def _int_strs(column):
     return map(str, np.asarray(column, dtype=np.int64).tolist())
 
 
+# The vertex properties of a cloud PLY, in file order: the cloud field,
+# the property name of each of its columns and their PLY type. A field
+# the cloud does not carry writes nothing; the feature columns are
+# named f0, f1, ... by channel.
+_PLY_COLUMNS = (
+    ("positions", ("x", "y", "z"), "double"),
+    ("frame_ids", ("frame",), "int"),
+    ("categories", ("category",), "int"),
+    ("pixels", ("pu", "pv"), "double"),
+    ("scores", ("score",), "double"),
+    ("features", None, "double"),
+)
+_FORMATS = {"double": _float_strs, "int": _int_strs}
+
+
+def _ply_properties(cloud: ScatterCloud):
+    """``(name, type, values)`` of each vertex property of ``cloud``, in file order."""
+    for field, names, kind in _PLY_COLUMNS:
+        column = getattr(cloud, field)
+        if column is None:
+            continue
+        table = column if column.ndim == 2 else column[:, None]
+        for j, name in enumerate(names or (f"f{c}" for c in range(table.shape[1]))):
+            yield name, kind, table[:, j]
+
+
 def write_cloud_ply(cloud: ScatterCloud, path, rows: list[str] | None = None) -> list[str]:
     """ASCII PLY with provenance properties per vertex; returns the vertex rows.
 
-    Always writes x/y/z, source frame, category and the source pixel;
-    a ``score`` property and ``f<i>`` feature properties appear when the
-    cloud carries them. ``rows``, when given, are the cloud's vertex
-    lines as an earlier call returned them (for a subset cloud, the
-    matching subset of those lines), and are written as they are.
+    Writes the properties of ``_PLY_COLUMNS`` for every column the
+    cloud carries. ``rows``, when given, are the cloud's vertex lines as
+    an earlier call returned them (for a subset cloud, the matching
+    subset of those lines), and are written as they are.
     """
     n = len(cloud)
-    channels = 0 if cloud.features is None else cloud.features.shape[1]
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        "comment multi-view scatter cloud",
-        f"element vertex {n}",
-        "property double x",
-        "property double y",
-        "property double z",
-        "property int frame",
-        "property int category",
-        "property double pu",
-        "property double pv",
-    ]
-    if cloud.scores is not None:
-        lines.append("property double score")
-    for c in range(channels):
-        lines.append(f"property double f{c}")
-    lines.append("end_header")
+    props = list(_ply_properties(cloud))
+    header = ["ply", "format ascii 1.0", "comment multi-view scatter cloud", f"element vertex {n}"]
+    header += [f"property {kind} {name}" for name, kind, _ in props]
+    header.append("end_header")
     if rows is None:
-        columns = [_float_strs(cloud.positions[:, j]) for j in range(3)]
-        columns += [_int_strs(cloud.frame_ids), _int_strs(cloud.categories)]
-        columns += [_float_strs(cloud.pixels[:, j]) for j in range(2)]
-        if cloud.scores is not None:
-            columns.append(_float_strs(cloud.scores))
-        columns += [_float_strs(cloud.features[:, c]) for c in range(channels)]
-        rows = list(map(" ".join, zip(*columns)))
+        rows = list(map(" ".join, zip(*(_FORMATS[kind](values) for _, kind, values in props))))
     elif len(rows) != n:
         raise ValueError(f"{len(rows)} rows given for a cloud of {n} points")
     with open(path, "w") as f:
-        f.write("\n".join(lines + rows) + "\n")
+        f.write("\n".join(header + rows) + "\n")
     return rows
-
-
-def read_cloud_ply(path) -> ScatterCloud:
-    """Read a cloud written by :func:`write_cloud_ply`."""
-    with open(path) as f:
-        if f.readline().strip() != "ply":
-            raise ValueError(f"{path} is not a PLY file")
-        n = None
-        props: list[str] = []
-        for line in f:
-            token = line.strip()
-            if token == "end_header":
-                break
-            parts = token.split()
-            if parts[:2] == ["element", "vertex"]:
-                n = int(parts[2])
-            elif parts[0] == "property":
-                props.append(parts[2])
-        if n is None:
-            raise ValueError("PLY header lacks a vertex element")
-        required = ["x", "y", "z", "frame", "category", "pu", "pv"]
-        for name in required:
-            if name not in props:
-                raise ValueError(f"PLY missing property {name}")
-        col = {name: i for i, name in enumerate(props)}
-        feature_names = sorted(
-            (p for p in props if p.startswith("f") and p[1:].isdigit()),
-            key=lambda p: int(p[1:]),
-        )
-        rows = []
-        for _ in range(n):
-            rows.append(f.readline().split())
-    data = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(props)))
-    cloud = ScatterCloud(
-        positions=data[:, [col["x"], col["y"], col["z"]]],
-        frame_ids=data[:, col["frame"]].astype(np.int64),
-        pixels=data[:, [col["pu"], col["pv"]]],
-        categories=data[:, col["category"]].astype(np.int64),
-        features=data[:, [col[p] for p in feature_names]] if feature_names else None,
-        scores=data[:, col["score"]] if "score" in col else None,
-    )
-    return cloud
 
 
 def _write_rows(f, quant: np.ndarray) -> None:
@@ -166,13 +128,11 @@ def boxes_to_list(boxes) -> list[dict]:
 
 
 def boxes_from_list(items) -> list[OrientedBox]:
-    if not isinstance(items, list):
-        raise ConfigError(f"detections must be a JSON list, got {type(items).__name__}")
     return [
         OrientedBox(
             d["center"], d["size"], d.get("yaw", 0.0), d.get("category", 0), d.get("score", 1.0)
         )
-        for d in items
+        for d in _entries(items, "detections", "center", "size")
     ]
 
 

@@ -35,7 +35,7 @@ from .metrics import chamfer_fscore, evaluate_detections
 from .scatter import ScatterAccumulator, ScatterConfig, cap_points, scatter_frames  # noqa: F401
 from .scene import SceneSpec, make_frame, project_gt_boxes, select_keyframes
 from .surface import label_points, photometric_score, sample_scene_surface, soft_weight
-from .voxel import DenseGridSpec, sparsity_report, voxelize
+from .voxel import dense_cell_count, sparsity_report, voxelize
 
 logger = logging.getLogger(__name__)
 
@@ -320,7 +320,7 @@ def _aggregate(cloud, frames, scene: SceneSpec, config: PipelineConfig):
     features = compose_features(means, variances, cloud.categories, num_cats)
     scores = photometric_score(variances, counts, config.k_sigma)
     weighted = soft_weight(features, scores, num_onehot=num_cats)
-    return cloud.with_features(weighted).with_scores(scores)
+    return dataclasses.replace(cloud, features=weighted, scores=scores)
 
 
 def run_front(scene: SceneSpec, config: PipelineConfig, aggregate: bool = True, timings=None):
@@ -366,8 +366,8 @@ def _voxelize(cloud, config: PipelineConfig):
     """The sparse grid and its report against a dense grid of the same
     resolution over the configured bounds."""
     grid = voxelize(cloud, config.voxel_size, config.bench_origin)
-    dense = DenseGridSpec(config.bench_origin, config.bench_extent, config.voxel_size)
-    sparsity = sparsity_report(cloud, grid, dense)
+    dense_cells = dense_cell_count(config.bench_extent, config.voxel_size)
+    sparsity = sparsity_report(cloud, grid, dense_cells, config.voxel_size)
     sparsity["metadata"] = {
         "dense_voxel_size": config.dense_voxel_size,
         "gs_reference_proposals": GS_REFERENCE_PROPOSALS,
@@ -452,8 +452,7 @@ def run_sparsity_bench(scene: SceneSpec, config: PipelineConfig) -> dict:
     timings = {}
     keyframes, _, cloud = run_front(scene, config, aggregate=False, timings=timings)
     _, report = guarded("voxelize", _voxelize, cloud, config, timings=timings)
-    coarse = DenseGridSpec(config.bench_origin, config.bench_extent, config.dense_voxel_size)
-    report["coarse_dense_cells"] = coarse.cell_count
+    report["coarse_dense_cells"] = dense_cell_count(config.bench_extent, config.dense_voxel_size)
     report["metadata"]["keyframes"] = len(keyframes)
     report["metadata"]["timings_s"] = {k: timings[k] for k in ("render", "scatter", "voxelize")}
     return report

@@ -20,7 +20,7 @@ cloud is the one that scan would accept, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -58,7 +58,8 @@ class ScatterCloud:
     ``positions`` (N, 3); ``frame_ids`` the source frame of each point;
     ``pixels`` (N, 2) the source pixel (u, v); ``categories`` the
     category of the 2D box each point was sampled from. ``features`` and
-    ``scores`` start as None and are attached by later stages.
+    ``scores`` start as None and are attached by later stages. Every
+    column present has one row per point.
     """
 
     positions: np.ndarray
@@ -68,30 +69,23 @@ class ScatterCloud:
     features: np.ndarray | None = None
     scores: np.ndarray | None = None
 
+    def __post_init__(self):
+        n = len(self.positions)
+        for name, column in self._columns().items():
+            if len(column) != n:
+                raise ValueError(f"{name} has {len(column)} rows for {n} points")
+
     def __len__(self) -> int:
         return len(self.positions)
+
+    def _columns(self) -> dict[str, np.ndarray]:
+        """The columns the cloud carries, by field name."""
+        return {f.name: c for f in fields(self) if (c := getattr(self, f.name)) is not None}
 
     def select(self, indices) -> "ScatterCloud":
         """Row subset, preserving order of ``indices``, all columns."""
         idx = np.asarray(indices)
-        return ScatterCloud(
-            positions=self.positions[idx],
-            frame_ids=self.frame_ids[idx],
-            pixels=self.pixels[idx],
-            categories=self.categories[idx],
-            features=None if self.features is None else self.features[idx],
-            scores=None if self.scores is None else self.scores[idx],
-        )
-
-    def with_features(self, features: np.ndarray) -> "ScatterCloud":
-        if len(features) != len(self):
-            raise ValueError("feature rows must match point count")
-        return replace(self, features=np.asarray(features, dtype=np.float64))
-
-    def with_scores(self, scores: np.ndarray) -> "ScatterCloud":
-        if len(scores) != len(self):
-            raise ValueError("score rows must match point count")
-        return replace(self, scores=np.asarray(scores, dtype=np.float64))
+        return replace(self, **{name: column[idx] for name, column in self._columns().items()})
 
 
 def empty_cloud() -> ScatterCloud:
@@ -195,11 +189,10 @@ class ScatterAccumulator:
 
 
 def _concatenate(clouds: list[ScatterCloud]) -> ScatterCloud:
-    return ScatterCloud(
-        positions=np.concatenate([c.positions for c in clouds]),
-        frame_ids=np.concatenate([c.frame_ids for c in clouds]),
-        pixels=np.concatenate([c.pixels for c in clouds]),
-        categories=np.concatenate([c.categories for c in clouds]),
+    """The rows of every cloud in order; all carry the columns of the first."""
+    columns = clouds[0]._columns()
+    return replace(
+        clouds[0], **{name: np.concatenate([getattr(c, name) for c in clouds]) for name in columns}
     )
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .boxes import OrientedBox
 from .camera import BEHIND_CAMERA_EPS, Intrinsics, Pose, look_at_pose, project_points
-from .checks import ConfigError, _check
+from .checks import ConfigError, _check, _entries, _entry
 from .meshes import _BOX_FACES, box_shell, triangle_normals
 
 # Fixed directional light (unit vector pointing from the scene toward
@@ -539,12 +539,12 @@ def orbit_trajectory(radius: float, height: float, steps: int, look_at) -> list[
 # JSON scene files
 
 
-def _intrinsics_to_dict(i: Intrinsics) -> dict:
-    return {"fx": i.fx, "fy": i.fy, "cx": i.cx, "cy": i.cy, "width": i.width, "height": i.height}
+# the keys of a camera's intrinsics in a scene file, in Intrinsics order
+_INTRINSICS = ("fx", "fy", "cx", "cy", "width", "height")
 
 
 def _intrinsics_from_dict(d: dict) -> Intrinsics:
-    return Intrinsics(d["fx"], d["fy"], d["cx"], d["cy"], d["width"], d["height"])
+    return Intrinsics(*(d[key] for key in _INTRINSICS))
 
 
 def scene_to_dict(scene: SceneSpec) -> dict:
@@ -561,7 +561,7 @@ def scene_to_dict(scene: SceneSpec) -> dict:
         ],
         "cameras": [
             {
-                **_intrinsics_to_dict(c.intrinsics),
+                **{key: getattr(c.intrinsics, key) for key in _INTRINSICS},
                 "rotation": [float(x) for x in c.pose.rotation.reshape(-1)],
                 "translation": [float(x) for x in c.pose.translation],
             }
@@ -582,22 +582,22 @@ def scene_from_dict(data: dict) -> SceneSpec:
     optional top-level ``intrinsics`` entry, defaulting to a 160x120
     f=120 pinhole.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"scene must be a JSON object, got {type(data).__name__}")
+    _entry(data, "scene", "objects", "cameras")
     objects = tuple(
         SceneObject(
             box=OrientedBox(o["center"], o["size"], o.get("yaw", 0.0), o.get("category", 0)),
             albedo=o.get("albedo", (0.7, 0.7, 0.7)),
         )
-        for o in data["objects"]
+        for o in _entries(data["objects"], "objects", "center", "size")
     )
     cam_spec = data["cameras"]
     if isinstance(cam_spec, dict):
         traj = cam_spec.get("trajectory")
         if not isinstance(traj, dict) or traj.get("type") != "orbit":
             raise ConfigError("camera object form requires a trajectory of type 'orbit'")
+        _entry(traj, "trajectory", "radius", "height", "steps")
         intr = (
-            _intrinsics_from_dict(data["intrinsics"])
+            _intrinsics_from_dict(_entry(data["intrinsics"], "intrinsics", *_INTRINSICS))
             if "intrinsics" in data
             else DEFAULT_INTRINSICS
         )
@@ -607,7 +607,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
         cameras = tuple(SceneCamera(intr, p) for p in poses)
     else:
         cameras = []
-        for c in cam_spec:
+        for c in _entries(cam_spec, "cameras", *_INTRINSICS, "rotation", "translation"):
             intr = _intrinsics_from_dict(c)
             _check(c, rotation=("number", 9), translation=("number", 3))
             cameras.append(SceneCamera(intr, Pose(np.reshape(c["rotation"], (3, 3)), c["translation"])))

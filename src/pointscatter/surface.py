@@ -61,20 +61,18 @@ def label_points(points: np.ndarray, surface_points: np.ndarray, tau: float) -> 
     return SurfaceLabeling(labels=distances < tau, distances=distances, tau=tau)
 
 
-def sample_scene_surface(scene, tau: float, rng: np.random.Generator, density: float | None = None) -> np.ndarray:
+def sample_scene_surface(scene, tau: float, rng: np.random.Generator) -> np.ndarray:
     """Area-weighted surface samples dense enough to support ``tau`` labels.
 
-    The sampling density defaults to ``4 / tau^2`` points per square
-    meter, putting the expected nearest-sample distance well below tau
-    so the sampled labeling matches the true surface-distance labeling.
+    The sampling density is ``4 / tau^2`` points per square meter,
+    putting the expected nearest-sample distance well below tau so the
+    sampled labeling matches the true surface-distance labeling.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if density is None:
-        density = 4.0 / (tau * tau)
     triangles = scene.geometry.triangles
     total_area = float(triangle_areas(triangles).sum())
-    count = max(1, math.ceil(total_area * density))
+    count = max(1, math.ceil(total_area * (4.0 / (tau * tau))))
     return sample_surface_points(triangles, count, rng)
 
 
@@ -111,18 +109,13 @@ def focal_loss_grad(scores, labels, gamma: float = 2.0) -> np.ndarray:
     return sign * d_pt / pt.size
 
 
-def photometric_score(
-    variances: np.ndarray,
-    valid_counts: np.ndarray,
-    k_sigma: float = 0.01,
-    default_score: float = DEFAULT_SCORE,
-) -> np.ndarray:
+def photometric_score(variances: np.ndarray, valid_counts: np.ndarray, k_sigma: float = 0.01) -> np.ndarray:
     """Training-free inlier score from cross-view color variance.
 
     ``exp(-mean_channel_variance / k_sigma)``: photometrically
     consistent points score near 1, inconsistent ones near 0. Points
     seen by fewer than two views have no meaningful variance and get
-    ``default_score``, and so does every point when ``variances`` has no
+    ``DEFAULT_SCORE``, and so does every point when ``variances`` has no
     channel (no frame, as in a scene without cameras).
     """
     if k_sigma <= 0:
@@ -130,10 +123,10 @@ def photometric_score(
     var = np.atleast_2d(np.asarray(variances, dtype=np.float64))
     counts = np.asarray(valid_counts)
     if var.shape[1] == 0:
-        return np.full(len(var), default_score)
+        return np.full(len(var), DEFAULT_SCORE)
     mean_var = var.mean(axis=1)
     scores = np.exp(-mean_var / k_sigma)
-    return np.where(counts < 2, default_score, scores)
+    return np.where(counts < 2, DEFAULT_SCORE, scores)
 
 
 def soft_weight(features: np.ndarray, scores: np.ndarray, num_onehot: int = 0) -> np.ndarray:

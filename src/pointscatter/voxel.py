@@ -11,6 +11,7 @@ honest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,28 +86,10 @@ def voxelize(cloud: ScatterCloud, voxel_size: float, origin=(0.0, 0.0, 0.0)) -> 
     )
 
 
-@dataclass(frozen=True)
-class DenseGridSpec:
-    """Axis-aligned dense grid over ``[origin, origin + extent)``."""
-
-    origin: tuple[float, float, float]
-    extent: tuple[float, float, float]
-    voxel_size: float
-
-    def __post_init__(self):
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
-        if any(e <= 0 for e in self.extent):
-            raise ValueError("extent must be positive per axis")
-
-    @property
-    def cells_per_axis(self) -> tuple[int, int, int]:
-        return tuple(int(np.ceil(e / self.voxel_size)) for e in self.extent)
-
-    @property
-    def cell_count(self) -> int:
-        nx, ny, nz = self.cells_per_axis
-        return nx * ny * nz
+def dense_cell_count(extent, voxel_size: float) -> int:
+    """Cells of a dense grid of ``voxel_size`` cells over a box of
+    ``extent``, each axis rounded up to whole cells."""
+    return math.prod(math.ceil(e / voxel_size) for e in extent)
 
 
 # Byte model used by the sparsity report, documented in its output:
@@ -117,8 +100,11 @@ _POSITION_BYTES = 12
 _BOOKKEEPING_BYTES = 12
 
 
-def sparsity_report(cloud: ScatterCloud, grid: SparseVoxelGrid, dense: DenseGridSpec) -> dict:
-    """Compare scattered storage against a dense grid of the same region."""
+def sparsity_report(
+    cloud: ScatterCloud, grid: SparseVoxelGrid, dense_cells: int, dense_voxel_size: float
+) -> dict:
+    """Compare scattered storage against a dense grid of ``dense_cells``
+    cells of ``dense_voxel_size`` over the same region."""
     channels = 0 if cloud.features is None else cloud.features.shape[1]
     n = len(cloud)
     record = _POSITION_BYTES + 4 * channels + _BOOKKEEPING_BYTES
@@ -126,10 +112,10 @@ def sparsity_report(cloud: ScatterCloud, grid: SparseVoxelGrid, dense: DenseGrid
     return {
         "scatter_points": n,
         "occupied_voxels": len(grid),
-        "dense_cells": dense.cell_count,
-        "reduction_factor": dense.cell_count / max(1, n),
+        "dense_cells": dense_cells,
+        "reduction_factor": dense_cells / max(1, n),
         "bytes_scatter": n * record,
-        "bytes_dense": dense.cell_count * dense_record,
+        "bytes_dense": dense_cells * dense_record,
         "record_bytes": {
             "scatter_position": _POSITION_BYTES,
             "scatter_features": 4 * channels,
@@ -137,5 +123,5 @@ def sparsity_report(cloud: ScatterCloud, grid: SparseVoxelGrid, dense: DenseGrid
             "dense_cell": dense_record,
         },
         "voxel_size": grid.voxel_size,
-        "dense_voxel_size": dense.voxel_size,
+        "dense_voxel_size": dense_voxel_size,
     }

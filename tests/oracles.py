@@ -781,6 +781,51 @@ def write_cloud_ply(cloud: ScatterCloud, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def read_cloud_ply(path) -> ScatterCloud:
+    """Read an ASCII cloud PLY by its header alone.
+
+    Each vertex property is read by the name and type the header gives
+    it, in whatever order the header lists them, so a writer that puts
+    a column under the wrong name or type fails a round trip instead of
+    being read back through the same mistake.
+    """
+    with open(path) as f:
+        if f.readline().strip() != "ply":
+            raise ValueError(f"{path} is not a PLY file")
+        n, props = None, []
+        for line in f:
+            parts = line.split()
+            if parts == ["end_header"]:
+                break
+            if parts[:2] == ["element", "vertex"]:
+                n = int(parts[2])
+            elif parts[0] == "property":
+                props.append((parts[2], np.int64 if parts[1] == "int" else np.float64))
+        if n is None:
+            raise ValueError("PLY header lacks a vertex element")
+        rows = [f.readline().split() for _ in range(n)]
+    values = list(zip(*rows)) if rows else [()] * len(props)
+    col = {name: np.array(v, dtype=dtype) for (name, dtype), v in zip(props, values)}
+    for name in ("x", "y", "z", "frame", "category", "pu", "pv"):
+        if name not in col:
+            raise ValueError(f"PLY missing property {name}")
+    features = sorted(
+        (p for p in col if p[0] == "f" and p[1:].isdigit()), key=lambda p: int(p[1:])
+    )
+
+    def stack(names):
+        return np.stack([col[p] for p in names], axis=1)
+
+    return ScatterCloud(
+        positions=stack(["x", "y", "z"]),
+        frame_ids=col["frame"],
+        pixels=stack(["pu", "pv"]),
+        categories=col["category"],
+        features=stack(features) if features else None,
+        scores=col.get("score"),
+    )
+
+
 def write_pgm(image: np.ndarray, path, max_value: float | None = None) -> None:
     """16-bit ASCII PGM of a scalar map (e.g. depth), value by value.
 

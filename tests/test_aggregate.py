@@ -484,7 +484,7 @@ class TestOnehot:
 class TestVarianceSeparatesSurfaceFromFreeSpace:
     def test_median_variance_gap(self, clean_scene, clean_frames):
         rng = np.random.default_rng(17)
-        surface = sample_scene_surface(clean_scene, 0.05, rng, density=400.0)
+        surface = sample_scene_surface(clean_scene, 0.1, rng)
         assert len(surface) >= 1000
 
         candidates = rng.uniform([-0.9, -0.9, 0.05], [0.9, 0.9, 1.1], size=(4000, 3))

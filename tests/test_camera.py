@@ -202,7 +202,7 @@ class TestLookAt:
         with pytest.raises(ValueError):
             look_at_pose((0, 0, 0), (0, 0, 0))
         with pytest.raises(ValueError):
-            look_at_pose((0, 0, 1), (0, 0, 2))  # parallel to the default up
+            look_at_pose((0, 0, 1), (0, 0, 2))  # looking straight up
 
     def test_image_up_follows_world_up(self):
         # camera y grows downward in the image, so it must oppose world z

@@ -6,11 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from pointscatter import fileio
 from pointscatter.boxes import OrientedBox
 from pointscatter.fileio import (
     boxes_from_list,
     boxes_to_list,
-    read_cloud_ply,
     read_detections,
     write_cloud_ply,
     write_detections,
@@ -34,11 +34,10 @@ def sample_cloud(with_features=True, with_scores=True):
         pixels=rng.integers(0, 160, size=(n, 2)).astype(np.float64),
         categories=rng.integers(0, 3, size=n),
     )
-    if with_features:
-        cloud = cloud.with_features(rng.normal(size=(n, 4)))
-    if with_scores:
-        cloud = cloud.with_scores(rng.random(n))
-    return cloud
+    features, scores = rng.normal(size=(n, 4)), rng.random(n)
+    return dataclasses.replace(
+        cloud, features=features if with_features else None, scores=scores if with_scores else None
+    )
 
 
 class TestPlyRoundTrip:
@@ -46,14 +45,14 @@ class TestPlyRoundTrip:
         cloud = sample_cloud()
         path = tmp_path / "cloud.ply"
         write_cloud_ply(cloud, path)
-        back = read_cloud_ply(path)
+        back = oracles.read_cloud_ply(path)
         np.testing.assert_array_equal(back.positions, cloud.positions)
 
     def test_provenance_exact(self, tmp_path):
         cloud = sample_cloud()
         path = tmp_path / "cloud.ply"
         write_cloud_ply(cloud, path)
-        back = read_cloud_ply(path)
+        back = oracles.read_cloud_ply(path)
         np.testing.assert_array_equal(back.frame_ids, cloud.frame_ids)
         np.testing.assert_array_equal(back.categories, cloud.categories)
         np.testing.assert_array_equal(back.pixels, cloud.pixels)
@@ -62,7 +61,7 @@ class TestPlyRoundTrip:
         cloud = sample_cloud()
         path = tmp_path / "cloud.ply"
         write_cloud_ply(cloud, path)
-        back = read_cloud_ply(path)
+        back = oracles.read_cloud_ply(path)
         np.testing.assert_array_equal(back.features, cloud.features)
         np.testing.assert_array_equal(back.scores, cloud.scores)
 
@@ -70,7 +69,7 @@ class TestPlyRoundTrip:
         cloud = sample_cloud(with_features=False, with_scores=False)
         path = tmp_path / "bare.ply"
         write_cloud_ply(cloud, path)
-        back = read_cloud_ply(path)
+        back = oracles.read_cloud_ply(path)
         assert back.features is None
         assert back.scores is None
         np.testing.assert_array_equal(back.positions, cloud.positions)
@@ -78,7 +77,7 @@ class TestPlyRoundTrip:
     def test_empty_cloud(self, tmp_path):
         path = tmp_path / "empty.ply"
         write_cloud_ply(empty_cloud(), path)
-        back = read_cloud_ply(path)
+        back = oracles.read_cloud_ply(path)
         assert len(back) == 0
 
     def test_identical_inputs_identical_bytes(self, tmp_path):
@@ -89,6 +88,10 @@ class TestPlyRoundTrip:
 
 
 class TestPlyHeader:
+    def test_table_names_every_cloud_field_once(self):
+        named = [field for field, _, _ in fileio._PLY_COLUMNS]
+        assert sorted(named) == sorted(f.name for f in dataclasses.fields(ScatterCloud))
+
     def test_header_layout(self, tmp_path):
         path = tmp_path / "cloud.ply"
         write_cloud_ply(sample_cloud(), path)
@@ -111,7 +114,7 @@ class TestPlyHeader:
         path = tmp_path / "bogus.ply"
         path.write_text("off\n")
         with pytest.raises(ValueError):
-            read_cloud_ply(path)
+            oracles.read_cloud_ply(path)
 
     def test_rejects_missing_required_property(self, tmp_path):
         path = tmp_path / "partial.ply"
@@ -121,7 +124,7 @@ class TestPlyHeader:
             "end_header\n0.0 0.0 0.0\n"
         )
         with pytest.raises(ValueError):
-            read_cloud_ply(path)
+            oracles.read_cloud_ply(path)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +157,10 @@ class TestWritersMatchOracle:
             scores=cloud.scores if with_scores else None,
         )
         self.assert_same_bytes(tmp_path, write_cloud_ply, oracles.write_cloud_ply, cloud)
+        back = oracles.read_cloud_ply(tmp_path / "got")
+        for field in dataclasses.fields(ScatterCloud):
+            want, got = getattr(cloud, field.name), getattr(back, field.name)
+            assert (got is None) if want is None else np.array_equal(got, want), field.name
 
     def test_special_values(self, tmp_path):
         special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e22, -1e22, 0.1])

@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import union_find_components
+from oracles import read_cloud_ply, union_find_components
 from pointscatter import cli
 from pointscatter.fileio import (
-    read_cloud_ply,
     read_detections,
     write_detections,
     write_json,
@@ -44,6 +43,8 @@ from pointscatter.scene import (
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # an orbit trajectory for a scene file's camera object form, less its steps
 ORBIT = {"type": "orbit", "radius": 3.0, "height": 1.7}
+# a scene-file edit that deletes its key
+MISSING = object()
 # a detections file of one box, with one more entry filled in
 DETECTION = '[{"center": [0, 0, 0.3], "size": [1, 1, 1], %s}]'
 
@@ -588,7 +589,7 @@ class TestCliExitCodes:
             (("cameras", 0, "translation"), [float("nan"), 0.0, 1.0], "translation"),
             (("depth_noise_sigma",), float("nan"), "depth_noise_sigma must be a finite non-negative"),
             (("depth_noise_sigma",), float("inf"), "depth_noise_sigma must be a finite non-negative"),
-            (("objects",), 5, "not iterable"),
+            (("objects",), 5, "objects must be a JSON list, got int"),
             (("cameras",), {"trajectory": [1]}, "trajectory of type 'orbit'"),
             (("objects", 0, "yaw"), [1], "yaw must be a finite number, got [1]"),
             (("cameras", 0, "width"), 160.9, "width must be a positive integer, got 160.9"),
@@ -606,6 +607,14 @@ class TestCliExitCodes:
             (("cameras", 0, "cx"), "79.5", "cx must be a finite number, got '79.5'"),
             (("cameras", 0, "translation"), [True, 0.0, 1.0], "translation must be 3 values"),
             (("cameras",), {"trajectory": ORBIT | {"steps": 6, "look_at": ["0", 0, 0]}}, "look_at must be"),
+            (("cameras",), 7, "cameras must be a JSON list, got int"),
+            (("objects", 0), [1, 2], "objects[0] must be a JSON object, got list"),
+            (("cameras", 1), [1], "cameras[1] must be a JSON object, got list"),
+            (("cameras", 2, "translation"), MISSING, "cameras[2] lacks 'translation'"),
+            (("objects", 1, "size"), MISSING, "objects[1] lacks 'size'"),
+            (("objects",), MISSING, "scene lacks 'objects'"),
+            (("cameras",), {"trajectory": {"type": "orbit", "radius": 3.0, "steps": 6}}, "trajectory lacks 'height'"),
+            (("cameras", 0, "fy"), MISSING, "cameras[0] lacks 'fy'"),
         ],
         ids=[
             "nan_center",
@@ -634,6 +643,14 @@ class TestCliExitCodes:
             "string_cx",
             "bool_translation",
             "string_look_at",
+            "number_cameras",
+            "list_object",
+            "list_camera",
+            "missing_translation",
+            "missing_size",
+            "missing_objects",
+            "missing_orbit_height",
+            "missing_fy",
         ],
     )
     def test_invalid_scene_values_are_config_errors(self, tmp_path, capsys, path, value, message):
@@ -642,7 +659,10 @@ class TestCliExitCodes:
         entry = data
         for key in parents:
             entry = entry[key]
-        entry[field] = value
+        if value is MISSING:
+            del entry[field]
+        else:
+            entry[field] = value
         scene_path = tmp_path / "scene.json"
         scene_path.write_text(json.dumps(data))
         assert cli.main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 1
@@ -665,6 +685,8 @@ class TestCliExitCodes:
                 '[{"center": ["1", "0", "0.3"], "size": [1, 1, 1]}]',
                 "center must be 3 values",
             ),
+            (["eval", "{scene}", "{bad}"], "[[0, 0, 0.3]]", "detections[0] must be a JSON object, got list"),
+            (["eval", "{scene}", "{bad}"], '[{"center": [0, 0, 0.3]}]', "detections[0] lacks 'size'"),
         ],
         ids=[
             "list_scene",
@@ -675,6 +697,8 @@ class TestCliExitCodes:
             "bool_category",
             "fractional_category",
             "string_center",
+            "list_entry",
+            "missing_size",
         ],
     )
     def test_malformed_files_are_config_errors(self, tmp_path, capsys, argv, content, message):
@@ -769,7 +793,7 @@ class TestCliExitCodes:
         def boom(*args, **kwargs):
             raise ValueError("extent must be positive per axis")
 
-        monkeypatch.setattr("pointscatter.pipeline.DenseGridSpec", boom)
+        monkeypatch.setattr("pointscatter.pipeline.dense_cell_count", boom)
         run = ["run", str(scene_path), "--out", str(tmp_path / "o")]
         for argv in (run, ["bench", str(scene_path)]):
             capsys.readouterr()

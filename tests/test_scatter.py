@@ -416,13 +416,35 @@ class TestCloudContainer:
         assert len(empty_cloud()) == 0
 
     def test_select_preserves_columns(self):
-        cloud = TestCap().make_cloud(20).with_features(np.ones((20, 4))).with_scores(
-            np.full(20, 0.5)
+        cloud = dataclasses.replace(
+            TestCap().make_cloud(20), features=np.ones((20, 4)), scores=np.full(20, 0.5)
         )
         sub = cloud.select(np.array([3, 7, 11]))
         assert len(sub) == 3
         assert np.array_equal(sub.positions, cloud.positions[[3, 7, 11]])
         assert sub.features.shape == (3, 4) and sub.scores.shape == (3,)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("frame_ids", np.zeros(4, dtype=np.int64)),
+            ("pixels", np.zeros((6, 2))),
+            ("categories", np.zeros(0, dtype=np.int64)),
+            ("features", np.ones((4, 3))),
+            ("scores", np.full(6, 0.5)),
+        ],
+    )
+    def test_rejects_wrong_row_count(self, column, value):
+        columns = {
+            "positions": np.zeros((5, 3)),
+            "frame_ids": np.zeros(5, dtype=np.int64),
+            "pixels": np.zeros((5, 2)),
+            "categories": np.zeros(5, dtype=np.int64),
+        }
+        with pytest.raises(ValueError, match=f"^{column} has {len(value)} rows for 5 points$"):
+            ScatterCloud(**(columns | {column: value}))
+        with pytest.raises(ValueError, match=column):
+            dataclasses.replace(ScatterCloud(**columns), **{column: value})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose, backproject_pixels, look_at_pose, project_points
+from pointscatter.checks import ConfigError
 from pointscatter.scene import (
     SceneCamera,
     SceneObject,
@@ -790,6 +791,15 @@ class TestOrbitAndSerialization:
         # integer fields load unchanged
         intr = scene.cameras[0].intrinsics
         assert (intr.width, intr.height, scene.objects[0].box.category) == (320, 240, 2)
+
+    def test_intrinsics_block_lacks_key(self):
+        data = {
+            "objects": [],
+            "cameras": {"trajectory": {"type": "orbit", "radius": 2.5, "height": 1.2, "steps": 6}},
+            "intrinsics": {"fx": 200, "cx": 159.5, "cy": 119.5, "width": 320, "height": 240},
+        }
+        with pytest.raises(ConfigError, match="^intrinsics lacks 'fy'$"):
+            scene_from_dict(data)
 
     def test_to_dict_lists_cameras_explicitly(self, clean_scene):
         data = scene_to_dict(clean_scene)

@@ -101,20 +101,21 @@ class TestSampleSceneSurface:
         pts = sample_scene_surface(cube_scene(), 0.05, np.random.default_rng(0))
         assert len(pts) == 9600
 
-    def test_density_override(self):
-        pts = sample_scene_surface(cube_scene(), 0.05, np.random.default_rng(0), density=10.0)
-        assert len(pts) == 60
+    def test_density_follows_tau(self):
+        # density 4 / 0.5^2 = 16: 96 samples
+        pts = sample_scene_surface(cube_scene(), 0.5, np.random.default_rng(0))
+        assert len(pts) == 96
 
     def test_samples_lie_on_mesh(self):
         scene = cube_scene()
-        pts = sample_scene_surface(scene, 0.05, np.random.default_rng(1), density=10.0)
+        pts = sample_scene_surface(scene, 0.5, np.random.default_rng(1))
         mesh = scene.objects[0].mesh()
         for p in pts:
             assert point_mesh_distance(p, mesh) < 1e-9
 
     def test_deterministic(self):
-        a = sample_scene_surface(cube_scene(), 0.05, np.random.default_rng(9), density=20.0)
-        b = sample_scene_surface(cube_scene(), 0.05, np.random.default_rng(9), density=20.0)
+        a = sample_scene_surface(cube_scene(), 0.5, np.random.default_rng(9))
+        b = sample_scene_surface(cube_scene(), 0.5, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_tau(self):
@@ -194,10 +195,6 @@ class TestPhotometricScore:
         assert got[0] == 0.5
         assert got[1] == 0.5
         assert got[2] < 1e-3
-
-    def test_default_score_override(self):
-        got = photometric_score(np.zeros((1, 3)), np.array([1]), default_score=0.3)
-        assert got[0] == 0.3
 
     def test_monotone_decreasing_in_variance(self):
         vs = np.linspace(0.0, 0.1, 11)[:, None] * np.ones((1, 3))

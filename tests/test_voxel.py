@@ -7,23 +7,20 @@ from hypothesis import strategies as st
 
 from oracles import pack_index, unpack_index
 from pointscatter.scatter import ScatterCloud, empty_cloud
-from pointscatter.voxel import INDEX_RANGE, DenseGridSpec, sparsity_report, voxel_indices, voxelize
+from pointscatter.voxel import INDEX_RANGE, dense_cell_count, sparsity_report, voxel_indices, voxelize
 
 
 def cloud_at(positions, features=None, scores=None):
     positions = np.asarray(positions, dtype=np.float64)
     n = len(positions)
-    cloud = ScatterCloud(
+    return ScatterCloud(
         positions=positions,
         frame_ids=np.zeros(n, dtype=np.int64),
         pixels=np.zeros((n, 2), dtype=np.int64),
         categories=np.zeros(n, dtype=np.int64),
+        features=None if features is None else np.asarray(features, dtype=np.float64),
+        scores=None if scores is None else np.asarray(scores, dtype=np.float64),
     )
-    if features is not None:
-        cloud = cloud.with_features(np.asarray(features, dtype=np.float64))
-    if scores is not None:
-        cloud = cloud.with_scores(np.asarray(scores, dtype=np.float64))
-    return cloud
 
 
 def grid_row(grid, ix, iy, iz):
@@ -174,26 +171,19 @@ class TestVoxelize:
 
 
 class TestDenseGridSpec:
+    """The dense grid's cell count."""
+
     def test_cell_counts(self):
         # 6.4 / 0.16 = 40 per axis
-        spec = DenseGridSpec((0.0, 0.0, 0.0), (6.4, 6.4, 6.4), 0.16)
-        assert spec.cells_per_axis == (40, 40, 40)
-        assert spec.cell_count == 64000
+        assert dense_cell_count((6.4, 6.4, 6.4), 0.16) == 64000
 
     def test_bench_region(self):
-        spec = DenseGridSpec((-4.0, -4.0, 0.0), (8.0, 8.0, 3.0), 0.04)
-        assert spec.cells_per_axis == (200, 200, 75)
-        assert spec.cell_count == 3_000_000
+        # 200 x 200 x 75
+        assert dense_cell_count((8.0, 8.0, 3.0), 0.04) == 3_000_000
 
     def test_ceil_rounds_partial_cells_up(self):
-        spec = DenseGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.3)
-        assert spec.cells_per_axis == (4, 4, 4)
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            DenseGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
-        with pytest.raises(ValueError):
-            DenseGridSpec((0.0, 0.0, 0.0), (1.0, -1.0, 1.0), 0.1)
+        assert dense_cell_count((1.0, 1.0, 1.0), 0.3) == 4**3
+        assert dense_cell_count((1.0, 0.5, 0.2), 0.3) == 4 * 2 * 1
 
 
 class TestSparsityReport:
@@ -212,44 +202,43 @@ class TestSparsityReport:
     def test_reduction_factor(self):
         cloud = cloud_at(np.zeros((100_000, 3)))
         grid = voxelize(cloud, 0.04)
-        dense = DenseGridSpec((-4.0, -4.0, 0.0), (8.0, 8.0, 3.0), 0.04)
-        report = sparsity_report(cloud, grid, dense)
+        report = sparsity_report(cloud, grid, dense_cell_count((8.0, 8.0, 3.0), 0.04), 0.04)
         assert report["reduction_factor"] == pytest.approx(30.0, rel=1e-12)
         assert report["scatter_points"] == 100_000
         assert report["dense_cells"] == 3_000_000
 
     def test_schema(self):
         cloud = cloud_at([[0.0, 0.0, 0.0]])
-        report = sparsity_report(cloud, voxelize(cloud, 0.1), DenseGridSpec((0, 0, 0), (1, 1, 1), 0.1))
+        report = sparsity_report(cloud, voxelize(cloud, 0.1), dense_cell_count((1, 1, 1), 0.1), 0.1)
         assert set(report) == self.SCHEMA
 
     def test_byte_model_with_features(self):
         # 12 B position + 4 B * 9 channels + 12 B bookkeeping = 60 B/point;
         # dense cells store features only: 36 B
         cloud = cloud_at(np.zeros((10, 3)), features=np.zeros((10, 9)))
-        dense = DenseGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.5)
-        report = sparsity_report(cloud, voxelize(cloud, 0.5), dense)
+        dense = dense_cell_count((1.0, 1.0, 1.0), 0.5)
+        report = sparsity_report(cloud, voxelize(cloud, 0.5), dense, 0.5)
         assert report["bytes_scatter"] == 600
         assert report["bytes_dense"] == 8 * 36
         assert report["record_bytes"]["dense_cell"] == 36
 
     def test_featureless_dense_cell_floor(self):
         cloud = cloud_at([[0.0, 0.0, 0.0]])
-        dense = DenseGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1.0)
-        report = sparsity_report(cloud, voxelize(cloud, 1.0), dense)
+        dense = dense_cell_count((1.0, 1.0, 1.0), 1.0)
+        report = sparsity_report(cloud, voxelize(cloud, 1.0), dense, 1.0)
         assert report["record_bytes"]["dense_cell"] == 4
         assert report["bytes_scatter"] == 24
 
     def test_empty_cloud(self):
-        dense = DenseGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.5)
-        report = sparsity_report(empty_cloud(), voxelize(empty_cloud(), 0.5), dense)
+        dense = dense_cell_count((1.0, 1.0, 1.0), 0.5)
+        report = sparsity_report(empty_cloud(), voxelize(empty_cloud(), 0.5), dense, 0.5)
         assert report["scatter_points"] == 0
         assert report["occupied_voxels"] == 0
         assert report["reduction_factor"] == 8.0
 
     def test_deterministic(self):
         cloud = cloud_at(np.linspace(0, 1, 30).reshape(10, 3))
-        dense = DenseGridSpec((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), 0.2)
-        a = sparsity_report(cloud, voxelize(cloud, 0.2), dense)
-        b = sparsity_report(cloud, voxelize(cloud, 0.2), dense)
+        dense = dense_cell_count((2.0, 2.0, 2.0), 0.2)
+        a = sparsity_report(cloud, voxelize(cloud, 0.2), dense, 0.2)
+        b = sparsity_report(cloud, voxelize(cloud, 0.2), dense, 0.2)
         assert a == b
