@@ -2,9 +2,9 @@
 
 The package turns posed depth/color frames into a sparse world-space
 point cloud (scattering), aggregates per-view color statistics into
-point features, filters points by photometric consistency, voxelizes
-the result, and scores detections with standard AP / Chamfer / F-score
-metrics. A deterministic scene simulator provides the frames.
+point features, filters points by photometric consistency, counts the
+cloud's occupied voxels, and scores detections with AP / Chamfer /
+F-score metrics. A deterministic scene simulator provides the frames.
 """
 
 from .aggregate import aggregate_cloud, bilinear_sample, compose_features
@@ -82,7 +82,6 @@ from .surface import (
     soft_weight,
 )
 from .voxel import (
-    SparseVoxelGrid,
     dense_cell_count,
     sparsity_report,
     voxel_indices,

@@ -5,9 +5,9 @@ Each dataclass that stores such a value calls :func:`_check` on it once,
 so a malformed file ends as a :class:`ConfigError` naming the field,
 whether the value came from JSON, a CLI flag or Python. The file readers
 take each JSON object and list through :func:`_entry` and
-:func:`_entries` first, so a missing key or a wrong structure names its
-place in the file too. This module imports no other module of the
-package.
+:func:`_entries` first, so a missing or unknown key or a wrong structure
+names its place in the file too. This module imports no other module
+of the package.
 """
 
 from __future__ import annotations
@@ -68,20 +68,24 @@ def _check(values, **kinds) -> None:
             raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
-def _entry(value, where: str, *keys: str) -> Mapping:
-    """``value`` if it is a JSON object holding every one of ``keys``;
-    else a :class:`ConfigError` that names it by ``where``."""
+def _entry(value, where: str, *keys: str, optional=()) -> Mapping:
+    """``value`` if it is a JSON object holding every one of ``keys`` and
+    no key outside ``keys`` and ``optional``; else a :class:`ConfigError`
+    that names it by ``where``."""
     if not isinstance(value, Mapping):
         raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
     for key in keys:
         if key not in value:
             raise ConfigError(f"{where} lacks {key!r}")
+    for key in value:
+        if key not in keys and key not in optional:
+            raise ConfigError(f"{where} has unknown key {key!r}")
     return value
 
 
-def _entries(value, where: str, *keys: str) -> list:
-    """``value`` if it is a JSON list of objects that each hold every one
-    of ``keys``, checked by :func:`_entry` as ``where[i]``."""
+def _entries(value, where: str, *keys: str, optional=()) -> list:
+    """``value`` if it is a JSON list of objects that each pass
+    :func:`_entry` as ``where[i]``."""
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
-    return [_entry(v, f"{where}[{i}]", *keys) for i, v in enumerate(value)]
+    return [_entry(v, f"{where}[{i}]", *keys, optional=optional) for i, v in enumerate(value)]

@@ -128,11 +128,10 @@ def boxes_to_list(boxes) -> list[dict]:
 
 
 def boxes_from_list(items) -> list[OrientedBox]:
+    entries = _entries(items, "detections", "center", "size", optional=("yaw", "category", "score"))
     return [
-        OrientedBox(
-            d["center"], d["size"], d.get("yaw", 0.0), d.get("category", 0), d.get("score", 1.0)
-        )
-        for d in _entries(items, "detections", "center", "size")
+        OrientedBox(d["center"], d["size"], d.get("yaw", 0.0), d.get("category", 0), d.get("score", 1.0))
+        for d in entries
     ]
 
 

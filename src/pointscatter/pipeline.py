@@ -2,10 +2,10 @@
 
 Stage order: GT 2D boxes -> keyframe selection -> render + depth
 perturbation -> point scattering -> multi-view aggregation ->
-photometric filtering -> voxelization -> oracle detection -> NMS ->
-metrics. Every stage that consumes randomness derives its generator
-from one root seed and a fixed stage label, so a run is reproducible
-end to end and stages can be re-run in isolation.
+photometric filtering -> voxelization -> detection (``gt_passthrough``
+or ``score_cluster``) -> NMS -> metrics. Every stage that draws random
+numbers derives its generator from one root seed and a fixed stage
+label, so a run is reproducible and stages can be re-run in isolation.
 
 A failed stage raises :class:`StageError` carrying the stage name;
 malformed configuration raises :class:`ConfigError`. The CLI maps these
@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from .aggregate import aggregate_cloud, compose_features
 from .boxes import OrientedBox, iou_3d, nms
-from .checks import ConfigError, _check
+from .checks import ConfigError, _check, _entry
 from .fileio import write_cloud_ply, write_detections, write_json
 from .meshes import box_shell, sample_surface_points
 from .metrics import chamfer_fscore, evaluate_detections
@@ -148,17 +148,12 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {data!r}")
-        data = dict(data)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        data = dict(_entry(data, "config", optional=[f.name for f in dataclasses.fields(cls)]))
         try:
             for name, part in _PARTS.items():
                 if name in data:
-                    data[name] = part(**data[name])
+                    known = [f.name for f in dataclasses.fields(part)]
+                    data[name] = part(**_entry(data[name], name, optional=known))
             return cls(**data)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
@@ -363,16 +358,16 @@ def _filter(cloud, scene: SceneSpec, config: PipelineConfig):
 
 
 def _voxelize(cloud, config: PipelineConfig):
-    """The sparse grid and its report against a dense grid of the same
-    resolution over the configured bounds."""
-    grid = voxelize(cloud, config.voxel_size, config.bench_origin)
+    """The occupied voxels' keys and their report against a dense grid
+    of the same resolution over the configured bounds."""
+    keys = voxelize(cloud.positions, config.voxel_size, config.bench_origin)
     dense_cells = dense_cell_count(config.bench_extent, config.voxel_size)
-    sparsity = sparsity_report(cloud, grid, dense_cells, config.voxel_size)
+    sparsity = sparsity_report(cloud, len(keys), dense_cells, config.voxel_size)
     sparsity["metadata"] = {
         "dense_voxel_size": config.dense_voxel_size,
         "gs_reference_proposals": GS_REFERENCE_PROPOSALS,
     }
-    return grid, sparsity
+    return keys, sparsity
 
 
 def _detect(cloud, kept, scene: SceneSpec, config: PipelineConfig) -> list[OrientedBox]:
@@ -394,7 +389,7 @@ class PipelineResult:
     detections: list
     keyframes: list
     frames: list
-    grid: object
+    grid: np.ndarray
     sparsity: dict
 
 

@@ -541,6 +541,7 @@ def orbit_trajectory(radius: float, height: float, steps: int, look_at) -> list[
 
 # the keys of a camera's intrinsics in a scene file, in Intrinsics order
 _INTRINSICS = ("fx", "fy", "cx", "cy", "width", "height")
+_OBJECT_OPTIONAL = ("yaw", "category", "albedo")  # the keys an object entry may omit
 
 
 def _intrinsics_from_dict(d: dict) -> Intrinsics:
@@ -582,20 +583,23 @@ def scene_from_dict(data: dict) -> SceneSpec:
     optional top-level ``intrinsics`` entry, defaulting to a 160x120
     f=120 pinhole.
     """
-    _entry(data, "scene", "objects", "cameras")
+    # a top-level intrinsics block belongs to generated cameras only
+    generated = isinstance(data, dict) and isinstance(data.get("cameras"), dict)
+    optional = ("rng_seed", "depth_noise_sigma", "outlier_rate") + (("intrinsics",) if generated else ())
+    _entry(data, "scene", "objects", "cameras", optional=optional)
     objects = tuple(
         SceneObject(
             box=OrientedBox(o["center"], o["size"], o.get("yaw", 0.0), o.get("category", 0)),
             albedo=o.get("albedo", (0.7, 0.7, 0.7)),
         )
-        for o in _entries(data["objects"], "objects", "center", "size")
+        for o in _entries(data["objects"], "objects", "center", "size", optional=_OBJECT_OPTIONAL)
     )
     cam_spec = data["cameras"]
-    if isinstance(cam_spec, dict):
-        traj = cam_spec.get("trajectory")
+    if generated:
+        traj = _entry(cam_spec, "cameras", optional=("trajectory",)).get("trajectory")
         if not isinstance(traj, dict) or traj.get("type") != "orbit":
             raise ConfigError("camera object form requires a trajectory of type 'orbit'")
-        _entry(traj, "trajectory", "radius", "height", "steps")
+        _entry(traj, "trajectory", "type", "radius", "height", "steps", optional=("look_at",))
         intr = (
             _intrinsics_from_dict(_entry(data["intrinsics"], "intrinsics", *_INTRINSICS))
             if "intrinsics" in data

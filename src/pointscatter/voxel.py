@@ -1,18 +1,16 @@
-"""Sparse voxelization of scatter clouds and dense-grid bookkeeping.
+"""Occupied voxels of scatter clouds and dense-grid bookkeeping.
 
-Voxel indices are ``floor((p - origin) / voxel_size)`` per axis. Sparse
-storage keeps the occupied voxels only, as rows sorted by a key that
-packs the three indices into one signed 63-bit integer (21 bits per
-axis), so grids spanning about +/- a million cells per axis are
-representable. Dense grids are never materialized; only their cell
-counts exist, which is what makes the sparse/dense memory comparison
-honest.
+Voxel indices are ``floor((p - origin) / voxel_size)`` per axis. An
+occupied voxel is known by one key that packs its three indices into
+one signed 63-bit integer (21 bits per axis), so grids spanning about
++/- a million cells per axis are representable. Dense grids are never
+materialized; only their cell counts exist, which is what makes the
+sparse/dense memory comparison honest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,58 +30,19 @@ def voxel_indices(points: np.ndarray, voxel_size: float, origin) -> np.ndarray:
     return np.floor((p - o) / voxel_size).astype(np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class SparseVoxelGrid:
-    """Occupied voxels only: parallel arrays sorted by packed key."""
-
-    voxel_size: float
-    origin: np.ndarray
-    keys: np.ndarray
-    counts: np.ndarray
-    features: np.ndarray | None
-    scores: np.ndarray | None
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
-def voxelize(cloud: ScatterCloud, voxel_size: float, origin=(0.0, 0.0, 0.0)) -> SparseVoxelGrid:
-    """Mean-pool a scatter cloud into occupied voxels.
-
-    The feature rows and the scores, when present, are averaged per
-    voxel. Output rows are ordered by ascending packed key, which makes
-    the result independent of the input point order up to float
-    summation.
-    """
-    o = np.asarray(origin, dtype=np.float64).reshape(3)
-    idx = voxel_indices(cloud.positions, voxel_size, o)
+def voxelize(positions: np.ndarray, voxel_size: float, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """Ascending unique packed keys of the voxels that hold one of the
+    (N, 3) ``positions``."""
+    idx = voxel_indices(positions, voxel_size, origin)
     if len(idx) == 0:
-        return SparseVoxelGrid(voxel_size, o, np.zeros(0, np.int64), np.zeros(0, np.int64), None, None)
+        return np.zeros(0, np.int64)
     lo, hi = INDEX_RANGE
     if idx.min() < lo or idx.max() > hi:
         raise ValueError("points fall outside the packable index range")
     packed = (
-        ((idx[:, 0] + _OFFSET).astype(np.int64) << (2 * _BITS))
-        | ((idx[:, 1] + _OFFSET).astype(np.int64) << _BITS)
-        | (idx[:, 2] + _OFFSET).astype(np.int64)
+        ((idx[:, 0] + _OFFSET) << (2 * _BITS)) | ((idx[:, 1] + _OFFSET) << _BITS) | (idx[:, 2] + _OFFSET)
     )
-    keys, inverse, counts = np.unique(packed, return_inverse=True, return_counts=True)
-
-    def pool(values: np.ndarray) -> np.ndarray:
-        cols = values if values.ndim == 2 else values[:, None]
-        acc = np.zeros((len(keys), cols.shape[1]))
-        np.add.at(acc, inverse, cols)
-        acc /= counts[:, None]
-        return acc if values.ndim == 2 else acc[:, 0]
-
-    return SparseVoxelGrid(
-        voxel_size=float(voxel_size),
-        origin=o,
-        keys=keys,
-        counts=counts.astype(np.int64),
-        features=pool(cloud.features) if cloud.features is not None else None,
-        scores=pool(cloud.scores) if cloud.scores is not None else None,
-    )
+    return np.unique(packed)
 
 
 def dense_cell_count(extent, voxel_size: float) -> int:
@@ -100,18 +59,17 @@ _POSITION_BYTES = 12
 _BOOKKEEPING_BYTES = 12
 
 
-def sparsity_report(
-    cloud: ScatterCloud, grid: SparseVoxelGrid, dense_cells: int, dense_voxel_size: float
-) -> dict:
-    """Compare scattered storage against a dense grid of ``dense_cells``
-    cells of ``dense_voxel_size`` over the same region."""
+def sparsity_report(cloud: ScatterCloud, occupied: int, dense_cells: int, voxel_size: float) -> dict:
+    """Compare scattered storage, which fills ``occupied`` voxels of
+    ``voxel_size``, against a dense grid of ``dense_cells`` cells of
+    that size over the same region."""
     channels = 0 if cloud.features is None else cloud.features.shape[1]
     n = len(cloud)
     record = _POSITION_BYTES + 4 * channels + _BOOKKEEPING_BYTES
     dense_record = max(4 * channels, 4)
     return {
         "scatter_points": n,
-        "occupied_voxels": len(grid),
+        "occupied_voxels": occupied,
         "dense_cells": dense_cells,
         "reduction_factor": dense_cells / max(1, n),
         "bytes_scatter": n * record,
@@ -122,6 +80,6 @@ def sparsity_report(
             "scatter_bookkeeping": _BOOKKEEPING_BYTES,
             "dense_cell": dense_record,
         },
-        "voxel_size": grid.voxel_size,
-        "dense_voxel_size": dense_voxel_size,
+        "voxel_size": voxel_size,
+        "dense_voxel_size": voxel_size,
     }

@@ -476,6 +476,16 @@ class TestCli:
         assert report["coarse_dense_cells"] == 47_500
         assert "timings_s" in report["metadata"]
 
+    def test_bench_report_prints_one_voxel_size(self, tmp_path):
+        scene_path = self.gen(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"voxel_size": 1}\n')
+        bench_path = tmp_path / "bench.json"
+        argv = ["bench", str(scene_path), "--config", str(config_path), "--out", str(bench_path)]
+        assert cli.main(argv + ["--frames", "8"]) == 0
+        report = json.loads(bench_path.read_text())
+        assert json.dumps(report["voxel_size"]) == json.dumps(report["dense_voxel_size"]) == "1"
+
     def test_export_ply_with_images(self, tmp_path):
         scene_path = self.gen(tmp_path)
         ply_path = tmp_path / "cloud.ply"
@@ -615,6 +625,20 @@ class TestCliExitCodes:
             (("objects",), MISSING, "scene lacks 'objects'"),
             (("cameras",), {"trajectory": {"type": "orbit", "radius": 3.0, "steps": 6}}, "trajectory lacks 'height'"),
             (("cameras", 0, "fy"), MISSING, "cameras[0] lacks 'fy'"),
+            (("depth_noise_sgma",), 0.5, "scene has unknown key 'depth_noise_sgma'"),
+            (("objects", 0, "yawn"), 1.0, "objects[0] has unknown key 'yawn'"),
+            (("cameras", 0, "fz"), 120.0, "cameras[0] has unknown key 'fz'"),
+            (
+                ("cameras",),
+                {"trajectory": ORBIT | {"steps": 6, "lookat": [0, 0, 0]}},
+                "trajectory has unknown key 'lookat'",
+            ),
+            (("cameras",), {"trajectory": ORBIT | {"steps": 6}, "steps": 6}, "cameras has unknown key"),
+            (
+                ("intrinsics",),
+                {"fx": 120, "fy": 120, "cx": 79.5, "cy": 59.5, "width": 160, "height": 120},
+                "scene has unknown key 'intrinsics'",
+            ),
         ],
         ids=[
             "nan_center",
@@ -651,6 +675,12 @@ class TestCliExitCodes:
             "missing_objects",
             "missing_orbit_height",
             "missing_fy",
+            "misspelled_noise_sigma",
+            "misspelled_yaw",
+            "misspelled_camera_key",
+            "misspelled_look_at",
+            "unknown_cameras_key",
+            "intrinsics_beside_camera_list",
         ],
     )
     def test_invalid_scene_values_are_config_errors(self, tmp_path, capsys, path, value, message):
@@ -687,6 +717,11 @@ class TestCliExitCodes:
             ),
             (["eval", "{scene}", "{bad}"], "[[0, 0, 0.3]]", "detections[0] must be a JSON object, got list"),
             (["eval", "{scene}", "{bad}"], '[{"center": [0, 0, 0.3]}]', "detections[0] lacks 'size'"),
+            (
+                ["eval", "{scene}", "{bad}"],
+                DETECTION % '"scroe": 0.2',
+                "detections[0] has unknown key 'scroe'",
+            ),
         ],
         ids=[
             "list_scene",
@@ -699,6 +734,7 @@ class TestCliExitCodes:
             "string_center",
             "list_entry",
             "missing_size",
+            "misspelled_score",
         ],
     )
     def test_malformed_files_are_config_errors(self, tmp_path, capsys, argv, content, message):

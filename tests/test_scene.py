@@ -801,6 +801,17 @@ class TestOrbitAndSerialization:
         with pytest.raises(ConfigError, match="^intrinsics lacks 'fy'$"):
             scene_from_dict(data)
 
+    def test_intrinsics_block_unknown_key(self):
+        data = {
+            "objects": [],
+            "cameras": {"trajectory": {"type": "orbit", "radius": 2.5, "height": 1.2, "steps": 6}},
+            "intrinsics": dict(fx=200, fy=200, cx=159.5, cy=119.5, width=320, height=240),
+        }
+        assert scene_from_dict(data).cameras[0].intrinsics.fy == 200
+        data["intrinsics"]["skew"] = 0.0
+        with pytest.raises(ConfigError, match="^intrinsics has unknown key 'skew'$"):
+            scene_from_dict(data)
+
     def test_to_dict_lists_cameras_explicitly(self, clean_scene):
         data = scene_to_dict(clean_scene)
         assert len(data["cameras"]) == len(clean_scene.cameras)

@@ -1,4 +1,4 @@
-"""Tests for sparse voxelization and the dense-grid comparison."""
+"""Tests for the occupied voxels' keys and the dense-grid comparison."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from pointscatter.scatter import ScatterCloud, empty_cloud
 from pointscatter.voxel import INDEX_RANGE, dense_cell_count, sparsity_report, voxel_indices, voxelize
 
 
-def cloud_at(positions, features=None, scores=None):
+def cloud_at(positions, features=None):
     positions = np.asarray(positions, dtype=np.float64)
     n = len(positions)
     return ScatterCloud(
@@ -19,15 +19,15 @@ def cloud_at(positions, features=None, scores=None):
         pixels=np.zeros((n, 2), dtype=np.int64),
         categories=np.zeros(n, dtype=np.int64),
         features=None if features is None else np.asarray(features, dtype=np.float64),
-        scores=None if scores is None else np.asarray(scores, dtype=np.float64),
+        scores=None,
     )
 
 
-def grid_row(grid, ix, iy, iz):
-    """Row of voxel (ix, iy, iz) in ``grid``, or None when unoccupied."""
+def key_row(keys, ix, iy, iz):
+    """Row of voxel (ix, iy, iz) in ``keys``, or None when unoccupied."""
     key = pack_index(ix, iy, iz)
-    row = int(np.searchsorted(grid.keys, key))
-    return row if row < len(grid) and grid.keys[row] == key else None
+    row = int(np.searchsorted(keys, key))
+    return row if row < len(keys) and keys[row] == key else None
 
 
 class TestPackedKeys:
@@ -41,9 +41,9 @@ class TestPackedKeys:
         lo, hi = INDEX_RANGE
         assert unpack_index(pack_index(lo, lo, lo)) == (lo, lo, lo)
         assert unpack_index(pack_index(hi, hi, hi)) == (hi, hi, hi)
-        corners = cloud_at([[lo, lo, lo], [hi + 0.5, hi + 0.5, hi + 0.5]])
+        corners = np.array([[lo, lo, lo], [hi + 0.5, hi + 0.5, hi + 0.5]], dtype=np.float64)
         np.testing.assert_array_equal(
-            voxelize(corners, 1.0).keys, [pack_index(lo, lo, lo), pack_index(hi, hi, hi)]
+            voxelize(corners, 1.0), [pack_index(lo, lo, lo), pack_index(hi, hi, hi)]
         )
 
     def test_out_of_range_rejected(self):
@@ -64,9 +64,9 @@ class TestPackedKeys:
 
     def test_keys_are_unique_per_cell(self):
         cells = [(ix, iy, iz) for ix in range(-3, 4) for iy in range(-3, 4) for iz in range(-3, 4)]
-        grid = voxelize(cloud_at((np.array(cells) + 0.5) * 0.1), 0.1)
-        assert len(grid) == 7**3
-        np.testing.assert_array_equal(grid.keys, sorted(pack_index(*c) for c in cells))
+        keys = voxelize((np.array(cells) + 0.5) * 0.1, 0.1)
+        assert len(keys) == 7**3
+        np.testing.assert_array_equal(keys, sorted(pack_index(*c) for c in cells))
 
 
 class TestVoxelIndices:
@@ -94,80 +94,51 @@ class TestVoxelIndices:
 
 class TestVoxelize:
     def test_two_points_one_cell(self):
-        grid = voxelize(cloud_at([[0.01, 0.01, 0.01], [0.03, 0.02, 0.04]]), 0.05)
-        assert len(grid) == 1
-        np.testing.assert_array_equal(grid.counts, [2])
+        keys = voxelize(np.array([[0.01, 0.01, 0.01], [0.03, 0.02, 0.04]]), 0.05)
+        np.testing.assert_array_equal(keys, [pack_index(0, 0, 0)])
 
     def test_straddling_points_two_cells(self):
-        grid = voxelize(cloud_at([[0.01, 0.0, 0.0], [0.06, 0.0, 0.0]]), 0.05)
-        assert len(grid) == 2
+        keys = voxelize(np.array([[0.01, 0.0, 0.0], [0.06, 0.0, 0.0]]), 0.05)
+        assert len(keys) == 2
 
     def test_empty_cloud(self):
-        grid = voxelize(empty_cloud(), 0.05)
-        assert len(grid) == 0
-        assert grid.features is None
+        keys = voxelize(empty_cloud().positions, 0.05)
+        assert keys.dtype == np.int64 and keys.shape == (0,)
 
-    def test_counts_sum_to_point_count(self):
+    def test_keys_match_brute_force(self):
         rng = np.random.default_rng(3)
-        grid = voxelize(cloud_at(rng.uniform(-1, 1, size=(500, 3))), 0.1)
-        assert int(grid.counts.sum()) == 500
-
-    def test_mean_pooling_matches_brute_force(self):
-        rng = np.random.default_rng(8)
-        pts = rng.uniform(-1, 1, size=(200, 3))
-        feats = rng.normal(size=(200, 4))
-        grid = voxelize(cloud_at(pts, feats), 0.25)
-
-        groups = {}
-        for p, f in zip(pts, feats):
-            key = tuple(int(np.floor(c / 0.25)) for c in p)
-            groups.setdefault(key, []).append(f)
-        assert len(grid) == len(groups)
-        for key, rows in groups.items():
-            row = grid_row(grid, *key)
-            assert row is not None
-            np.testing.assert_allclose(grid.features[row], np.mean(rows, axis=0), atol=1e-9)
-            assert grid.counts[row] == len(rows)
-
-    def test_score_mean(self):
-        grid = voxelize(
-            cloud_at([[0.01, 0.0, 0.0], [0.02, 0.0, 0.0]], scores=[0.2, 0.4]), 0.05
+        origin = np.array([-0.3, 0.2, 0.05])
+        points = rng.uniform(-1, 1, size=(500, 3))
+        keys = voxelize(points, 0.1, tuple(origin))
+        expected = sorted(
+            {pack_index(*(int(np.floor(c)) for c in (p - origin) / 0.1)) for p in points}
         )
-        assert grid.scores[0] == pytest.approx(0.3, abs=1e-15)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == expected
 
     def test_point_order_invariance(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1, 1, size=(100, 3))
-        feats = rng.normal(size=(100, 3))
-        cloud = cloud_at(pts, feats)
         perm = rng.permutation(100)
-        shuffled = cloud_at(pts[perm], feats[perm])
-        a = voxelize(cloud, 0.2)
-        b = voxelize(shuffled, 0.2)
-        np.testing.assert_array_equal(a.keys, b.keys)
-        np.testing.assert_array_equal(a.counts, b.counts)
-        np.testing.assert_allclose(a.features, b.features, atol=1e-12)
+        np.testing.assert_array_equal(voxelize(pts, 0.2), voxelize(pts[perm], 0.2))
 
     def test_indices_and_centers(self):
-        grid = voxelize(cloud_at([[0.07, 0.0, -0.01]]), 0.05)
-        assert unpack_index(grid.keys[0]) == (1, 0, -1)
-        center = grid.origin + (np.array(unpack_index(grid.keys[0])) + 0.5) * grid.voxel_size
-        np.testing.assert_allclose(center, [0.075, 0.025, -0.025], atol=1e-12)
-        assert grid_row(grid, 1, 0, -1) == 0
-        assert grid_row(grid, 0, 0, 0) is None
+        keys = voxelize(np.array([[0.07, 0.0, -0.01]]), 0.05)
+        assert unpack_index(keys[0]) == (1, 0, -1)
+        assert key_row(keys, 1, 0, -1) == 0
+        assert key_row(keys, 0, 0, 0) is None
 
     def test_origin_translation_consistency(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(0, 1, size=(50, 3))
         shift = np.array([3.0, -2.0, 1.0]) * 0.2
-        a = voxelize(cloud_at(pts), 0.2, origin=(0.0, 0.0, 0.0))
-        b = voxelize(cloud_at(pts + shift), 0.2, origin=tuple(shift))
-        np.testing.assert_array_equal(a.counts, b.counts)
-        np.testing.assert_array_equal(a.keys, b.keys)
+        a = voxelize(pts, 0.2, origin=(0.0, 0.0, 0.0))
+        b = voxelize(pts + shift, 0.2, origin=tuple(shift))
+        np.testing.assert_array_equal(a, b)
 
     def test_unpackable_points_rejected(self):
         with pytest.raises(ValueError):
-            voxelize(cloud_at([[2e6, 0.0, 0.0]]), 1.0)
+            voxelize(np.array([[2e6, 0.0, 0.0]]), 1.0)
 
 
 class TestDenseGridSpec:
@@ -201,15 +172,15 @@ class TestSparsityReport:
 
     def test_reduction_factor(self):
         cloud = cloud_at(np.zeros((100_000, 3)))
-        grid = voxelize(cloud, 0.04)
-        report = sparsity_report(cloud, grid, dense_cell_count((8.0, 8.0, 3.0), 0.04), 0.04)
+        occupied = len(voxelize(cloud.positions, 0.04))
+        report = sparsity_report(cloud, occupied, dense_cell_count((8.0, 8.0, 3.0), 0.04), 0.04)
         assert report["reduction_factor"] == pytest.approx(30.0, rel=1e-12)
         assert report["scatter_points"] == 100_000
         assert report["dense_cells"] == 3_000_000
 
     def test_schema(self):
         cloud = cloud_at([[0.0, 0.0, 0.0]])
-        report = sparsity_report(cloud, voxelize(cloud, 0.1), dense_cell_count((1, 1, 1), 0.1), 0.1)
+        report = sparsity_report(cloud, 1, dense_cell_count((1, 1, 1), 0.1), 0.1)
         assert set(report) == self.SCHEMA
 
     def test_byte_model_with_features(self):
@@ -217,7 +188,7 @@ class TestSparsityReport:
         # dense cells store features only: 36 B
         cloud = cloud_at(np.zeros((10, 3)), features=np.zeros((10, 9)))
         dense = dense_cell_count((1.0, 1.0, 1.0), 0.5)
-        report = sparsity_report(cloud, voxelize(cloud, 0.5), dense, 0.5)
+        report = sparsity_report(cloud, 1, dense, 0.5)
         assert report["bytes_scatter"] == 600
         assert report["bytes_dense"] == 8 * 36
         assert report["record_bytes"]["dense_cell"] == 36
@@ -225,13 +196,13 @@ class TestSparsityReport:
     def test_featureless_dense_cell_floor(self):
         cloud = cloud_at([[0.0, 0.0, 0.0]])
         dense = dense_cell_count((1.0, 1.0, 1.0), 1.0)
-        report = sparsity_report(cloud, voxelize(cloud, 1.0), dense, 1.0)
+        report = sparsity_report(cloud, 1, dense, 1.0)
         assert report["record_bytes"]["dense_cell"] == 4
         assert report["bytes_scatter"] == 24
 
     def test_empty_cloud(self):
         dense = dense_cell_count((1.0, 1.0, 1.0), 0.5)
-        report = sparsity_report(empty_cloud(), voxelize(empty_cloud(), 0.5), dense, 0.5)
+        report = sparsity_report(empty_cloud(), 0, dense, 0.5)
         assert report["scatter_points"] == 0
         assert report["occupied_voxels"] == 0
         assert report["reduction_factor"] == 8.0
@@ -239,6 +210,6 @@ class TestSparsityReport:
     def test_deterministic(self):
         cloud = cloud_at(np.linspace(0, 1, 30).reshape(10, 3))
         dense = dense_cell_count((2.0, 2.0, 2.0), 0.2)
-        a = sparsity_report(cloud, voxelize(cloud, 0.2), dense, 0.2)
-        b = sparsity_report(cloud, voxelize(cloud, 0.2), dense, 0.2)
+        a = sparsity_report(cloud, len(voxelize(cloud.positions, 0.2)), dense, 0.2)
+        b = sparsity_report(cloud, len(voxelize(cloud.positions, 0.2)), dense, 0.2)
         assert a == b
