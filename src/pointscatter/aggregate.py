@@ -124,8 +124,8 @@ def reduce_views(views, n: int, channels: int):
     which centering on the rounded mean does not. The sums run in view
     order, so each row has the bits of the same sums over that point's
     samples alone. A point no view sees gets zero mean and variance and
-    count 0. Holds the shifted samples between the passes, 8C bytes per
-    point-view. Returns arrays of shapes (N, C), (N, C), (N,).
+    count 0. The second pass recomputes the shifted samples rather than
+    holding them. Returns arrays of shapes (N, C), (N, C), (N,).
     """
     shift = np.zeros((n, channels))
     # earlier views overwrite later ones, leaving each point's first sample
@@ -134,20 +134,17 @@ def reduce_views(views, n: int, channels: int):
     sums = np.zeros((n, channels))
     dsums = np.zeros((n, channels))
     counts = np.zeros(n, dtype=np.int64)
-    shifted = []
     for idx, samples in views:
         sums[idx] += samples
         counts[idx] += 1
-        d = samples - shift[idx]
-        dsums[idx] += d
-        shifted.append(d)
+        dsums[idx] += samples - shift[idx]
     seen = counts[:, None] > 0
     means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=seen)
     dmeans = np.divide(dsums, counts[:, None], out=np.zeros_like(dsums), where=seen)
 
     sq = np.zeros((n, channels))
-    for (idx, _), d in zip(views, shifted):
-        r = d - dmeans[idx]
+    for idx, samples in views:
+        r = samples - shift[idx] - dmeans[idx]
         sq[idx] += r * r
     variances = np.divide(sq, counts[:, None], out=np.zeros_like(sq), where=seen)
     return means, variances, counts

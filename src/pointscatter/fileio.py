@@ -2,12 +2,16 @@
 
 Floats written to PLY use repr-shortest formatting, so a write/read
 round trip reproduces the array values exactly and identical inputs
-produce identical bytes.
+produce identical bytes. A cloud's vertex rows are formatted and
+written in fixed blocks of rows, and one pass can write both a cloud's
+PLY and the PLY of an ascending subset of its points from the same
+formatted rows, so no whole file's text is ever held in memory.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -44,6 +48,9 @@ _PLY_COLUMNS = (
     ("features", None, "double"),
 )
 _FORMATS = {"double": _float_strs, "int": _int_strs}
+# vertex rows formatted per write: a block's strings are all the PLY
+# writer holds at once
+_BLOCK_ROWS = 1024
 
 
 def _ply_properties(cloud: ScatterCloud):
@@ -57,26 +64,58 @@ def _ply_properties(cloud: ScatterCloud):
             yield name, kind, table[:, j]
 
 
-def write_cloud_ply(cloud: ScatterCloud, path, rows: list[str] | None = None) -> list[str]:
-    """ASCII PLY with provenance properties per vertex; returns the vertex rows.
+def _ply_header(props, n: int) -> str:
+    lines = ["ply", "format ascii 1.0", "comment multi-view scatter cloud", f"element vertex {n}"]
+    lines += [f"property {kind} {name}" for name, kind, _ in props]
+    lines.append("end_header")
+    return "\n".join(lines) + "\n"
+
+
+def _ascending_indices(subset, n: int) -> np.ndarray:
+    """``subset`` as int64 after checking it is strictly ascending within ``[0, n)``."""
+    subset = np.asarray(subset)
+    if subset.ndim != 1 or (len(subset) and subset.dtype.kind not in "iu"):
+        raise ValueError("subset must be a 1D integer index array")
+    subset = subset.astype(np.int64)
+    if len(subset) and (subset[0] < 0 or subset[-1] >= n or np.any(np.diff(subset) <= 0)):
+        raise ValueError(f"subset must be strictly ascending indices in [0, {n})")
+    return subset
+
+
+def write_cloud_ply(cloud: ScatterCloud, path, subset=None, subset_path=None) -> None:
+    """ASCII PLY with provenance properties per vertex.
 
     Writes the properties of ``_PLY_COLUMNS`` for every column the
-    cloud carries. ``rows``, when given, are the cloud's vertex lines as
-    an earlier call returned them (for a subset cloud, the matching
-    subset of those lines), and are written as they are.
+    cloud carries. The vertex rows are formatted and written
+    ``_BLOCK_ROWS`` at a time, so the writer holds one block's strings,
+    not the file's. With ``subset``, strictly ascending indices into the
+    cloud, it also writes the PLY of ``cloud.select(subset)`` to
+    ``subset_path`` from the same formatted rows, in the same pass. A bad
+    ``subset`` raises ``ValueError`` before any file is created.
     """
     n = len(cloud)
+    if (subset is None) != (subset_path is None):
+        raise ValueError("subset and subset_path must be given together")
+    targets = [(path, None)]
+    if subset is not None:
+        targets.append((subset_path, _ascending_indices(subset, n)))
     props = list(_ply_properties(cloud))
-    header = ["ply", "format ascii 1.0", "comment multi-view scatter cloud", f"element vertex {n}"]
-    header += [f"property {kind} {name}" for name, kind, _ in props]
-    header.append("end_header")
-    if rows is None:
-        rows = list(map(" ".join, zip(*(_FORMATS[kind](values) for _, kind, values in props))))
-    elif len(rows) != n:
-        raise ValueError(f"{len(rows)} rows given for a cloud of {n} points")
-    with open(path, "w") as f:
-        f.write("\n".join(header + rows) + "\n")
-    return rows
+    with ExitStack() as stack:
+        files = [(stack.enter_context(open(p, "w")), indices) for p, indices in targets]
+        for f, indices in files:
+            f.write(_ply_header(props, n if indices is None else len(indices)))
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            block = [
+                " ".join(row) + "\n"
+                for row in zip(*(_FORMATS[kind](values[start:stop]) for _, kind, values in props))
+            ]
+            for f, indices in files:
+                if indices is None:
+                    f.writelines(block)
+                else:
+                    lo, hi = np.searchsorted(indices, [start, stop])
+                    f.writelines(block[i - start] for i in indices[lo:hi].tolist())
 
 
 def _write_rows(f, quant: np.ndarray) -> None:

@@ -276,6 +276,24 @@ def _near_pixel_centers(p, q, tau, width: int, height: int) -> np.ndarray:
     return near
 
 
+# the most rays the caster builds at once; a larger window is cast in
+# bands of whole rows. It splits no window of the benchmark poses, whose
+# largest (hires_6view) has 24,124 pixels
+_RAY_BLOCK = 24576
+
+
+def _bands(lo, hi):
+    """``(k, u0, v0, u1, v1)``, bounds inclusive, for each band of rows of
+    each non-empty window ``k`` of :func:`_screen_boxes`, top to bottom:
+    as many whole rows as fit in ``_RAY_BLOCK`` rays, and at least one."""
+    for k, (u0, v0, u1, v1) in enumerate(np.concatenate([lo, hi], 1).tolist()):
+        if u0 > u1 or v0 > v1:
+            continue
+        rows = max(_RAY_BLOCK // (u1 + 1 - u0), 1)
+        for top in range(v0, v1 + 1, rows):
+            yield k, u0, top, u1, min(top + rows - 1, v1)
+
+
 def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     """Nearest-hit depth and int32 triangle index (-1 for no hit) for
     every pixel center.
@@ -284,22 +302,25 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     ``((u - cx) / fx, (v - cy) / fy, 1)`` from one per-column and one
     per-row vector, and rotates them with one matrix product. A ray's
     camera-frame z-component is 1, so the ray parameter of a hit is its
-    camera depth. No ray grid is cached or built: at 640x480 the caster
-    holds about 6 to 9 bytes per pixel beyond its 12-byte output maps. A
-    triangle whose vertices are all in front of the camera is tested only
-    against the rays inside its projected bounding box, widened by one
-    pixel and clipped to the image, and is skipped when that box is empty;
-    a triangle with a vertex at or behind the camera plane falls back to
-    testing every ray. The per-triangle Moeller-Trumbore constants (edges,
-    ``tvec``, ``qvec``) are computed for all triangles at once per view. A
-    back-facing triangle of an object wholly in front of the camera is
-    skipped like an empty window, unless a pixel center lies within the
-    silhouette guard's tolerance of an edge between that object's skipped
-    and kept triangles, in which case the object keeps all of them
-    (:func:`_back_faces`): only there can a back face tie the front face's
-    depth and win by its lower index. Triangles are visited in order and
+    camera depth. No ray grid is cached or built, and a window of more
+    than ``_RAY_BLOCK`` rays is cast in bands of whole rows
+    (:func:`_bands`), so the blocks hold at most about 100 bytes per ray
+    of ``max(_RAY_BLOCK, width)`` rays beyond the 12-byte-per-pixel
+    output maps. A triangle whose vertices are all in front of the camera
+    is tested only against the rays inside its projected bounding box,
+    widened by one pixel and clipped to the image, and is skipped when
+    that box is empty; a triangle with a vertex at or behind the camera
+    plane falls back to testing every ray. The per-triangle
+    Moeller-Trumbore constants (edges, ``tvec``, ``qvec``) are computed
+    for all triangles at once per view. A back-facing triangle of an
+    object wholly in front of the camera is skipped like an empty window,
+    unless a pixel center lies within the silhouette guard's tolerance of
+    an edge between that object's skipped and kept triangles, in which
+    case the object keeps all of them (:func:`_back_faces`): only there
+    can a back face tie the front face's depth and win by its lower index. Triangles are visited in order and
     the per-ray arithmetic and strict nearer-hit test are the same on
-    every path, so the culling changes no output bit.
+    every path, so neither the culling nor the banding changes an output
+    bit.
     """
     h, w = intrinsics.height, intrinsics.width
     xs = (np.arange(w, dtype=np.float64) - intrinsics.cx) / intrinsics.fx
@@ -318,16 +339,14 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     qvecs = np.cross(tvecs, edge1)
     # a culled triangle is passed over like an empty window
     hi[_back_faces(edge1, edge2, tvecs, qvecs, projection, intrinsics)[1]] = -1
-    size = int(np.maximum(hi - lo + 1, 0).prod(axis=1).max(initial=0))
-    # zeroed blocks reused by every window, one row longer than the largest
+    largest = int(np.maximum(hi - lo + 1, 0).prod(axis=1).max(initial=0))
+    # zeroed blocks reused by every band, one row longer than the largest
+    size = min(largest, max(_RAY_BLOCK, w))
     rays, rotated = np.zeros((2, size + 1, 3))
     scalars, flags = np.empty((6, size + 1)), np.empty((2, size + 1), dtype=bool)
-    bounds = np.concatenate([lo, hi], 1).tolist()
     eps = _BARYCENTRIC_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k, (u0, v0, u1, v1) in enumerate(bounds):
-            if u0 > u1 or v0 > v1:
-                continue
+        for k, u0, v0, u1, v1 in _bands(lo, hi):
             window = np.s_[v0 : v1 + 1, u0 : u1 + 1]
             shape = (v1 + 1 - v0, u1 + 1 - u0)
             n = shape[0] * shape[1]

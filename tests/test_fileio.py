@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,31 +238,75 @@ class TestFilteredPlyFromRawRows:
         if case == "none_kept":
             assert b"element vertex 0\n" in got and got.endswith(b"end_header\n")
 
-    def test_given_rows_match_oracle(self, tmp_path, noisy_demo_result):
-        cloud = noisy_demo_result.cloud
-        rows = write_cloud_ply(cloud, tmp_path / "raw.ply")
-        assert len(rows) == len(cloud)
-        subsets = [
-            np.arange(len(cloud)),
-            noisy_demo_result.filtered_indices,
-            np.arange(len(cloud))[::-7],
-            np.zeros(0, dtype=np.int64),
-        ]
-        for indices in subsets:
-            subset = cloud.select(indices)
-            written = write_cloud_ply(
-                subset, tmp_path / "got.ply", rows=[rows[i] for i in indices.tolist()]
-            )
-            oracles.write_cloud_ply(subset, tmp_path / "want.ply")
-            assert (tmp_path / "got.ply").read_bytes() == (tmp_path / "want.ply").read_bytes()
-            assert written == write_cloud_ply(subset, tmp_path / "again.ply")
+    @staticmethod
+    def assert_pair_matches_oracle(tmp_path, cloud, subset):
+        """One call writes the cloud's and the subset's PLYs with the oracle's bytes."""
+        write_cloud_ply(cloud, tmp_path / "raw.ply", subset, tmp_path / "sub.ply")
+        oracles.write_cloud_ply(cloud, tmp_path / "want_raw.ply")
+        oracles.write_cloud_ply(cloud.select(subset), tmp_path / "want_sub.ply")
+        for got, want in [("raw.ply", "want_raw.ply"), ("sub.ply", "want_sub.ply")]:
+            assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes(), got
 
-    def test_row_count_must_match(self, tmp_path):
+    @staticmethod
+    def subsets(n, filtered=None):
+        """All rows, none, every 7th ascending and, when given, the filtered ones."""
+        every = np.arange(n)
+        named = {"all": every, "none": np.zeros(0, dtype=np.int64), "every_7th": every[::-7][::-1]}
+        if filtered is not None:
+            named["filtered"] = filtered
+        return named
+
+    def test_subset_matches_oracle(self, tmp_path, noisy_demo_result):
+        cloud = noisy_demo_result.cloud
+        assert len(cloud) > 2 * fileio._BLOCK_ROWS
+        for name, subset in self.subsets(len(cloud), noisy_demo_result.filtered_indices).items():
+            (tmp_path / name).mkdir()
+            self.assert_pair_matches_oracle(tmp_path / name, cloud, subset)
+
+    # cloud sizes as (blocks, extra rows): 0, 1, B-1, B, B+1 and 2B+3 rows
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+        ids=["0", "1", "B-1", "B", "B+1", "2B+3"],
+    )
+    def test_block_edges_match_oracle(self, tmp_path, noisy_demo_result, blocks, extra):
+        n = blocks * fileio._BLOCK_ROWS + extra
+        cloud = noisy_demo_result.cloud.select(np.arange(n))
+        for name, subset in self.subsets(n).items():
+            (tmp_path / name).mkdir()
+            self.assert_pair_matches_oracle(tmp_path / name, cloud, subset)
+
+    def test_bad_subset_creates_no_file(self, tmp_path):
         cloud = sample_cloud()
-        rows = write_cloud_ply(cloud, tmp_path / "raw.ply")
-        with pytest.raises(ValueError, match="rows"):
-            write_cloud_ply(cloud, tmp_path / "bad.ply", rows=rows[:-1])
-        assert not (tmp_path / "bad.ply").exists()
+        n = len(cloud)
+        bad = {
+            "descending": np.array([3, 1]),
+            "repeated": np.array([1, 1, 2]),
+            "negative": np.array([-1, 0, 1]),
+            "past_end": np.array([0, n]),
+            "two_dimensional": np.array([[0, 1]]),
+            "float": np.array([0.0, 1.0]),
+        }
+        for name, subset in bad.items():
+            raw, sub = tmp_path / f"{name}_raw.ply", tmp_path / f"{name}_sub.ply"
+            with pytest.raises(ValueError, match="subset"):
+                write_cloud_ply(cloud, raw, subset, sub)
+            assert not raw.exists() and not sub.exists(), name
+        with pytest.raises(ValueError, match="subset"):
+            write_cloud_ply(cloud, tmp_path / "lone_raw.ply", np.arange(n))
+        assert not (tmp_path / "lone_raw.ply").exists()
+
+    def test_demo_write_peak_memory(self, tmp_path, noisy_demo_result):
+        # the rows are formatted and written in blocks: the writer never
+        # holds as much as the file it writes
+        cloud, kept = noisy_demo_result.cloud, noisy_demo_result.filtered_indices
+        raw = tmp_path / "cloud_raw.ply"
+        tracemalloc.start()
+        try:
+            write_cloud_ply(cloud, raw, kept, tmp_path / "cloud_filtered.ply")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < raw.stat().st_size
 
 
 class TestPgm:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pointscatter import scene as scene_module
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose, backproject_pixels, look_at_pose, project_points
 from pointscatter.checks import ConfigError
@@ -51,6 +52,14 @@ def hires_scene():
     scene = demo_scene(steps=6)
     cameras = tuple(SceneCamera(HIRES, c.pose) for c in scene.cameras)
     return dataclasses.replace(scene, cameras=cameras)
+
+
+def hires_inside_box_scene():
+    """A 640x480 camera inside a unit cube: every window is the whole image."""
+    return dataclasses.replace(
+        frontal_cube_scene(center=(0.0, 0.0, 0.2)),
+        cameras=(SceneCamera(HIRES, Pose.identity()),),
+    )
 
 
 def render_color(scene, camera_index=0):
@@ -248,6 +257,23 @@ class TestCastRaysMatchesOracle:
         assert full.any()
         self.assert_matches(scene, [0])
         assert render(scene, 0)[0].all()
+
+    def test_640x480_camera_inside_box(self):
+        # whole-image windows of 307,200 rays, cast in bands of whole rows
+        scene = hires_inside_box_scene()
+        full, _ = self.windows(scene)
+        assert full.all() and HIRES.width * HIRES.height > scene_module._RAY_BLOCK
+        self.assert_matches(scene, [0])
+        assert render(scene, 0)[0].all()
+
+    @pytest.mark.parametrize("block", [1, 7, 500])
+    def test_banded_windows(self, monkeypatch, block):
+        # caps below and above the window widths: one-row bands of the
+        # wide windows, several rows of the narrow ones, each band with
+        # its spare row
+        monkeypatch.setattr(scene_module, "_RAY_BLOCK", block)
+        self.assert_matches(demo_scene(steps=6), range(6))
+        self.assert_matches(frontal_cube_scene(center=(0.0, 0.0, 0.2)), [0])
 
     def test_box_partly_off_screen(self):
         scene = frontal_cube_scene(center=(1.0, 0.0, 2.5))
@@ -651,11 +677,9 @@ class TestMakeFrame:
         assert not any(a.ndim == 3 and a.dtype.kind == "f" for a in arrays)
         assert frame.color.shape == (HIRES.height, HIRES.width, 3)
 
-    def test_640x480_cast_peak_memory(self):
-        # rays are built per window in reused blocks, so one view's peak
-        # allocation stays under twice its depth and index maps; a full
-        # (H*W, 3) float64 ray grid alone is twice those maps
-        scene = hires_scene()
+    @staticmethod
+    def assert_cast_peak_under_twice_maps(scene):
+        """The first view's traced peak stays under twice its depth and index maps."""
         cam = scene.cameras[0]
         scene.geometry  # built once per scene, outside the measured call
         tracemalloc.start()
@@ -665,6 +689,16 @@ class TestMakeFrame:
         finally:
             tracemalloc.stop()
         assert peak < 2 * (depth.nbytes + index.nbytes)
+
+    def test_640x480_cast_peak_memory(self):
+        # rays are built per window in reused blocks; a full (H*W, 3)
+        # float64 ray grid alone is twice the maps
+        self.assert_cast_peak_under_twice_maps(hires_scene())
+
+    def test_inside_box_cast_peak_memory(self):
+        # every window of this view is the whole image; its rays are built
+        # in bands of at most _RAY_BLOCK rays, not in whole-image blocks
+        self.assert_cast_peak_under_twice_maps(hires_inside_box_scene())
 
     def test_depth_values_zero_or_in_range(self, noisy_frames):
         for frame in noisy_frames[:5]:
