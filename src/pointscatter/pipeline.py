@@ -185,9 +185,10 @@ def stage_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(label.encode()), index])
 
 
-def _connected_components(points: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Index groups of points linked by distances <= eps, ordered by
-    their smallest member, members ascending."""
+def _connected_components(points: np.ndarray, eps: float, min_size: int) -> list[np.ndarray]:
+    """Index groups of at least ``min_size`` points linked by distances
+    <= eps, ordered by their smallest member, members ascending. Smaller
+    groups are never split out."""
     # loaded on first use: csgraph adds about 17 ms to the import of the
     # package, and only the cluster detector needs it
     from scipy.sparse import coo_matrix
@@ -198,8 +199,9 @@ def _connected_components(points: np.ndarray, eps: float) -> list[np.ndarray]:
     _, labels = connected_components(
         coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)), directed=False
     )
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    members = np.flatnonzero(np.bincount(labels)[labels] >= min_size)
+    order = members[np.argsort(labels[members], kind="stable")]
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(order) else []
     return sorted(groups, key=lambda g: g[0])
 
 
@@ -211,9 +213,7 @@ def _cluster_detections(cloud, config: DetectorConfig) -> list[OrientedBox]:
         return []
     pts, cats, scores = cloud.positions, cloud.categories, cloud.scores
     detections = []
-    for group in _connected_components(pts, config.cluster_eps):
-        if len(group) < config.min_cluster_points:
-            continue
+    for group in _connected_components(pts, config.cluster_eps, config.min_cluster_points):
         sub = pts[group]
         lo, hi = sub.min(axis=0), sub.max(axis=0)
         size = np.maximum(hi - lo, 1e-3)

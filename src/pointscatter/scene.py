@@ -343,6 +343,8 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     # zeroed blocks reused by every band, one row longer than the largest
     size = min(largest, max(_RAY_BLOCK, w))
     rays, rotated = np.zeros((2, size + 1, 3))
+    # C-ordered: the same bits as the transposed view, up to 3x faster per row
+    rotation_t = np.ascontiguousarray(pose.rotation.T)
     scalars, flags = np.empty((6, size + 1)), np.empty((2, size + 1), dtype=bool)
     eps = _BARYCENTRIC_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -357,7 +359,7 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
             grid[..., 1] = ys[v0 : v1 + 1, None]
             grid[..., 2] = 1.0
             m = n + 1
-            dirs = np.matmul(rays[:m], pose.rotation.T, out=rotated[:m])
+            dirs = np.matmul(rays[:m], rotation_t, out=rotated[:m])
             pvec, (det, inv, u, v, t, tmp), (hit, test) = rays[:m], scalars[:, :m], flags[:, :m]
             e1, e2, tvec, qvec = edge1[k], edge2[k], tvecs[k], qvecs[k]
             # np.cross(dirs, e2) column by column into the spent camera-frame

@@ -1,11 +1,11 @@
 """Surface filtering: GT distance labels, focal loss, photometric score.
 
 A scattered point is an inlier when its distance to the GT surface is
-strictly below ``tau`` (unsquared meters). The training signal for a
-filter is a binary focal loss on predicted inlier probabilities; the
-training-free photometric alternative scores points by how consistent
-their color is across the views that saw them
-(``exp(-mean_variance / k_sigma)``).
+strictly below ``tau`` (unsquared meters); the labels' search stops at
+``tau``. The training signal for a filter is a binary focal loss on
+predicted inlier probabilities; the training-free photometric
+alternative scores points by how consistent their color is across the
+views that saw them (``exp(-mean_variance / k_sigma)``).
 
 Scores weight the learned feature channels only; point positions and
 the one-hot category block stay untouched so geometry is preserved.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -30,11 +31,17 @@ DEFAULT_SCORE = 0.5
 
 @dataclass(frozen=True, eq=False)
 class SurfaceLabeling:
-    """Inlier labels and the nearest-surface distances behind them."""
+    """Inlier labels, and the exact nearest-surface distances, which a
+    search without the labels' ``tau`` bound finds on first read."""
 
     labels: np.ndarray
-    distances: np.ndarray
     tau: float
+    tree: cKDTree
+    points: np.ndarray
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        return self.tree.query(self.points)[0]
 
     @property
     def inlier_fraction(self) -> float:
@@ -46,8 +53,10 @@ class SurfaceLabeling:
 def label_points(points: np.ndarray, surface_points: np.ndarray, tau: float) -> SurfaceLabeling:
     """Label points whose nearest GT surface sample is closer than ``tau``.
 
-    Distances are plain Euclidean (not squared). Raises when the surface
-    sample set is empty.
+    Distances are plain Euclidean (not squared). The labels' search stops
+    just past ``tau``: the tree's bound is strict and squared, and the
+    slack keeps a neighbour whose rounded distance is below ``tau``.
+    Raises when the surface sample set is empty.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -55,10 +64,9 @@ def label_points(points: np.ndarray, surface_points: np.ndarray, tau: float) -> 
     if len(surf) == 0:
         raise ValueError("surface sample set is empty")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if len(pts) == 0:
-        return SurfaceLabeling(np.zeros(0, dtype=bool), np.zeros(0), tau)
-    distances, _ = cKDTree(surf).query(pts)
-    return SurfaceLabeling(labels=distances < tau, distances=distances, tau=tau)
+    tree = cKDTree(surf, balanced_tree=False, compact_nodes=False)
+    near, _ = tree.query(pts, distance_upper_bound=tau * (1.0 + 1e-9))
+    return SurfaceLabeling(labels=near < tau, tau=tau, tree=tree, points=pts)
 
 
 def sample_scene_surface(scene, tau: float, rng: np.random.Generator) -> np.ndarray:

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,17 @@ from pointscatter.scene import demo_scene, make_frame, project_gt_boxes
 
 # matches the pipeline default; scenes here fit comfortably inside it
 DEPTH_RANGE = (0.2, 6.4)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark directory, loaded from its file without
+    putting that directory on the import path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def render_all(scene):

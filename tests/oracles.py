@@ -146,6 +146,15 @@ def brute_nn_distances(queries, references, chunk=512):
     return out
 
 
+def label_points(points, surface_points, tau):
+    """``(labels, distances)``: each point's exact distance to its nearest
+    surface sample by an unbounded search of a balanced tree, and whether
+    it is below ``tau``; the package's labelling before its search
+    stopped at ``tau``."""
+    distances, _ = cKDTree(surface_points).query(points)
+    return distances < tau, distances
+
+
 def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ab = b - a
     denom = float(np.dot(ab, ab))

@@ -1,14 +1,13 @@
 """Tests for the staged pipeline, its config, and the CLI."""
 
 import dataclasses
-import importlib.util
 import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import load_perfbench
 from oracles import read_cloud_ply, union_find_components
 from pointscatter import cli
 from pointscatter.fileio import (
@@ -40,22 +39,12 @@ from pointscatter.scene import (
 )
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # an orbit trajectory for a scene file's camera object form, less its steps
 ORBIT = {"type": "orbit", "radius": 3.0, "height": 1.7}
 # a scene-file edit that deletes its key
 MISSING = object()
 # a detections file of one box, with one more entry filled in
 DETECTION = '[{"center": [0, 0, 0.3], "size": [1, 1, 1], %s}]'
-
-
-def load_perfbench(name: str):
-    """A module of the benchmark directory, loaded from its file without
-    putting that directory on the import path."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def small_scene(**kwargs):
@@ -256,13 +245,26 @@ class TestScoreClusterDetector:
             np.testing.assert_allclose(det.size, gt_sizes[det.category], atol=0.15)
 
 
+@pytest.fixture(scope="module")
+def noisy_kept_points():
+    """The noisy demo's points at or above the score threshold, and the
+    detector config that clusters them."""
+    scene = demo_scene(noise_sigma=0.05, outlier_rate=0.1)
+    config = PipelineConfig(frames=20, detector=DetectorConfig(mode="score_cluster"))
+    cloud = run_pipeline(scene, config).cloud
+    return cloud.positions[cloud.scores >= config.detector.score_threshold], config.detector
+
+
 class TestConnectedComponents:
-    def assert_matches_union_find(self, points, eps):
-        groups = _connected_components(points, eps)
-        expected = union_find_components(points, eps)
+    def assert_matches_union_find(self, points, eps, min_size=1):
+        """The oracle's groups of at least ``min_size`` points, in the
+        oracle's order (by smallest member); returns the groups."""
+        groups = _connected_components(points, eps, min_size)
+        expected = [g for g in union_find_components(points, eps) if len(g) >= min_size]
         assert len(groups) == len(expected)
         for got, want in zip(groups, expected):
             assert got.tolist() == want.tolist()
+        return groups
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_points(self, seed):
@@ -270,16 +272,22 @@ class TestConnectedComponents:
         # sparse enough for many groups, dense enough for chains
         points = rng.uniform(0.0, 1.0, size=(400, 3))
         self.assert_matches_union_find(points, 0.06)
+        self.assert_matches_union_find(points, 0.06, 3)
 
     def test_single_point(self):
         self.assert_matches_union_find(np.zeros((1, 3)), 0.1)
 
-    def test_noisy_demo_cloud(self):
-        scene = demo_scene(noise_sigma=0.05, outlier_rate=0.1)
-        config = PipelineConfig(frames=20, detector=DetectorConfig(mode="score_cluster"))
-        cloud = run_pipeline(scene, config).cloud
-        kept = cloud.positions[cloud.scores >= config.detector.score_threshold]
-        self.assert_matches_union_find(kept, config.detector.cluster_eps)
+    def test_min_size_above_every_group(self):
+        points = np.random.default_rng(5).uniform(0.0, 1.0, size=(400, 3))
+        assert self.assert_matches_union_find(points, 0.06, 401) == []
+
+    def test_noisy_demo_cloud(self, noisy_kept_points):
+        kept, detector = noisy_kept_points
+        self.assert_matches_union_find(kept, detector.cluster_eps)
+
+    def test_noisy_demo_cloud_kept_groups(self, noisy_kept_points):
+        kept, detector = noisy_kept_points
+        assert self.assert_matches_union_find(kept, detector.cluster_eps, detector.min_cluster_points)
 
 
 class TestDeterminism:

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from conftest import load_perfbench
 from oracles import brute_nn_distances, point_mesh_distance
 from pointscatter.aggregate import aggregate_cloud
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose
+from pointscatter.pipeline import run_front, stage_rng
 from pointscatter.scatter import ScatterConfig, scatter_frames
 from pointscatter.scene import SceneCamera, SceneObject, SceneSpec
 from pointscatter.surface import (
@@ -58,6 +61,15 @@ class TestLabelPoints:
         assert lab.distances[0] == 0.05
         assert not lab.labels[0]
 
+    def test_distance_just_below_tau_is_inlier(self):
+        # the search's bound is strict and squared: its slack keeps the
+        # neighbour one ulp inside tau
+        below = np.nextafter(0.05, 0.0)
+        surf = np.array([[0.0, 0.0, 0.0]])
+        lab = label_points(np.array([[below, 0.0, 0.0]]), surf, 0.05)
+        assert lab.distances[0] == below
+        assert lab.labels[0]
+
     def test_nearest_of_many(self):
         surf = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
         lab = label_points(np.array([[9.0, 0.0, 0.0]]), surf, 2.0)
@@ -87,12 +99,29 @@ class TestLabelPoints:
     @settings(deadline=None, max_examples=25)
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        surf = rng.uniform(-1.0, 1.0, size=(60, 3))
-        pts = rng.uniform(-1.2, 1.2, size=(40, 3))
+        # plus a sample far from the rest, with one point at exactly tau
+        # from it and one a single ulp closer
+        surf = np.vstack([rng.uniform(-1.0, 1.0, size=(60, 3)), [0.0, 0.0, 5.0]])
+        edge = [[0.3, 0.0, 5.0], [np.nextafter(0.3, 0.0), 0.0, 5.0]]
+        pts = np.vstack([rng.uniform(-1.2, 1.2, size=(40, 3)), edge])
         lab = label_points(pts, surf, 0.3)
         brute = brute_nn_distances(pts, surf)
         np.testing.assert_allclose(lab.distances, brute, atol=1e-12)
         np.testing.assert_array_equal(lab.labels, brute < 0.3)
+        assert lab.labels[-2:].tolist() == [False, True]
+
+    @pytest.mark.parametrize("seed", [11, 29])
+    @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
+    def test_workload_clouds_match_oracle(self, name, seed):
+        scene, config = load_perfbench("workloads").build(name, seed)
+        cloud = run_front(scene, config)[2]
+        surface = sample_scene_surface(scene, config.tau, stage_rng(config.seed, "surface"))
+        lab = label_points(cloud.positions, surface, config.tau)
+        labels, distances = oracles.label_points(cloud.positions, surface, config.tau)
+        np.testing.assert_array_equal(lab.labels, labels)
+        # the labels alone never search past tau
+        assert "distances" not in vars(lab)
+        assert lab.distances.tobytes() == distances.tobytes()
 
 
 class TestSampleSceneSurface:
