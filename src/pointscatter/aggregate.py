@@ -1,30 +1,25 @@
 """Multi-view feature aggregation for scattered points.
 
-:func:`aggregate_cloud` projects every point of a cloud into every
-frame; frames where a point lands in front of the camera and inside the
-image bounds contribute a bilinearly sampled feature: the frame's color,
-read as ``shades[tri_index[y, x]]`` at the four corner texels, so no RGB
-image is built. :func:`reduce_views` reduces the contributing features
-to a masked mean and a masked population variance. The variance is
-taken over samples shifted by the point's first observed sample, so a
-point whose samples agree in every view gets exactly 0, which centering
-on the rounded mean alone does not give. A point seen by no frame is
-degenerate: its mean and variance are zero and its valid count is 0.
-:func:`compose_features` appends a one-hot category block to the mean
-and variance rows.
-
-Projection validity is purely geometric by default. With
-``occlusion_check`` enabled, a frame only contributes when the point's
-camera depth does not exceed the frame's rendered depth at the nearest
-pixel by more than a noise tolerance; points projecting onto empty
-background are treated as visible.
+:func:`aggregate_cloud` projects the whole cloud into each frame once
+and keeps the points the frame sees as compact lists of indices and
+pixel coordinates. A frame sees a point in front of the camera that
+projects inside the image; with ``occlusion_check``, the point must
+also lie no deeper than the rendered depth at its nearest pixel plus a
+noise tolerance, and empty background never hides it. Each seen point
+contributes the frame's color, bilinearly sampled as
+``shades[tri_index[y, x]]`` at the four corner texels (no RGB image is
+built). :func:`reduce_views` reduces the samples to a masked mean and a
+masked population variance of the samples shifted by the point's first
+one, so agreeing samples give exactly 0; a point no frame sees gets
+zeros and a valid count of 0. :func:`compose_features` appends a
+one-hot category block to the mean and variance rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .camera import project_points
+from .camera import BEHIND_CAMERA_EPS
 from .scatter import ScatterCloud
 
 
@@ -36,7 +31,8 @@ def bilinear_sample(index: np.ndarray, shades: np.ndarray, u, v):
     table. ``u`` and ``v`` are continuous pixel coordinates (pixel
     centers at integers) and must lie inside ``[0, W-1] x [0, H-1]``;
     integer coordinates return the exact texel value. Scalars in, scalar
-    (or (C,)) out; arrays in, arrays out.
+    (or (C,)) out; arrays in, arrays out. Each channel is interpolated
+    on its own, from flat gathers of the four corners.
     """
     table = np.asarray(shades, dtype=np.float64)
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
@@ -47,45 +43,40 @@ def bilinear_sample(index: np.ndarray, shades: np.ndarray, u, v):
         raise ValueError("sample coordinates outside the image domain")
     x0 = np.minimum(np.floor(u), w - 2).astype(np.int64) if w > 1 else np.zeros(len(u), np.int64)
     y0 = np.minimum(np.floor(v), h - 2).astype(np.int64) if h > 1 else np.zeros(len(v), np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
     fx = u - x0
     fy = v - y0
-    if table.ndim == 2:
-        fx = fx[:, None]
-        fy = fy[:, None]
-    out = (
-        np.take(table, index[y0, x0], axis=0) * (1 - fx) * (1 - fy)
-        + np.take(table, index[y0, x1], axis=0) * fx * (1 - fy)
-        + np.take(table, index[y1, x0], axis=0) * (1 - fx) * fy
-        + np.take(table, index[y1, x1], axis=0) * fx * fy
-    )
+    gx, gy = 1 - fx, 1 - fy
+    # flat corner offsets; an image 1 pixel wide or high repeats its edge
+    dx, dy = int(w > 1), w if h > 1 else 0
+    flat = index.ravel()
+    corner = y0 * w + x0
+    i00, i01, i10, i11 = flat[corner], flat[corner + dx], flat[corner + dy], flat[corner + (dx + dy)]
+    rows = np.atleast_2d(np.ascontiguousarray(table.T))
+    out = np.empty((len(rows), len(u)))
+    for t, o in zip(rows, out):
+        o[:] = t[i00] * gx * gy + t[i01] * fx * gy + t[i10] * gx * fy + t[i11] * fx * fy
+    out = out.T if table.ndim == 2 else out[0]
     return out[0] if scalar else out
 
 
 def _frame_projection(positions, frame, occlusion_check, depth_sigma):
-    """Valid mask and pixel coords of (N, 3) points in one frame."""
+    """``(idx, u, v)``: the ascending indices of the (N, 3) points one frame
+    sees, as the module docstring defines it, and their pixel coordinates;
+    the occlusion tolerance is ``max(3 * depth_sigma, 0.01)``."""
     intr = frame.intrinsics
-    uv, z, in_front = project_points(positions, intr, frame.pose)
-    ok = in_front.copy()
-    np.logical_and(ok, ~np.isnan(uv[:, 0]), out=ok)
-    inside = (
-        (uv[:, 0] >= 0)
-        & (uv[:, 0] <= intr.width - 1)
-        & (uv[:, 1] >= 0)
-        & (uv[:, 1] <= intr.height - 1)
-    )
-    ok &= inside
-    if occlusion_check and ok.any():
-        # nearest-pixel depth comparison; background (depth 0) cannot occlude
-        tol = max(3.0 * depth_sigma, 0.01)
-        ui = np.rint(uv[ok, 0]).astype(np.int64)
-        vi = np.rint(uv[ok, 1]).astype(np.int64)
-        rendered = frame.depth[vi, ui]
-        visible = (rendered <= 0) | (z[ok] <= rendered + tol)
-        sub = np.where(ok)[0]
-        ok[sub[~visible]] = False
-    return ok, uv, z
+    x, y, z = frame.pose.world_to_camera(positions).T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = intr.fx * x / z + intr.cx
+        v = intr.fy * y / z + intr.cy
+    ok = (z > BEHIND_CAMERA_EPS) & (u >= 0) & (u <= intr.width - 1) & (v >= 0) & (v <= intr.height - 1)
+    idx = np.flatnonzero(ok)
+    u, v = u[idx], v[idx]
+    if occlusion_check:
+        depth = frame.depth
+        rendered = depth.ravel()[np.rint(v).astype(np.int64) * depth.shape[1] + np.rint(u).astype(np.int64)]
+        seen = (rendered <= 0) | (z[idx] <= rendered + max(3.0 * depth_sigma, 0.01))
+        idx, u, v = idx[seen], u[seen], v[seen]
+    return idx, u, v
 
 
 def aggregate_cloud(
@@ -105,10 +96,9 @@ def aggregate_cloud(
     channels = frames[0].shades.shape[1] if frames else 0
     views = []
     for frame in frames:
-        ok, uv, _ = _frame_projection(positions, frame, occlusion_check, depth_sigma)
-        idx = np.flatnonzero(ok)
+        idx, u, v = _frame_projection(positions, frame, occlusion_check, depth_sigma)
         if len(idx):
-            views.append((idx, bilinear_sample(frame.tri_index, frame.shades, uv[idx, 0], uv[idx, 1])))
+            views.append((idx, bilinear_sample(frame.tri_index, frame.shades, u, v)))
     return reduce_views(views, len(positions), channels)
 
 
@@ -122,31 +112,34 @@ def reduce_views(views, n: int, channels: int):
     ``d = s - shift``, then ``sum((d - sum(d) / count)^2) / count``
     (Chan, Golub & LeVeque, 1983): identical samples give exactly 0,
     which centering on the rounded mean does not. The sums run in view
-    order, so each row has the bits of the same sums over that point's
-    samples alone. A point no view sees gets zero mean and variance and
-    count 0. The second pass recomputes the shifted samples rather than
-    holding them. Returns arrays of shapes (N, C), (N, C), (N,).
+    order, one channel at a time, so each row has the bits of the same
+    sums over that point's samples alone. The shift comes from the view
+    where the point's count is still 0, and the second pass recomputes
+    the shifted samples rather than holding them. A point no view sees
+    gets zero mean and variance and count 0. Returns arrays of shapes
+    (N, C), (N, C), (N,).
     """
-    shift = np.zeros((n, channels))
-    # earlier views overwrite later ones, leaving each point's first sample
-    for idx, samples in reversed(views):
-        shift[idx] = samples
-    sums = np.zeros((n, channels))
-    dsums = np.zeros((n, channels))
+    shift, sums, dsums, sq = np.zeros((4, channels, n))
     counts = np.zeros(n, dtype=np.int64)
     for idx, samples in views:
-        sums[idx] += samples
+        first = counts[idx] == 0
+        new = idx[first]
+        for s, sh, sm, ds in zip(samples.T, shift, sums, dsums):
+            sh[new] = s[first]
+            sm[idx] += s
+            ds[idx] += s - sh[idx]
         counts[idx] += 1
-        dsums[idx] += samples - shift[idx]
-    seen = counts[:, None] > 0
-    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=seen)
-    dmeans = np.divide(dsums, counts[:, None], out=np.zeros_like(dsums), where=seen)
-
-    sq = np.zeros((n, channels))
+    seen = counts > 0
+    dmeans = np.divide(dsums, counts, out=np.zeros_like(dsums), where=seen)
     for idx, samples in views:
-        r = samples - shift[idx] - dmeans[idx]
-        sq[idx] += r * r
-    variances = np.divide(sq, counts[:, None], out=np.zeros_like(sq), where=seen)
+        for s, sh, dm, q in zip(samples.T, shift, dmeans, sq):
+            r = s - sh[idx]
+            r -= dm[idx]
+            r *= r
+            q[idx] += r
+    # (N, C) rows, as the callers and the byte references hold them
+    means = np.divide(sums.T, counts[:, None], out=np.zeros((n, channels)), where=seen[:, None])
+    variances = np.divide(sq.T, counts[:, None], out=np.zeros((n, channels)), where=seen[:, None])
     return means, variances, counts
 
 

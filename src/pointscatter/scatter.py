@@ -108,6 +108,13 @@ def box_sampling_stride(focal: float, radius: float, median_depth: float) -> int
     return max(1, round(focal * radius / median_depth))
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median``'s bits for a non-empty 1-D array, from one partition."""
+    half = len(values) // 2
+    part = np.partition(values, (half - 1, half))
+    return float(part[half] if len(values) % 2 else (part[half - 1] + part[half]) / 2)
+
+
 class ScatterAccumulator:
     """Grows a scatter cloud frame by frame with exact radius dedup.
 
@@ -168,7 +175,7 @@ class ScatterAccumulator:
             valid = region > 0
             if not valid.any():
                 continue
-            stride = box_sampling_stride(intr.fx, self.config.radius, float(np.median(region[valid])))
+            stride = box_sampling_stride(intr.fx, self.config.radius, _median(region[valid]))
             # nonzero walks the strided block in raster order
             rows, cols = np.nonzero(valid[::stride, ::stride])
             us.append(u0 + stride * cols)

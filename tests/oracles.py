@@ -3,9 +3,7 @@
 Everything here is deliberately naive (loops, O(n^2) scans, Monte
 Carlo) so that agreement with the package is evidence rather than
 tautology. Keep these free of imports from the modules they check,
-apart from plain data containers and, in :func:`aggregate_cloud`, the
-visibility mask that :func:`point_view_mask` checks and the reduction
-that :func:`aggregate_variance` checks.
+apart from plain data containers.
 """
 
 import math
@@ -13,7 +11,6 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from pointscatter.aggregate import _frame_projection, reduce_views
 from pointscatter.camera import BEHIND_CAMERA_EPS, backproject_pixels, project_points
 from pointscatter.scatter import ScatterCloud, box_sampling_stride, empty_cloud
 from pointscatter.scene import Box2D
@@ -646,6 +643,37 @@ def bilinear_sample(image: np.ndarray, u, v):
     return out
 
 
+def _frame_projection(positions, frame, occlusion_check, depth_sigma):
+    """Valid mask, pixel coords and depths of (N, 3) points in one frame.
+
+    The package's projection as it was before it returned compact index
+    lists: full-length NaN-filled pixel coordinates from
+    ``project_points`` and a boolean mask over every point. The package
+    must find the same points and pixel coordinates.
+    """
+    intr = frame.intrinsics
+    uv, z, in_front = project_points(positions, intr, frame.pose)
+    ok = in_front.copy()
+    np.logical_and(ok, ~np.isnan(uv[:, 0]), out=ok)
+    inside = (
+        (uv[:, 0] >= 0)
+        & (uv[:, 0] <= intr.width - 1)
+        & (uv[:, 1] >= 0)
+        & (uv[:, 1] <= intr.height - 1)
+    )
+    ok &= inside
+    if occlusion_check and ok.any():
+        # nearest-pixel depth comparison; background (depth 0) cannot occlude
+        tol = max(3.0 * depth_sigma, 0.01)
+        ui = np.rint(uv[ok, 0]).astype(np.int64)
+        vi = np.rint(uv[ok, 1]).astype(np.int64)
+        rendered = frame.depth[vi, ui]
+        visible = (rendered <= 0) | (z[ok] <= rendered + tol)
+        sub = np.where(ok)[0]
+        ok[sub[~visible]] = False
+    return ok, uv, z
+
+
 def aggregate_cloud(
     cloud,
     frames,
@@ -658,11 +686,13 @@ def aggregate_cloud(
     (H, W, 3) color image: it samples ``frame.color`` with the image
     ``bilinear_sample`` above, and is the byte-level reference for the
     version that samples the triangle-index map through the shade table.
-    It takes the visibility mask from the package's ``_frame_projection``
-    and reduces through its ``reduce_views``, so what it checks is the
-    sampling; :func:`point_view_mask` is the reference for the mask, and
-    :func:`aggregate_mean` and :func:`aggregate_variance` for the
-    reduction.
+    It projects with :func:`_frame_projection` and reduces with
+    :func:`reduce_views`, the package's masked projection and three-pass
+    reduction as they were before both went to compact per-view lists,
+    so it is the byte reference for all three steps;
+    :func:`point_view_mask` is the per-point reference for the mask, and
+    :func:`aggregate_mean` and :func:`aggregate_variance` the per-row
+    references for the reduction.
     Returns ``(means, variances, valid_counts)`` with shapes (N, C),
     (N, C), (N,).
     """
@@ -674,6 +704,38 @@ def aggregate_cloud(
         if ok.any():
             views.append((np.flatnonzero(ok), bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1])))
     return reduce_views(views, len(positions), channels)
+
+
+def reduce_views(views, n: int, channels: int):
+    """Masked mean, population variance and count of each point's samples.
+
+    The package's reduction as it was before it went one channel at a
+    time: the shift is each point's first sample, written by a reversed
+    pass over the views so that earlier views overwrite later ones, then
+    one pass sums the samples and shifted samples and one sums the
+    squared deviations. ``views`` holds one ``(idx, samples)`` pair per
+    view, in view order. Returns arrays of shapes (N, C), (N, C), (N,).
+    """
+    shift = np.zeros((n, channels))
+    for idx, samples in reversed(views):
+        shift[idx] = samples
+    sums = np.zeros((n, channels))
+    dsums = np.zeros((n, channels))
+    counts = np.zeros(n, dtype=np.int64)
+    for idx, samples in views:
+        sums[idx] += samples
+        counts[idx] += 1
+        dsums[idx] += samples - shift[idx]
+    seen = counts[:, None] > 0
+    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=seen)
+    dmeans = np.divide(dsums, counts[:, None], out=np.zeros_like(dsums), where=seen)
+
+    sq = np.zeros((n, channels))
+    for idx, samples in views:
+        r = samples - shift[idx] - dmeans[idx]
+        sq[idx] += r * r
+    variances = np.divide(sq, counts[:, None], out=np.zeros_like(sq), where=seen)
+    return means, variances, counts
 
 
 def aggregate_mean(features: np.ndarray, mask: np.ndarray) -> np.ndarray:

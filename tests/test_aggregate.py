@@ -7,17 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEPTH_RANGE, reduce_rows
+from conftest import DEPTH_RANGE, load_perfbench, reduce_rows
 import oracles
 from oracles import aggregate_point, append_onehot, project_point_views
-from pointscatter.aggregate import (
-    _frame_projection,
-    aggregate_cloud,
-    bilinear_sample,
-    compose_features,
-)
+from pointscatter.aggregate import aggregate_cloud, bilinear_sample, compose_features, reduce_views
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose, look_at_pose, project_points
+from pointscatter.pipeline import run_front
 from pointscatter.scatter import ScatterCloud, ScatterConfig, scatter_frames
 from pointscatter.scene import (
     CameraFrame,
@@ -77,6 +73,14 @@ def as_cloud(positions):
         pixels=np.zeros((n, 2), dtype=np.int64),
         categories=np.zeros(n, dtype=np.int64),
     )
+
+
+def assert_same_bytes(got, ref):
+    """``(means, variances, counts)`` with the dtypes, shapes and bits of
+    the reference's."""
+    for name, a, b in zip(("means", "variances", "counts"), got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def valid_views(point, frames, **kwargs):
@@ -324,9 +328,7 @@ class TestAggregatePointAndCloud:
         assert len(cloud) > 1000
         got = aggregate_cloud(cloud, frames, occlusion_check, scene.depth_noise_sigma)
         ref = oracles.aggregate_cloud(cloud, frames, occlusion_check, scene.depth_noise_sigma)
-        for name, a, b in zip(("means", "variances", "counts"), got, ref):
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
+        assert_same_bytes(got, ref)
 
     @pytest.mark.parametrize("scene_name", ["clean", "noisy"])
     @pytest.mark.parametrize("occlusion_check", [False, True])
@@ -357,7 +359,7 @@ class TestAggregatePointAndCloud:
         features = np.zeros((len(frames), len(cloud), 3))
         mask = np.zeros((len(frames), len(cloud)), dtype=bool)
         for i, frame in enumerate(frames):
-            ok, uv, _ = _frame_projection(cloud.positions, frame, True, sigma)
+            ok, uv, _ = oracles._frame_projection(cloud.positions, frame, True, sigma)
             mask[i] = ok
             features[i, ok] = oracles.bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1])
         identical = 0
@@ -381,12 +383,43 @@ class TestAggregatePointAndCloud:
         for views in (frames, [away, away]):
             got = aggregate_cloud(cloud, views, occlusion_check)
             ref = oracles.aggregate_cloud(cloud, views, occlusion_check)
-            for name, a, b in zip(("means", "variances", "counts"), got, ref):
-                assert a.dtype == b.dtype and a.shape == b.shape, name
-                assert a.tobytes() == b.tobytes(), name
+            assert_same_bytes(got, ref)
         # some points are seen by all three real frames, none by a turned-away one
         assert aggregate_cloud(cloud, frames, occlusion_check)[2].max() == 3
         assert not aggregate_cloud(cloud, [away, away], occlusion_check)[2].any()
+
+    @pytest.mark.parametrize("seed", [11, 29])
+    @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
+    def test_workload_clouds_match_oracle(self, name, seed):
+        # byte-equal to the masked projection, image sampler and three-pass
+        # reduction of the oracle on each benchmark workload's cloud
+        scene, config = load_perfbench("workloads").build(name, seed)
+        _, frames, cloud = run_front(scene, config, aggregate=False)
+        sigma = scene.depth_noise_sigma
+        for occlusion_check in (False, True):
+            got = aggregate_cloud(cloud, frames, occlusion_check, sigma)
+            assert_same_bytes(got, oracles.aggregate_cloud(cloud, frames, occlusion_check, sigma))
+
+    def test_reduce_views_first_seen_later_matches_oracle(self):
+        # points 2, 3 and 4 are first seen after the first view, past views
+        # that see no point; point 2 gets the same sample in both its
+        # views, and point 5 is never seen
+        rng = np.random.default_rng(23)
+        empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
+        views = [
+            (np.array([0, 1]), rng.uniform(0.0, 1.0, (2, 3))),
+            empty,
+            (np.array([3, 2, 1]), np.asfortranarray(rng.uniform(0.0, 1.0, (3, 3)))),
+            empty,
+            empty,
+            (np.array([2, 4, 0]), rng.uniform(0.0, 1.0, (3, 3))),
+        ]
+        views[5][1][0] = views[2][1][1]
+        got = reduce_views(views, 6, 3)
+        assert_same_bytes(got, oracles.reduce_views(views, 6, 3))
+        np.testing.assert_array_equal(got[2], [2, 2, 2, 1, 1, 0])
+        np.testing.assert_array_equal(got[1][2], 0.0)
+        np.testing.assert_array_equal(got[0][5], 0.0)
 
     def test_empty_frame_list(self):
         means, variances, counts = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), [])

@@ -63,6 +63,18 @@ class TestStride:
         with pytest.raises(ValueError):
             box_sampling_stride(0.0, 0.04, 2.0)
 
+    def test_median_matches_numpy(self):
+        # the box median the stride is taken from has np.median's bits on
+        # odd and even counts, with and without repeated depths
+        rng = np.random.default_rng(17)
+        sizes = [1, 2, 3, 4, 600, 601, *rng.integers(1, 5001, size=400)]
+        for i, n in enumerate(sizes):
+            depths = rng.uniform(0.2, 6.4, size=n)
+            if i % 2:
+                depths = np.round(depths, 1)
+            got = scatter._median(depths)
+            assert np.float64(got).tobytes() == np.median(depths).tobytes(), n
+
 
 class TestSpatialHashGrid:
     def test_empty_grid_has_no_neighbors(self):
