@@ -32,8 +32,6 @@ from .pipeline import (
 )
 from .scene import demo_scene, load_scene, save_scene
 
-logger = logging.getLogger(__name__)
-
 
 def _load_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
@@ -90,10 +88,10 @@ def _write_report(report: dict, out) -> None:
 
 def _cmd_gen_scene(args) -> int:
     scene = demo_scene(
-        noise_sigma=args.noise_sigma if args.noise_sigma is not None else 0.0,
-        outlier_rate=args.outlier_rate if args.outlier_rate is not None else 0.0,
+        noise_sigma=args.noise_sigma,
+        outlier_rate=args.outlier_rate,
         steps=args.steps,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     save_scene(scene, args.out)
     print(f"wrote {args.out}")
@@ -163,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="output scene path")
     p.add_argument("--preset", choices=["demo"], default="demo", help="scene preset")
     p.add_argument("--steps", type=int, default=20, help="orbit camera count")
-    p.add_argument("--seed", type=int, help="scene rng seed")
-    p.add_argument("--noise-sigma", type=float, help="depth noise sigma")
-    p.add_argument("--outlier-rate", type=float, help="depth outlier rate")
+    p.add_argument("--seed", type=int, default=0, help="scene rng seed")
+    p.add_argument("--noise-sigma", type=float, default=0.0, help="depth noise sigma")
+    p.add_argument("--outlier-rate", type=float, default=0.0, help="depth outlier rate")
     p.set_defaults(func=_cmd_gen_scene)
 
     p = sub.add_parser("run", help="run the full pipeline")

@@ -318,9 +318,9 @@ def _aggregate(cloud, frames, scene: SceneSpec, config: PipelineConfig):
     return dataclasses.replace(cloud, features=weighted, scores=scores)
 
 
-def run_front(scene: SceneSpec, config: PipelineConfig, aggregate: bool = True, timings=None):
+def run_front(scene: SceneSpec, config: PipelineConfig, timings=None):
     """The stages every command starts with: keyframes, render, scatter
-    and, unless ``aggregate`` is False, aggregate.
+    and aggregate.
 
     Returns ``(keyframes, frames, cloud)``; ``timings`` is passed on to
     :func:`guarded`.
@@ -330,8 +330,7 @@ def run_front(scene: SceneSpec, config: PipelineConfig, aggregate: bool = True, 
     frames = guarded("render", _render, scene, keyframes, boxes, config, timings=timings)
     cloud = guarded("scatter", _scatter, frames, config, timings=timings)
     logger.info("scattered %d points", len(cloud))
-    if aggregate:
-        cloud = guarded("aggregate", _aggregate, cloud, frames, scene, config, timings=timings)
+    cloud = guarded("aggregate", _aggregate, cloud, frames, scene, config, timings=timings)
     return keyframes, frames, cloud
 
 
@@ -436,13 +435,14 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
 def run_sparsity_bench(scene: SceneSpec, config: PipelineConfig) -> dict:
     """Scatter-vs-dense storage benchmark over the configured bounds.
 
-    Reports the sparsity of the scattered representation at
-    ``voxel_size`` against dense grids at both ``voxel_size`` and the
-    coarser ``dense_voxel_size`` reference, with the wall times of the
-    render, scatter and voxelize stages.
+    Runs the front of :func:`run_pipeline`, so its report holds the
+    entries of ``run``'s ``sparsity.json`` for the same cloud and
+    features, plus the cell count of a dense grid at the coarser
+    ``dense_voxel_size`` reference and the wall times of the render,
+    scatter and voxelize stages.
     """
     timings = {}
-    keyframes, _, cloud = run_front(scene, config, aggregate=False, timings=timings)
+    keyframes, _, cloud = run_front(scene, config, timings=timings)
     _, report = guarded("voxelize", _voxelize, cloud, config, timings=timings)
     report["coarse_dense_cells"] = dense_cell_count(config.bench_extent, config.dense_voxel_size)
     report["metadata"]["keyframes"] = len(keyframes)

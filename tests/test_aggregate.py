@@ -394,7 +394,7 @@ class TestAggregatePointAndCloud:
         # byte-equal to the masked projection, image sampler and three-pass
         # reduction of the oracle on each benchmark workload's cloud
         scene, config = load_perfbench("workloads").build(name, seed)
-        _, frames, cloud = run_front(scene, config, aggregate=False)
+        _, frames, cloud = run_front(scene, config)
         sigma = scene.depth_noise_sigma
         for occlusion_check in (False, True):
             got = aggregate_cloud(cloud, frames, occlusion_check, sigma)

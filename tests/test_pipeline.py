@@ -333,9 +333,22 @@ class TestSparsityBench:
         assert report["scatter_points"] == len(result.cloud)
         assert report["occupied_voxels"] == len(result.grid)
 
+    def test_same_report_as_pipeline(self, result):
+        # bench runs the pipeline's front, aggregation included, so its
+        # byte model counts the feature channels that run's report counts
+        report = run_sparsity_bench(small_scene(), small_config())
+        shared = sorted((set(report) & set(result.sparsity)) - {"metadata"})
+        assert "record_bytes" in shared
+        assert {k: report[k] for k in shared} == {k: result.sparsity[k] for k in shared}
+
     @pytest.mark.parametrize(
         "name, stage",
-        [("make_frame", "render"), ("scatter_frames", "scatter"), ("voxelize", "voxelize")],
+        [
+            ("make_frame", "render"),
+            ("scatter_frames", "scatter"),
+            ("aggregate_cloud", "aggregate"),
+            ("voxelize", "voxelize"),
+        ],
     )
     def test_stage_failure_names_stage(self, monkeypatch, name, stage):
         def boom(*args, **kwargs):
