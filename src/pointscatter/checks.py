@@ -38,7 +38,6 @@ _KINDS = {
     "positive": (lambda v: _is_number(v) and v > 0, "a finite positive number"),
     "non-negative": (lambda v: _is_number(v) and v >= 0, "a finite non-negative number"),
     "fraction": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "flag": (lambda v: isinstance(v, bool), "true or false"),
 }
 
 

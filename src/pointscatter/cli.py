@@ -157,9 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log stage progress")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-scene", help="write a preset scene JSON")
+    p = sub.add_parser("gen-scene", help="write the demo scene JSON")
     p.add_argument("out", help="output scene path")
-    p.add_argument("--preset", choices=["demo"], default="demo", help="scene preset")
     p.add_argument("--steps", type=int, default=20, help="orbit camera count")
     p.add_argument("--seed", type=int, default=0, help="scene rng seed")
     p.add_argument("--noise-sigma", type=float, default=0.0, help="depth noise sigma")

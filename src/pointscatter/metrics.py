@@ -3,7 +3,7 @@
 Detection quality uses greedy score-ordered matching and 11-point
 interpolated average precision. Reconstruction quality uses symmetric
 squared-distance Chamfer and an F-score on a 0-100 scale whose
-inlier test defaults to squared distances.
+inlier test is on squared distances.
 
 The AP computation deliberately runs in plain Python floats with a
 fixed reduction order (the 11 recall levels, ascending) so results are
@@ -99,7 +99,7 @@ def _point_pair(points_a, points_b, metric: str) -> tuple[np.ndarray, np.ndarray
 
 
 def chamfer_fscore(
-    gt_points: np.ndarray, pred_points: np.ndarray, threshold: float = 0.004, squared: bool = True
+    gt_points: np.ndarray, pred_points: np.ndarray, threshold: float = 0.004
 ) -> tuple[float, float]:
     """Chamfer distance and F-score of one pair from one nearest-neighbour pass.
 
@@ -115,10 +115,8 @@ def chamfer_fscore(
     sq_pred = d_pred**2
     sq_gt = d_gt**2
     chamfer = float(np.mean(sq_gt) + np.mean(sq_pred))
-    if squared:
-        d_pred, d_gt = sq_pred, sq_gt
-    precision = float(np.mean(d_pred < threshold))
-    recall = float(np.mean(d_gt < threshold))
+    precision = float(np.mean(sq_pred < threshold))
+    recall = float(np.mean(sq_gt < threshold))
     if precision + recall == 0.0:
         return chamfer, 0.0
     return chamfer, 100.0 * 2.0 * precision * recall / (precision + recall)
@@ -133,19 +131,18 @@ def chamfer_distance(points_a: np.ndarray, points_b: np.ndarray) -> float:
     return chamfer_fscore(*_point_pair(points_a, points_b, "chamfer distance"))[0]
 
 
-def fscore(gt_points: np.ndarray, pred_points: np.ndarray, threshold: float = 0.004, squared: bool = True) -> float:
+def fscore(gt_points: np.ndarray, pred_points: np.ndarray, threshold: float = 0.004) -> float:
     """Reconstruction F-score on a 0-100 scale.
 
     Precision is the fraction of predicted points whose nearest GT
-    point passes the threshold test; recall the converse. With
-    ``squared`` (default) the test is ``||.||^2 < threshold``, matching
-    the Chamfer convention; disable it to threshold plain distances.
-    Returns 0 when precision and recall are both zero.
+    point passes ``||.||^2 < threshold``, a test on squared distances as
+    in the Chamfer convention; recall the converse. Returns 0 when
+    precision and recall are both zero.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     gt, pred = _point_pair(gt_points, pred_points, "fscore")
-    return chamfer_fscore(gt, pred, threshold, squared)[1]
+    return chamfer_fscore(gt, pred, threshold)[1]
 
 
 def evaluate_detections(detections, ground_truths, iou_thresholds=(0.25, 0.5)) -> dict:

@@ -39,10 +39,6 @@ from .voxel import dense_cell_count, sparsity_report, voxelize
 
 logger = logging.getLogger(__name__)
 
-# Dense-grid proposal count of the reference grid detector at 0.16 m,
-# kept as benchmark metadata for context in sparsity reports.
-GS_REFERENCE_PROPOSALS = 8192
-
 
 class StageError(RuntimeError):
     """A pipeline stage failed; ``stage`` names it."""
@@ -74,9 +70,6 @@ class EvalSettings:
     recon_iou: float = 0.25
     sample_count: int = 2048
     fscore_threshold: float = 0.004
-    fscore_squared: bool = True
-    # None means: derive the sampling generator from the pipeline seed
-    rng_seed: int | None = None
 
     def __post_init__(self):
         _check(
@@ -85,10 +78,7 @@ class EvalSettings:
             recon_iou="fraction",
             sample_count="count",
             fscore_threshold="positive",
-            fscore_squared="flag",
         )
-        if self.rng_seed is not None:
-            _check(self, rng_seed="integer")
         object.__setattr__(self, "iou_thresholds", tuple(self.iou_thresholds))
 
 
@@ -106,10 +96,6 @@ class PipelineConfig:
     scatter: ScatterConfig = field(default_factory=ScatterConfig)
     tau: float = 0.05
     k_sigma: float = 0.01
-    # the pipeline masks occluded views during aggregation so photometric
-    # scores measure consistency only over frames that actually saw the
-    # point; the bare aggregation API keeps the check off
-    occlusion_check: bool = True
     voxel_size: float = 0.04
     dense_voxel_size: float = 0.16
     bench_origin: tuple[float, float, float] = (-4.0, -4.0, 0.0)
@@ -128,7 +114,6 @@ class PipelineConfig:
             min_rotation_deg="non-negative",
             tau="positive",
             k_sigma="positive",
-            occlusion_check="flag",
             voxel_size="positive",
             dense_voxel_size="positive",
             bench_origin=("number", 3),
@@ -248,17 +233,13 @@ def _reconstruction_metrics(detections, gt_objects, settings: EvalSettings, seed
             pairs.append((det, best))
     if not pairs:
         return None, None
-    if settings.rng_seed is not None:
-        seed = settings.rng_seed
     chamfers = []
     fscores = []
     for k, (det, obj) in enumerate(pairs):
         rng = stage_rng(seed, "evalsample", k)
         gt_pts = sample_surface_points(obj.mesh(), settings.sample_count, rng)
         det_pts = sample_surface_points(box_shell(det), settings.sample_count, rng)
-        chamfer, f_val = chamfer_fscore(
-            gt_pts, det_pts, settings.fscore_threshold, settings.fscore_squared
-        )
+        chamfer, f_val = chamfer_fscore(gt_pts, det_pts, settings.fscore_threshold)
         chamfers.append(chamfer)
         fscores.append(f_val)
     return float(np.mean(chamfers)), float(np.mean(fscores))
@@ -308,8 +289,10 @@ def _scatter(frames, config: PipelineConfig):
 
 
 def _aggregate(cloud, frames, scene: SceneSpec, config: PipelineConfig):
+    # occluded views are masked, so photometric scores measure consistency
+    # only over the frames that saw the point
     means, variances, counts = aggregate_cloud(
-        cloud, frames, config.occlusion_check, scene.depth_noise_sigma
+        cloud, frames, occlusion_check=True, depth_sigma=scene.depth_noise_sigma
     )
     num_cats = max(1, scene.num_categories())
     features = compose_features(means, variances, cloud.categories, num_cats)
@@ -362,10 +345,7 @@ def _voxelize(cloud, config: PipelineConfig):
     keys = voxelize(cloud.positions, config.voxel_size, config.bench_origin)
     dense_cells = dense_cell_count(config.bench_extent, config.voxel_size)
     sparsity = sparsity_report(cloud, len(keys), dense_cells, config.voxel_size)
-    sparsity["metadata"] = {
-        "dense_voxel_size": config.dense_voxel_size,
-        "gs_reference_proposals": GS_REFERENCE_PROPOSALS,
-    }
+    sparsity["metadata"] = {"dense_voxel_size": config.dense_voxel_size}
     return keys, sparsity
 
 
@@ -438,13 +418,13 @@ def run_sparsity_bench(scene: SceneSpec, config: PipelineConfig) -> dict:
     Runs the front of :func:`run_pipeline`, so its report holds the
     entries of ``run``'s ``sparsity.json`` for the same cloud and
     features, plus the cell count of a dense grid at the coarser
-    ``dense_voxel_size`` reference and the wall times of the render,
-    scatter and voxelize stages.
+    ``dense_voxel_size`` reference and the wall time of every stage it
+    ran: keyframes, render, scatter, aggregate and voxelize.
     """
     timings = {}
     keyframes, _, cloud = run_front(scene, config, timings=timings)
     _, report = guarded("voxelize", _voxelize, cloud, config, timings=timings)
     report["coarse_dense_cells"] = dense_cell_count(config.bench_extent, config.dense_voxel_size)
     report["metadata"]["keyframes"] = len(keyframes)
-    report["metadata"]["timings_s"] = {k: timings[k] for k in ("render", "scatter", "voxelize")}
+    report["metadata"]["timings_s"] = timings
     return report

@@ -5,7 +5,7 @@ pixel stride adapts to object distance (``round(f * radius / depth)``)
 so the world-space spacing of fresh samples roughly matches ``radius``.
 Each box takes its own stride, and the pixels of all a frame's boxes
 are back-projected together. Dedup then discards any candidate strictly
-closer than the dedup radius to a point accepted before it. Acceptance
+closer than that same ``radius`` to a point accepted before it. Acceptance
 order is deterministic: frames in call order, boxes in frame order,
 pixels in raster order.
 
@@ -29,7 +29,7 @@ from .camera import backproject_pixels
 from .checks import _check
 from .scene import CameraFrame
 
-# relative margin the tree searches add to the dedup radius; tree
+# relative margin the tree searches add to the radius; tree
 # distances and the exact squared-distance sum differ by far less
 DEDUP_SLACK = 1e-9
 
@@ -38,17 +38,9 @@ DEDUP_SLACK = 1e-9
 class ScatterConfig:
     radius: float = 0.04
     max_points: int = 100_000
-    # dedup distance defaults to the sampling radius; override to decouple
-    dedup_radius: float | None = None
 
     def __post_init__(self):
         _check(self, radius="positive", max_points="count")
-        if self.dedup_radius is not None:
-            _check(self, dedup_radius="positive")
-
-    @property
-    def effective_dedup_radius(self) -> float:
-        return self.radius if self.dedup_radius is None else self.dedup_radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +112,8 @@ class ScatterAccumulator:
 
     A candidate is accepted when no point accepted before it, in an
     earlier frame or earlier in the same frame (boxes in frame order,
-    pixels in raster order), lies strictly closer than the dedup radius
-    ``r``. :meth:`add_frame` decides this for a whole frame in two
+    pixels in raster order), lies strictly closer than the sampling
+    radius ``r``. :meth:`add_frame` decides this for a whole frame in two
     vectorized steps: one KD-tree query of the frame's candidates
     against every point of the earlier frames, then neighbour pairs
     among the survivors and one greedy pass in candidate order, where
@@ -146,7 +138,7 @@ class ScatterAccumulator:
     def add_frame(self, frame: CameraFrame) -> int:
         """Scatter one frame; returns the number of accepted points."""
         cands = self._candidates(frame, frame.camera_index)
-        r = self.config.effective_dedup_radius
+        r = self.config.radius
         earlier = np.concatenate([np.zeros((0, 3)), *(c.positions for c in self._frames)])
         keep = ~_near_any(cands.positions, earlier, r)
         keep[keep] = _greedy_keep(cands.positions[keep], r)

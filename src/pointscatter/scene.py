@@ -158,18 +158,16 @@ class CameraFrame:
         return np.take(self.shades, self.tri_index, axis=0)
 
 
-def _screen_boxes(triangles: np.ndarray, intrinsics: Intrinsics, pose: Pose, projection=None):
-    """Per-triangle pixel windows ``(lo, hi)``, each (T, 2) as ``(u, v)``.
+def _screen_boxes(projection, intrinsics: Intrinsics):
+    """Per-triangle pixel windows ``(lo, hi)``, each (T, 2) as ``(u, v)``,
+    from ``projection``, the :func:`project_points` result of the (T*3)
+    triangle vertices.
 
     A triangle with all three vertices in front of the camera gets its
     projected bounding box widened to ``floor(min) - 1 .. ceil(max) + 1``
     and clipped to the image, bounds inclusive (``lo > hi`` on an axis
     when it misses the image); any other triangle gets the whole image.
-    ``projection`` is the :func:`project_points` result of the (T*3)
-    vertices when the caller has it already.
     """
-    if projection is None:
-        projection = project_points(triangles.reshape(-1, 3), intrinsics, pose)
     uv, _, in_front = projection
     uv = uv.reshape(-1, 3, 2)
     size = np.array([intrinsics.width, intrinsics.height])
@@ -330,7 +328,7 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     all_depth = np.full((h, w), np.inf)
     all_index = np.full((h, w), -1, dtype=np.int32)
     projection = project_points(triangles.reshape(-1, 3), intrinsics, pose)
-    lo, hi = _screen_boxes(triangles, intrinsics, pose, projection)
+    lo, hi = _screen_boxes(projection, intrinsics)
     # Moeller-Trumbore with a shared origin: the edges, tvec and qvec are
     # per-triangle constants, only pvec varies per ray
     edge1 = triangles[:, 1] - triangles[:, 0]

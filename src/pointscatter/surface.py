@@ -35,7 +35,6 @@ class SurfaceLabeling:
     search without the labels' ``tau`` bound finds on first read."""
 
     labels: np.ndarray
-    tau: float
     tree: cKDTree
     points: np.ndarray
 
@@ -66,7 +65,7 @@ def label_points(points: np.ndarray, surface_points: np.ndarray, tau: float) -> 
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     tree = cKDTree(surf, balanced_tree=False, compact_nodes=False)
     near, _ = tree.query(pts, distance_upper_bound=tau * (1.0 + 1e-9))
-    return SurfaceLabeling(labels=near < tau, tau=tau, tree=tree, points=pts)
+    return SurfaceLabeling(labels=near < tau, tree=tree, points=pts)
 
 
 def sample_scene_surface(scene, tau: float, rng: np.random.Generator) -> np.ndarray:

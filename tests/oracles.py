@@ -457,7 +457,7 @@ class HashGridAccumulator:
 
     def __init__(self, config):
         self.config = config
-        self._grid = SpatialHashGrid(config.effective_dedup_radius)
+        self._grid = SpatialHashGrid(config.radius)
         self._positions: list[np.ndarray] = []
         self._frame_ids: list[int] = []
         self._pixels = []

@@ -225,12 +225,6 @@ class TestFscore:
         assert values[-1] == 0.0
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_unsquared_switch(self):
-        a = np.array([[0.0, 0.0, 0.0]])
-        b = np.array([[0.05, 0.0, 0.0]])
-        assert fscore(a, b, threshold=0.004, squared=False) == 0.0
-        assert fscore(a, b, threshold=0.06, squared=False) == 100.0
-
     def test_rejections(self):
         with pytest.raises(ValueError):
             fscore(np.zeros((0, 3)), np.zeros((1, 3)))
@@ -238,11 +232,11 @@ class TestFscore:
             fscore(np.zeros((1, 3)), np.zeros((1, 3)), threshold=0.0)
 
 
-def assert_matches_oracle(gt, pred, threshold=0.004, squared=True):
-    want = (oracles.chamfer_distance(gt, pred), oracles.fscore(gt, pred, threshold, squared))
-    assert chamfer_fscore(gt, pred, threshold, squared) == want
+def assert_matches_oracle(gt, pred, threshold=0.004):
+    want = (oracles.chamfer_distance(gt, pred), oracles.fscore(gt, pred, threshold))
+    assert chamfer_fscore(gt, pred, threshold) == want
     assert chamfer_distance(gt, pred) == want[0]
-    assert fscore(gt, pred, threshold, squared) == want[1]
+    assert fscore(gt, pred, threshold) == want[1]
 
 
 def error_message(fn, *args) -> str:
@@ -284,11 +278,11 @@ class TestChamferFscoreMatchesOracle:
         scene, config = workload(name)
         report = pipeline.run_pipeline(scene, config).report
         assert calls
-        for (gt, pred, threshold, squared), result in calls:
+        for (gt, pred, threshold), result in calls:
             assert len(gt) == len(pred) == config.eval.sample_count
             assert result == (
                 oracles.chamfer_distance(gt, pred),
-                oracles.fscore(gt, pred, threshold, squared),
+                oracles.fscore(gt, pred, threshold),
             )
         assert report["chamfer"] == float(np.mean([r[0] for _, r in calls]))
         assert report["fscore"] == float(np.mean([r[1] for _, r in calls]))
@@ -313,17 +307,16 @@ class TestChamferFscoreMatchesOracle:
         assert_matches_oracle(pred, gt)
 
     @pytest.mark.parametrize("threshold", [0.004, 0.05, 0.2])
-    @pytest.mark.parametrize("squared", [True, False])
-    def test_overlapping_sets(self, threshold, squared):
+    def test_overlapping_sets(self, threshold):
         rng = np.random.default_rng(6)
         gt = rng.uniform(-0.5, 0.5, size=(300, 3))
         pred = np.concatenate([gt[:200] + rng.normal(scale=0.05, size=(200, 3)), gt[:50]])
-        assert_matches_oracle(gt, pred, threshold, squared)
-        assert_matches_oracle(pred, gt, threshold, squared)
+        assert_matches_oracle(gt, pred, threshold)
+        assert_matches_oracle(pred, gt, threshold)
 
     def test_single_points(self):
         assert_matches_oracle(np.zeros(3), np.array([0.05, 0.0, 0.0]))
-        assert_matches_oracle(np.zeros((1, 3)), np.array([[0.05, 0.0, 0.0]]), 0.06, False)
+        assert_matches_oracle(np.zeros((1, 3)), np.array([[0.05, 0.0, 0.0]]), 0.002)
 
     @pytest.mark.parametrize("sizes", [(0, 1), (1, 0), (0, 0)])
     def test_empty_sets_raise_the_same_messages(self, sizes):

@@ -62,7 +62,7 @@ class TestPipelineConfig:
             frames=12,
             scatter=ScatterConfig(radius=0.05, max_points=5000),
             detector=DetectorConfig(mode="score_cluster", cluster_eps=0.2),
-            eval=EvalSettings(iou_thresholds=(0.1, 0.3), rng_seed=9),
+            eval=EvalSettings(iou_thresholds=(0.1, 0.3)),
         )
         assert PipelineConfig.from_dict(config.to_dict()) == config
 
@@ -103,7 +103,9 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "data, field",
         [
-            # neither gamma nor scatter.rng_seed is a setting: both are unknown keys
+            # none of gamma, occlusion_check, eval.fscore_squared, eval.rng_seed,
+            # scatter.rng_seed and scatter.dedup_radius is a setting: each is
+            # an unknown key
             ({"gamma": -1.0}, "gamma"),
             ({"k_sigma": "x"}, "k_sigma"),
             ({"min_rotation_deg": float("nan")}, "min_rotation_deg"),
@@ -136,7 +138,6 @@ class TestPipelineConfig:
             seed=np.int64(3), tau=1, nms_iou=np.float64(0.5), bench_extent=(8, 8, 3)
         )
         assert config.seed == 3
-        assert PipelineConfig.from_dict({"eval": {"rng_seed": None}}).eval.rng_seed is None
         with pytest.raises(ConfigError, match="scatter"):
             PipelineConfig(scatter={"radius": 0.04})
 
@@ -207,7 +208,7 @@ class TestRunPipeline:
         assert filter_stats["outlier_fraction_raw"] == 0.0
 
     def test_sparsity_metadata(self, result):
-        assert result.sparsity["metadata"]["gs_reference_proposals"] == 8192
+        assert result.sparsity["metadata"] == {"dense_voxel_size": 0.16}
         assert result.sparsity["dense_cells"] == 3_000_000
 
     def test_artifacts_written(self, tmp_path):
@@ -324,7 +325,7 @@ class TestSparsityBench:
         assert report["scatter_points"] <= 100_000
         assert report["reduction_factor"] >= 30.0
         timings = report["metadata"]["timings_s"]
-        assert set(timings) == {"render", "scatter", "voxelize"}
+        assert list(timings) == ["keyframes", "render", "scatter", "aggregate", "voxelize"]
         assert all(t >= 0 for t in timings.values())
         assert report["metadata"]["keyframes"] == 8
 
@@ -393,6 +394,12 @@ class TestCli:
         data = json.loads(scene_path.read_text())
         assert data["depth_noise_sigma"] == 0.05
         assert data["outlier_rate"] == 0.1
+
+    def test_gen_scene_has_no_preset(self, tmp_path):
+        # the demo scene is the only one gen-scene writes
+        with pytest.raises(SystemExit) as info:
+            cli.main(["gen-scene", str(tmp_path / "scene.json"), "--preset", "demo"])
+        assert info.value.code == 2
 
     def test_run_and_eval_agree(self, tmp_path, capsys):
         scene_path = self.gen(tmp_path)

@@ -129,13 +129,13 @@ class TestMatchesHashGridOracle:
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tobytes() == b.tobytes(), name
 
-    @pytest.mark.parametrize("dedup_radius", [None, 0.02, 0.08])
-    def test_clean_scene(self, clean_frames, dedup_radius):
-        self.assert_matches(clean_frames, ScatterConfig(radius=0.04, dedup_radius=dedup_radius))
+    @pytest.mark.parametrize("radius", [0.02, 0.04, 0.08])
+    def test_clean_scene(self, clean_frames, radius):
+        self.assert_matches(clean_frames, ScatterConfig(radius=radius))
 
-    @pytest.mark.parametrize("dedup_radius", [None, 0.02, 0.08])
-    def test_noisy_scene(self, noisy_frames, dedup_radius):
-        self.assert_matches(noisy_frames, ScatterConfig(radius=0.04, dedup_radius=dedup_radius))
+    @pytest.mark.parametrize("radius", [0.02, 0.04, 0.08])
+    def test_noisy_scene(self, noisy_frames, radius):
+        self.assert_matches(noisy_frames, ScatterConfig(radius=radius))
 
     def test_orbit80(self):
         self.assert_matches(render_all(demo_scene(steps=80)), ScatterConfig(radius=0.04))
@@ -374,14 +374,6 @@ class TestScatterFrames:
             )
             assert inside.any()
 
-    def test_dedup_radius_override(self, clean_frames):
-        tight = scatter_frames(clean_frames[:2], ScatterConfig(radius=0.04))
-        loose = scatter_frames(
-            clean_frames[:2], ScatterConfig(radius=0.04, dedup_radius=0.01)
-        )
-        # relaxing the rejection radius can only keep more candidates
-        assert len(loose) >= len(tight)
-
 
 class TestCap:
     def make_cloud(self, count):
@@ -463,5 +455,3 @@ class TestCloudContainer:
             ScatterConfig(radius=0.0)
         with pytest.raises(ValueError):
             ScatterConfig(radius=0.04, max_points=0)
-        assert ScatterConfig(radius=0.04).effective_dedup_radius == 0.04
-        assert ScatterConfig(radius=0.04, dedup_radius=0.02).effective_dedup_radius == 0.02

@@ -167,7 +167,8 @@ class TestCastRaysMatchesOracle:
     def windows(scene):
         cam = scene.cameras[0]
         triangles = np.concatenate([o.mesh() for o in scene.objects])
-        lo, hi = _screen_boxes(triangles, cam.intrinsics, cam.pose)
+        projection = project_points(triangles.reshape(-1, 3), cam.intrinsics, cam.pose)
+        lo, hi = _screen_boxes(projection, cam.intrinsics)
         corner = [cam.intrinsics.width - 1, cam.intrinsics.height - 1]
         full = (lo == 0).all(axis=1) & (hi == corner).all(axis=1)
         empty = (lo > hi).any(axis=1)
@@ -233,7 +234,8 @@ class TestCastRaysMatchesOracle:
         scene = SceneSpec(objects=tuple(SceneObject(b) for b in boxes), cameras=(cam,))
         full, empty = self.windows(scene)
         assert not full.any() and not empty.all()
-        lo, hi = _screen_boxes(scene.geometry.triangles, intr, cam.pose)
+        projection = project_points(scene.geometry.triangles.reshape(-1, 3), intr, cam.pose)
+        lo, hi = _screen_boxes(projection, intr)
         corner = [intr.width - 1, intr.height - 1]
         # some window reaches each of the four image borders
         assert (lo[~empty] == 0).any(axis=0).all() and (hi[~empty] == corner).any(axis=0).all()
@@ -247,7 +249,8 @@ class TestCastRaysMatchesOracle:
         # with a spare row like every other window's
         box = SceneObject(OrientedBox((-1.545, -1.545, 3.0), (0.005, 0.005, 0.005)))
         scene = SceneSpec(objects=(box,), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
-        lo, hi = _screen_boxes(scene.geometry.triangles, SIMPLE, Pose.identity())
+        projection = project_points(scene.geometry.triangles.reshape(-1, 3), SIMPLE, Pose.identity())
+        lo, hi = _screen_boxes(projection, SIMPLE)
         assert (lo == 0).all() and (hi == 0).all()
         self.assert_matches(scene, [0])
 
