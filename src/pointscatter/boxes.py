@@ -116,17 +116,8 @@ def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
 
 
 def footprint_intersection_area(box_a: OrientedBox, box_b: OrientedBox) -> float:
-    poly_a = footprint_polygon(box_a)
-    poly_b = footprint_polygon(box_b)
-
-    # clipping assumes CCW winding; normalize via the shoelace sign
-    def ccw(poly):
-        x, y = poly[:, 0], poly[:, 1]
-        signed = 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-        return poly if signed > 0 else poly[::-1]
-
-    clipped = _clip_polygon(ccw(poly_a), ccw(poly_b))
-    return _polygon_area(clipped)
+    # both footprints are CCW, as clipping needs, since sizes are positive
+    return _polygon_area(_clip_polygon(footprint_polygon(box_a), footprint_polygon(box_b)))
 
 
 def iou_3d(box_a: OrientedBox, box_b: OrientedBox) -> float:

@@ -30,7 +30,7 @@ from .pipeline import (
     run_pipeline,
     run_sparsity_bench,
 )
-from .scene import demo_scene, load_scene, save_scene
+from .scene import DEPTH_RANGE, demo_scene, load_scene, save_scene
 
 
 def _load_config(args) -> PipelineConfig:
@@ -67,14 +67,17 @@ def _load_scene(args):
     return dataclasses.replace(scene, **updates) if updates else scene
 
 
-def _add_overrides(parser: argparse.ArgumentParser, scene_overrides: bool = True) -> None:
+def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="pipeline config JSON")
     parser.add_argument("--seed", type=int, help="root pipeline seed override")
+
+
+def _add_overrides(parser: argparse.ArgumentParser) -> None:
+    _add_config(parser)
     parser.add_argument("--frames", type=int, help="keyframe target override")
     parser.add_argument("--max-points", type=int, help="scatter point cap override")
-    if scene_overrides:
-        parser.add_argument("--noise-sigma", type=float, help="depth noise sigma override")
-        parser.add_argument("--outlier-rate", type=float, help="depth outlier rate override")
+    parser.add_argument("--noise-sigma", type=float, help="depth noise sigma override")
+    parser.add_argument("--outlier-rate", type=float, help="depth outlier rate override")
 
 
 def _write_report(report: dict, out) -> None:
@@ -143,7 +146,7 @@ def _cmd_export_ply(args) -> int:
         img_dir.mkdir(parents=True, exist_ok=True)
         for frame in frames:
             i = frame.camera_index
-            write_pgm(frame.depth, img_dir / f"depth_{i:03d}.pgm", max_value=config.depth_range[1])
+            write_pgm(frame.depth, img_dir / f"depth_{i:03d}.pgm", max_value=DEPTH_RANGE[1])
             write_ppm(frame.color, img_dir / f"color_{i:03d}.ppm")
         print(f"wrote {len(frames)} frame image pairs to {img_dir}")
     return 0
@@ -182,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene", help="scene JSON")
     p.add_argument("detections", help="detections JSON")
     p.add_argument("--out", help="metrics JSON path (default: stdout)")
-    _add_overrides(p, scene_overrides=False)
+    # evaluation reads only the seed, which seeds its surface samples
+    _add_config(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("export-ply", help="scatter a scene and write the cloud as PLY")

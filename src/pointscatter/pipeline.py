@@ -7,6 +7,14 @@ or ``score_cluster``) -> NMS -> metrics. Every stage that draws random
 numbers derives its generator from one root seed and a fixed stage
 label, so a run is reproducible and stages can be re-run in isolation.
 
+How a run is measured is fixed, not configured, so every run's numbers
+compare: the module constants below (the inlier distance, the sparsity
+report's region and coarse cell, the reconstruction metrics' match IoU
+and sample count), the AP IoU thresholds and F-score threshold that
+``evaluate_detections`` and ``chamfer_fscore`` default to, and the
+sensor's depth range, ``scene.DEPTH_RANGE``. The config holds the
+method's settings only.
+
 A failed stage raises :class:`StageError` carrying the stage name;
 malformed configuration raises :class:`ConfigError`. The CLI maps these
 to exit codes 2 and 1.
@@ -39,6 +47,17 @@ from .voxel import dense_cell_count, sparsity_report, voxelize
 
 logger = logging.getLogger(__name__)
 
+# a point within TAU of the true surface is an inlier
+TAU = 0.05
+# the region the sparsity report grids, and its coarse reference cell
+BENCH_ORIGIN = (-4.0, -4.0, 0.0)
+BENCH_EXTENT = (8.0, 8.0, 3.0)
+DENSE_VOXEL_SIZE = 0.16
+# detections must overlap GT by more than this IoU to enter reconstruction
+# metrics, which compare SAMPLE_COUNT surface samples of each shell
+RECON_IOU = 0.25
+SAMPLE_COUNT = 2048
+
 
 class StageError(RuntimeError):
     """A pipeline stage failed; ``stage`` names it."""
@@ -60,70 +79,36 @@ class DetectorConfig:
     def __post_init__(self):
         if self.mode not in ("gt_passthrough", "score_cluster"):
             raise ConfigError(f"unknown detector mode {self.mode!r}")
-        _check(self, cluster_eps="positive", min_cluster_points="integer", score_threshold="number")
-
-
-@dataclass(frozen=True)
-class EvalSettings:
-    iou_thresholds: tuple[float, ...] = (0.25, 0.5)
-    # detections must overlap GT by more than this IoU to enter reconstruction metrics
-    recon_iou: float = 0.25
-    sample_count: int = 2048
-    fscore_threshold: float = 0.004
-
-    def __post_init__(self):
-        _check(
-            self,
-            iou_thresholds=("fraction", None),
-            recon_iou="fraction",
-            sample_count="count",
-            fscore_threshold="positive",
-        )
-        object.__setattr__(self, "iou_thresholds", tuple(self.iou_thresholds))
+        _check(self, cluster_eps="positive", min_cluster_points="count", score_threshold="number")
 
 
 # the nested parts of a PipelineConfig, by field name
-_PARTS = {"scatter": ScatterConfig, "detector": DetectorConfig, "eval": EvalSettings}
+_PARTS = {"scatter": ScatterConfig, "detector": DetectorConfig}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 0
     frames: int = 50
-    depth_range: tuple[float, float] = (0.2, 6.4)
     min_translation: float = 0.1
     min_rotation_deg: float = 10.0
     scatter: ScatterConfig = field(default_factory=ScatterConfig)
-    tau: float = 0.05
     k_sigma: float = 0.01
     voxel_size: float = 0.04
-    dense_voxel_size: float = 0.16
-    bench_origin: tuple[float, float, float] = (-4.0, -4.0, 0.0)
-    bench_extent: tuple[float, float, float] = (8.0, 8.0, 3.0)
     nms_iou: float = 0.01
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    eval: EvalSettings = field(default_factory=EvalSettings)
 
     def __post_init__(self):
         _check(
             self,
             seed="integer",
             frames="count",
-            depth_range=("positive", 2),
             min_translation="non-negative",
             min_rotation_deg="non-negative",
-            tau="positive",
             k_sigma="positive",
             voxel_size="positive",
-            dense_voxel_size="positive",
-            bench_origin=("number", 3),
-            bench_extent=("positive", 3),
             nms_iou="fraction",
         )
-        if not self.depth_range[0] < self.depth_range[1]:
-            raise ConfigError(f"bad depth range {self.depth_range}")
-        for name in ("depth_range", "bench_origin", "bench_extent"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name, kind in _PARTS.items():
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
@@ -218,18 +203,18 @@ def _cluster_detections(cloud, config: DetectorConfig) -> list[OrientedBox]:
     return detections
 
 
-def _reconstruction_metrics(detections, gt_objects, settings: EvalSettings, seed: int):
+def _reconstruction_metrics(detections, gt_objects, seed: int):
     """Chamfer/F-score of detection shells vs matched GT shells.
 
     Only detections whose best same-category IoU is more than
-    ``recon_iou`` participate; returns (None, None) when none qualifies.
+    ``RECON_IOU`` participate; returns (None, None) when none qualifies.
     """
     pairs = []
     for det in detections:
         ious = [(iou_3d(det, o.box), o) for o in gt_objects if o.box.category == det.category]
-        # the first of equal IoUs wins; an IoU of 0 never passes recon_iou >= 0
+        # the first of equal IoUs wins
         best_iou, best = max(ious, key=lambda pair: pair[0], default=(0.0, None))
-        if best_iou > settings.recon_iou:
+        if best_iou > RECON_IOU:
             pairs.append((det, best))
     if not pairs:
         return None, None
@@ -237,9 +222,9 @@ def _reconstruction_metrics(detections, gt_objects, settings: EvalSettings, seed
     fscores = []
     for k, (det, obj) in enumerate(pairs):
         rng = stage_rng(seed, "evalsample", k)
-        gt_pts = sample_surface_points(obj.mesh(), settings.sample_count, rng)
-        det_pts = sample_surface_points(box_shell(det), settings.sample_count, rng)
-        chamfer, f_val = chamfer_fscore(gt_pts, det_pts, settings.fscore_threshold)
+        gt_pts = sample_surface_points(obj.mesh(), SAMPLE_COUNT, rng)
+        det_pts = sample_surface_points(box_shell(det), SAMPLE_COUNT, rng)
+        chamfer, f_val = chamfer_fscore(gt_pts, det_pts)
         chamfers.append(chamfer)
         fscores.append(f_val)
     return float(np.mean(chamfers)), float(np.mean(fscores))
@@ -250,11 +235,12 @@ def evaluate(detections, scene: SceneSpec, config: PipelineConfig) -> dict:
 
     Returns the report entries ``per_category``, ``mean``, ``chamfer``
     and ``fscore``; the last two are None when no detection overlaps a
-    ground-truth box of its category by more than ``recon_iou``.
+    ground-truth box of its category by more than ``RECON_IOU``. Of the
+    config only the seed is read: it seeds the surface samples.
     """
     gt_boxes = [o.box for o in scene.objects]
-    detection_metrics = evaluate_detections(detections, gt_boxes, config.eval.iou_thresholds)
-    chamfer, f_val = _reconstruction_metrics(detections, scene.objects, config.eval, config.seed)
+    detection_metrics = evaluate_detections(detections, gt_boxes)
+    chamfer, f_val = _reconstruction_metrics(detections, scene.objects, config.seed)
     return {
         "per_category": detection_metrics["per_category"],
         "mean": detection_metrics["mean"],
@@ -274,12 +260,9 @@ def _keyframes(scene: SceneSpec, config: PipelineConfig):
     return keyframes, boxes
 
 
-def _render(scene: SceneSpec, keyframes, boxes, config: PipelineConfig) -> list:
+def _render(scene: SceneSpec, keyframes, boxes) -> list:
     return [
-        make_frame(
-            scene, i, stage_rng(scene.rng_seed, "perturb", i), config.depth_range, boxes[i]
-        )
-        for i in keyframes
+        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), boxes[i]) for i in keyframes
     ]
 
 
@@ -310,7 +293,7 @@ def run_front(scene: SceneSpec, config: PipelineConfig, timings=None):
     """
     keyframes, boxes = guarded("keyframes", _keyframes, scene, config, timings=timings)
     logger.info("selected %d keyframes", len(keyframes))
-    frames = guarded("render", _render, scene, keyframes, boxes, config, timings=timings)
+    frames = guarded("render", _render, scene, keyframes, boxes, timings=timings)
     cloud = guarded("scatter", _scatter, frames, config, timings=timings)
     logger.info("scattered %d points", len(cloud))
     cloud = guarded("aggregate", _aggregate, cloud, frames, scene, config, timings=timings)
@@ -327,8 +310,8 @@ def _filter(cloud, scene: SceneSpec, config: PipelineConfig):
             "outlier_fraction_raw": None,
             "outlier_fraction_filtered": None,
         }
-    surface = sample_scene_surface(scene, config.tau, stage_rng(config.seed, "surface"))
-    labeling = label_points(cloud.positions, surface, config.tau)
+    surface = sample_scene_surface(scene, TAU, stage_rng(config.seed, "surface"))
+    labeling = label_points(cloud.positions, surface, TAU)
     kept = np.where(cloud.scores >= config.detector.score_threshold)[0]
     outlier_kept = float(1.0 - labeling.labels[kept].mean()) if len(kept) else None
     return kept, {
@@ -341,11 +324,11 @@ def _filter(cloud, scene: SceneSpec, config: PipelineConfig):
 
 def _voxelize(cloud, config: PipelineConfig):
     """The occupied voxels' keys and their report against a dense grid
-    of the same resolution over the configured bounds."""
-    keys = voxelize(cloud.positions, config.voxel_size, config.bench_origin)
-    dense_cells = dense_cell_count(config.bench_extent, config.voxel_size)
+    of the same resolution over the bench region."""
+    keys = voxelize(cloud.positions, config.voxel_size, BENCH_ORIGIN)
+    dense_cells = dense_cell_count(BENCH_EXTENT, config.voxel_size)
     sparsity = sparsity_report(cloud, len(keys), dense_cells, config.voxel_size)
-    sparsity["metadata"] = {"dense_voxel_size": config.dense_voxel_size}
+    sparsity["metadata"] = {"dense_voxel_size": DENSE_VOXEL_SIZE}
     return keys, sparsity
 
 
@@ -413,18 +396,18 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
 
 
 def run_sparsity_bench(scene: SceneSpec, config: PipelineConfig) -> dict:
-    """Scatter-vs-dense storage benchmark over the configured bounds.
+    """Scatter-vs-dense storage benchmark over the bench region.
 
     Runs the front of :func:`run_pipeline`, so its report holds the
     entries of ``run``'s ``sparsity.json`` for the same cloud and
     features, plus the cell count of a dense grid at the coarser
-    ``dense_voxel_size`` reference and the wall time of every stage it
+    ``DENSE_VOXEL_SIZE`` reference and the wall time of every stage it
     ran: keyframes, render, scatter, aggregate and voxelize.
     """
     timings = {}
     keyframes, _, cloud = run_front(scene, config, timings=timings)
     _, report = guarded("voxelize", _voxelize, cloud, config, timings=timings)
-    report["coarse_dense_cells"] = dense_cell_count(config.bench_extent, config.dense_voxel_size)
+    report["coarse_dense_cells"] = dense_cell_count(BENCH_EXTENT, DENSE_VOXEL_SIZE)
     report["metadata"]["keyframes"] = len(keyframes)
     report["metadata"]["timings_s"] = timings
     return report

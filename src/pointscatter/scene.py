@@ -22,8 +22,9 @@ tolerance of the projection of an edge between a skipped and a kept
 triangle of that object (the silhouette guard); otherwise that object
 keeps all its triangles in that view. Away from the silhouette such a
 triangle is never the nearest hit, so the frames do not change by a
-bit. Everything is deterministic: identical scene spec and seed give
-bit-identical frames.
+bit. A frame's depth noise and outliers stay within the sensor's fixed
+``DEPTH_RANGE``. Everything is deterministic: identical scene spec and
+seed give bit-identical frames.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ LIGHT_DIR = np.array([0.4, 0.25, 1.0]) / np.linalg.norm([0.4, 0.25, 1.0])
 AMBIENT = 0.25
 
 DEFAULT_INTRINSICS = Intrinsics(fx=120.0, fy=120.0, cx=79.5, cy=59.5, width=160, height=120)
+
+# the depth sensor's range in metres: perturbed depths are clipped into
+# it and outliers drawn from it
+DEPTH_RANGE = (0.2, 6.4)
 
 
 @dataclass(frozen=True)
@@ -470,16 +475,17 @@ def project_gt_boxes(scene: SceneSpec, camera_index: int, min_pixels: float = 16
 
 
 def make_frame(
-    scene: SceneSpec, camera_index: int, rng: np.random.Generator, depth_range, boxes_2d
+    scene: SceneSpec, camera_index: int, rng: np.random.Generator, boxes_2d
 ) -> CameraFrame:
-    """Render one camera and apply the scene's depth perturbation.
+    """Render one camera and apply the scene's depth perturbation within
+    the sensor's ``DEPTH_RANGE``.
 
     ``boxes_2d`` are the camera's GT 2D boxes, as
     :func:`project_gt_boxes` returns them.
     """
     cam = scene.cameras[camera_index]
     depth, tri_index, shades = render(scene, camera_index)
-    depth = perturb_depth(depth, scene.depth_noise_sigma, scene.outlier_rate, rng, depth_range)
+    depth = perturb_depth(depth, scene.depth_noise_sigma, scene.outlier_rate, rng, DEPTH_RANGE)
     return CameraFrame(
         camera_index=camera_index,
         intrinsics=cam.intrinsics,

@@ -6,10 +6,8 @@ import pytest
 
 from pointscatter.aggregate import reduce_views
 from pointscatter.pipeline import stage_rng
-from pointscatter.scene import demo_scene, make_frame, project_gt_boxes
-
-# matches the pipeline default; scenes here fit comfortably inside it
-DEPTH_RANGE = (0.2, 6.4)
+# the sensor's depth range, for the tests that take it from here
+from pointscatter.scene import DEPTH_RANGE, demo_scene, make_frame, project_gt_boxes  # noqa: F401
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,10 +23,7 @@ def load_perfbench(name: str):
 
 def render_all(scene):
     return [
-        make_frame(
-            scene, i, stage_rng(scene.rng_seed, "perturb", i), DEPTH_RANGE,
-            project_gt_boxes(scene, i),
-        )
+        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), project_gt_boxes(scene, i))
         for i in range(len(scene.cameras))
     ]
 

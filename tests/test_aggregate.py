@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEPTH_RANGE, load_perfbench, reduce_rows
+from conftest import load_perfbench, reduce_rows
 import oracles
 from oracles import aggregate_point, append_onehot, project_point_views
 from pointscatter.aggregate import aggregate_cloud, bilinear_sample, compose_features, reduce_views
@@ -433,7 +433,7 @@ def occluder_frame():
     obj = SceneObject(OrientedBox((0.0, 0.0, 2.5), (1.0, 1.0, 1.0)))
     cam = SceneCamera(SIMPLE, Pose.identity())
     scene = SceneSpec(objects=(obj,), cameras=(cam,))
-    return make_frame(scene, 0, np.random.default_rng(0), DEPTH_RANGE, project_gt_boxes(scene, 0))
+    return make_frame(scene, 0, np.random.default_rng(0), project_gt_boxes(scene, 0))
 
 
 class TestOcclusionCheck:

@@ -16,6 +16,7 @@ from oracles import mc_iou
 from pointscatter.boxes import (
     OrientedBox,
     box_corners,
+    footprint_polygon,
     iou_3d,
     nms,
     wrap_angle,
@@ -102,6 +103,11 @@ class TestCorners:
         hull = ConvexHull(box_corners(box))
         w, h, d = box.size
         assert hull.volume == pytest.approx(w * h * d, rel=1e-9)
+        # the footprint winds CCW at any yaw, as polygon clipping assumes:
+        # its shoelace signed area is +w*h
+        x, y = footprint_polygon(box).T
+        signed = 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+        assert signed > 0 and signed == pytest.approx(w * h, rel=1e-9)
 
 
 class TestIoU:

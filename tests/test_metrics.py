@@ -278,11 +278,12 @@ class TestChamferFscoreMatchesOracle:
         scene, config = workload(name)
         report = pipeline.run_pipeline(scene, config).report
         assert calls
-        for (gt, pred, threshold), result in calls:
-            assert len(gt) == len(pred) == config.eval.sample_count
+        # evaluation takes chamfer_fscore's default threshold, 0.004
+        for (gt, pred), result in calls:
+            assert len(gt) == len(pred) == pipeline.SAMPLE_COUNT
             assert result == (
                 oracles.chamfer_distance(gt, pred),
-                oracles.fscore(gt, pred, threshold),
+                oracles.fscore(gt, pred, 0.004),
             )
         assert report["chamfer"] == float(np.mean([r[0] for _, r in calls]))
         assert report["fscore"] == float(np.mean([r[1] for _, r in calls]))

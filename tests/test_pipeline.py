@@ -20,7 +20,6 @@ from pointscatter.fileio import (
 from pointscatter.pipeline import (
     ConfigError,
     DetectorConfig,
-    EvalSettings,
     PipelineConfig,
     StageError,
     _connected_components,
@@ -30,6 +29,7 @@ from pointscatter.pipeline import (
 )
 from pointscatter.scatter import ScatterConfig
 from pointscatter.scene import (
+    DEPTH_RANGE,
     demo_scene,
     load_scene,
     make_frame,
@@ -62,17 +62,8 @@ class TestPipelineConfig:
             frames=12,
             scatter=ScatterConfig(radius=0.05, max_points=5000),
             detector=DetectorConfig(mode="score_cluster", cluster_eps=0.2),
-            eval=EvalSettings(iou_thresholds=(0.1, 0.3)),
         )
-        assert PipelineConfig.from_dict(config.to_dict()) == config
-
-    def test_from_dict_restores_tuples(self):
-        data = PipelineConfig().to_dict()
-        back = PipelineConfig.from_dict(json.loads(json.dumps(data)))
-        assert isinstance(back.depth_range, tuple)
-        assert isinstance(back.bench_origin, tuple)
-        assert isinstance(back.eval.iou_thresholds, tuple)
-        assert back == PipelineConfig()
+        assert PipelineConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -86,12 +77,6 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(frames=0)
         with pytest.raises(ConfigError):
-            PipelineConfig(depth_range=(2.0, 1.0))
-        with pytest.raises(ConfigError):
-            PipelineConfig(depth_range=(0.0, 1.0))
-        with pytest.raises(ConfigError):
-            PipelineConfig(tau=0.0)
-        with pytest.raises(ConfigError):
             PipelineConfig(k_sigma=-1.0)
 
     def test_invalid_nested_value_is_config_error(self):
@@ -103,30 +88,35 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "data, field",
         [
-            # none of gamma, occlusion_check, eval.fscore_squared, eval.rng_seed,
-            # scatter.rng_seed and scatter.dedup_radius is a setting: each is
-            # an unknown key
+            # none of gamma, occlusion_check, scatter.rng_seed and
+            # scatter.dedup_radius is a setting, nor is any value of the
+            # measurement protocol (tau, depth_range, the bench grid, the
+            # former eval values): each is an unknown key, even at the value
+            # in use, and so is the eval part itself
             ({"gamma": -1.0}, "gamma"),
             ({"k_sigma": "x"}, "k_sigma"),
             ({"min_rotation_deg": float("nan")}, "min_rotation_deg"),
             ({"occlusion_check": "yes"}, "occlusion_check"),
-            ({"depth_range": [0.2]}, "depth_range"),
-            ({"bench_origin": [0.0, 0.0]}, "bench_origin"),
-            ({"bench_extent": [8.0, float("inf"), 3.0]}, "bench_extent"),
+            ({"depth_range": [0.2, 6.4]}, "depth_range"),
+            ({"bench_origin": [-4.0, -4.0, 0.0]}, "bench_origin"),
+            ({"bench_extent": [8.0, 8.0, 3.0]}, "bench_extent"),
             ({"nms_iou": 1.5}, "nms_iou"),
-            ({"eval": {"recon_iou": -0.1}}, "recon_iou"),
-            ({"eval": {"iou_thresholds": []}}, "iou_thresholds"),
-            ({"eval": {"fscore_threshold": 0}}, "fscore_threshold"),
-            ({"eval": {"fscore_squared": 1}}, "fscore_squared"),
-            ({"eval": {"rng_seed": 1.5}}, "rng_seed"),
-            ({"eval": {"sample_count": True}}, "sample_count"),
+            ({"recon_iou": 0.25}, "recon_iou"),
+            ({"iou_thresholds": [0.25, 0.5]}, "iou_thresholds"),
+            ({"fscore_threshold": 0.004}, "fscore_threshold"),
+            ({"fscore_squared": True}, "fscore_squared"),
+            ({"rng_seed": 0}, "rng_seed"),
+            ({"sample_count": 2048}, "sample_count"),
             ({"detector": {"score_threshold": float("nan")}}, "score_threshold"),
             ({"detector": {"min_cluster_points": 2.5}}, "min_cluster_points"),
             ({"scatter": {"rng_seed": "x"}}, "rng_seed"),
             ({"scatter": {"dedup_radius": 0}}, "dedup_radius"),
             ({"scatter": {"radius": True}}, "radius"),
-            ({"tau": float("inf")}, "tau"),
+            ({"tau": 0.05}, "tau"),
             ({"scatter": {"max_points": True}}, "max_points"),
+            ({"detector": {"min_cluster_points": 0}}, "min_cluster_points"),
+            ({"detector": {"min_cluster_points": -5}}, "min_cluster_points"),
+            ({"eval": {"sample_count": 2048}}, "eval"),
         ],
     )
     def test_field_kinds_checked(self, data, field):
@@ -134,9 +124,7 @@ class TestPipelineConfig:
             PipelineConfig.from_dict(data)
 
     def test_field_kinds_accept_numpy_and_int_values(self):
-        config = PipelineConfig(
-            seed=np.int64(3), tau=1, nms_iou=np.float64(0.5), bench_extent=(8, 8, 3)
-        )
+        config = PipelineConfig(seed=np.int64(3), k_sigma=1, nms_iou=np.float64(0.5))
         assert config.seed == 3
         with pytest.raises(ConfigError, match="scatter"):
             PipelineConfig(scatter={"radius": 0.04})
@@ -401,6 +389,14 @@ class TestCli:
             cli.main(["gen-scene", str(tmp_path / "scene.json"), "--preset", "demo"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--frames", "--max-points", "--noise-sigma"])
+    def test_eval_takes_no_front_flags(self, flag):
+        # evaluation reads only the seed of a config, so eval takes --config
+        # and --seed but no flag of the stages before it: a usage error
+        with pytest.raises(SystemExit) as info:
+            cli.main(["eval", "scene.json", "detections.json", flag, "8"])
+        assert info.value.code == 2
+
     def test_run_and_eval_agree(self, tmp_path, capsys):
         scene_path = self.gen(tmp_path)
         out = tmp_path / "run"
@@ -415,8 +411,6 @@ class TestCli:
                 str(out / "detections.json"),
                 "--out",
                 str(eval_out),
-                "--frames",
-                "8",
             ]
         )
         assert code == 0
@@ -443,10 +437,10 @@ class TestCli:
         # eval writes exactly the report entries run_pipeline computes, plus
         # the config, byte for byte
         scene_path = self.gen(tmp_path)
-        result = run_pipeline(load_scene(scene_path), small_config())
+        result = run_pipeline(load_scene(scene_path), PipelineConfig())
         write_detections(result.detections, tmp_path / "detections.json")
         eval_out = tmp_path / "eval.json"
-        argv = ["eval", str(scene_path), str(tmp_path / "detections.json"), "--frames", "8"]
+        argv = ["eval", str(scene_path), str(tmp_path / "detections.json")]
         assert cli.main([*argv, "--out", str(eval_out)]) == 0
         keys = ("per_category", "mean", "chamfer", "fscore", "config")
         write_json({k: result.report[k] for k in keys}, tmp_path / "expected.json")
@@ -537,11 +531,10 @@ class TestCli:
         assert ppms == [f"color_{i:03d}.ppm" for i in range(8)]
         # the files match frames rendered afresh with the same perturbation seeds
         scene = load_scene(scene_path)
-        config = small_config()
         for i in range(8):
             rng = stage_rng(scene.rng_seed, "perturb", i)
-            frame = make_frame(scene, i, rng, config.depth_range, project_gt_boxes(scene, i))
-            write_pgm(frame.depth, tmp_path / "depth.pgm", max_value=config.depth_range[1])
+            frame = make_frame(scene, i, rng, project_gt_boxes(scene, i))
+            write_pgm(frame.depth, tmp_path / "depth.pgm", max_value=DEPTH_RANGE[1])
             write_ppm(frame.color, tmp_path / "color.ppm")
             assert (img_dir / pgms[i]).read_bytes() == (tmp_path / "depth.pgm").read_bytes()
             assert (img_dir / ppms[i]).read_bytes() == (tmp_path / "color.ppm").read_bytes()
@@ -783,7 +776,7 @@ class TestCliExitCodes:
         [
             ('{"voxel_size": -1}', "voxel_size"),
             ('{"seed": "x"}', "seed"),
-            ('{"dense_voxel_size": 0}', "dense_voxel_size"),
+            ('{"dense_voxel_size": 0}', "unknown key 'dense_voxel_size'"),
             ('{"frames": 2.5}', "frames"),
             ("[1, 2]", "config must be a JSON object"),
             ("5", "config must be a JSON object"),
@@ -810,16 +803,18 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "config, message",
         [
-            ('{"bench_extent": [0, 0, 0]}', "bench_extent"),
-            ('{"bench_extent": [8, 8]}', "bench_extent"),
+            # bench_extent, depth_range and the eval part are no settings:
+            # each is an unknown key, whatever its value
+            ('{"bench_extent": [0, 0, 0]}', "unknown key 'bench_extent'"),
+            ('{"bench_extent": [8, 8]}', "unknown key 'bench_extent'"),
             ('{"nms_iou": "x"}', "nms_iou"),
-            ('{"eval": {"iou_thresholds": [2.0]}}', "iou_thresholds"),
+            ('{"eval": {"iou_thresholds": [2.0]}}', "unknown key 'eval'"),
             ('{"min_translation": "x"}', "min_translation"),
-            ('{"eval": {"sample_count": 0}}', "sample_count"),
+            ('{"eval": {"sample_count": 0}}', "unknown key 'eval'"),
             ('{"detector": {"min_cluster_points": "x"}}', "min_cluster_points"),
             ('{"scatter": {"max_points": 1.5}}', "max_points"),
-            ('{"depth_range": 5}', "depth_range must be 2 values"),
-            ('{"eval": {"iou_thresholds": 0.5}}', "iou_thresholds must be one or more"),
+            ('{"depth_range": 5}', "unknown key 'depth_range'"),
+            ('{"eval": {"iou_thresholds": 0.5}}', "unknown key 'eval'"),
         ],
         ids=[
             "bench_extent_zero",

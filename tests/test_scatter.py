@@ -37,12 +37,12 @@ from pointscatter.scene import (
 from pointscatter.camera import Intrinsics, Pose, look_at_pose
 from pointscatter.boxes import OrientedBox
 
-from conftest import DEPTH_RANGE, render_all
+from conftest import render_all
 
 
 def noiseless_frame(scene, index=0):
     boxes = project_gt_boxes(scene, index)
-    return make_frame(scene, index, np.random.default_rng(0), DEPTH_RANGE, boxes)
+    return make_frame(scene, index, np.random.default_rng(0), boxes)
 
 
 class TestStride:

@@ -64,7 +64,7 @@ def hires_inside_box_scene():
 
 def render_color(scene, camera_index=0):
     """One view's color image, as ``CameraFrame.color`` builds it."""
-    frame = make_frame(scene, camera_index, np.random.default_rng(0), DEPTH_RANGE, ())
+    frame = make_frame(scene, camera_index, np.random.default_rng(0), ())
     return frame.color
 
 
@@ -655,7 +655,6 @@ class TestMakeFrame:
             clean_scene,
             3,
             stage_rng(clean_scene.rng_seed, "perturb", 3),
-            DEPTH_RANGE,
             project_gt_boxes(clean_scene, 3),
         )
         assert np.array_equal(again.depth, clean_frames[3].depth)
@@ -666,7 +665,7 @@ class TestMakeFrame:
         # depth (8 bytes) and the int32 triangle index (4 bytes) per pixel
         # plus the shade table; no (H, W, 3) float image is kept
         scene = hires_scene()
-        frame = make_frame(scene, 0, np.random.default_rng(0), DEPTH_RANGE, ())
+        frame = make_frame(scene, 0, np.random.default_rng(0), ())
         arrays = [getattr(frame, f.name) for f in dataclasses.fields(frame)]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
 

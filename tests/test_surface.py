@@ -13,7 +13,7 @@ from oracles import brute_nn_distances, point_mesh_distance
 from pointscatter.aggregate import aggregate_cloud
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose
-from pointscatter.pipeline import run_front, stage_rng
+from pointscatter.pipeline import TAU, run_front, stage_rng
 from pointscatter.scatter import ScatterConfig, scatter_frames
 from pointscatter.scene import SceneCamera, SceneObject, SceneSpec
 from pointscatter.surface import (
@@ -115,9 +115,9 @@ class TestLabelPoints:
     def test_workload_clouds_match_oracle(self, name, seed):
         scene, config = load_perfbench("workloads").build(name, seed)
         cloud = run_front(scene, config)[2]
-        surface = sample_scene_surface(scene, config.tau, stage_rng(config.seed, "surface"))
-        lab = label_points(cloud.positions, surface, config.tau)
-        labels, distances = oracles.label_points(cloud.positions, surface, config.tau)
+        surface = sample_scene_surface(scene, TAU, stage_rng(config.seed, "surface"))
+        lab = label_points(cloud.positions, surface, TAU)
+        labels, distances = oracles.label_points(cloud.positions, surface, TAU)
         np.testing.assert_array_equal(lab.labels, labels)
         # the labels alone never search past tau
         assert "distances" not in vars(lab)
