@@ -6,8 +6,13 @@ detections file against a scene), ``export-ply`` (scatter and aggregate
 a scene to a PLY cloud, optionally dumping PGM/PPM frame images; no
 stage after aggregation runs).
 
-Exit codes: 0 success, 1 bad configuration or input files, 2 stage
-failure inside the pipeline.
+Every value is set in one file: the scene file, which ``gen-scene``
+writes from its flags, holds the cameras, noise and outlier rate; the
+config file (``--config``) holds the seed, the keyframe budget and every
+other method setting. ``run --detector`` is the one override.
+
+Exit codes: 0 success, 1 bad configuration, input files or command line
+(an unknown flag too), 2 stage failure inside the pipeline.
 """
 
 from __future__ import annotations
@@ -30,11 +35,12 @@ from .pipeline import (
     run_pipeline,
     run_sparsity_bench,
 )
-from .scene import DEPTH_RANGE, demo_scene, load_scene, save_scene
+from .scene import DEPTH_RANGE, SceneSpec, demo_scene, load_scene, save_scene
 
 
-def _load_config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
+def _load_inputs(args) -> tuple[PipelineConfig, SceneSpec]:
+    """The config and the scene a command names."""
+    if args.config:
         try:
             with open(args.config) as f:
                 config = PipelineConfig.from_dict(json.load(f))
@@ -42,42 +48,23 @@ def _load_config(args) -> PipelineConfig:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
     else:
         config = PipelineConfig()
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "frames", None) is not None:
-        updates["frames"] = args.frames
-    if getattr(args, "max_points", None) is not None:
-        updates["scatter"] = dataclasses.replace(config.scatter, max_points=args.max_points)
     if getattr(args, "detector", None) is not None:
-        updates["detector"] = dataclasses.replace(config.detector, mode=args.detector)
-    return dataclasses.replace(config, **updates) if updates else config
-
-
-def _load_scene(args):
+        config = dataclasses.replace(
+            config, detector=dataclasses.replace(config.detector, mode=args.detector)
+        )
     try:
-        scene = load_scene(args.scene)
+        return config, load_scene(args.scene)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"cannot read scene {args.scene}: {e}") from e
-    updates = {}
-    if getattr(args, "noise_sigma", None) is not None:
-        updates["depth_noise_sigma"] = args.noise_sigma
-    if getattr(args, "outlier_rate", None) is not None:
-        updates["outlier_rate"] = args.outlier_rate
-    return dataclasses.replace(scene, **updates) if updates else scene
 
 
-def _add_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="pipeline config JSON")
-    parser.add_argument("--seed", type=int, help="root pipeline seed override")
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: exit 1, not argparse's 2,
+    which is a stage failure's code."""
 
-
-def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    _add_config(parser)
-    parser.add_argument("--frames", type=int, help="keyframe target override")
-    parser.add_argument("--max-points", type=int, help="scatter point cap override")
-    parser.add_argument("--noise-sigma", type=float, help="depth noise sigma override")
-    parser.add_argument("--outlier-rate", type=float, help="depth outlier rate override")
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 def _write_report(report: dict, out) -> None:
@@ -102,8 +89,7 @@ def _cmd_gen_scene(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args)
-    scene = _load_scene(args)
+    config, scene = _load_inputs(args)
     result = run_pipeline(scene, config, output_dir=args.out)
     mean = result.report["mean"]
     for key in sorted(mean):
@@ -116,15 +102,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _load_config(args)
-    scene = _load_scene(args)
+    config, scene = _load_inputs(args)
     _write_report(run_sparsity_bench(scene, config), args.out)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    config = _load_config(args)
-    scene = _load_scene(args)
+    config, scene = _load_inputs(args)
     try:
         detections = read_detections(args.detections)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
@@ -136,8 +120,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_ply(args) -> int:
-    config = _load_config(args)
-    scene = _load_scene(args)
+    config, scene = _load_inputs(args)
     _, frames, cloud = run_front(scene, config)
     write_cloud_ply(cloud, args.out)
     print(f"wrote {args.out} ({len(cloud)} points)")
@@ -153,7 +136,7 @@ def _cmd_export_ply(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pointscatter",
         description="Multi-view point scattering pipeline on synthetic scenes",
     )
@@ -172,40 +155,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene", help="scene JSON")
     p.add_argument("--out", required=True, help="artifact directory")
     p.add_argument("--detector", choices=["gt_passthrough", "score_cluster"])
-    _add_overrides(p)
+    p.add_argument("--config", help="pipeline config JSON")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("bench", help="sparsity benchmark")
     p.add_argument("scene", help="scene JSON")
     p.add_argument("--out", help="report JSON path (default: stdout)")
-    _add_overrides(p)
+    p.add_argument("--config", help="pipeline config JSON")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("eval", help="evaluate a detections file against a scene")
     p.add_argument("scene", help="scene JSON")
     p.add_argument("detections", help="detections JSON")
     p.add_argument("--out", help="metrics JSON path (default: stdout)")
-    # evaluation reads only the seed, which seeds its surface samples
-    _add_config(p)
+    # evaluation reads only the config's seed, which seeds its surface samples
+    p.add_argument("--config", help="pipeline config JSON")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("export-ply", help="scatter a scene and write the cloud as PLY")
     p.add_argument("scene", help="scene JSON")
     p.add_argument("out", help="output PLY path")
     p.add_argument("--images", help="also dump keyframe depth/color as PGM/PPM here")
-    _add_overrides(p)
+    p.add_argument("--config", help="pipeline config JSON")
     p.set_defaults(func=_cmd_export_ply)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -327,9 +327,7 @@ def _voxelize(cloud, config: PipelineConfig):
     of the same resolution over the bench region."""
     keys = voxelize(cloud.positions, config.voxel_size, BENCH_ORIGIN)
     dense_cells = dense_cell_count(BENCH_EXTENT, config.voxel_size)
-    sparsity = sparsity_report(cloud, len(keys), dense_cells, config.voxel_size)
-    sparsity["metadata"] = {"dense_voxel_size": DENSE_VOXEL_SIZE}
-    return keys, sparsity
+    return keys, sparsity_report(cloud, len(keys), dense_cells, config.voxel_size)
 
 
 def _detect(cloud, kept, scene: SceneSpec, config: PipelineConfig) -> list[OrientedBox]:
@@ -350,7 +348,6 @@ class PipelineResult:
     filtered_indices: np.ndarray
     detections: list
     keyframes: list
-    frames: list
     grid: np.ndarray
     sparsity: dict
 
@@ -362,7 +359,7 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
     ``detections.json``, ``metrics.json`` and ``sparsity.json``.
     """
     t0 = time.perf_counter()
-    keyframes, frames, cloud = run_front(scene, config)
+    keyframes, _, cloud = run_front(scene, config)
     filtered_indices, filter_stats = guarded("filter", _filter, cloud, scene, config)
     grid, sparsity = guarded("voxelize", _voxelize, cloud, config)
     detections = guarded("detect", _detect, cloud, filtered_indices, scene, config)
@@ -389,7 +386,6 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
         filtered_indices=filtered_indices,
         detections=detections,
         keyframes=keyframes,
-        frames=frames,
         grid=grid,
         sparsity=sparsity,
     )
@@ -401,13 +397,17 @@ def run_sparsity_bench(scene: SceneSpec, config: PipelineConfig) -> dict:
     Runs the front of :func:`run_pipeline`, so its report holds the
     entries of ``run``'s ``sparsity.json`` for the same cloud and
     features, plus the cell count of a dense grid at the coarser
-    ``DENSE_VOXEL_SIZE`` reference and the wall time of every stage it
-    ran: keyframes, render, scatter, aggregate and voxelize.
+    ``DENSE_VOXEL_SIZE`` reference and a ``metadata`` block: that
+    reference, the keyframe count and the wall time of every stage it
+    ran (keyframes, render, scatter, aggregate and voxelize).
     """
     timings = {}
     keyframes, _, cloud = run_front(scene, config, timings=timings)
     _, report = guarded("voxelize", _voxelize, cloud, config, timings=timings)
     report["coarse_dense_cells"] = dense_cell_count(BENCH_EXTENT, DENSE_VOXEL_SIZE)
-    report["metadata"]["keyframes"] = len(keyframes)
-    report["metadata"]["timings_s"] = timings
+    report["metadata"] = {
+        "dense_voxel_size": DENSE_VOXEL_SIZE,
+        "keyframes": len(keyframes),
+        "timings_s": timings,
+    }
     return report

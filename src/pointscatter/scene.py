@@ -39,7 +39,7 @@ import numpy as np
 
 from .boxes import OrientedBox
 from .camera import BEHIND_CAMERA_EPS, Intrinsics, Pose, look_at_pose, project_points
-from .checks import ConfigError, _check, _entries, _entry
+from .checks import _check, _entries, _entry
 from .meshes import _BOX_FACES, box_shell, triangle_normals
 
 # Fixed directional light (unit vector pointing from the scene toward
@@ -569,10 +569,6 @@ _INTRINSICS = ("fx", "fy", "cx", "cy", "width", "height")
 _OBJECT_OPTIONAL = ("yaw", "category", "albedo")  # the keys an object entry may omit
 
 
-def _intrinsics_from_dict(d: dict) -> Intrinsics:
-    return Intrinsics(*(d[key] for key in _INTRINSICS))
-
-
 def scene_to_dict(scene: SceneSpec) -> dict:
     return {
         "objects": [
@@ -602,16 +598,11 @@ def scene_to_dict(scene: SceneSpec) -> dict:
 def scene_from_dict(data: dict) -> SceneSpec:
     """Build a scene from its JSON form.
 
-    ``cameras`` is either an explicit list of camera dicts (intrinsics
-    plus row-major rotation and translation) or an object
-    ``{"trajectory": {"type": "orbit", ...}}``; generated cameras use the
-    optional top-level ``intrinsics`` entry, defaulting to a 160x120
-    f=120 pinhole.
+    ``cameras`` is a list of camera dicts, each holding the intrinsics
+    plus a row-major rotation and a translation, as :func:`scene_to_dict`
+    writes them.
     """
-    # a top-level intrinsics block belongs to generated cameras only
-    generated = isinstance(data, dict) and isinstance(data.get("cameras"), dict)
-    optional = ("rng_seed", "depth_noise_sigma", "outlier_rate") + (("intrinsics",) if generated else ())
-    _entry(data, "scene", "objects", "cameras", optional=optional)
+    _entry(data, "scene", "objects", "cameras", optional=("rng_seed", "depth_noise_sigma", "outlier_rate"))
     objects = tuple(
         SceneObject(
             box=OrientedBox(o["center"], o["size"], o.get("yaw", 0.0), o.get("category", 0)),
@@ -619,27 +610,11 @@ def scene_from_dict(data: dict) -> SceneSpec:
         )
         for o in _entries(data["objects"], "objects", "center", "size", optional=_OBJECT_OPTIONAL)
     )
-    cam_spec = data["cameras"]
-    if generated:
-        traj = _entry(cam_spec, "cameras", optional=("trajectory",)).get("trajectory")
-        if not isinstance(traj, dict) or traj.get("type") != "orbit":
-            raise ConfigError("camera object form requires a trajectory of type 'orbit'")
-        _entry(traj, "trajectory", "type", "radius", "height", "steps", optional=("look_at",))
-        intr = (
-            _intrinsics_from_dict(_entry(data["intrinsics"], "intrinsics", *_INTRINSICS))
-            if "intrinsics" in data
-            else DEFAULT_INTRINSICS
-        )
-        poses = orbit_trajectory(
-            traj["radius"], traj["height"], traj["steps"], traj.get("look_at", (0.0, 0.0, 0.0))
-        )
-        cameras = tuple(SceneCamera(intr, p) for p in poses)
-    else:
-        cameras = []
-        for c in _entries(cam_spec, "cameras", *_INTRINSICS, "rotation", "translation"):
-            intr = _intrinsics_from_dict(c)
-            _check(c, rotation=("number", 9), translation=("number", 3))
-            cameras.append(SceneCamera(intr, Pose(np.reshape(c["rotation"], (3, 3)), c["translation"])))
+    cameras = []
+    for c in _entries(data["cameras"], "cameras", *_INTRINSICS, "rotation", "translation"):
+        intr = Intrinsics(*(c[key] for key in _INTRINSICS))
+        _check(c, rotation=("number", 9), translation=("number", 3))
+        cameras.append(SceneCamera(intr, Pose(np.reshape(c["rotation"], (3, 3)), c["translation"])))
     return SceneSpec(
         objects=objects,
         cameras=cameras,

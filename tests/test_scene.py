@@ -1,6 +1,7 @@
 """Scene simulator: rendering, noise injection, GT boxes, keyframes."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -804,48 +805,42 @@ class TestOrbitAndSerialization:
             assert np.allclose(a.pose.translation, b.pose.translation, atol=1e-12)
 
     def test_trajectory_form_expands_to_cameras(self):
-        data = {
-            "objects": [{"center": [0, 0, 0.5], "size": [1, 1, 1], "yaw": 0.0, "category": 2}],
-            "cameras": {
-                "trajectory": {
-                    "type": "orbit",
-                    "radius": 2.5,
-                    "height": 1.2,
-                    "steps": 6,
-                    "look_at": [0.0, 0.0, 0.5],
-                }
-            },
-            "intrinsics": {
-                "fx": 200, "fy": 200, "cx": 159.5, "cy": 119.5, "width": 320, "height": 240
-            },
-            "rng_seed": 7,
-            "depth_noise_sigma": 0.0,
-            "outlier_rate": 0.0,
-        }
+        # an orbit is written out as its explicit camera list; the orbit
+        # description itself is no longer a scene file's camera form
+        intr = Intrinsics(fx=200, fy=200, cx=159.5, cy=119.5, width=320, height=240)
+        poses = orbit_trajectory(radius=2.5, height=1.2, steps=6, look_at=(0.0, 0.0, 0.5))
+        spec = SceneSpec(
+            objects=(SceneObject(OrientedBox((0, 0, 0.5), (1, 1, 1), 0.0, 2)),),
+            cameras=tuple(SceneCamera(intr, pose) for pose in poses),
+            rng_seed=7,
+        )
+        data = json.loads(json.dumps(scene_to_dict(spec)))
         scene = scene_from_dict(data)
         assert len(scene.cameras) == 6 and scene.rng_seed == 7
         # integer fields load unchanged
         intr = scene.cameras[0].intrinsics
         assert (intr.width, intr.height, scene.objects[0].box.category) == (320, 240, 2)
-
-    def test_intrinsics_block_lacks_key(self):
-        data = {
-            "objects": [],
-            "cameras": {"trajectory": {"type": "orbit", "radius": 2.5, "height": 1.2, "steps": 6}},
-            "intrinsics": {"fx": 200, "cx": 159.5, "cy": 119.5, "width": 320, "height": 240},
-        }
-        with pytest.raises(ConfigError, match="^intrinsics lacks 'fy'$"):
+        data["cameras"] = {"trajectory": {"type": "orbit", "radius": 2.5, "height": 1.2, "steps": 6}}
+        with pytest.raises(ConfigError, match="^cameras must be a JSON list, got dict$"):
             scene_from_dict(data)
 
-    def test_intrinsics_block_unknown_key(self):
-        data = {
-            "objects": [],
-            "cameras": {"trajectory": {"type": "orbit", "radius": 2.5, "height": 1.2, "steps": 6}},
-            "intrinsics": dict(fx=200, fy=200, cx=159.5, cy=119.5, width=320, height=240),
-        }
-        assert scene_from_dict(data).cameras[0].intrinsics.fy == 200
-        data["intrinsics"]["skew"] = 0.0
-        with pytest.raises(ConfigError, match="^intrinsics has unknown key 'skew'$"):
+    def test_intrinsics_block_lacks_key(self, clean_scene):
+        # each camera carries its own intrinsics
+        data = scene_to_dict(clean_scene)
+        del data["cameras"][0]["fy"]
+        with pytest.raises(ConfigError, match=r"^cameras\[0\] lacks 'fy'$"):
+            scene_from_dict(data)
+
+    def test_intrinsics_block_unknown_key(self, clean_scene):
+        data = scene_to_dict(clean_scene)
+        assert scene_from_dict(data).cameras[0].intrinsics.fy == clean_scene.cameras[0].intrinsics.fy
+        data["cameras"][0]["skew"] = 0.0
+        with pytest.raises(ConfigError, match=r"^cameras\[0\] has unknown key 'skew'$"):
+            scene_from_dict(data)
+        # a top-level block beside the list is not read as shared intrinsics
+        del data["cameras"][0]["skew"]
+        data["intrinsics"] = dict(fx=200, fy=200, cx=159.5, cy=119.5, width=320, height=240)
+        with pytest.raises(ConfigError, match="^scene has unknown key 'intrinsics'$"):
             scene_from_dict(data)
 
     def test_to_dict_lists_cameras_explicitly(self, clean_scene):
