@@ -1,10 +1,9 @@
 """Command line front end.
 
-Subcommands: ``gen-scene`` (write a scene JSON), ``run`` (full pipeline
-with artifacts), ``bench`` (sparsity benchmark), ``eval`` (re-score a
-detections file against a scene), ``export-ply`` (scatter and aggregate
-a scene to a PLY cloud, optionally dumping PGM/PPM frame images; no
-stage after aggregation runs).
+Subcommands: ``gen-scene`` (write a scene JSON), ``run`` (the full
+pipeline, writing its artifacts and, with ``--images``, each keyframe's
+depth and color as PGM/PPM) and ``eval`` (re-score a detections file
+against a scene).
 
 Every value is set in one file: the scene file, which ``gen-scene``
 writes from its flags, holds the cameras, noise and outlier rate; the
@@ -24,17 +23,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .fileio import read_detections, write_cloud_ply, write_json, write_pgm, write_ppm
-from .pipeline import (
-    ConfigError,
-    PipelineConfig,
-    StageError,
-    evaluate,
-    guarded,
-    run_front,
-    run_pipeline,
-    run_sparsity_bench,
-)
+from .fileio import read_detections, write_json, write_pgm, write_ppm
+from .pipeline import ConfigError, PipelineConfig, StageError, evaluate, guarded, run_pipeline
 from .scene import DEPTH_RANGE, SceneSpec, demo_scene, load_scene, save_scene
 
 
@@ -67,15 +57,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write_report(report: dict, out) -> None:
-    """Canonical JSON to ``out``, or to stdout when no path is given."""
-    if out:
-        write_json(report, out)
-        print(f"wrote {out}")
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
-
-
 def _cmd_gen_scene(args) -> int:
     scene = demo_scene(
         noise_sigma=args.noise_sigma,
@@ -98,12 +79,14 @@ def _cmd_run(args) -> int:
         print(f"chamfer: {result.report['chamfer']:.6f}")
         print(f"fscore: {result.report['fscore']:.2f}")
     print(f"artifacts: {args.out}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    config, scene = _load_inputs(args)
-    _write_report(run_sparsity_bench(scene, config), args.out)
+    if args.images:
+        img_dir = Path(args.images)
+        img_dir.mkdir(parents=True, exist_ok=True)
+        for frame in result.frames:
+            i = frame.camera_index
+            write_pgm(frame.depth, img_dir / f"depth_{i:03d}.pgm", max_value=DEPTH_RANGE[1])
+            write_ppm(frame.color, img_dir / f"color_{i:03d}.ppm")
+        print(f"wrote {len(result.frames)} frame image pairs to {img_dir}")
     return 0
 
 
@@ -115,23 +98,11 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"cannot read detections {args.detections}: {e}") from e
     report = guarded("evaluate", evaluate, detections, scene, config)
     report["config"] = config.to_dict()
-    _write_report(report, args.out)
-    return 0
-
-
-def _cmd_export_ply(args) -> int:
-    config, scene = _load_inputs(args)
-    _, frames, cloud = run_front(scene, config)
-    write_cloud_ply(cloud, args.out)
-    print(f"wrote {args.out} ({len(cloud)} points)")
-    if args.images:
-        img_dir = Path(args.images)
-        img_dir.mkdir(parents=True, exist_ok=True)
-        for frame in frames:
-            i = frame.camera_index
-            write_pgm(frame.depth, img_dir / f"depth_{i:03d}.pgm", max_value=DEPTH_RANGE[1])
-            write_ppm(frame.color, img_dir / f"color_{i:03d}.ppm")
-        print(f"wrote {len(frames)} frame image pairs to {img_dir}")
+    if args.out:
+        write_json(report, args.out)
+        print(f"wrote {args.out}")
+    else:
+        print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -155,14 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene", help="scene JSON")
     p.add_argument("--out", required=True, help="artifact directory")
     p.add_argument("--detector", choices=["gt_passthrough", "score_cluster"])
+    p.add_argument("--images", help="also write keyframe depth/color as PGM/PPM here")
     p.add_argument("--config", help="pipeline config JSON")
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("bench", help="sparsity benchmark")
-    p.add_argument("scene", help="scene JSON")
-    p.add_argument("--out", help="report JSON path (default: stdout)")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("eval", help="evaluate a detections file against a scene")
     p.add_argument("scene", help="scene JSON")
@@ -171,13 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     # evaluation reads only the config's seed, which seeds its surface samples
     p.add_argument("--config", help="pipeline config JSON")
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("export-ply", help="scatter a scene and write the cloud as PLY")
-    p.add_argument("scene", help="scene JSON")
-    p.add_argument("out", help="output PLY path")
-    p.add_argument("--images", help="also dump keyframe depth/color as PGM/PPM here")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.set_defaults(func=_cmd_export_ply)
 
     return parser
 

@@ -285,8 +285,8 @@ def _aggregate(cloud, frames, scene: SceneSpec, config: PipelineConfig):
 
 
 def run_front(scene: SceneSpec, config: PipelineConfig, timings=None):
-    """The stages every command starts with: keyframes, render, scatter
-    and aggregate.
+    """The stages the pipeline and the sparsity bench start with:
+    keyframes, render, scatter and aggregate.
 
     Returns ``(keyframes, frames, cloud)``; ``timings`` is passed on to
     :func:`guarded`.
@@ -348,6 +348,7 @@ class PipelineResult:
     filtered_indices: np.ndarray
     detections: list
     keyframes: list
+    frames: list
     grid: np.ndarray
     sparsity: dict
 
@@ -359,7 +360,7 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
     ``detections.json``, ``metrics.json`` and ``sparsity.json``.
     """
     t0 = time.perf_counter()
-    keyframes, _, cloud = run_front(scene, config)
+    keyframes, frames, cloud = run_front(scene, config)
     filtered_indices, filter_stats = guarded("filter", _filter, cloud, scene, config)
     grid, sparsity = guarded("voxelize", _voxelize, cloud, config)
     detections = guarded("detect", _detect, cloud, filtered_indices, scene, config)
@@ -386,6 +387,7 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
         filtered_indices=filtered_indices,
         detections=detections,
         keyframes=keyframes,
+        frames=frames,
         grid=grid,
         sparsity=sparsity,
     )

@@ -545,10 +545,11 @@ def orbit_trajectory(radius: float, height: float, steps: int, look_at) -> list[
     """Poses evenly spaced on a circle of ``radius`` around ``look_at``.
 
     Cameras sit at absolute world height ``height`` and look at the
-    target point. ``steps`` must be positive; ``radius`` positive so the
+    target point. ``steps``, which ``gen-scene --steps`` sets, must be a
+    positive integer; the caller passes a positive ``radius``, so the
     viewing direction never degenerates.
     """
-    _check(locals(), radius="positive", height="number", steps="count", look_at=("number", 3))
+    _check(locals(), steps="count")
     look = np.asarray(look_at, dtype=np.float64)
     poses = []
     for k in range(steps):

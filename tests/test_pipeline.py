@@ -43,7 +43,7 @@ from pointscatter.scene import (
 ORBIT = {"type": "orbit", "radius": 3.0, "height": 1.7}
 # what a scene file in that object form exits with
 DICT_CAMERAS = "cameras must be a JSON list, got dict"
-# the override flags run, bench and export-ply no longer take
+# the override flags run no longer takes
 REMOVED_FLAGS = ["--seed", "--frames", "--max-points", "--noise-sigma", "--outlier-rate"]
 # a scene-file edit that deletes its key
 MISSING = object()
@@ -469,29 +469,36 @@ class TestCli:
         assert report["filter"]["outlier_fraction_raw"] > 0.0
 
     def test_bench_report(self, tmp_path):
+        # the bench report of the scene file run reads holds run's
+        # sparsity.json, the coarse reference count and the stage times
         scene_path = self.gen(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["run", str(scene_path), "--out", str(out)]) == 0
+        sparsity = json.loads((out / "sparsity.json").read_text())
         bench_path = tmp_path / "bench.json"
-        assert cli.main(["bench", str(scene_path), "--out", str(bench_path)]) == 0
+        write_json(run_sparsity_bench(load_scene(scene_path), PipelineConfig()), bench_path)
         report = json.loads(bench_path.read_text())
+        assert {k: report[k] for k in sparsity} == sparsity
         assert report["coarse_dense_cells"] == 47_500
         assert "timings_s" in report["metadata"]
 
     def test_bench_report_prints_one_voxel_size(self, tmp_path):
+        # run's sparsity.json comes from the bench report's sparsity_report
         scene_path = self.gen(tmp_path)
         config_path = tmp_path / "config.json"
         config_path.write_text('{"voxel_size": 1}\n')
-        bench_path = tmp_path / "bench.json"
-        argv = ["bench", str(scene_path), "--config", str(config_path), "--out", str(bench_path)]
+        out = tmp_path / "run"
+        argv = ["run", str(scene_path), "--config", str(config_path), "--out", str(out)]
         assert cli.main(argv) == 0
-        report = json.loads(bench_path.read_text())
+        report = json.loads((out / "sparsity.json").read_text())
         assert json.dumps(report["voxel_size"]) == json.dumps(report["dense_voxel_size"]) == "1"
 
-    def test_export_ply_with_images(self, tmp_path):
+    def test_run_with_images(self, tmp_path):
         scene_path = self.gen(tmp_path)
-        ply_path = tmp_path / "cloud.ply"
+        out = tmp_path / "run"
         img_dir = tmp_path / "frames"
-        assert cli.main(["export-ply", str(scene_path), str(ply_path), "--images", str(img_dir)]) == 0
-        assert len(read_cloud_ply(ply_path)) > 0
+        assert cli.main(["run", str(scene_path), "--out", str(out), "--images", str(img_dir)]) == 0
+        assert len(read_cloud_ply(out / "cloud_raw.ply")) > 0
         pgms = sorted(p.name for p in img_dir.glob("*.pgm"))
         ppms = sorted(p.name for p in img_dir.glob("*.ppm"))
         assert pgms == [f"depth_{i:03d}.pgm" for i in range(8)]
@@ -562,8 +569,6 @@ class TestCliExitCodes:
             pytest.param(argv, flag, id=f"{argv[0]}{flag}")
             for argv, flags in [
                 (["run", "{scene}", "--out", "{out}"], REMOVED_FLAGS),
-                (["bench", "{scene}", "--out", "{out}"], REMOVED_FLAGS),
-                (["export-ply", "{scene}", "{out}"], REMOVED_FLAGS),
                 (["eval", "{scene}", "{scene}", "--out", "{out}"], ["--seed"]),
             ]
             for flag in flags
@@ -579,6 +584,21 @@ class TestCliExitCodes:
         assert cli.main([arg.format(**paths) for arg in argv] + [flag, "1"]) == 1
         captured = capsys.readouterr()
         assert f"config error: unrecognized arguments: {flag} 1" in captured.err
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["bench", "{scene}", "--out", "{out}"], ["export-ply", "{scene}", "{out}"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_removed_subcommands_are_usage_errors(self, tmp_path, capsys, argv):
+        # run is the one command that runs the pipeline
+        scene_path = tmp_path / "scene.json"
+        assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
+        paths = {"scene": scene_path, "out": tmp_path / "o"}
+        capsys.readouterr()
+        assert cli.main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert f"config error: argument command: invalid choice: '{argv[0]}'" in captured.err
         assert captured.out == "" and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -744,7 +764,7 @@ class TestCliExitCodes:
         assert captured.err.startswith("config error: cannot read ") and message in captured.err
         assert captured.out == "" and not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("command", ["run", "eval"])
     @pytest.mark.parametrize(
         "config, message",
         [
@@ -775,16 +795,17 @@ class TestCliExitCodes:
         assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
         config_path = tmp_path / "config.json"
         config_path.write_text(config + "\n")
-        argv = [command, str(scene_path), "--config", str(config_path)]
-        if command == "run":
-            argv += ["--out", str(tmp_path / "o")]
+        # eval reads its config before its detections, which it never reaches
+        detections = [str(scene_path)] if command == "eval" else []
+        argv = [command, str(scene_path), *detections, "--config", str(config_path)]
+        argv += ["--out", str(tmp_path / "o")]
         capsys.readouterr()
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and message in captured.err
         assert captured.out == "" and not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("command", ["run", "eval"])
     @pytest.mark.parametrize(
         "config, message",
         [
@@ -821,9 +842,10 @@ class TestCliExitCodes:
         assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
         config_path = tmp_path / "config.json"
         config_path.write_text(config + "\n")
-        argv = [command, str(scene_path), "--config", str(config_path)]
-        if command == "run":
-            argv += ["--out", str(tmp_path / "o")]
+        # eval reads its config before its detections, which it never reaches
+        detections = [str(scene_path)] if command == "eval" else []
+        argv = [command, str(scene_path), *detections, "--config", str(config_path)]
+        argv += ["--out", str(tmp_path / "o")]
         capsys.readouterr()
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
@@ -838,13 +860,12 @@ class TestCliExitCodes:
             raise ValueError("extent must be positive per axis")
 
         monkeypatch.setattr("pointscatter.pipeline.dense_cell_count", boom)
-        run = ["run", str(scene_path), "--out", str(tmp_path / "o")]
-        for argv in (run, ["bench", str(scene_path)]):
-            capsys.readouterr()
-            assert cli.main(argv) == 2
-            assert "stage 'voxelize' failed: extent" in capsys.readouterr().err
+        capsys.readouterr()
+        assert cli.main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 2
+        assert "stage 'voxelize' failed: extent" in capsys.readouterr().err
 
-    def test_bench_stage_failure_names_stage(self, tmp_path, capsys, monkeypatch):
+    def test_bench_stage_failure_names_stage(self, tmp_path, monkeypatch):
+        # the bench report names a failed stage as run's exit-2 message does
         scene_path = tmp_path / "scene.json"
         assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
 
@@ -852,9 +873,10 @@ class TestCliExitCodes:
             raise RuntimeError("boom")
 
         monkeypatch.setattr("pointscatter.pipeline.voxelize", boom)
-        capsys.readouterr()
-        assert cli.main(["bench", str(scene_path)]) == 2
-        assert "stage 'voxelize' failed: boom" in capsys.readouterr().err
+        with pytest.raises(StageError) as err:
+            run_sparsity_bench(load_scene(scene_path), PipelineConfig())
+        assert err.value.stage == "voxelize"
+        assert str(err.value) == "stage 'voxelize' failed: boom"
 
     def test_scene_without_cameras_runs_warning_free(self, tmp_path, capsys):
         # no frame means no color channel to score; numpy's empty-mean
@@ -879,35 +901,15 @@ class TestCliExitCodes:
         assert "voxelize" in capsys.readouterr().err
 
     def test_scene_without_objects_fails_evaluate(self, tmp_path, capsys):
-        # run and eval share the evaluate stage, so both report its failure
+        # run and eval share the evaluate stage, so both report its failure;
+        # run writes its artifacts and frame images only after evaluating
         scene_path = tmp_path / "empty.json"
         save_scene(dataclasses.replace(demo_scene(steps=6), objects=()), scene_path)
         dets_path = tmp_path / "detections.json"
         write_detections([], dets_path)
         assert cli.main(["eval", str(scene_path), str(dets_path)]) == 2
         assert "stage 'evaluate' failed" in capsys.readouterr().err
-        assert cli.main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 2
+        argv = ["run", str(scene_path), "--out", str(tmp_path / "o"), "--images", str(tmp_path / "i")]
+        assert cli.main(argv) == 2
         assert "stage 'evaluate' failed" in capsys.readouterr().err
-
-    def test_export_ply_of_scene_without_objects(self, tmp_path, capsys):
-        # export-ply stops after aggregation, so the evaluate failure above
-        # does not reach it
-        scene_path = tmp_path / "empty.json"
-        save_scene(dataclasses.replace(demo_scene(steps=6), objects=()), scene_path)
-        ply_path = tmp_path / "cloud.ply"
-        assert cli.main(["export-ply", str(scene_path), str(ply_path)]) == 0, capsys.readouterr().err
-        assert "element vertex 0\n" in ply_path.read_text()
-        assert len(read_cloud_ply(ply_path)) == 0
-
-    @pytest.mark.parametrize(
-        "name", ["sample_scene_surface", "voxelize", "nms", "evaluate_detections"]
-    )
-    def test_export_ply_runs_no_stage_after_aggregate(self, tmp_path, monkeypatch, name):
-        scene_path = tmp_path / "scene.json"
-        assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(f"pointscatter.pipeline.{name}", boom)
-        assert cli.main(["export-ply", str(scene_path), str(tmp_path / "cloud.ply")]) == 0
+        assert not (tmp_path / "o").exists() and not (tmp_path / "i").exists()

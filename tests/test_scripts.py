@@ -39,4 +39,9 @@ def test_sparsity_bench(tmp_path, monkeypatch, capsys):
         "--frames", 2, "--voxel-sizes", 0.08, 0.16, "--out", report_path,
     )
     assert len(out.splitlines()) == 4
-    assert json.loads(report_path.read_text())["voxel_size"] == 0.16
+    report = json.loads(report_path.read_text())
+    assert report["voxel_size"] == 0.16
+    # the full bench report: the 8x8x3 m region at the 0.16 m reference
+    # is 50 * 50 * 19 cells, and the stage times are kept
+    assert report["coarse_dense_cells"] == 47_500
+    assert "timings_s" in report["metadata"]
