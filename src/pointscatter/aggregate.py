@@ -6,9 +6,12 @@ pixel coordinates. A frame sees a point in front of the camera that
 projects inside the image; with ``occlusion_check``, the point must
 also lie no deeper than the rendered depth at its nearest pixel plus a
 noise tolerance, and empty background never hides it. Each seen point
-contributes the frame's color, bilinearly sampled as
-``shades[tri_index[y, x]]`` at the four corner texels (no RGB image is
-built). :func:`reduce_views` reduces the samples to a masked mean and a
+contributes the frame's color, bilinearly sampled as ``shades[tri]``
+at the four corner texels. Both the nearest pixel's depth and the
+corners' triangle indices come from ``CameraFrame.lookup`` on the
+frame's covered pixels, so no dense map or RGB image is built and a
+view's cost follows the points it sees, not its pixel count.
+:func:`reduce_views` reduces the samples to a masked mean and a
 masked population variance of the samples shifted by the point's first
 one, so agreeing samples give exactly 0; a point no frame sees gets
 zeros and a valid count of 0. :func:`compose_features` appends a
@@ -23,24 +26,16 @@ from .camera import BEHIND_CAMERA_EPS
 from .scatter import ScatterCloud
 
 
-def bilinear_sample(index: np.ndarray, shades: np.ndarray, u, v):
-    """Bilinear interpolation of a palette image.
+def _sample_colors(frame, u, v) -> np.ndarray:
+    """(K, C) bilinear samples of the frame's color at pixel coordinates
+    ``u``, ``v`` inside ``[0, W-1] x [0, H-1]`` (pixel centers at
+    integers, so integer coordinates return the exact texel).
 
-    The texel at row ``y``, column ``x`` is ``shades[index[y, x]]``:
-    ``index`` is an (H, W) integer map into ``shades``, a (K,) or (K, C)
-    table. ``u`` and ``v`` are continuous pixel coordinates (pixel
-    centers at integers) and must lie inside ``[0, W-1] x [0, H-1]``;
-    integer coordinates return the exact texel value. Scalars in, scalar
-    (or (C,)) out; arrays in, arrays out. Each channel is interpolated
-    on its own, from flat gathers of the four corners.
+    The texel at flat pixel ``i`` is ``shades[tri]`` with ``tri`` from
+    ``frame.lookup``, which gives -1, the black row, where no surface
+    is; each channel is interpolated on its own.
     """
-    table = np.asarray(shades, dtype=np.float64)
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    h, w = index.shape
-    if np.any((u < 0) | (u > w - 1) | (v < 0) | (v > h - 1)):
-        raise ValueError("sample coordinates outside the image domain")
+    w, h = frame.intrinsics.width, frame.intrinsics.height
     x0 = np.minimum(np.floor(u), w - 2).astype(np.int64) if w > 1 else np.zeros(len(u), np.int64)
     y0 = np.minimum(np.floor(v), h - 2).astype(np.int64) if h > 1 else np.zeros(len(v), np.int64)
     fx = u - x0
@@ -48,15 +43,14 @@ def bilinear_sample(index: np.ndarray, shades: np.ndarray, u, v):
     gx, gy = 1 - fx, 1 - fy
     # flat corner offsets; an image 1 pixel wide or high repeats its edge
     dx, dy = int(w > 1), w if h > 1 else 0
-    flat = index.ravel()
     corner = y0 * w + x0
-    i00, i01, i10, i11 = flat[corner], flat[corner + dx], flat[corner + dy], flat[corner + (dx + dy)]
-    rows = np.atleast_2d(np.ascontiguousarray(table.T))
+    corners = np.concatenate([corner, corner + dx, corner + dy, corner + (dx + dy)])
+    i00, i01, i10, i11 = frame.lookup(corners, frame.covered_tri, -1).reshape(4, -1)
+    rows = np.ascontiguousarray(frame.shades.T)
     out = np.empty((len(rows), len(u)))
     for t, o in zip(rows, out):
         o[:] = t[i00] * gx * gy + t[i01] * fx * gy + t[i10] * gx * fy + t[i11] * fx * fy
-    out = out.T if table.ndim == 2 else out[0]
-    return out[0] if scalar else out
+    return out.T
 
 
 def _frame_projection(positions, frame, occlusion_check, depth_sigma):
@@ -72,8 +66,8 @@ def _frame_projection(positions, frame, occlusion_check, depth_sigma):
     idx = np.flatnonzero(ok)
     u, v = u[idx], v[idx]
     if occlusion_check:
-        depth = frame.depth
-        rendered = depth.ravel()[np.rint(v).astype(np.int64) * depth.shape[1] + np.rint(u).astype(np.int64)]
+        nearest = np.rint(v).astype(np.int64) * intr.width + np.rint(u).astype(np.int64)
+        rendered = frame.lookup(nearest, frame.covered_depth, 0.0)
         seen = (rendered <= 0) | (z[idx] <= rendered + max(3.0 * depth_sigma, 0.01))
         idx, u, v = idx[seen], u[seen], v[seen]
     return idx, u, v
@@ -88,7 +82,8 @@ def aggregate_cloud(
     """Batch mean/variance/valid-count aggregation for a whole cloud.
 
     Samples each frame's colour at the points it sees, once per
-    point-view, and reduces the samples with :func:`reduce_views`.
+    point-view, from the frame's covered pixels, and reduces the samples
+    with :func:`reduce_views`.
     Returns ``(means, variances, valid_counts)`` with shapes (N, C),
     (N, C), (N,).
     """
@@ -98,7 +93,7 @@ def aggregate_cloud(
     for frame in frames:
         idx, u, v = _frame_projection(positions, frame, occlusion_check, depth_sigma)
         if len(idx):
-            views.append((idx, bilinear_sample(frame.tri_index, frame.shades, u, v)))
+            views.append((idx, _sample_colors(frame, u, v)))
     return reduce_views(views, len(positions), channels)
 
 

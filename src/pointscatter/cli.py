@@ -10,8 +10,9 @@ writes from its flags, holds the cameras, noise and outlier rate; the
 config file (``--config``) holds the seed, the keyframe budget and every
 other method setting. ``run --detector`` is the one override.
 
-Exit codes: 0 success, 1 bad configuration, input files or command line
-(an unknown flag too), 2 stage failure inside the pipeline.
+Exit codes: 0 success, 1 bad configuration, input files, output paths
+or command line (an unknown flag too), 2 stage failure inside the
+pipeline.
 """
 
 from __future__ import annotations
@@ -69,8 +70,21 @@ def _cmd_gen_scene(args) -> int:
     return 0
 
 
+def _check_output_dir(path, flag: str) -> None:
+    """A config error unless ``path`` is a directory or can be made one:
+    the nearest of it and its parents that exists must be a directory."""
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{flag} {path}: {existing} is not a directory")
+
+
 def _cmd_run(args) -> int:
     config, scene = _load_inputs(args)
+    # both output paths are checked before any stage runs, so a bad one
+    # writes nothing
+    _check_output_dir(args.out, "--out")
+    if args.images:
+        _check_output_dir(args.images, "--images")
     result = run_pipeline(scene, config, output_dir=args.out)
     mean = result.report["mean"]
     for key in sorted(mean):

@@ -1,6 +1,7 @@
 """Depth-map point scattering with stride sampling and exact radius dedup.
 
-Points are back-projected from strided pixels inside GT 2D boxes. The
+Points are back-projected from strided pixels inside GT 2D boxes, read
+from the pixels each frame covers, never from a dense depth map. The
 pixel stride adapts to object distance (``round(f * radius / depth)``)
 so the world-space spacing of fresh samples roughly matches ``radius``.
 Each box takes its own stride, and the pixels of all a frame's boxes
@@ -147,44 +148,62 @@ class ScatterAccumulator:
         return len(accepted)
 
     def _candidates(self, frame: CameraFrame, fid: int) -> ScatterCloud:
-        """Strided valid-depth pixels of every box, in box and raster order.
+        """Strided covered pixels of every box, in box and raster order.
 
-        Each box takes its stride from the median valid depth inside it;
-        the pixels of all boxes are then back-projected in one call.
+        The box's pixels in each of its rows are one run of the frame's
+        ascending covered pixels, found by binary search; all of them
+        give the median depth that sets the stride, and the stride keeps
+        every ``stride``-th row and column counted from the box's
+        corner. The pixels of all boxes are then back-projected in one
+        call.
         """
-        depth = frame.depth
         intr = frame.intrinsics
+        w, covered = intr.width, frame.covered
         empty = np.zeros(0, dtype=np.int64)
-        us, vs, cats = [empty], [empty], [empty]
+        picks, cats = [empty], [empty]
         for box in frame.boxes_2d:
             u0 = max(0, math.ceil(box.u_min))
             v0 = max(0, math.ceil(box.v_min))
-            u1 = min(intr.width - 1, math.floor(box.u_max))
+            u1 = min(w - 1, math.floor(box.u_max))
             v1 = min(intr.height - 1, math.floor(box.v_max))
             if u1 < u0 or v1 < v0:
                 continue
-            region = depth[v0 : v1 + 1, u0 : u1 + 1]
-            valid = region > 0
-            if not valid.any():
+            # keys of covered's dtype, so that the search casts no copy of it
+            rows = np.arange(v0, v1 + 1, dtype=covered.dtype) * w
+            lo = np.searchsorted(covered, rows + u0)
+            hi = np.searchsorted(covered, rows + (u1 + 1))
+            pick = _runs(lo, hi)
+            if not len(pick):
                 continue
-            stride = box_sampling_stride(intr.fx, self.config.radius, _median(region[valid]))
-            # nonzero walks the strided block in raster order
-            rows, cols = np.nonzero(valid[::stride, ::stride])
-            us.append(u0 + stride * cols)
-            vs.append(v0 + stride * rows)
-            cats.append(np.full(len(rows), box.category, dtype=np.int64))
-        uu, vv = np.concatenate(us), np.concatenate(vs)
+            stride = box_sampling_stride(intr.fx, self.config.radius, _median(frame.covered_depth[pick]))
+            if stride > 1:
+                lo, hi = lo[::stride], hi[::stride]
+                pick = _runs(lo, hi)
+                u = covered[pick] - np.repeat(rows[::stride], hi - lo)
+                pick = pick[(u - u0) % stride == 0]
+            picks.append(pick)
+            cats.append(np.full(len(pick), box.category, dtype=np.int64))
+        pick = np.concatenate(picks)
+        vv = covered[pick] // w
+        uu = covered[pick] - vv * w
         pixels = np.stack([uu, vv], axis=1).astype(np.float64)
-        world = backproject_pixels(pixels[:, 0], pixels[:, 1], depth[vv, uu], intr, frame.pose)
+        world = backproject_pixels(pixels[:, 0], pixels[:, 1], frame.covered_depth[pick], intr, frame.pose)
         return ScatterCloud(
             positions=world,
-            frame_ids=np.full(len(uu), fid, dtype=np.int64),
+            frame_ids=np.full(len(pick), fid, dtype=np.int64),
             pixels=pixels,
             categories=np.concatenate(cats),
         )
 
     def cloud(self) -> ScatterCloud:
         return _concatenate([empty_cloud(), *self._frames])
+
+
+def _runs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The runs ``lo[i], ..., hi[i] - 1`` of every ``i``, concatenated in order."""
+    n = hi - lo
+    ends = np.cumsum(n)
+    return np.arange(ends[-1]) - np.repeat(ends - n - lo, n)
 
 
 def _concatenate(clouds: list[ScatterCloud]) -> ScatterCloud:

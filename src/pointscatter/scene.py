@@ -5,13 +5,15 @@ of pinhole cameras. Rendering casts one ray per pixel center and keeps
 the nearest ray-triangle intersection; depth maps store camera-frame z
 (0 marks no hit). Every triangle has one flat color, its Lambert-shaded
 albedo under a single fixed directional light plus an ambient term, so
-a view's color is stored as an (H, W) int32 map of the triangle hit at
-each pixel (-1 marks no hit) plus the scene's (T+1, 3) shade table,
-whose last, black row is what -1 picks; ``CameraFrame.color`` builds
-the RGB image from the two on demand. The triangle stack, its owning
-objects and the shade table depend only on the scene, so each scene
-builds them once (``SceneSpec.geometry``) and every view, GT box
-projection and surface sample shares them. Each triangle is tested
+a view's color is the triangle hit at each pixel (-1 marks no hit)
+plus the scene's (T+1, 3) shade table, whose last, black row is what -1
+picks. A ``CameraFrame`` keeps only the pixels its view covers, with
+the depth and triangle index at each; ``CameraFrame.depth``,
+``tri_index`` and ``color`` build the dense maps and the RGB image on
+demand. The triangle stack, its owning objects and the shade table
+depend only on the scene, so each scene builds them once
+(``SceneSpec.geometry``) and every view, GT box projection and surface
+sample shares them. Each triangle is tested
 only against the rays inside its projected bounding box, widened by one
 pixel and clipped to the image; a triangle with a vertex at or behind
 the camera plane is tested against every ray. Every object is a closed,
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -141,26 +143,85 @@ class Box2D:
 
 @dataclass(frozen=True, eq=False)
 class CameraFrame:
-    """One rendered view: perturbed depth, color as a triangle-index map
-    into a shade table, GT 2D boxes.
+    """One rendered view, stored as the pixels it covers, and its GT 2D
+    boxes.
 
-    ``tri_index`` is the (H, W) index of the triangle seen at each pixel,
-    -1 where none; ``shades`` is the (T+1, 3) color per triangle with a
-    black last row, which index -1 picks.
+    ``covered`` holds the ascending int32 flat indices ``v * W + u`` of
+    the pixels where the caster hit a triangle, ``covered_depth`` the
+    perturbed depth and ``covered_tri`` the int32 triangle index at
+    each. A perturbed depth is > 0 exactly there, so these are also the
+    pixels of valid depth; the rest of the image is held by no array.
+    ``shades`` is the (T+1, 3) color per triangle with a black last row,
+    which index -1 picks. The dense maps are built on each access, for
+    writers and checks; the stages read the covered pixels directly or
+    through :meth:`lookup`.
+
+    For :meth:`lookup`, each frame derives a rank directory from
+    ``covered`` (Jacobson, 1989): one bit per pixel, set where it is
+    covered, in 64-bit words, and per word the position in ``covered``
+    of the last covered pixel before it, 16 bytes per 64 pixels in all.
+    A covered pixel's position is its word's entry plus the set bits at
+    and below its own.
     """
 
     camera_index: int
     intrinsics: Intrinsics
     pose: Pose
-    depth: np.ndarray
-    tri_index: np.ndarray
+    covered: np.ndarray
+    covered_depth: np.ndarray
+    covered_tri: np.ndarray
     shades: np.ndarray
     boxes_2d: tuple[Box2D, ...]
+    _words: np.ndarray = field(init=False, repr=False)
+    _last: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mask = np.zeros(-(-self.intrinsics.width * self.intrinsics.height // 64) * 64, dtype=bool)
+        mask[self.covered] = True
+        words = np.packbits(mask, bitorder="little").view("<u8")
+        last = np.full(len(words), -1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(words[:-1]), out=last[1:])
+        last[1:] -= 1
+        object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_last", last)
+
+    def _dense(self, values: np.ndarray, fill) -> np.ndarray:
+        intr = self.intrinsics
+        out = np.full(intr.height * intr.width, fill, dtype=values.dtype)
+        out[self.covered] = values
+        return out.reshape(intr.height, intr.width)
+
+    @property
+    def depth(self) -> np.ndarray:
+        """(H, W) perturbed depth map, 0 where no surface, built on each access."""
+        return self._dense(self.covered_depth, 0.0)
+
+    @property
+    def tri_index(self) -> np.ndarray:
+        """(H, W) int32 triangle-index map, -1 where none, built on each access."""
+        return self._dense(self.covered_tri, -1)
 
     @property
     def color(self) -> np.ndarray:
         """(H, W, 3) shaded color image in [0, 1], built on each access."""
         return np.take(self.shades, self.tri_index, axis=0)
+
+    def lookup(self, flat: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
+        """``values`` (``covered_depth`` or ``covered_tri``) at integer flat
+        pixel indices inside the image, ``fill`` where the frame covers
+        no surface. A fixed number of array passes over the indices,
+        through the rank directory, so the cost follows the indices, not
+        the image size."""
+        flat = np.asarray(flat, dtype=np.int64)
+        if not len(values):
+            return np.full(len(flat), fill, dtype=values.dtype)
+        word = flat >> 6
+        # the word's bits at and below the pixel's, moved to the top
+        upto = self._words[word] << (~flat & 63).view(np.uint64)
+        # where in covered the last covered pixel at or before the pixel
+        # is, -1 for none; the pixel itself exactly when its bit is set
+        pos = self._last[word] + np.bitwise_count(upto)
+        return np.where(upto >= np.uint64(1 << 63), values[pos], fill)
 
 
 def _screen_boxes(projection, intrinsics: Intrinsics):
@@ -413,29 +474,28 @@ def render(scene: SceneSpec, camera_index: int) -> tuple[np.ndarray, np.ndarray,
     return depth, tri_index, scene.geometry.shades
 
 
-def perturb_depth(depth, sigma, outlier_rate, rng, depth_range) -> np.ndarray:
-    """Add Gaussian noise and uniform outliers to the valid pixels.
+def perturb_depth(values, pixels, size: int, sigma, outlier_rate, rng, depth_range) -> np.ndarray:
+    """Add Gaussian noise and uniform outliers to the valid depths of an
+    image of ``size`` pixels.
 
-    Valid (non-zero) depths get ``N(0, sigma^2)`` noise and are clipped
+    ``values`` are the depths at the valid pixels, whose flat indices
+    are ``pixels``. Each gets ``N(0, sigma^2)`` noise and is clipped
     into ``depth_range``; a fraction ``outlier_rate`` of them is instead
-    replaced by a uniform draw from ``depth_range``. Invalid pixels stay
-    0. The rng draws the noise only when ``sigma > 0`` and the outlier
-    mask and uniform values only when ``outlier_rate > 0``, each over the
-    whole image regardless of validity, so equal seeds give equal
-    results.
+    replaced by a uniform draw from ``depth_range``. Returns the
+    perturbed values, all in the range. The rng draws the noise only
+    when ``sigma > 0`` and the outlier mask and uniform values only when
+    ``outlier_rate > 0``, each over the whole image regardless of
+    validity and read at ``pixels``, so equal seeds give equal results
+    and each value has the bits it gets in the whole image.
     """
-    d = np.asarray(depth, dtype=np.float64)
+    d = np.asarray(values, dtype=np.float64)
     lo, hi = float(depth_range[0]), float(depth_range[1])
     if not hi > lo > 0:
         raise ValueError(f"bad depth range [{lo}, {hi}]")
-    valid = d > 0
-    # with sigma 0, d + 0.0 would differ from d only at -0.0, an invalid
-    # pixel that is zeroed below
-    out = np.clip(d + rng.normal(0.0, sigma, size=d.shape) if sigma > 0 else d, lo, hi)
+    out = np.clip(d + rng.normal(0.0, sigma, size=size)[pixels] if sigma > 0 else d, lo, hi)
     if outlier_rate > 0:
-        outlier_mask = rng.random(d.shape) < outlier_rate
-        out = np.where(outlier_mask, rng.uniform(lo, hi, size=d.shape), out)
-    out[~valid] = 0.0
+        outlier_mask = (rng.random(size) < outlier_rate)[pixels]
+        out = np.where(outlier_mask, rng.uniform(lo, hi, size=size)[pixels], out)
     return out
 
 
@@ -477,21 +537,28 @@ def project_gt_boxes(scene: SceneSpec, camera_index: int, min_pixels: float = 16
 def make_frame(
     scene: SceneSpec, camera_index: int, rng: np.random.Generator, boxes_2d
 ) -> CameraFrame:
-    """Render one camera and apply the scene's depth perturbation within
-    the sensor's ``DEPTH_RANGE``.
+    """Render one camera, keep the pixels it covers and apply the
+    scene's depth perturbation to their depths, within the sensor's
+    ``DEPTH_RANGE``.
 
+    The dense maps of :func:`render` live only inside this call.
     ``boxes_2d`` are the camera's GT 2D boxes, as
     :func:`project_gt_boxes` returns them.
     """
     cam = scene.cameras[camera_index]
     depth, tri_index, shades = render(scene, camera_index)
-    depth = perturb_depth(depth, scene.depth_noise_sigma, scene.outlier_rate, rng, DEPTH_RANGE)
+    covered = np.flatnonzero(tri_index >= 0)
+    covered_depth = perturb_depth(
+        depth.ravel()[covered], covered, depth.size,
+        scene.depth_noise_sigma, scene.outlier_rate, rng, DEPTH_RANGE,
+    )
     return CameraFrame(
         camera_index=camera_index,
         intrinsics=cam.intrinsics,
         pose=cam.pose,
-        depth=depth,
-        tri_index=tri_index,
+        covered=covered.astype(np.int32),
+        covered_depth=covered_depth,
+        covered_tri=tri_index.ravel()[covered],
         shades=shades,
         boxes_2d=tuple(boxes_2d),
     )

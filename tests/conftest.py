@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 from pointscatter.aggregate import reduce_views
+from pointscatter.camera import look_at_pose
 from pointscatter.pipeline import stage_rng
+from pointscatter.scene import SceneCamera, demo_scene, make_frame, project_gt_boxes
 # the sensor's depth range, for the tests that take it from here
-from pointscatter.scene import DEPTH_RANGE, demo_scene, make_frame, project_gt_boxes  # noqa: F401
+from pointscatter.scene import DEPTH_RANGE  # noqa: F401
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -26,6 +29,15 @@ def render_all(scene):
         make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), project_gt_boxes(scene, i))
         for i in range(len(scene.cameras))
     ]
+
+
+def uncovered_frame(scene):
+    """A keyframe of ``scene`` from a camera 10 m out, looking away from
+    every object: it covers no pixel."""
+    cam = SceneCamera(scene.cameras[0].intrinsics, look_at_pose((10.0, 0.0, 1.0), (20.0, 0.0, 1.0)))
+    frame = make_frame(dataclasses.replace(scene, cameras=(cam,)), 0, np.random.default_rng(0), ())
+    assert frame.covered.shape == frame.covered_depth.shape == frame.covered_tri.shape == (0,)
+    return frame
 
 
 def reduce_rows(features, mask):

@@ -7,6 +7,7 @@ apart from plain data containers.
 """
 
 import math
+import types
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -444,6 +445,47 @@ def box_candidates(frame, fid, radius):
     return ScatterCloud(*(np.concatenate([getattr(c, name) for c in parts]) for name in columns))
 
 
+def dense_candidates(frame, fid, radius):
+    """Scatter candidates of one frame, read from its dense depth map.
+
+    The scatter stage's candidate builder as it was when frames held
+    (H, W) maps: each box's region of ``frame.depth`` is masked by
+    valid depth, strided with ``[::stride, ::stride]`` and walked by
+    ``nonzero`` in raster order; the pixels of all boxes are
+    back-projected in one call. The package's builder over the covered
+    pixels must give the same bits.
+    """
+    depth = frame.depth
+    intr = frame.intrinsics
+    empty = np.zeros(0, dtype=np.int64)
+    us, vs, cats = [empty], [empty], [empty]
+    for box in frame.boxes_2d:
+        u0 = max(0, math.ceil(box.u_min))
+        v0 = max(0, math.ceil(box.v_min))
+        u1 = min(intr.width - 1, math.floor(box.u_max))
+        v1 = min(intr.height - 1, math.floor(box.v_max))
+        if u1 < u0 or v1 < v0:
+            continue
+        region = depth[v0 : v1 + 1, u0 : u1 + 1]
+        valid = region > 0
+        if not valid.any():
+            continue
+        stride = box_sampling_stride(intr.fx, radius, float(np.median(region[valid])))
+        rows, cols = np.nonzero(valid[::stride, ::stride])
+        us.append(u0 + stride * cols)
+        vs.append(v0 + stride * rows)
+        cats.append(np.full(len(rows), box.category, dtype=np.int64))
+    uu, vv = np.concatenate(us), np.concatenate(vs)
+    pixels = np.stack([uu, vv], axis=1).astype(np.float64)
+    world = backproject_pixels(pixels[:, 0], pixels[:, 1], depth[vv, uu], intr, frame.pose)
+    return ScatterCloud(
+        positions=world,
+        frame_ids=np.full(len(uu), fid, dtype=np.int64),
+        pixels=pixels,
+        categories=np.concatenate(cats),
+    )
+
+
 class HashGridAccumulator:
     """The scatter accumulator before vectorized dedup: one hash-grid
     scan per candidate of :func:`box_candidates`, in box and raster
@@ -531,6 +573,16 @@ def unpack_index(key):
     ix, rest = divmod(int(key), 2**42)
     iy, iz = divmod(rest, 2**21)
     return ix - 2**20, iy - 2**20, iz - 2**20
+
+
+def dense_frame(frame):
+    """The frame as frames were before they kept only their covered
+    pixels: its dense ``depth``, ``tri_index`` and ``color`` built once
+    and held as plain attributes. The per-point oracles read them once
+    per point, which a frame that builds them on each access makes slow.
+    """
+    fields = ("camera_index", "intrinsics", "pose", "shades", "boxes_2d", "depth", "tri_index", "color")
+    return types.SimpleNamespace(**{name: getattr(frame, name) for name in fields})
 
 
 def _tent_sample(image, u, v):
@@ -703,6 +755,81 @@ def aggregate_cloud(
         ok, uv, _ = _frame_projection(positions, frame, occlusion_check, depth_sigma)
         if ok.any():
             views.append((np.flatnonzero(ok), bilinear_sample(frame.color, uv[ok, 0], uv[ok, 1])))
+    return reduce_views(views, len(positions), channels)
+
+
+def palette_sample(index: np.ndarray, shades: np.ndarray, u, v):
+    """Bilinear interpolation of a palette image.
+
+    The package's sampler as it was when frames held an (H, W) triangle
+    index map: the texel at row ``y``, column ``x`` is
+    ``shades[index[y, x]]``, where ``index`` is an (H, W) integer map into
+    ``shades``, a (K,) or (K, C) table. ``u`` and ``v`` are continuous
+    pixel coordinates (pixel centers at integers) and must lie inside
+    ``[0, W-1] x [0, H-1]``; integer coordinates return the exact texel
+    value. Scalars in, scalar (or (C,)) out; arrays in, arrays out. Each
+    channel is interpolated on its own, from flat gathers of the four
+    corners.
+    """
+    table = np.asarray(shades, dtype=np.float64)
+    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    h, w = index.shape
+    if np.any((u < 0) | (u > w - 1) | (v < 0) | (v > h - 1)):
+        raise ValueError("sample coordinates outside the image domain")
+    x0 = np.minimum(np.floor(u), w - 2).astype(np.int64) if w > 1 else np.zeros(len(u), np.int64)
+    y0 = np.minimum(np.floor(v), h - 2).astype(np.int64) if h > 1 else np.zeros(len(v), np.int64)
+    fx = u - x0
+    fy = v - y0
+    gx, gy = 1 - fx, 1 - fy
+    # flat corner offsets; an image 1 pixel wide or high repeats its edge
+    dx, dy = int(w > 1), w if h > 1 else 0
+    flat = index.ravel()
+    corner = y0 * w + x0
+    i00, i01, i10, i11 = flat[corner], flat[corner + dx], flat[corner + dy], flat[corner + (dx + dy)]
+    rows = np.atleast_2d(np.ascontiguousarray(table.T))
+    out = np.empty((len(rows), len(u)))
+    for t, o in zip(rows, out):
+        o[:] = t[i00] * gx * gy + t[i01] * fx * gy + t[i10] * gx * fy + t[i11] * fx * fy
+    out = out.T if table.ndim == 2 else out[0]
+    return out[0] if scalar else out
+
+
+def _dense_frame_projection(positions, frame, occlusion_check, depth_sigma):
+    """``(idx, u, v)`` of the points one frame sees, with the nearest
+    pixel's depth read from the dense ``frame.depth``: the package's
+    projection as it was when frames held (H, W) maps."""
+    intr = frame.intrinsics
+    x, y, z = frame.pose.world_to_camera(positions).T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = intr.fx * x / z + intr.cx
+        v = intr.fy * y / z + intr.cy
+    ok = (z > BEHIND_CAMERA_EPS) & (u >= 0) & (u <= intr.width - 1) & (v >= 0) & (v <= intr.height - 1)
+    idx = np.flatnonzero(ok)
+    u, v = u[idx], v[idx]
+    if occlusion_check:
+        depth = frame.depth
+        rendered = depth.ravel()[np.rint(v).astype(np.int64) * depth.shape[1] + np.rint(u).astype(np.int64)]
+        seen = (rendered <= 0) | (z[idx] <= rendered + max(3.0 * depth_sigma, 0.01))
+        idx, u, v = idx[seen], u[seen], v[seen]
+    return idx, u, v
+
+
+def dense_aggregate_cloud(cloud, frames, occlusion_check=False, depth_sigma=0.0):
+    """``aggregate_cloud`` as it was when frames held (H, W) maps: the
+    nearest pixel's depth from ``frame.depth`` and the four corners'
+    triangles from ``frame.tri_index``, through :func:`palette_sample`.
+    The package, which looks both up among the covered pixels, must
+    give the same bits. Returns ``(means, variances, valid_counts)``.
+    """
+    positions = cloud.positions
+    channels = frames[0].shades.shape[1] if frames else 0
+    views = []
+    for frame in frames:
+        idx, u, v = _dense_frame_projection(positions, frame, occlusion_check, depth_sigma)
+        if len(idx):
+            views.append((idx, palette_sample(frame.tri_index, frame.shades, u, v)))
     return reduce_views(views, len(positions), channels)
 
 

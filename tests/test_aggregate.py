@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_perfbench, reduce_rows
+from conftest import load_perfbench, reduce_rows, uncovered_frame
 import oracles
 from oracles import aggregate_point, append_onehot, project_point_views
-from pointscatter.aggregate import aggregate_cloud, bilinear_sample, compose_features, reduce_views
+from pointscatter import aggregate
+from pointscatter.aggregate import aggregate_cloud, compose_features, reduce_views
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose, look_at_pose, project_points
 from pointscatter.pipeline import run_front
@@ -41,27 +42,50 @@ RAMP = np.stack(
 
 
 def flat_frame(translation, rotation=None):
-    """Synthetic palette frame whose color image is RAMP, with empty depth:
-    every pixel indexes its own row of the shade table."""
+    """Synthetic palette frame whose color image is RAMP: every pixel is
+    covered, at a depth of 100 beyond every test point, and indexes its
+    own row of the shade table."""
     rot = np.eye(3) if rotation is None else rotation
     pose = Pose(rot, np.asarray(translation, dtype=np.float64))
     return CameraFrame(
         camera_index=0,
         intrinsics=TINY,
         pose=pose,
-        depth=np.zeros((5, 5)),
-        tri_index=np.arange(25).reshape(5, 5),
+        covered=np.arange(25),
+        covered_depth=np.full(25, 100.0),
+        covered_tri=np.arange(25, dtype=np.int32),
         shades=RAMP.reshape(-1, 3),
         boxes_2d=(),
     )
 
 
 def sample_image(image, u, v):
-    """``bilinear_sample`` of a plain (H, W) or (H, W, C) image, as a
-    palette image in which every pixel indexes its own shade."""
+    """``aggregate._sample_colors`` on a frame whose color image is the
+    plain (H, W) or (H, W, C) ``image``: every pixel is covered and
+    indexes its own row of the shade table. Scalars in, scalar (or (C,))
+    out. The samples must have the bits of ``oracles.palette_sample`` on
+    the same palette image."""
     img = np.asarray(image, dtype=np.float64)
     h, w = img.shape[:2]
-    return bilinear_sample(np.arange(h * w).reshape(h, w), img.reshape(h * w, *img.shape[2:]), u, v)
+    shades = img.reshape(h * w, -1)
+    frame = CameraFrame(
+        camera_index=0,
+        intrinsics=Intrinsics(1.0, 1.0, 0.0, 0.0, w, h),
+        pose=Pose.identity(),
+        covered=np.arange(h * w, dtype=np.int32),
+        covered_depth=np.ones(h * w),
+        covered_tri=np.arange(h * w, dtype=np.int32),
+        shades=shades,
+        boxes_2d=(),
+    )
+    got = aggregate._sample_colors(frame, np.atleast_1d(u), np.atleast_1d(v))
+    want = oracles.palette_sample(np.arange(h * w).reshape(h, w), shades, u, v)
+    if img.ndim == 2:
+        got = got[:, 0]
+    if np.ndim(u) == 0:
+        got = got[0]
+    assert got.tobytes() == np.reshape(want, np.shape(got)).tobytes()
+    return got
 
 
 def as_cloud(positions):
@@ -128,24 +152,35 @@ class TestBilinearSample:
         np.testing.assert_array_equal(batch, single)
 
     def test_out_of_bounds_rejected(self):
+        # the package's sampler takes only the coordinates that
+        # _frame_projection kept inside the image (TestProjectionSet);
+        # the oracle rejects the others itself
         img = np.zeros((2, 2))
         for u, v in [(-0.01, 0.0), (1.01, 0.0), (0.0, -0.01), (0.0, 1.01)]:
             with pytest.raises(ValueError):
-                sample_image(img, u, v)
+                oracles.palette_sample(np.arange(4).reshape(2, 2), img.ravel(), u, v)
 
     def test_single_column_image(self):
         img = np.array([[4.0], [5.0], [6.0]])
         assert sample_image(img, 0.0, 1.5) == pytest.approx(5.5, abs=1e-15)
 
+    def test_single_row_image(self):
+        img = np.array([[4.0, 5.0, 6.0]])
+        assert sample_image(img, 1.5, 0.0) == pytest.approx(5.5, abs=1e-15)
+
+    def test_single_pixel_image(self):
+        assert sample_image(np.array([[[0.25, 0.5, 1.0]]]), 0.0, 0.0).tolist() == [0.25, 0.5, 1.0]
+
     def test_palette_matches_image_oracle(self, clean_frames):
-        # the palette gather gives the bits of the image sampler on the
+        # the package's sampler, which looks the corners up among the
+        # covered pixels, gives the bits of the image sampler on the
         # frame's color image, at integer, edge and interior coordinates
         rng = np.random.default_rng(3)
         for frame in clean_frames[::4]:
             w, h = frame.intrinsics.width, frame.intrinsics.height
             u = np.concatenate([rng.uniform(0.0, w - 1, 200), [0.0, w - 1.0, 7.0, 0.0]])
             v = np.concatenate([rng.uniform(0.0, h - 1, 200), [0.0, h - 1.0, 5.0, h - 1.0]])
-            got = bilinear_sample(frame.tri_index, frame.shades, u, v)
+            got = aggregate._sample_colors(frame, u, v)
             assert got.tobytes() == oracles.bilinear_sample(frame.color, u, v).tobytes()
 
 
@@ -305,13 +340,14 @@ class TestAggregatePointAndCloud:
     def test_cloud_matches_per_point(self, clean_frames):
         rng = np.random.default_rng(5)
         pts = rng.uniform([-0.8, -0.8, 0.0], [0.8, 0.8, 1.0], size=(32, 3))
+        dense = [oracles.dense_frame(f) for f in clean_frames]
         for occlusion_check, depth_sigma in [(False, 0.0), (True, 0.0), (True, 0.05)]:
             means, variances, counts = aggregate_cloud(
                 as_cloud(pts), clean_frames, occlusion_check, depth_sigma
             )
             for k, p in enumerate(pts):
                 mean, variance, valid = aggregate_point(
-                    p, clean_frames, occlusion_check, depth_sigma
+                    p, dense, occlusion_check, depth_sigma
                 )
                 assert counts[k] == valid
                 np.testing.assert_allclose(means[k], mean, atol=1e-12)
@@ -340,8 +376,9 @@ class TestAggregatePointAndCloud:
         sigma = scene.depth_noise_sigma
         cloud = scatter_frames(frames, ScatterConfig())
         counts = aggregate_cloud(cloud, frames, occlusion_check, sigma)[2]
+        dense = [oracles.dense_frame(f) for f in frames]
         ref = [
-            int(oracles.point_view_mask(p, frames, occlusion_check, sigma)[0].sum())
+            int(oracles.point_view_mask(p, dense, occlusion_check, sigma)[0].sum())
             for p in cloud.positions
         ]
         np.testing.assert_array_equal(counts, ref)
@@ -421,11 +458,48 @@ class TestAggregatePointAndCloud:
         np.testing.assert_array_equal(got[1][2], 0.0)
         np.testing.assert_array_equal(got[0][5], 0.0)
 
+    @pytest.mark.parametrize("occlusion_check", [False, True])
+    def test_frames_covering_no_pixel(self, clean_scene, clean_frames, occlusion_check):
+        # a camera looking away covers no pixel and sees no point; a frame
+        # with a real pose but nothing covered sees every point in its
+        # image, over background, so lookups into an empty covered list
+        # give depth 0 and the black row
+        away = uncovered_frame(clean_scene)
+        bare = dataclasses.replace(
+            clean_frames[2],
+            covered=away.covered,
+            covered_depth=away.covered_depth,
+            covered_tri=away.covered_tri,
+        )
+        cloud = scatter_frames(clean_frames[:4], ScatterConfig())
+        frames = [away, clean_frames[0], bare, away]
+        got = aggregate_cloud(cloud, frames, occlusion_check)
+        assert_same_bytes(got, oracles.dense_aggregate_cloud(cloud, frames, occlusion_check))
+        assert not aggregate_cloud(cloud, [away], occlusion_check)[2].any()
+        means, _, counts = aggregate_cloud(cloud, [bare], occlusion_check)
+        assert counts.sum() > 0 and not means.any()
+
     def test_empty_frame_list(self):
         means, variances, counts = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), [])
         assert means.shape == (1, 0)
         assert variances.shape == (1, 0)
         np.testing.assert_array_equal(counts, [0])
+
+
+class TestDenseMapOracle:
+    """Depth and triangle lookups among the covered pixels give the bits
+    of the dense (H, W) maps they replaced."""
+
+    @pytest.mark.parametrize("seed", [11, 29])
+    @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
+    def test_workload_aggregation(self, name, seed):
+        scene, config = load_perfbench("workloads").build(name, seed, reduced=True)
+        _, frames, cloud = run_front(scene, config)
+        sigma = scene.depth_noise_sigma
+        for occlusion_check in (False, True):
+            got = aggregate_cloud(cloud, frames, occlusion_check, sigma)
+            assert got[2].sum() > len(cloud)
+            assert_same_bytes(got, oracles.dense_aggregate_cloud(cloud, frames, occlusion_check, sigma))
 
 
 def occluder_frame():

@@ -527,6 +527,24 @@ class TestCliExitCodes:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--images"])
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_output_path_through_a_file_is_config_error(self, tmp_path, capsys, flag, nested):
+        # checked before the first stage: exit 1 naming the flag, nothing written
+        scene_path = tmp_path / "scene.json"
+        assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0
+        blocker = tmp_path / "afile"
+        blocker.write_text("x")
+        bad = blocker / "sub" if nested else blocker
+        paths = {"--out": tmp_path / "out", "--images": tmp_path / "imgs", flag: bad}
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["run", str(scene_path), "--out", str(paths["--out"]), "--images", str(paths["--images"])]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "x"
+
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"
         assert cli.main(["gen-scene", str(scene_path), "--steps", "6"]) == 0

@@ -13,6 +13,7 @@ from oracles import (
     SpatialHashGrid,
     box_candidates,
     brute_nn_distances,
+    dense_candidates,
     point_mesh_distance,
 )
 from pointscatter import scatter
@@ -36,8 +37,9 @@ from pointscatter.scene import (
 )
 from pointscatter.camera import Intrinsics, Pose, look_at_pose
 from pointscatter.boxes import OrientedBox
+from pointscatter.pipeline import run_front
 
-from conftest import render_all
+from conftest import load_perfbench, render_all, uncovered_frame
 
 
 def noiseless_frame(scene, index=0):
@@ -150,8 +152,13 @@ class TestMatchesHashGridOracle:
             frames.append(dataclasses.replace(frame, boxes_2d=(b, *frame.boxes_2d, shifted)))
         self.assert_matches(frames, ScatterConfig(radius=0.04))
 
-    def test_frames_without_valid_depth(self, clean_frames):
-        blank = dataclasses.replace(clean_frames[1], depth=np.zeros_like(clean_frames[1].depth))
+    def test_frames_without_valid_depth(self, clean_scene, clean_frames):
+        # a camera looking away covers no pixel; given another frame's
+        # boxes, each box's rows are an empty slice of nothing
+        blank = dataclasses.replace(uncovered_frame(clean_scene), boxes_2d=clean_frames[1].boxes_2d)
+        assert len(blank.boxes_2d) > 0 and len(blank.covered) == 0
+        acc = ScatterAccumulator(ScatterConfig(radius=0.04))
+        assert len(acc._candidates(blank, 1)) == 0
         no_boxes = dataclasses.replace(clean_frames[2], boxes_2d=())
         frames = [blank, clean_frames[0], no_boxes, blank, clean_frames[3]]
         self.assert_matches(frames, ScatterConfig(radius=0.04))
@@ -223,6 +230,38 @@ class TestCandidatesMatchOracle:
         self.assert_matches(frames)
         acc = ScatterAccumulator(ScatterConfig(radius=0.04))
         assert len(acc._candidates(frames[1], 0)) == len(acc._candidates(frames[2], 0)) == 0
+
+
+class TestDenseMapOracle:
+    """Candidates read from the covered pixels give the bits of those read
+    from the dense depth map, and so does the whole scattered cloud."""
+
+    @staticmethod
+    def assert_same_cloud(got, want):
+        for name in ("positions", "pixels", "frame_ids", "categories"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("radius", [0.01, 0.04, 0.08])
+    def test_noisy_demo_candidates(self, noisy_frames, radius):
+        acc = ScatterAccumulator(ScatterConfig(radius=radius))
+        for k, frame in enumerate(noisy_frames):
+            self.assert_same_cloud(acc._candidates(frame, k), dense_candidates(frame, k, radius))
+
+    @pytest.mark.parametrize("seed", [11, 29])
+    @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
+    def test_workload_cloud(self, name, seed, monkeypatch):
+        scene, config = load_perfbench("workloads").build(name, seed, reduced=True)
+        _, frames, _ = run_front(scene, config)
+        got = scatter_frames(frames, config.scatter)
+        assert len(got) > 100
+        monkeypatch.setattr(
+            ScatterAccumulator,
+            "_candidates",
+            lambda self, frame, fid: dense_candidates(frame, fid, self.config.radius),
+        )
+        self.assert_same_cloud(got, scatter_frames(frames, config.scatter))
 
 
 class TestNearAnyTies:

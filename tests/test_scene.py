@@ -12,6 +12,7 @@ from pointscatter import scene as scene_module
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose, backproject_pixels, look_at_pose, project_points
 from pointscatter.checks import ConfigError
+from pointscatter.pipeline import run_front, stage_rng
 from pointscatter.scene import (
     SceneCamera,
     SceneObject,
@@ -32,7 +33,7 @@ from pointscatter.scene import (
     select_keyframes,
 )
 
-from conftest import DEPTH_RANGE
+from conftest import DEPTH_RANGE, load_perfbench, uncovered_frame
 from oracles import (
     _scene_triangles as oracle_scene_triangles,
     cast_rays,
@@ -450,34 +451,46 @@ class TestBackFaceCulling:
         self.assert_matches(scene, [1, 2, 4, 5])
 
 
+def perturb_image(depth, sigma, outlier_rate, rng, depth_range):
+    """``perturb_depth`` over a dense image: its valid (> 0) pixels
+    perturbed, every other pixel 0."""
+    d = np.asarray(depth, dtype=np.float64)
+    valid = np.flatnonzero(d > 0)
+    out = np.zeros(d.shape)
+    out.ravel()[valid] = perturb_depth(
+        d.ravel()[valid], valid, d.size, sigma, outlier_rate, rng, depth_range
+    )
+    return out
+
+
 class TestPerturbDepth:
     def test_noiseless_identity(self):
         depth = np.full((20, 20), 2.0)
-        out = perturb_depth(depth, 0.0, 0.0, np.random.default_rng(0), DEPTH_RANGE)
+        out = perturb_image(depth, 0.0, 0.0, np.random.default_rng(0), DEPTH_RANGE)
         assert np.array_equal(out, depth)
 
     def test_gaussian_moments(self):
         depth = np.full((100, 100), 2.0)
-        out = perturb_depth(depth, 0.05, 0.0, np.random.default_rng(1), DEPTH_RANGE)
+        out = perturb_image(depth, 0.05, 0.0, np.random.default_rng(1), DEPTH_RANGE)
         # 3-sigma estimator bounds for 10^4 samples at sigma 0.05
         assert abs(out.mean() - 2.0) < 0.002
         assert abs(out.std() - 0.05) < 0.005
 
     def test_full_outlier_replacement(self):
         depth = np.full((100, 100), 2.0)
-        out = perturb_depth(depth, 0.0, 1.0, np.random.default_rng(2), DEPTH_RANGE)
+        out = perturb_image(depth, 0.0, 1.0, np.random.default_rng(2), DEPTH_RANGE)
         assert (out == 2.0).mean() < 0.01
         assert out.min() >= DEPTH_RANGE[0] and out.max() <= DEPTH_RANGE[1]
 
     def test_invalid_pixels_untouched(self):
         depth = np.full((50, 50), 3.0)
         depth[:10] = 0.0
-        out = perturb_depth(depth, 0.1, 0.5, np.random.default_rng(3), DEPTH_RANGE)
+        out = perturb_image(depth, 0.1, 0.5, np.random.default_rng(3), DEPTH_RANGE)
         assert not out[:10].any()
 
     def test_valid_pixels_clipped_to_range(self):
         depth = np.full((40, 40), 6.39)
-        out = perturb_depth(depth, 0.5, 0.0, np.random.default_rng(4), DEPTH_RANGE)
+        out = perturb_image(depth, 0.5, 0.0, np.random.default_rng(4), DEPTH_RANGE)
         assert out.max() <= DEPTH_RANGE[1] and out.min() >= DEPTH_RANGE[0]
 
     @pytest.mark.parametrize("shape", [(120, 160), (480, 640)])
@@ -490,7 +503,7 @@ class TestPerturbDepth:
         for image in (depth, np.zeros(shape)):
             for seed in range(3):
                 args = (image, sigma, outlier_rate)
-                got = perturb_depth(*args, np.random.default_rng(seed), DEPTH_RANGE)
+                got = perturb_image(*args, np.random.default_rng(seed), DEPTH_RANGE)
                 want = oracle_perturb_depth(*args, np.random.default_rng(seed), DEPTH_RANGE)
                 assert got.tobytes() == want.tobytes(), f"seed {seed}"
 
@@ -500,15 +513,15 @@ class TestPerturbDepth:
         depth = np.resize(np.array(special), (24, 30))
         for seed in range(3):
             args = (depth, 0.0, outlier_rate)
-            got = perturb_depth(*args, np.random.default_rng(seed), DEPTH_RANGE)
+            got = perturb_image(*args, np.random.default_rng(seed), DEPTH_RANGE)
             want = oracle_perturb_depth(*args, np.random.default_rng(seed), DEPTH_RANGE)
             assert got.tobytes() == want.tobytes(), f"seed {seed}"
         assert (np.signbit(depth) & (depth == 0)).any() and np.isnan(depth).any()
 
     def test_deterministic_given_generator_seed(self):
         depth = np.full((30, 30), 2.0)
-        a = perturb_depth(depth, 0.05, 0.1, np.random.default_rng(9), DEPTH_RANGE)
-        b = perturb_depth(depth, 0.05, 0.1, np.random.default_rng(9), DEPTH_RANGE)
+        a = perturb_image(depth, 0.05, 0.1, np.random.default_rng(9), DEPTH_RANGE)
+        b = perturb_image(depth, 0.05, 0.1, np.random.default_rng(9), DEPTH_RANGE)
         assert np.array_equal(a, b)
 
 
@@ -630,6 +643,13 @@ class TestSceneGeometry:
         assert len(clean_scene.geometry.triangles) == 36
 
 
+def held(a):
+    """Bytes an array keeps alive: a view keeps its whole base buffer."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
 class TestMakeFrame:
     def test_noiseless_surface_consistency(self, clean_scene, clean_frames):
         frame = clean_frames[0]
@@ -669,13 +689,6 @@ class TestMakeFrame:
         frame = make_frame(scene, 0, np.random.default_rng(0), ())
         arrays = [getattr(frame, f.name) for f in dataclasses.fields(frame)]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-
-        def held(a):
-            # a view keeps its whole base buffer alive
-            while isinstance(a.base, np.ndarray):
-                a = a.base
-            return a.nbytes
-
         assert sum(held(a) for a in arrays) <= 12 * HIRES.width * HIRES.height + held(frame.shades)
         assert not any(a.ndim == 3 and a.dtype.kind == "f" for a in arrays)
         assert frame.color.shape == (HIRES.height, HIRES.width, 3)
@@ -707,6 +720,77 @@ class TestMakeFrame:
         for frame in noisy_frames[:5]:
             valid = frame.depth[frame.depth > 0]
             assert valid.min() >= DEPTH_RANGE[0] and valid.max() <= DEPTH_RANGE[1]
+
+
+class TestDenseMapOracle:
+    """A frame keeps the covered pixels of the dense maps that render and
+    the dense perturbation oracle give, and rebuilds those maps bit for
+    bit."""
+
+    @pytest.mark.parametrize("seed", [11, 29])
+    @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
+    def test_workload_frames(self, name, seed):
+        scene, _ = load_perfbench("workloads").build(name, seed, reduced=True)
+        for i in range(len(scene.cameras)):
+            frame = make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), ())
+            depth, tri_index, _ = render(scene, i)
+            rng = stage_rng(scene.rng_seed, "perturb", i)
+            sigma, rate = scene.depth_noise_sigma, scene.outlier_rate
+            depth = oracle_perturb_depth(depth, sigma, rate, rng, DEPTH_RANGE)
+            for got, want in [(frame.depth, depth), (frame.tri_index, tri_index)]:
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), i
+                assert got.tobytes() == want.tobytes(), i
+            # the covered pixels are exactly those of valid depth
+            np.testing.assert_array_equal(frame.covered, np.flatnonzero(depth > 0))
+
+    def test_lookup_matches_dense_maps(self, noisy_frames):
+        rng = np.random.default_rng(5)
+        for frame in noisy_frames[::3]:
+            flat = rng.integers(0, frame.intrinsics.width * frame.intrinsics.height, 500)
+            flat = np.concatenate([flat, frame.covered[:3], frame.covered[-3:], [0]])
+            depth = frame.lookup(flat, frame.covered_depth, 0.0)
+            tri = frame.lookup(flat, frame.covered_tri, -1)
+            assert depth.tobytes() == frame.depth.ravel()[flat].tobytes()
+            assert tri.tobytes() == frame.tri_index.ravel()[flat].tobytes()
+
+    @pytest.mark.parametrize("count", [2, 501])
+    def test_lookup_takes_int32_indices(self, noisy_frames, count):
+        # frame.covered itself is int32; two indices are the case where a
+        # reinterpreting cast would broadcast instead of failing
+        frame = noisy_frames[0]
+        flat = np.concatenate([frame.covered[:1], np.arange(count - 1) * 37]).astype(np.int32)
+        for values, fill in [(frame.covered_depth, 0.0), (frame.covered_tri, -1)]:
+            want = frame.lookup(flat.astype(np.int64), values, fill)
+            assert frame.lookup(flat, values, fill).tobytes() == want.tobytes()
+        assert frame.lookup(flat, frame.covered_depth, 0.0).tobytes() == frame.depth.ravel()[flat].tobytes()
+
+    def test_uncovered_frame(self, clean_scene):
+        frame = uncovered_frame(clean_scene)
+        flat = np.array([0, 7, 19_199])
+        depth = frame.lookup(flat, frame.covered_depth, 0.0)
+        tri = frame.lookup(flat, frame.covered_tri, -1)
+        assert depth.dtype == np.float64 and depth.tolist() == [0.0, 0.0, 0.0]
+        assert tri.dtype == np.int32 and tri.tolist() == [-1, -1, -1]
+        assert not frame.depth.any() and (frame.tri_index == -1).all()
+        assert frame.depth.shape == frame.tri_index.shape == (120, 160)
+
+    @pytest.mark.parametrize("seed", [11, 29])
+    def test_hires_frames_hold_20_bytes_per_covered_pixel(self, seed):
+        # an int32 flat index, a depth and an int32 triangle index per
+        # covered pixel, a 64-bit word and a 64-bit count per 64 pixels
+        # for the rank directory, and the scene's shared shade table;
+        # counted in bytes held, not measured, so the bound cannot flake
+        scene, config = load_perfbench("workloads").build("hires_6view", seed, reduced=True)
+        _, frames, _ = run_front(scene, config)
+        for frame in frames:
+            arrays = [getattr(frame, f.name) for f in dataclasses.fields(frame)]
+            arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+            covered = len(frame.covered)
+            words = -(-frame.intrinsics.width * frame.intrinsics.height // 64)
+            assert 0 < covered < 0.5 * 64 * words
+            total = sum(held(a) for a in arrays)
+            assert total == 16 * covered + 16 * words + held(frame.shades)
+            assert total <= 20 * covered + held(frame.shades)
 
 
 class TestSelectKeyframes:
