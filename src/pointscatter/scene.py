@@ -17,14 +17,12 @@ sample shares them. Each triangle is tested
 only against the rays inside its projected bounding box, widened by one
 pixel and clipped to the image; a triangle with a vertex at or behind
 the camera plane is tested against every ray. Every object is a closed,
-outward-wound box shell, so a view skips (back-face culls) the triangles
-that face away from the camera, but only for an object whose vertices
-are all in front of it, and only when no pixel center lies within a
-tolerance of the projection of an edge between a skipped and a kept
-triangle of that object (the silhouette guard); otherwise that object
-keeps all its triangles in that view. Away from the silhouette such a
-triangle is never the nearest hit, so the frames do not change by a
-bit. A frame's depth noise and outliers stay within the sensor's fixed
+outward-wound box shell, and a view sees only its visible surface: the
+caster returns the nearest hit, lowest triangle index on ties, among the
+triangles the view keeps. A view keeps every triangle of an object with
+a vertex at or behind the camera plane, and of every other object the
+triangles that are not strictly back-facing (back-face culling). A
+frame's depth noise and outliers stay within the sensor's fixed
 ``DEPTH_RANGE``. Everything is deterministic: identical scene spec and
 seed give bit-identical frames.
 """
@@ -243,45 +241,19 @@ def _screen_boxes(projection, intrinsics: Intrinsics):
     return np.where(front, lo, 0).astype(np.int64), np.where(front, hi, size - 1).astype(np.int64)
 
 
-def _shared_edges(faces: np.ndarray) -> np.ndarray:
-    """(E, 4) int rows ``(a, i, j, b)`` of a closed mesh's face table:
-    the edge from vertex ``i`` to vertex ``j`` of triangle ``a`` is also
-    an edge of triangle ``b``."""
-    first, rows = {}, []
-    for a, tri in enumerate(faces.tolist()):
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            key = frozenset((tri[i], tri[j]))
-            if key in first:
-                rows.append((*first.pop(key), a))
-            else:
-                first[key] = (a, i, j)
-    return np.array(rows, dtype=np.int64)
-
-
-# every edge of a box shell, each listed once with both of its triangles
-_SHELL_EDGES = _shared_edges(_BOX_FACES)
 _SHELL_TRIANGLES = len(_BOX_FACES)
 # how far outside a triangle, in barycentric units, the caster still hits it
 _BARYCENTRIC_EPS = 1e-9
 
 
-def _back_faces(edge1, edge2, tvecs, qvecs, projection, intrinsics: Intrinsics):
-    """``(back, culled)`` boolean (T,) masks over a view's box-shell
-    triangles, ``len(_BOX_FACES)`` per object in object order.
-
-    ``back`` marks the strictly back-facing triangles,
+def _back_faces(edge1, edge2, tvecs, qvecs, in_front):
+    """Boolean (T,) mask of the triangles a view skips: the strictly
+    back-facing ones,
     ``cross(edge1, edge2) . tvec < -1e-9 |cross(edge1, edge2)| |tvec|``,
-    of the objects whose vertices are all in front of the camera;
-    ``projection`` is the :func:`project_points` result of the (T*3)
-    vertices. ``culled`` is ``back`` less every object that fails the
-    silhouette guard: some pixel center lies within ``tau`` pixels of the
-    projection of an edge between a back triangle and a kept one, where
-    ``tau`` is the caster's barycentric tolerance times 10 times the
-    object's longest edge, in pixels at its nearest vertex
-    (``max(fx, fy) / z``), plus 1e-9.
+    of every object whose vertices are all in front of the camera
+    (``in_front``, (T*3,), from :func:`project_points`). The triangles
+    are box shells, ``len(_BOX_FACES)`` per object in object order.
     """
-    n = len(edge1) // _SHELL_TRIANGLES
-    uv, z, in_front = projection
     e11, e22, e12, tt = (
         np.einsum("ij,ij->i", x, y)
         for x, y in ((edge1, edge1), (edge2, edge2), (edge1, edge2), (tvecs, tvecs))
@@ -290,54 +262,9 @@ def _back_faces(edge1, edge2, tvecs, qvecs, projection, intrinsics: Intrinsics):
     # |cross(edge1, edge2)|^2 is e11 * e22 - e12^2 (Lagrange's identity)
     facing = np.einsum("ij,ij->i", edge2, qvecs)
     back = facing < -1e-9 * np.sqrt(np.maximum(e11 * e22 - e12 * e12, 0.0) * tt)
-    back = back.reshape(n, _SHELL_TRIANGLES)
-    back &= in_front.reshape(n, 3 * _SHELL_TRIANGLES).all(axis=1)[:, None]
-    a, i, j, b = _SHELL_EDGES.T
-    objects, edges = np.nonzero(back[:, a] != back[:, b])
-    if len(objects) == 0:
-        return back.ravel(), back.ravel()
-    tri = _SHELL_TRIANGLES * objects + a[edges]
-    uv = uv.reshape(-1, 3, 2)
-    span = np.sqrt(np.maximum(e11, e22).reshape(n, _SHELL_TRIANGLES).max(axis=1))
-    nearest = z.reshape(n, 3 * _SHELL_TRIANGLES).min(axis=1)
-    focal = max(intrinsics.fx, intrinsics.fy)
-    tau = 10 * _BARYCENTRIC_EPS * span[objects] * focal / nearest[objects] + 1e-9
-    near = _near_pixel_centers(
-        uv[tri, i[edges]], uv[tri, j[edges]], tau, intrinsics.width, intrinsics.height
-    )
-    culled = back.copy()
-    culled[objects[near]] = False
-    return back.ravel(), culled.ravel()
-
-
-def _near_pixel_centers(p, q, tau, width: int, height: int) -> np.ndarray:
-    """Whether some image pixel center lies within ``tau`` of the line
-    through ``p`` and ``q`` (each (S, 2) in pixels) while its coordinate
-    along the segment's major axis is within ``tau`` of the segment's
-    span: a superset of the centers within ``tau`` of each segment. The
-    integer major-axis coordinates of all segments are enumerated at
-    once."""
-    # x is each segment's major axis, y its minor one
-    swap = np.abs(q[:, 1] - p[:, 1]) > np.abs(q[:, 0] - p[:, 0])
-    x0, x1 = np.where(swap, p[:, 1], p[:, 0]), np.where(swap, q[:, 1], q[:, 0])
-    y0, y1 = np.where(swap, p[:, 0], p[:, 1]), np.where(swap, q[:, 0], q[:, 1])
-    x_lo = np.maximum(np.ceil(np.minimum(x0, x1) - tau), 0)
-    x_hi = np.minimum(np.floor(np.maximum(x0, x1) + tau), np.where(swap, height, width) - 1)
-    counts = np.maximum(x_hi - x_lo + 1, 0).astype(np.int64)
-    seg = np.repeat(np.arange(len(counts)), counts)
-    starts = np.cumsum(counts) - counts
-    x = x_lo[seg] + (np.arange(len(seg)) - starts[seg])
-    # the line's y there; tau across the line is tau * length / |dx| along y
-    dx, dy = x1 - x0, y1 - y0
-    major = np.abs(dx)
-    slope = np.divide(dy, dx, out=np.zeros(len(dx)), where=major > 0)
-    reach = tau * np.divide(np.hypot(dx, dy), major, out=np.ones(len(dx)), where=major > 0)
-    y = y0[seg] + (x - x0[seg]) * slope[seg]
-    y_lo = np.maximum(np.ceil(y - reach[seg]), 0)
-    y_hi = np.minimum(np.floor(y + reach[seg]), np.where(swap, width, height)[seg] - 1)
-    near = np.zeros(len(counts), dtype=bool)
-    near[seg[y_lo <= y_hi]] = True
-    return near
+    back = back.reshape(-1, _SHELL_TRIANGLES)
+    back &= in_front.reshape(-1, 3 * _SHELL_TRIANGLES).all(axis=1)[:, None]
+    return back.ravel()
 
 
 # the most rays the caster builds at once; a larger window is cast in
@@ -360,7 +287,7 @@ def _bands(lo, hi):
 
 def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     """Nearest-hit depth and int32 triangle index (-1 for no hit) for
-    every pixel center.
+    every pixel center, among the triangles the view keeps.
 
     Each window builds its own rays in blocks reused by every window,
     ``((u - cx) / fx, (v - cy) / fy, 1)`` from one per-column and one
@@ -376,14 +303,11 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     that box is empty; a triangle with a vertex at or behind the camera
     plane falls back to testing every ray. The per-triangle
     Moeller-Trumbore constants (edges, ``tvec``, ``qvec``) are computed
-    for all triangles at once per view. A back-facing triangle of an
-    object wholly in front of the camera is skipped like an empty window,
-    unless a pixel center lies within the silhouette guard's tolerance of
-    an edge between that object's skipped and kept triangles, in which
-    case the object keeps all of them (:func:`_back_faces`): only there
-    can a back face tie the front face's depth and win by its lower index. Triangles are visited in order and
-    the per-ray arithmetic and strict nearer-hit test are the same on
-    every path, so neither the culling nor the banding changes an output
+    for all triangles at once per view. A triangle of
+    :func:`_back_faces` is skipped like an empty window. Triangles are
+    visited in order, so the lowest index wins a tie, and the per-ray
+    arithmetic and strict nearer-hit test are the same on every path,
+    so neither the screen-box culling nor the banding changes an output
     bit.
     """
     h, w = intrinsics.height, intrinsics.width
@@ -402,7 +326,7 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     tvecs = pose.translation - triangles[:, 0]
     qvecs = np.cross(tvecs, edge1)
     # a culled triangle is passed over like an empty window
-    hi[_back_faces(edge1, edge2, tvecs, qvecs, projection, intrinsics)[1]] = -1
+    hi[_back_faces(edge1, edge2, tvecs, qvecs, projection[2])] = -1
     largest = int(np.maximum(hi - lo + 1, 0).prod(axis=1).max(initial=0))
     # zeroed blocks reused by every band, one row longer than the largest
     size = min(largest, max(_RAY_BLOCK, w))

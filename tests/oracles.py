@@ -264,13 +264,32 @@ def _scene_triangles(scene):
     return np.concatenate(tris, axis=0), np.asarray(owner, dtype=np.int64)
 
 
-def cast_rays(scene, intrinsics, pose):
+def back_faces(scene, pose):
+    """(T,) boolean mask of the triangles a view of ``scene`` from
+    ``pose`` skips: the strictly back-facing ones,
+    ``n . (eye - v0) < -1e-9 |n| |eye - v0|`` with
+    ``n = cross(v1 - v0, v2 - v0)``, of every object whose vertex depths
+    are all above ``BEHIND_CAMERA_EPS``. One object at a time, from the
+    normal itself rather than a triple product."""
+    masks = [np.zeros(0, dtype=bool)]
+    for obj in scene.objects:
+        shell = obj.mesh()
+        ahead = (pose.world_to_camera(shell.reshape(-1, 3))[:, 2] > BEHIND_CAMERA_EPS).all()
+        normal = np.cross(shell[:, 1] - shell[:, 0], shell[:, 2] - shell[:, 0])
+        to_eye = pose.translation - shell[:, 0]
+        bound = 1e-9 * np.linalg.norm(normal, axis=1) * np.linalg.norm(to_eye, axis=1)
+        masks.append(ahead & ((normal * to_eye).sum(axis=1) < -bound))
+    return np.concatenate(masks)
+
+
+def cast_rays(scene, intrinsics, pose, skip=None):
     """Nearest-hit depth and triangle index for every pixel center.
 
     The renderer's caster before screen-box culling: every triangle is
-    tested against every pixel ray. Ray directions are built with
-    camera-frame z-component 1, so the ray parameter of a hit equals its
-    camera depth directly.
+    tested against every pixel ray, except the triangles ``skip`` (a
+    (T,) boolean mask, or None for none) marks. Ray directions are built
+    with camera-frame z-component 1, so the ray parameter of a hit
+    equals its camera depth directly.
     """
     h, w = intrinsics.height, intrinsics.width
     us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
@@ -289,6 +308,8 @@ def cast_rays(scene, intrinsics, pose):
     depth = np.full(h * w, np.inf)
     tri_index = np.full(h * w, -1, dtype=np.int64)
     for k in range(len(triangles)):
+        if skip is not None and skip[k]:
+            continue
         a, b, c = triangles[k]
         e1, e2 = b - a, c - a
         # Moeller-Trumbore with a shared origin: tvec and qvec are

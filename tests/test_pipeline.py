@@ -27,9 +27,11 @@ from pointscatter.pipeline import (
     run_sparsity_bench,
     stage_rng,
 )
+from pointscatter.camera import look_at_pose
 from pointscatter.scatter import ScatterConfig
 from pointscatter.scene import (
     DEPTH_RANGE,
+    SceneCamera,
     demo_scene,
     load_scene,
     make_frame,
@@ -222,6 +224,27 @@ class TestRunPipeline:
         assert len(filtered) == len(result.filtered_indices)
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["mean"] == result.report["mean"]
+
+    # one camera inside the first demo box, which keeps every triangle of
+    # that box and covers every pixel, and one 10 m out looking away from
+    # every object, which covers none
+    @pytest.mark.parametrize(
+        "eye, target, covered",
+        [
+            ((-1.1, 0.0, 0.35), (0.9, -0.7, 0.45), 160 * 120),
+            ((10.0, 0.0, 1.0), (20.0, 0.0, 1.0), 0),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["gt_passthrough", "score_cluster"])
+    def test_degenerate_view_writes_artifacts(self, tmp_path, eye, target, covered, mode):
+        scene = small_scene()
+        camera = SceneCamera(scene.cameras[0].intrinsics, look_at_pose(eye, target))
+        scene = dataclasses.replace(scene, cameras=(camera,))
+        config = small_config(detector=DetectorConfig(mode=mode))
+        result = run_pipeline(scene, config, output_dir=tmp_path)
+        assert [len(frame.covered) for frame in result.frames] == [covered]
+        names = ["cloud_filtered.ply", "cloud_raw.ply", "detections.json", "metrics.json", "sparsity.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 class TestScoreClusterDetector:

@@ -36,6 +36,7 @@ from pointscatter.scene import (
 from conftest import DEPTH_RANGE, load_perfbench, uncovered_frame
 from oracles import (
     _scene_triangles as oracle_scene_triangles,
+    back_faces as oracle_back_faces,
     cast_rays,
     perturb_depth as oracle_perturb_depth,
     point_mesh_distance,
@@ -153,7 +154,11 @@ class TestRenderColor:
 
 
 class TestCastRaysMatchesOracle:
-    """The culled caster gives the same bits as the full-image oracle."""
+    """The culled caster gives the same bits as the full-image oracle,
+    on every workload view and on each rig where no back face ties a
+    front face. On the others it gives the bits of the oracle that skips
+    the oracle's back faces, and the test names the pixels that differ
+    from the full oracle."""
 
     @staticmethod
     def assert_matches(scene, views):
@@ -164,6 +169,21 @@ class TestCastRaysMatchesOracle:
             assert depth.shape == ref_depth.shape, f"view {i}"
             assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
             assert np.array_equal(index, ref_index), f"view {i}"
+
+    @staticmethod
+    def culled_changes(scene):
+        """Assert that view 0's depth and index maps are the bits of the
+        oracle that skips the oracle's back faces; return the full
+        oracle's index and the caster's at each pixel where they differ."""
+        cam = scene.cameras[0]
+        depth, index = _cast_rays(scene, cam.intrinsics, cam.pose)
+        skip = oracle_back_faces(scene, cam.pose)
+        ref_depth, ref_index, _, _ = cast_rays(scene, cam.intrinsics, cam.pose, skip=skip)
+        assert depth.tobytes() == ref_depth.tobytes()
+        assert np.array_equal(index, ref_index)
+        full_index = cast_rays(scene, cam.intrinsics, cam.pose)[1]
+        changed = index != full_index
+        return full_index[changed], index[changed]
 
     @staticmethod
     def windows(scene):
@@ -284,7 +304,10 @@ class TestCastRaysMatchesOracle:
         scene = frontal_cube_scene(center=(1.0, 0.0, 2.5))
         full, empty = self.windows(scene)
         assert not full.any() and not empty.all()
-        self.assert_matches(scene, [0])
+        # 16 pixel rays run exactly through silhouette edges, where the
+        # full oracle's back faces 5 and 8 tie the front faces 10 and 11
+        was, now = self.culled_changes(scene)
+        assert len(was) == 16 and set(was.tolist()) == {5, 8} and set(now.tolist()) == {10, 11}
         depth = render(scene, 0)[0]
         assert depth[:, -1].any() and not depth[:, 0].any()
 
@@ -306,8 +329,8 @@ class TestCastRaysMatchesOracle:
         self.assert_matches(scene, [0])
 
 
-def cull_masks(scene, camera_index):
-    """``(back, culled)`` of one view, from the constants the caster uses."""
+def cull_mask(scene, camera_index):
+    """The triangles one view skips, from the constants the caster uses."""
     cam = scene.cameras[camera_index]
     triangles = scene.geometry.triangles
     projection = project_points(triangles.reshape(-1, 3), cam.intrinsics, cam.pose)
@@ -315,7 +338,7 @@ def cull_masks(scene, camera_index):
     edge2 = triangles[:, 2] - triangles[:, 0]
     tvecs = cam.pose.translation - triangles[:, 0]
     qvecs = np.cross(tvecs, edge1)
-    return _back_faces(edge1, edge2, tvecs, qvecs, projection, cam.intrinsics)
+    return _back_faces(edge1, edge2, tvecs, qvecs, projection[2])
 
 
 def looking_scene(objects, eyes, target, intrinsics=SIMPLE):
@@ -325,61 +348,65 @@ def looking_scene(objects, eyes, target, intrinsics=SIMPLE):
 
 
 class TestBackFaceCulling:
-    """Back faces are skipped only where that changes no bit: every rig
-    is byte-checked against the full-image oracle, and each says which
-    path it takes."""
+    """A view skips the strictly back-facing triangles of every box wholly
+    in front of the camera. Each rig is byte-checked against an oracle
+    and says which triangles it skips: the full-image oracle where no
+    back face ties a front face, else the oracle that skips the oracle's
+    back faces, naming the pixels that differ from the full one."""
 
     assert_matches = staticmethod(TestCastRaysMatchesOracle.assert_matches)
+    culled_changes = staticmethod(TestCastRaysMatchesOracle.culled_changes)
 
     def test_demo_views_cull_every_view(self, clean_scene):
         culled_total = 0
-        for i in range(len(clean_scene.cameras)):
-            back, culled = cull_masks(clean_scene, i)
-            assert culled.any() and np.array_equal(back, culled), f"view {i}"
-            culled_total += int(culled.sum())
+        for i, cam in enumerate(clean_scene.cameras):
+            skip = cull_mask(clean_scene, i)
+            assert skip.any() and np.array_equal(skip, oracle_back_faces(clean_scene, cam.pose))
+            culled_total += int(skip.sum())
         assert culled_total == 384
 
-    def test_guard_falls_back_on_partly_off_screen_box(self, monkeypatch):
+    def test_partly_off_screen_box_ties_go_to_front_faces(self):
         # pixel rays run exactly through silhouette edges: there the back
-        # faces (triangles 5 and 8) give the front face's (10 and 11)
-        # bit-equal depth and win by their lower index, so the guard keeps
-        # the whole box
+        # faces (triangles 5 and 8) give the front faces' (10 and 11)
+        # bit-equal depth and win the full oracle's tie by their lower
+        # index; skipped, they hand those pixels to the front faces
         scene = frontal_cube_scene(center=(1.0, 0.0, 2.5))
-        back, culled = cull_masks(scene, 0)
-        assert back.any() and not culled.any()
-        self.assert_matches(scene, [0])
-        # culling without the guard hands those pixels to the front face
-        monkeypatch.setattr(
-            "pointscatter.scene._back_faces", lambda *args: 2 * (_back_faces(*args)[0],)
-        )
+        skip = cull_mask(scene, 0)
+        assert skip[[5, 8]].all() and not skip[[10, 11]].any()
+        was, now = self.culled_changes(scene)
+        assert len(was) == 16 and set(was.tolist()) == {5, 8} and set(now.tolist()) == {10, 11}
         cam = scene.cameras[0]
-        _, index = _cast_rays(scene, cam.intrinsics, cam.pose)
-        ref_index = cast_rays(scene, cam.intrinsics, cam.pose)[1]
-        changed = index != ref_index
-        assert changed.sum() == 16 and set(ref_index[changed].tolist()) == {5, 8}
-        assert set(index[changed].tolist()) == {10, 11} and back[[5, 8]].all()
+        full_depth = cast_rays(scene, cam.intrinsics, cam.pose)[0]
+        depth = _cast_rays(scene, cam.intrinsics, cam.pose)[0]
+        assert depth.tobytes() == full_depth.tobytes()
 
     @pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9])
     def test_guard_covers_rays_just_off_the_silhouette(self, offset):
         # the edges between the box's -x face and its +-y faces project
         # within 100 * offset / 3.2 px (at most 3.2e-8) of the pixel-center
-        # diagonals u + v = 100 and u - v = 0; a back face hit inside the
-        # caster's barycentric tolerance can win there, so a guard that
-        # caught only centers exactly on an edge would cull wrongly
+        # diagonals u + v = 100 and u - v = 0; the full oracle's back
+        # faces hit inside the caster's barycentric tolerance there. At
+        # 1e-13 and 1e-11 the front faces take those pixels, at 1e-9 no
+        # front face reaches them and they become background
         scene = frontal_cube_scene(center=(1.0 + offset, 0.0, 3.7))
-        back, culled = cull_masks(scene, 0)
-        assert back.any() and not culled.any()
-        self.assert_matches(scene, [0])
+        assert cull_mask(scene, 0)[[5, 8]].all()
+        was, now = self.culled_changes(scene)
+        if offset < 1e-9:
+            assert len(was) == 8 and set(was.tolist()) == {5, 8} and set(now.tolist()) == {10, 11}
+        else:
+            assert was.tolist() == [8, 8] and now.tolist() == [-1, -1]
 
-    def test_guard_is_per_object(self):
-        # the partly-off-screen box falls back, a second box is still culled
+    def test_culling_is_per_object(self):
+        # each box skips its own back faces; only the partly-off-screen
+        # box has silhouette ties, so only its pixels differ from the
+        # full oracle
         other = SceneObject(OrientedBox((-0.8, 0.0, 3.0), (0.5, 0.5, 0.5), yaw=0.4))
         scene = frontal_cube_scene(center=(1.0, 0.0, 2.5))
         scene = dataclasses.replace(scene, objects=scene.objects + (other,))
-        back, culled = cull_masks(scene, 0)
-        assert back[:12].any() and not culled[:12].any()
-        assert culled[12:].any() and np.array_equal(back[12:], culled[12:])
-        self.assert_matches(scene, [0])
+        skip = cull_mask(scene, 0)
+        assert skip[:12].any() and skip[12:].any()
+        was, now = self.culled_changes(scene)
+        assert len(was) == 16 and set(was.tolist()) == {5, 8} and set(now.tolist()) == {10, 11}
 
     def test_yawed_boxes_at_generic_poses(self):
         objects = [
@@ -390,7 +417,7 @@ class TestBackFaceCulling:
         eyes = [(2.7, 1.1, 0.9), (-1.3, -2.9, 1.7), (0.4, 3.1, -0.8), (-2.2, 0.3, 0.05)]
         scene = looking_scene(objects, eyes, (0.05, 0.1, 0.0))
         for i in range(len(eyes)):
-            assert cull_masks(scene, i)[1].any(), f"view {i}"
+            assert cull_mask(scene, i).any(), f"view {i}"
         self.assert_matches(scene, range(len(eyes)))
 
     def test_intersecting_boxes(self):
@@ -401,7 +428,7 @@ class TestBackFaceCulling:
         eyes = [(2.5, -1.0, 1.0), (-2.0, -2.0, 0.5), (0.5, 2.8, 1.5)]
         scene = looking_scene(objects, eyes, (0.1, 0.1, 0.0))
         for i in range(len(eyes)):
-            assert cull_masks(scene, i)[1].reshape(2, 12).any(axis=1).all(), f"view {i}"
+            assert cull_mask(scene, i).reshape(2, 12).any(axis=1).all(), f"view {i}"
         self.assert_matches(scene, range(len(eyes)))
 
     @pytest.mark.parametrize("x", [0.1, 0.5 - 1.234e-4])
@@ -412,8 +439,7 @@ class TestBackFaceCulling:
         box = SceneObject(OrientedBox((0.0, 0.0, 2.5), (1.0, 1.0, 1.0)))
         cam = SceneCamera(SIMPLE, Pose(np.eye(3), np.array([x, 0.05, 2.0 - 1e-3])))
         scene = SceneSpec(objects=(box,), cameras=(cam,))
-        back, culled = cull_masks(scene, 0)
-        assert culled.sum() == 10 and np.array_equal(back, culled)
+        assert cull_mask(scene, 0).sum() == 10
         self.assert_matches(scene, [0])
 
     @pytest.mark.parametrize("offset", [1e-3, -1e-3, 3e-4, -3e-4, 0.0])
@@ -423,7 +449,7 @@ class TestBackFaceCulling:
         box = SceneObject(OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
         eye = (0.5 + 3.0 * math.tan(offset), -3.0, 0.2)
         scene = looking_scene([box], [eye], (0.5, 0.0, 0.0))
-        back = cull_masks(scene, 0)[0]
+        back = cull_mask(scene, 0)
         # the +x face (triangles 6 and 7) is back-facing only from inside
         # its plane, and not when seen exactly edge-on
         assert back[6:8].all() == (offset < 0) and back.any()
@@ -434,8 +460,8 @@ class TestBackFaceCulling:
         ahead = SceneObject(OrientedBox((-0.5, 0.0, 3.0), (0.6, 0.6, 0.6), yaw=0.3))
         cam = SceneCamera(SIMPLE, Pose.identity())
         scene = SceneSpec(objects=(straddling, ahead), cameras=(cam,))
-        back, culled = cull_masks(scene, 0)
-        assert not back[:12].any() and culled[12:].any()
+        skip = cull_mask(scene, 0)
+        assert not skip[:12].any() and skip[12:].any()
         self.assert_matches(scene, [0])
         assert render(scene, 0)[0][:, -1].any()
 
@@ -443,11 +469,24 @@ class TestBackFaceCulling:
         # the views test_orbit80_subset leaves out
         self.assert_matches(demo_scene(steps=80), [i for i in range(80) if i % 9])
 
+    @pytest.mark.parametrize(
+        "steps, view", [(51, 22), (51, 29), (101, 92), (102, 44), (102, 58), (103, 60), (111, 1)]
+    )
+    def test_demo_orbit_views_near_a_silhouette(self, steps, view):
+        # the views of demo orbits of 1 to 120 steps with a pixel center
+        # near an edge between a box's skipped and kept triangles: within
+        # ten times the caster's barycentric tolerance, scaled to pixels by
+        # the box's longest edge at its nearest vertex. No back face wins
+        # a pixel there
+        scene = demo_scene(steps=steps)
+        assert cull_mask(scene, view).any()
+        self.assert_matches(scene, [view])
+
     def test_every_hires_6view_view(self):
         # the poses test_640x480_views leaves out
         scene = hires_scene()
         for i in range(6):
-            assert cull_masks(scene, i)[1].any(), f"view {i}"
+            assert cull_mask(scene, i).any(), f"view {i}"
         self.assert_matches(scene, [1, 2, 4, 5])
 
 
