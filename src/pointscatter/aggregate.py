@@ -9,8 +9,9 @@ noise tolerance, and empty background never hides it. Each seen point
 contributes the frame's color, bilinearly sampled as ``shades[tri]``
 at the four corner texels. Both the nearest pixel's depth and the
 corners' triangle indices come from ``CameraFrame.lookup`` on the
-frame's covered pixels, so no dense map or RGB image is built and a
-view's cost follows the points it sees, not its pixel count.
+frame's covered pixels, each row's two corners from one
+``CameraFrame.lookup_pair``, so no dense map or RGB image is built and
+a view's cost follows the points it sees, not its pixel count.
 :func:`reduce_views` reduces the samples to a masked mean and a
 masked population variance of the samples shifted by the point's first
 one, so agreeing samples give exactly 0; a point no frame sees gets
@@ -44,8 +45,12 @@ def _sample_colors(frame, u, v) -> np.ndarray:
     # flat corner offsets; an image 1 pixel wide or high repeats its edge
     dx, dy = int(w > 1), w if h > 1 else 0
     corner = y0 * w + x0
-    corners = np.concatenate([corner, corner + dx, corner + dy, corner + (dx + dy)])
-    i00, i01, i10, i11 = frame.lookup(corners, frame.covered_tri, -1).reshape(4, -1)
+    left = np.concatenate([corner, corner + dy])
+    if dx:
+        lefts, rights = frame.lookup_pair(left, frame.covered_tri, -1)
+    else:
+        lefts = rights = frame.lookup(left, frame.covered_tri, -1)
+    (i00, i10), (i01, i11) = lefts.reshape(2, -1), rights.reshape(2, -1)
     rows = np.ascontiguousarray(frame.shades.T)
     out = np.empty((len(rows), len(u)))
     for t, o in zip(rows, out):

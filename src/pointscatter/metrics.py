@@ -13,9 +13,9 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .boxes import iou_3d
+from .neighbors import mutual_nearest_sq
 
 
 def match_detections(detections, ground_truths, iou_threshold: float) -> np.ndarray:
@@ -103,17 +103,18 @@ def chamfer_fscore(
 ) -> tuple[float, float]:
     """Chamfer distance and F-score of one pair from one nearest-neighbour pass.
 
-    Builds one KD-tree per point set and queries each direction once;
-    the two scores are those of :func:`chamfer_distance` and
-    :func:`fscore`, bit for bit.
+    One candidate pass over a cell grid of the GT points, as wide as the
+    F-score's match distance, serves both directions; the two scores
+    are those of :func:`chamfer_distance` and :func:`fscore`, bit for
+    bit. Each nearest distance is the square root of the squared
+    distance summed x, y, z, squared again.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     gt, pred = _point_pair(gt_points, pred_points, "chamfer_fscore")
-    d_pred, _ = cKDTree(gt).query(pred)
-    d_gt, _ = cKDTree(pred).query(gt)
-    sq_pred = d_pred**2
-    sq_gt = d_gt**2
+    to_gt, to_pred = mutual_nearest_sq(pred, gt, np.sqrt(threshold))
+    sq_pred = np.sqrt(to_gt) ** 2
+    sq_gt = np.sqrt(to_pred) ** 2
     chamfer = float(np.mean(sq_gt) + np.mean(sq_pred))
     precision = float(np.mean(sq_pred < threshold))
     recall = float(np.mean(sq_gt < threshold))

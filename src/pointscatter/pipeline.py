@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .aggregate import aggregate_cloud, compose_features
 from .boxes import OrientedBox, iou_3d, nms
@@ -38,6 +37,7 @@ from .checks import ConfigError, _check, _entry
 from .fileio import write_cloud_ply, write_detections, write_json
 from .meshes import box_shell, sample_surface_points
 from .metrics import chamfer_fscore, evaluate_detections
+from .neighbors import component_labels
 # ScatterAccumulator is not called here; perfbench's tracer resolves
 # ScatterAccumulator.add_frame through this module
 from .scatter import ScatterAccumulator, ScatterConfig, cap_points, scatter_frames  # noqa: F401
@@ -159,20 +159,11 @@ def _connected_components(points: np.ndarray, eps: float, min_size: int) -> list
     """Index groups of at least ``min_size`` points linked by distances
     <= eps, ordered by their smallest member, members ascending. Smaller
     groups are never split out."""
-    # loaded on first use: csgraph adds about 17 ms to the import of the
-    # package, and only the cluster detector needs it
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = len(points)
-    i, j = cKDTree(points).query_pairs(eps, output_type="ndarray").T
-    _, labels = connected_components(
-        coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)), directed=False
-    )
+    labels = component_labels(points, eps)
     members = np.flatnonzero(np.bincount(labels)[labels] >= min_size)
     order = members[np.argsort(labels[members], kind="stable")]
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(order) else []
-    return sorted(groups, key=lambda g: g[0])
+    # each label is its group's smallest member, so the groups come in order
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(order) else []
 
 
 def _cluster_detections(cloud, config: DetectorConfig) -> list[OrientedBox]:

@@ -10,12 +10,13 @@ closer than that same ``radius`` to a point accepted before it. Acceptance
 order is deterministic: frames in call order, boxes in frame order,
 pixels in raster order.
 
-Dedup works a frame at a time. A query of a KD-tree built anew over the
-points of earlier frames removes candidates they cover; neighbour pairs
-among the survivors and one greedy pass in candidate order settle the
-rest. Both searches reach ``DEDUP_SLACK`` beyond the radius and decide
-with the same squared-distance sum as a point-by-point scan, so the
-cloud is the one that scan would accept, bit for bit.
+Dedup works a frame at a time. The accumulator keeps the points of
+earlier frames in a cell grid (``neighbors.CellGrid``); one query of it
+removes the candidates they cover, and neighbour pairs among the
+survivors and one greedy pass in candidate order settle the rest. Every
+candidate within reach is decided with the same squared-distance sum as
+a point-by-point scan, so the cloud is the one that scan would accept,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -24,15 +25,11 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .camera import backproject_pixels
 from .checks import _check
+from .neighbors import CellGrid, runs
 from .scene import CameraFrame
-
-# relative margin the tree searches add to the radius; tree
-# distances and the exact squared-distance sum differ by far less
-DEDUP_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,16 +112,12 @@ class ScatterAccumulator:
     earlier frame or earlier in the same frame (boxes in frame order,
     pixels in raster order), lies strictly closer than the sampling
     radius ``r``. :meth:`add_frame` decides this for a whole frame in two
-    vectorized steps: one KD-tree query of the frame's candidates
-    against every point of the earlier frames, then neighbour pairs
-    among the survivors and one greedy pass in candidate order, where
-    an accepted point rejects its later neighbours.
-
-    Both steps search out to ``r * (1 + DEDUP_SLACK)`` and then decide
-    with the squared distance summed x, y, z, ``d2 < r * r``, because the
-    tree's own distances can differ from that sum by a rounding error.
-    A candidate whose nearest point lies in the band between the two
-    but fails the test is checked against every point in reach.
+    vectorized steps: one query of the grid of every point of the earlier
+    frames, then neighbour pairs among the survivors and one greedy pass
+    in candidate order, where an accepted point rejects its later
+    neighbours. Both steps decide with the squared distance summed x, y,
+    z, ``d2 < r * r``. Each frame merges the keys of the points it
+    accepted into the grid.
 
     Calls to :meth:`add_frame` must be serialized.
     """
@@ -132,18 +125,19 @@ class ScatterAccumulator:
     def __init__(self, config: ScatterConfig):
         self.config = config
         self._frames: list[ScatterCloud] = []
+        self._grid = CellGrid(config.radius)
 
     def __len__(self) -> int:
-        return sum(len(c) for c in self._frames)
+        return len(self._grid)
 
     def add_frame(self, frame: CameraFrame) -> int:
         """Scatter one frame; returns the number of accepted points."""
         cands = self._candidates(frame, frame.camera_index)
         r = self.config.radius
-        earlier = np.concatenate([np.zeros((0, 3)), *(c.positions for c in self._frames)])
-        keep = ~_near_any(cands.positions, earlier, r)
+        keep = ~self._grid.near_any(cands.positions, r * r)
         keep[keep] = _greedy_keep(cands.positions[keep], r)
         accepted = cands.select(np.flatnonzero(keep))
+        self._grid.insert(accepted.positions)
         self._frames.append(accepted)
         return len(accepted)
 
@@ -172,13 +166,13 @@ class ScatterAccumulator:
             rows = np.arange(v0, v1 + 1, dtype=covered.dtype) * w
             lo = np.searchsorted(covered, rows + u0)
             hi = np.searchsorted(covered, rows + (u1 + 1))
-            pick = _runs(lo, hi)
+            pick = runs(lo, hi)
             if not len(pick):
                 continue
             stride = box_sampling_stride(intr.fx, self.config.radius, _median(frame.covered_depth[pick]))
             if stride > 1:
                 lo, hi = lo[::stride], hi[::stride]
-                pick = _runs(lo, hi)
+                pick = runs(lo, hi)
                 u = covered[pick] - np.repeat(rows[::stride], hi - lo)
                 pick = pick[(u - u0) % stride == 0]
             picks.append(pick)
@@ -199,13 +193,6 @@ class ScatterAccumulator:
         return _concatenate([empty_cloud(), *self._frames])
 
 
-def _runs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The runs ``lo[i], ..., hi[i] - 1`` of every ``i``, concatenated in order."""
-    n = hi - lo
-    ends = np.cumsum(n)
-    return np.arange(ends[-1]) - np.repeat(ends - n - lo, n)
-
-
 def _concatenate(clouds: list[ScatterCloud]) -> ScatterCloud:
     """The rows of every cloud in order; all carry the columns of the first."""
     columns = clouds[0]._columns()
@@ -214,45 +201,17 @@ def _concatenate(clouds: list[ScatterCloud]) -> ScatterCloud:
     )
 
 
-def _sq_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise squared distance, summed in x, y, z order."""
-    return (p[:, 0] - q[:, 0]) ** 2 + (p[:, 1] - q[:, 1]) ** 2 + (p[:, 2] - q[:, 2]) ** 2
-
-
-def _near_any(queries: np.ndarray, points: np.ndarray, r: float) -> np.ndarray:
-    """Mask of queries with some row of ``points`` strictly closer than ``r``."""
-    reach = r * (1.0 + DEDUP_SLACK)
-    # the tree is rebuilt for every frame and queried once, so a quick
-    # sliding-midpoint build beats a balanced one; which of several tied
-    # neighbours it returns does not matter, since the band check below
-    # tries every point in reach when the returned one fails
-    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
-    dist, idx = tree.query(queries, k=1, distance_upper_bound=reach)
-    found = np.flatnonzero(np.isfinite(dist))
-    near = np.zeros(len(queries), dtype=bool)
-    near[found] = _sq_dist(queries[found], points[idx[found]]) < r * r
-    # the tree's nearest point failed the exact test but lies within
-    # reach: another point in reach may still pass it
-    band = found[~near[found]]
-    for i, nbrs in zip(band, tree.query_ball_point(queries[band], reach)):
-        others = points[nbrs]
-        near[i] = (_sq_dist(np.broadcast_to(queries[i], others.shape), others) < r * r).any()
-    return near
-
-
 def _greedy_keep(points: np.ndarray, r: float) -> np.ndarray:
     """Greedy acceptance in row order: a kept row rejects later rows
     strictly closer than ``r``."""
-    keep = np.ones(len(points), dtype=bool)
-    pairs = cKDTree(points).query_pairs(r * (1.0 + DEDUP_SLACK), output_type="ndarray")
-    pairs = pairs[_sq_dist(points[pairs[:, 0]], points[pairs[:, 1]]) < r * r]
-    # query_pairs gives i < j; group the pairs by their earlier row
-    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    heads, starts = np.unique(pairs[:, 0], return_index=True)
-    for head, later in zip(heads.tolist(), np.split(pairs[:, 1], starts[1:])):
-        if keep[head]:
-            keep[later] = False
-    return keep
+    rows, later = CellGrid(r, points).pairs(r * r)
+    # in order of the earlier row, whose fate is settled by then
+    order = np.argsort(rows)
+    keep = bytearray(b"\x01") * len(points)
+    for i, j in zip(rows[order].tolist(), later[order].tolist()):
+        if keep[i]:
+            keep[j] = 0
+    return np.frombuffer(keep, dtype=bool)
 
 
 def scatter_frames(frames, config: ScatterConfig) -> ScatterCloud:

@@ -204,6 +204,15 @@ class CameraFrame:
         """(H, W, 3) shaded color image in [0, 1], built on each access."""
         return np.take(self.shades, self.tri_index, axis=0)
 
+    def _rank(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(pos, hit)``: where in ``covered`` the last covered pixel at
+        or before each flat index is, -1 for none, and whether that is
+        the pixel itself."""
+        word = flat >> 6
+        # the word's bits at and below the pixel's, moved to the top
+        upto = self._words[word] << (~flat & 63).view(np.uint64)
+        return self._last[word] + np.bitwise_count(upto), upto >= np.uint64(1 << 63)
+
     def lookup(self, flat: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
         """``values`` (``covered_depth`` or ``covered_tri``) at integer flat
         pixel indices inside the image, ``fill`` where the frame covers
@@ -213,13 +222,20 @@ class CameraFrame:
         flat = np.asarray(flat, dtype=np.int64)
         if not len(values):
             return np.full(len(flat), fill, dtype=values.dtype)
-        word = flat >> 6
-        # the word's bits at and below the pixel's, moved to the top
-        upto = self._words[word] << (~flat & 63).view(np.uint64)
-        # where in covered the last covered pixel at or before the pixel
-        # is, -1 for none; the pixel itself exactly when its bit is set
-        pos = self._last[word] + np.bitwise_count(upto)
-        return np.where(upto >= np.uint64(1 << 63), values[pos], fill)
+        pos, hit = self._rank(flat)
+        return np.where(hit, values[pos], fill)
+
+    def lookup_pair(self, flat: np.ndarray, values: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`lookup` at ``flat`` and at ``flat + 1``, both inside the
+        image, from one rank pass: the right pixel's position in
+        ``covered`` is the left one's plus the right pixel's own bit."""
+        flat = np.asarray(flat, dtype=np.int64)
+        if not len(values):
+            return (np.full(len(flat), fill, dtype=values.dtype),) * 2
+        pos, hit = self._rank(flat)
+        right = flat + 1
+        bit = ((self._words[right >> 6] >> (right & 63).view(np.uint64)) & np.uint64(1)).view(np.int64)
+        return np.where(hit, values[pos], fill), np.where(bit == 1, values[pos + bit], fill)
 
 
 def _screen_boxes(projection, intrinsics: Intrinsics):

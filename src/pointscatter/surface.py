@@ -1,11 +1,12 @@
 """Surface filtering: GT distance labels, focal loss, photometric score.
 
 A scattered point is an inlier when its distance to the GT surface is
-strictly below ``tau`` (unsquared meters); the labels' search stops at
-``tau``. The training signal for a filter is a binary focal loss on
-predicted inlier probabilities; the training-free photometric
-alternative scores points by how consistent their color is across the
-views that saw them (``exp(-mean_variance / k_sigma)``).
+strictly below ``tau`` (unsquared meters); the labels' search of a cell
+grid of the surface samples stops at ``tau``. The training signal for a
+filter is a binary focal loss on predicted inlier probabilities; the
+training-free photometric alternative scores points by how consistent
+their color is across the views that saw them
+(``exp(-mean_variance / k_sigma)``).
 
 Scores weight the learned feature channels only; point positions and
 the one-hot category block stay untouched so geometry is preserved.
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .meshes import sample_surface_points, triangle_areas
+from .neighbors import CellGrid, nearest_sq
 
 CLIP_EPS = 1e-7
 
@@ -32,15 +33,16 @@ DEFAULT_SCORE = 0.5
 @dataclass(frozen=True, eq=False)
 class SurfaceLabeling:
     """Inlier labels, and the exact nearest-surface distances, which a
-    search without the labels' ``tau`` bound finds on first read."""
+    search of the labels' grid of surface samples without their ``tau``
+    bound finds on first read."""
 
     labels: np.ndarray
-    tree: cKDTree
+    grid: CellGrid
     points: np.ndarray
 
     @cached_property
     def distances(self) -> np.ndarray:
-        return self.tree.query(self.points)[0]
+        return np.sqrt(nearest_sq(self.points, self.grid))
 
     @property
     def inlier_fraction(self) -> float:
@@ -49,13 +51,23 @@ class SurfaceLabeling:
         return float(self.labels.mean())
 
 
+def _below_root(tau: float) -> float:
+    """The least double whose square root is at least ``tau``, so that
+    ``sqrt(d2) < tau`` exactly when ``d2`` is below it."""
+    bound = tau * tau
+    while np.sqrt(bound) < tau:
+        bound = np.nextafter(bound, np.inf)
+    while np.sqrt(np.nextafter(bound, 0.0)) >= tau:
+        bound = np.nextafter(bound, 0.0)
+    return float(bound)
+
+
 def label_points(points: np.ndarray, surface_points: np.ndarray, tau: float) -> SurfaceLabeling:
     """Label points whose nearest GT surface sample is closer than ``tau``.
 
-    Distances are plain Euclidean (not squared). The labels' search stops
-    just past ``tau``: the tree's bound is strict and squared, and the
-    slack keeps a neighbour whose rounded distance is below ``tau``.
-    Raises when the surface sample set is empty.
+    Distances are plain Euclidean (not squared): the square root of the
+    squared distance summed x, y, z. Raises when the surface sample set
+    is empty.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -63,9 +75,8 @@ def label_points(points: np.ndarray, surface_points: np.ndarray, tau: float) -> 
     if len(surf) == 0:
         raise ValueError("surface sample set is empty")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    tree = cKDTree(surf, balanced_tree=False, compact_nodes=False)
-    near, _ = tree.query(pts, distance_upper_bound=tau * (1.0 + 1e-9))
-    return SurfaceLabeling(labels=near < tau, tree=tree, points=pts)
+    grid = CellGrid(tau, surf)
+    return SurfaceLabeling(labels=grid.near_any(pts, _below_root(tau)), grid=grid, points=pts)
 
 
 def sample_scene_surface(scene, tau: float, rng: np.random.Generator) -> np.ndarray:

@@ -556,10 +556,82 @@ class HashGridAccumulator:
         )
 
 
+def sq_dist(p, q):
+    """Row-wise squared distance, summed in x, y, z order."""
+    return (p[:, 0] - q[:, 0]) ** 2 + (p[:, 1] - q[:, 1]) ** 2 + (p[:, 2] - q[:, 2]) ** 2
+
+
+# relative margin the tree searches add to the radius; tree distances
+# and the exact squared-distance sum differ by far less
+DEDUP_SLACK = 1e-9
+
+
+def tree_near_any(queries, points, r):
+    """Mask of queries with some row of ``points`` strictly closer than
+    ``r``: the dedup's first step when it searched a KD-tree. The
+    tree's nearest point is tested with the exact sum; when it fails but
+    lies within the slack band, every point in reach is tried."""
+    reach = r * (1.0 + DEDUP_SLACK)
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+    dist, idx = tree.query(queries, k=1, distance_upper_bound=reach)
+    found = np.flatnonzero(np.isfinite(dist))
+    near = np.zeros(len(queries), dtype=bool)
+    near[found] = sq_dist(queries[found], points[idx[found]]) < r * r
+    band = found[~near[found]]
+    for i, nbrs in zip(band, tree.query_ball_point(queries[band], reach)):
+        others = points[nbrs]
+        near[i] = (sq_dist(np.broadcast_to(queries[i], others.shape), others) < r * r).any()
+    return near
+
+
+def tree_greedy_keep(points, r):
+    """Greedy acceptance in row order from the KD-tree's neighbour pairs:
+    a kept row rejects later rows strictly closer than ``r``."""
+    keep = np.ones(len(points), dtype=bool)
+    pairs = cKDTree(points).query_pairs(r * (1.0 + DEDUP_SLACK), output_type="ndarray")
+    pairs = pairs[sq_dist(points[pairs[:, 0]], points[pairs[:, 1]]) < r * r]
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    heads, starts = np.unique(pairs[:, 0], return_index=True)
+    for head, later in zip(heads.tolist(), np.split(pairs[:, 1], starts[1:])):
+        if keep[head]:
+            keep[later] = False
+    return keep
+
+
+class TreeAccumulator:
+    """The scatter accumulator when its dedup searched KD-trees: each
+    frame's candidates of :func:`box_candidates` are queried against a
+    tree of every earlier point, and the survivors settle their own
+    pairs greedily in candidate order."""
+
+    def __init__(self, config):
+        self.config = config
+        self._frames = [empty_cloud()]
+
+    def add_frame(self, frame):
+        """Scatter one frame; returns the number of accepted points."""
+        cands = box_candidates(frame, frame.camera_index, self.config.radius)
+        r = self.config.radius
+        earlier = np.concatenate([c.positions for c in self._frames])
+        keep = ~tree_near_any(cands.positions, earlier, r)
+        keep[keep] = tree_greedy_keep(cands.positions[keep], r)
+        self._frames.append(cands.select(np.flatnonzero(keep)))
+        return int(keep.sum())
+
+    def cloud(self):
+        frames = self._frames
+        return ScatterCloud(
+            **{
+                name: np.concatenate([getattr(c, name) for c in frames])
+                for name in ("positions", "frame_ids", "pixels", "categories")
+            }
+        )
+
+
 def union_find_components(points, eps):
     """Index groups of points linked by distances <= eps, by a Python
     union-find over the KD-tree's pairs: the cluster detector's grouping
-    before it used scipy's connected components."""
+    before it used scipy's connected components, and then its own."""
     n = len(points)
     parent = list(range(n))
 

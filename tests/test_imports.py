@@ -134,3 +134,26 @@ def test_every_module_imports_alone():
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_runs_without_scipy():
+    # a None entry in sys.modules makes every import of scipy fail; the
+    # cluster detector links points and the evaluation measures chamfer
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import pointscatter.cli\n"
+        "from pointscatter.pipeline import DetectorConfig, PipelineConfig, run_pipeline\n"
+        "from pointscatter.scene import demo_scene\n"
+        "scene = demo_scene(noise_sigma=0.05, outlier_rate=0.1, steps=4)\n"
+        "for mode in ('score_cluster', 'gt_passthrough'):\n"
+        "    config = PipelineConfig(frames=4, detector=DetectorConfig(mode=mode))\n"
+        "    report = run_pipeline(scene, config).report\n"
+        "assert report['chamfer'] is not None\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert loaded == ['scipy'] and sys.modules['scipy'] is None, loaded\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -245,9 +245,8 @@ def error_message(fn, *args) -> str:
     return str(info.value)
 
 
-def workload(name):
-    """Reduced forms of the three benchmark workloads, at seed 11."""
-    seed = 11
+def workload(name, seed=11):
+    """Reduced forms of the three benchmark workloads."""
     if name == "demo_noisy":
         scene = demo_scene(noise_sigma=0.05, outlier_rate=0.1, steps=6, seed=seed)
         return scene, PipelineConfig(seed=seed, frames=6, detector=DetectorConfig(mode="score_cluster"))
@@ -267,6 +266,14 @@ class TestChamferFscoreMatchesOracle:
 
     @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
     def test_evaluated_pairs_of_workloads(self, monkeypatch, name):
+        self.assert_evaluated_pairs_match(monkeypatch, name, 11)
+
+    @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
+    def test_evaluated_pairs_of_workloads_at_seed_29(self, monkeypatch, name):
+        self.assert_evaluated_pairs_match(monkeypatch, name, 29)
+
+    @staticmethod
+    def assert_evaluated_pairs_match(monkeypatch, name, seed):
         calls = []
 
         def record(*args):
@@ -275,7 +282,7 @@ class TestChamferFscoreMatchesOracle:
             return result
 
         monkeypatch.setattr(pipeline, "chamfer_fscore", record)
-        scene, config = workload(name)
+        scene, config = workload(name, seed)
         report = pipeline.run_pipeline(scene, config).report
         assert calls
         # evaluation takes chamfer_fscore's default threshold, 0.004

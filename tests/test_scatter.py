@@ -4,13 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     HashGridAccumulator,
     SpatialHashGrid,
+    TreeAccumulator,
     box_candidates,
     brute_nn_distances,
     dense_candidates,
@@ -37,6 +37,7 @@ from pointscatter.scene import (
 )
 from pointscatter.camera import Intrinsics, Pose, look_at_pose
 from pointscatter.boxes import OrientedBox
+from pointscatter.neighbors import CellGrid
 from pointscatter.pipeline import run_front
 
 from conftest import load_perfbench, render_all, uncovered_frame
@@ -163,29 +164,35 @@ class TestMatchesHashGridOracle:
         frames = [blank, clean_frames[0], no_boxes, blank, clean_frames[3]]
         self.assert_matches(frames, ScatterConfig(radius=0.04))
 
-    def test_points_exactly_r_apart_are_kept(self, monkeypatch):
-        # 0.5 and its square are exact, so the tree finds each earlier
-        # point at distance exactly r, inside the slack band, and only the
-        # exact strict test may decide
-        ball_queries = []
-
-        class SpyTree(cKDTree):
-            def query_ball_point(self, *args, **kwargs):
-                ball_queries.append(args)
-                return super().query_ball_point(*args, **kwargs)
-
-        monkeypatch.setattr(scatter, "cKDTree", SpyTree)
+    def test_points_exactly_r_apart_are_kept(self):
+        # 0.5 and its square are exact; each query lies exactly r from the
+        # earlier point, across a face of the 0.5 m cells, so only the
+        # strict test decides
         r = 0.5
-        earlier = np.array([[0.0, 0.0, 0.0]])
-        queries = np.array([[0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.25, 0.0, 0.0]])
-        assert scatter._near_any(queries, earlier, r).tolist() == [False, False, True]
-        # one ball query, over the two queries whose nearest point lies
-        # exactly r away
-        assert len(ball_queries) == 1 and len(ball_queries[0][0]) == 2
+        earlier = np.array([[0.25, -0.25, 0.0]])
+        queries = np.array([[0.75, -0.25, 0.0], [0.25, -0.75, 0.0], [0.5, -0.25, 0.0]])
+        assert CellGrid(r, earlier).near_any(queries, r * r).tolist() == [False, False, True]
         row = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.75], [0.0, 0.0, 1.0]])
         # 0.75 falls to the kept 0.5, so it cannot reject 1.0; the pairs
         # (0, 0.5) and (0.5, 1.0) lie exactly r apart
         assert scatter._greedy_keep(row, r).tolist() == [True, True, False, True]
+
+
+class TestMatchesTreeOracle:
+    """The grid's dedup accepts the rows the KD-tree dedup it replaced
+    accepted, frame by frame, on the reduced workloads."""
+
+    @pytest.mark.parametrize("seed", [11, 29])
+    @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
+    def test_workload_frames(self, name, seed):
+        scene, config = load_perfbench("workloads").build(name, seed, reduced=True)
+        frames = render_all(scene)
+        acc, ref = ScatterAccumulator(config.scatter), TreeAccumulator(config.scatter)
+        assert [acc.add_frame(f) for f in frames] == [ref.add_frame(f) for f in frames]
+        got, want = acc.cloud(), ref.cloud()
+        assert len(got) > 100
+        for name in ("positions", "pixels", "frame_ids", "categories"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestCandidatesMatchOracle:
@@ -265,8 +272,7 @@ class TestDenseMapOracle:
 
 
 class TestNearAnyTies:
-    """Dedup decides the strict ``d2 < r * r`` whichever of several tied
-    neighbours the tree returns."""
+    """Dedup decides the strict ``d2 < r * r`` however many neighbours tie."""
 
     @staticmethod
     def lattice(r, shrink):
@@ -291,47 +297,17 @@ class TestNearAnyTies:
     @pytest.mark.parametrize("shrink", [1.0, 1.0 - 1e-12])
     def test_lattice_matches_brute_force(self, r, shrink):
         points, queries = self.lattice(r, shrink)
-        reach = r * (1.0 + scatter.DEDUP_SLACK)
-        _, balanced = cKDTree(points).query(queries, distance_upper_bound=reach)
-        _, sliding = cKDTree(points, balanced_tree=False, compact_nodes=False).query(
-            queries, distance_upper_bound=reach
-        )
-        # the two builds break the ties differently
-        assert (balanced != sliding).any()
         brute = self.brute(queries, points, r)
-        assert scatter._near_any(queries, points, r).tolist() == brute
+        assert CellGrid(r, points).near_any(queries, r * r).tolist() == brute
         if shrink == 1.0 and r == 0.5:
             # exact coordinates: every hole's neighbours lie exactly r away
             assert not any(brute)
         elif shrink < 1.0:
             assert all(brute)
-
-    def test_worst_tied_neighbour_falls_back_to_band(self, monkeypatch):
-        # at r = 0.04 the rounded coordinates put some of a hole's tied
-        # neighbours just below r and others at or above it; a tree that
-        # returns the farthest of them (as other tie-breaking or other
-        # rounding of its distances could) must not decide the query
-        r = 0.04
-        points, queries = self.lattice(r, 1.0)
-        picks = []
-
-        class WorstTieTree(cKDTree):
-            def query(self, x, k=1, distance_upper_bound=np.inf, **kwargs):
-                dist, idx = super().query(x, k, distance_upper_bound=distance_upper_bound)
-                for i, nbrs in enumerate(self.query_ball_point(x, distance_upper_bound)):
-                    if nbrs:
-                        d = self.data[nbrs] - x[i]
-                        idx[i] = nbrs[int(np.argmax(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2))]
-                picks.append(idx)
-                return dist, idx
-
-        monkeypatch.setattr(scatter, "cKDTree", WorstTieTree)
-        brute = self.brute(queries, points, r)
-        assert scatter._near_any(queries, points, r).tolist() == brute
-        d = points[picks[0]] - queries
-        pick_passes = d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2 < r * r
-        # some holes are near only through a neighbour other than the pick
-        assert (np.array(brute) & ~pick_passes).any()
+        if r == 0.04 and shrink == 1.0:
+            # the rounded coordinates put some of a hole's tied neighbours
+            # just below r and others at or above it
+            assert any(brute) and not all(brute)
 
 
 class TestScatterFrames:

@@ -792,6 +792,18 @@ class TestDenseMapOracle:
             assert depth.tobytes() == frame.depth.ravel()[flat].tobytes()
             assert tri.tobytes() == frame.tri_index.ravel()[flat].tobytes()
 
+    def test_lookup_pair_matches_two_lookups(self, noisy_frames, clean_scene):
+        rng = np.random.default_rng(6)
+        for frame in [*noisy_frames[::3], uncovered_frame(clean_scene)]:
+            size = frame.intrinsics.width * frame.intrinsics.height
+            # word ends, where the right pixel lies in the next 64-bit word
+            flat = np.concatenate([rng.integers(0, size - 1, 500), np.arange(63, size - 1, 64), [0, size - 2]])
+            flat = np.concatenate([flat, frame.covered[:3], frame.covered[-3:] - 1]).clip(0, size - 2)
+            for values, fill in [(frame.covered_depth, 0.0), (frame.covered_tri, -1)]:
+                left, right = frame.lookup_pair(flat, values, fill)
+                assert left.tobytes() == frame.lookup(flat, values, fill).tobytes()
+                assert right.tobytes() == frame.lookup(flat + 1, values, fill).tobytes()
+
     @pytest.mark.parametrize("count", [2, 501])
     def test_lookup_takes_int32_indices(self, noisy_frames, count):
         # frame.covered itself is int32; two indices are the case where a

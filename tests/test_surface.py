@@ -62,13 +62,22 @@ class TestLabelPoints:
         assert not lab.labels[0]
 
     def test_distance_just_below_tau_is_inlier(self):
-        # the search's bound is strict and squared: its slack keeps the
-        # neighbour one ulp inside tau
         below = np.nextafter(0.05, 0.0)
         surf = np.array([[0.0, 0.0, 0.0]])
         lab = label_points(np.array([[below, 0.0, 0.0]]), surf, 0.05)
         assert lab.distances[0] == below
         assert lab.labels[0]
+
+    def test_root_decides_not_the_square(self):
+        # the offset's squared distance, 0.0025, lies below 0.05 * 0.05
+        # (0.0025000000000000005), but its square root is 0.05: the label
+        # tests the distance, as the KD-tree reference does
+        offset = np.array([[-0.03952855627869432, 0.027462081673732732, 0.013539841530362485]])
+        surf = np.array([[0.0, 0.0, 0.0]])
+        lab = label_points(offset, surf, 0.05)
+        assert lab.distances[0] == 0.05
+        assert not lab.labels[0]
+        assert not oracles.label_points(offset, surf, 0.05)[0][0]
 
     def test_nearest_of_many(self):
         surf = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
