@@ -82,6 +82,8 @@ class Pose:
             raise ValueError("rotation is not orthonormal")
         if not np.isclose(np.linalg.det(r), 1.0, atol=1e-6):
             raise ValueError("rotation must have determinant +1")
+        # C-ordered, so that a stack of rotations has each one's layout
+        r = np.ascontiguousarray(r)
         r.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
@@ -146,6 +148,33 @@ def project_points(points: np.ndarray, intrinsics: Intrinsics, pose: Pose):
     with np.errstate(invalid="ignore", divide="ignore"):
         uv[in_front, 0] = intrinsics.fx * cam[in_front, 0] / z[in_front] + intrinsics.cx
         uv[in_front, 1] = intrinsics.fy * cam[in_front, 1] / z[in_front] + intrinsics.cy
+    return uv, z, in_front
+
+
+def project_views(points: np.ndarray, intrinsics, poses):
+    """:func:`project_points` of the same (N, 3) world points into C
+    cameras at once, with ``intrinsics`` and ``poses`` one per camera.
+
+    Returns ``(uv, depth, in_front)`` shaped (C, N, 2), (C, N) and
+    (C, N). Every pose's camera-frame points come from one stacked
+    ``np.matmul``, which hands BLAS the product :func:`project_points`
+    makes for that pose, and the pixel coordinates take the same
+    operations, so each camera's rows have the bits
+    :func:`project_points` gives it.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be (N, 3), got {pts.shape}")
+    rotations = np.array([p.rotation for p in poses]).reshape(-1, 3, 3)
+    translations = np.array([p.translation for p in poses]).reshape(-1, 1, 3)
+    cam = np.matmul(pts - translations, rotations)
+    z = cam[..., 2]
+    in_front = z > BEHIND_CAMERA_EPS
+    focal = np.array([(i.fx, i.fy) for i in intrinsics]).reshape(-1, 1, 2)
+    center = np.array([(i.cx, i.cy) for i in intrinsics]).reshape(-1, 1, 2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        uv = focal * cam[..., :2] / z[..., None] + center
+    uv[~in_front] = np.nan
     return uv, z, in_front
 
 

@@ -38,10 +38,8 @@ from .fileio import write_cloud_ply, write_detections, write_json
 from .meshes import box_shell, sample_surface_points
 from .metrics import chamfer_fscore, evaluate_detections
 from .neighbors import component_labels
-# ScatterAccumulator is not called here; perfbench's tracer resolves
-# ScatterAccumulator.add_frame through this module
-from .scatter import ScatterAccumulator, ScatterConfig, cap_points, scatter_frames  # noqa: F401
-from .scene import SceneSpec, make_frame, project_gt_boxes, select_keyframes
+from .scatter import ScatterConfig, cap_points, scatter_frames
+from .scene import RayCaster, SceneSpec, make_frame, project_gt_boxes, project_scene, select_keyframes
 from .surface import label_points, photometric_score, sample_scene_surface, soft_weight
 from .voxel import dense_cell_count, sparsity_report, voxelize
 
@@ -241,19 +239,24 @@ def evaluate(detections, scene: SceneSpec, config: PipelineConfig) -> dict:
 
 
 def _keyframes(scene: SceneSpec, config: PipelineConfig):
-    """Selected camera indices and the GT 2D boxes of every camera."""
-    boxes = [project_gt_boxes(scene, i) for i in range(len(scene.cameras))]
+    """Selected camera indices, the GT 2D boxes of every camera, and the
+    scene's vertices projected into every camera, which the render
+    stage reuses."""
+    projection = project_scene(scene)
+    boxes = project_gt_boxes(scene, projection)
     poses = [c.pose for c in scene.cameras]
     counts = [len(b) for b in boxes]
     keyframes = select_keyframes(
         poses, counts, config.frames, config.min_translation, config.min_rotation_deg
     )
-    return keyframes, boxes
+    return keyframes, boxes, projection
 
 
-def _render(scene: SceneSpec, keyframes, boxes) -> list:
+def _render(scene: SceneSpec, keyframes, boxes, projection) -> list:
+    caster = RayCaster(scene, keyframes, projection)
     return [
-        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), boxes[i]) for i in keyframes
+        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), boxes[i], caster)
+        for i in keyframes
     ]
 
 
@@ -282,9 +285,9 @@ def run_front(scene: SceneSpec, config: PipelineConfig, timings=None):
     Returns ``(keyframes, frames, cloud)``; ``timings`` is passed on to
     :func:`guarded`.
     """
-    keyframes, boxes = guarded("keyframes", _keyframes, scene, config, timings=timings)
+    keyframes, boxes, projection = guarded("keyframes", _keyframes, scene, config, timings=timings)
     logger.info("selected %d keyframes", len(keyframes))
-    frames = guarded("render", _render, scene, keyframes, boxes, timings=timings)
+    frames = guarded("render", _render, scene, keyframes, boxes, projection, timings=timings)
     cloud = guarded("scatter", _scatter, frames, config, timings=timings)
     logger.info("scattered %d points", len(cloud))
     cloud = guarded("aggregate", _aggregate, cloud, frames, scene, config, timings=timings)

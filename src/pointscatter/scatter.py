@@ -10,13 +10,13 @@ closer than that same ``radius`` to a point accepted before it. Acceptance
 order is deterministic: frames in call order, boxes in frame order,
 pixels in raster order.
 
-Dedup works a frame at a time. The accumulator keeps the points of
-earlier frames in a cell grid (``neighbors.CellGrid``); one query of it
-removes the candidates they cover, and neighbour pairs among the
-survivors and one greedy pass in candidate order settle the rest. Every
-candidate within reach is decided with the same squared-distance sum as
-a point-by-point scan, so the cloud is the one that scan would accept,
-bit for bit.
+Dedup works a run of ``RUN_FRAMES`` frames at a time. The accumulator
+keeps the points of earlier runs in a cell grid (``neighbors.CellGrid``);
+one query of it removes the run's candidates they cover, and neighbour
+pairs among the survivors and one greedy pass in candidate order settle
+the rest. Every candidate within reach is decided with the same
+squared-distance sum as a point-by-point scan, so the cloud is the one
+that scan would accept, bit for bit, whatever the run length.
 """
 
 from __future__ import annotations
@@ -30,6 +30,12 @@ from .camera import backproject_pixels
 from .checks import _check
 from .neighbors import CellGrid, runs
 from .scene import CameraFrame
+
+# frames whose dedup one grid query and one greedy pass settle; longer
+# runs make fewer queries, but the greedy pass's pair list grows with the
+# run's survivors. Of runs of 1 to 8 frames, 4 scattered the benchmark
+# workloads fastest
+RUN_FRAMES = 4
 
 
 @dataclass(frozen=True)
@@ -106,20 +112,23 @@ def _median(values: np.ndarray) -> float:
 
 
 class ScatterAccumulator:
-    """Grows a scatter cloud frame by frame with exact radius dedup.
+    """Grows a scatter cloud run of frames by run with exact radius dedup.
 
     A candidate is accepted when no point accepted before it, in an
     earlier frame or earlier in the same frame (boxes in frame order,
     pixels in raster order), lies strictly closer than the sampling
-    radius ``r``. :meth:`add_frame` decides this for a whole frame in two
+    radius ``r``. :meth:`add_run` decides this for a run of frames in two
     vectorized steps: one query of the grid of every point of the earlier
-    frames, then neighbour pairs among the survivors and one greedy pass
+    runs, then neighbour pairs among the survivors and one greedy pass
     in candidate order, where an accepted point rejects its later
     neighbours. Both steps decide with the squared distance summed x, y,
-    z, ``d2 < r * r``. Each frame merges the keys of the points it
+    z, ``d2 < r * r``. A candidate that no earlier run's point covers can
+    only be rejected by an accepted candidate before it, and each such
+    candidate is itself a survivor, so the run gives the points that
+    frame-by-frame dedup would. Each run merges the keys of the points it
     accepted into the grid.
 
-    Calls to :meth:`add_frame` must be serialized.
+    Calls to :meth:`add_run` must be serialized.
     """
 
     def __init__(self, config: ScatterConfig):
@@ -130,9 +139,10 @@ class ScatterAccumulator:
     def __len__(self) -> int:
         return len(self._grid)
 
-    def add_frame(self, frame: CameraFrame) -> int:
-        """Scatter one frame; returns the number of accepted points."""
-        cands = self._candidates(frame, frame.camera_index)
+    def add_run(self, frames) -> int:
+        """Scatter a run of frames in order; returns the number of
+        accepted points."""
+        cands = _concatenate([empty_cloud(), *(self._candidates(f, f.camera_index) for f in frames)])
         r = self.config.radius
         keep = ~self._grid.near_any(cands.positions, r * r)
         keep[keep] = _greedy_keep(cands.positions[keep], r)
@@ -215,10 +225,12 @@ def _greedy_keep(points: np.ndarray, r: float) -> np.ndarray:
 
 
 def scatter_frames(frames, config: ScatterConfig) -> ScatterCloud:
-    """Scatter a frame sequence in order and return the combined cloud."""
+    """Scatter a frame sequence in order, ``RUN_FRAMES`` frames per run,
+    and return the combined cloud."""
     acc = ScatterAccumulator(config)
-    for frame in frames:
-        acc.add_frame(frame)
+    frames = list(frames)
+    for start in range(0, len(frames), RUN_FRAMES):
+        acc.add_run(frames[start : start + RUN_FRAMES])
     return acc.cloud()
 
 

@@ -13,7 +13,11 @@ the depth and triangle index at each; ``CameraFrame.depth``,
 demand. The triangle stack, its owning objects and the shade table
 depend only on the scene, so each scene builds them once
 (``SceneSpec.geometry``) and every view, GT box projection and surface
-sample shares them. Each triangle is tested
+sample shares them. One stacked product projects the triangle vertices
+into every camera (``project_scene``); the GT boxes of every camera and
+the caster's per-view constants for every keyframe come from that one
+projection, and one ``RayCaster`` casts the keyframes in turn, reusing
+its maps and ray blocks. Each triangle is tested
 only against the rays inside its projected bounding box, widened by one
 pixel and clipped to the image; a triangle with a vertex at or behind
 the camera plane is tested against every ray. Every object is a closed,
@@ -38,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boxes import OrientedBox
-from .camera import BEHIND_CAMERA_EPS, Intrinsics, Pose, look_at_pose, project_points
+from .camera import BEHIND_CAMERA_EPS, Intrinsics, Pose, look_at_pose, project_views
 from .checks import _check, _entries, _entry
 from .meshes import _BOX_FACES, box_shell, triangle_normals
 
@@ -238,22 +242,33 @@ class CameraFrame:
         return np.where(hit, values[pos], fill), np.where(bit == 1, values[pos + bit], fill)
 
 
-def _screen_boxes(projection, intrinsics: Intrinsics):
-    """Per-triangle pixel windows ``(lo, hi)``, each (T, 2) as ``(u, v)``,
-    from ``projection``, the :func:`project_points` result of the (T*3)
-    triangle vertices.
+def project_scene(scene: SceneSpec, cameras=None):
+    """The scene's (T*3) triangle vertices projected into the cameras
+    with indices ``cameras``, every camera by default, by one
+    :func:`project_views` call: ``(uv, depth, in_front)``, one leading
+    row per camera, each with the bits of :func:`project_points`."""
+    cams = scene.cameras if cameras is None else [scene.cameras[i] for i in cameras]
+    vertices = scene.geometry.triangles.reshape(-1, 3)
+    return project_views(vertices, [c.intrinsics for c in cams], [c.pose for c in cams])
+
+
+def _screen_boxes(uv, in_front, size):
+    """Per-triangle pixel windows ``(lo, hi)``, each (..., T, 2) as
+    ``(u, v)``, from the projected (T*3) triangle vertices of one view or
+    a stack of views: ``uv`` (..., T*3, 2) and ``in_front`` (..., T*3),
+    as :func:`project_points` or :func:`project_views` give them, and
+    the image ``size`` (width, height), broadcast against ``lo``.
 
     A triangle with all three vertices in front of the camera gets its
     projected bounding box widened to ``floor(min) - 1 .. ceil(max) + 1``
     and clipped to the image, bounds inclusive (``lo > hi`` on an axis
     when it misses the image); any other triangle gets the whole image.
     """
-    uv, _, in_front = projection
-    uv = uv.reshape(-1, 3, 2)
-    size = np.array([intrinsics.width, intrinsics.height])
-    lo = np.clip(np.floor(uv.min(axis=1)) - 1, 0, size)
-    hi = np.clip(np.ceil(uv.max(axis=1)) + 1, -1, size - 1)
-    front = in_front.reshape(-1, 3).all(axis=1)[:, None]
+    count = in_front.shape[-1] // 3
+    uv = uv.reshape(*uv.shape[:-2], count, 3, 2)
+    lo = np.clip(np.floor(uv.min(axis=-2)) - 1, 0, size)
+    hi = np.clip(np.ceil(uv.max(axis=-2)) + 1, -1, size - 1)
+    front = in_front.reshape(*in_front.shape[:-1], count, 3).all(axis=-1)[..., None]
     return np.where(front, lo, 0).astype(np.int64), np.where(front, hi, size - 1).astype(np.int64)
 
 
@@ -263,24 +278,28 @@ _BARYCENTRIC_EPS = 1e-9
 
 
 def _back_faces(edge1, edge2, tvecs, qvecs, in_front):
-    """Boolean (T,) mask of the triangles a view skips: the strictly
-    back-facing ones,
+    """Boolean (..., T) mask of the triangles a view skips, for one view
+    or a stack of views: the strictly back-facing ones,
     ``cross(edge1, edge2) . tvec < -1e-9 |cross(edge1, edge2)| |tvec|``,
     of every object whose vertices are all in front of the camera
-    (``in_front``, (T*3,), from :func:`project_points`). The triangles
-    are box shells, ``len(_BOX_FACES)`` per object in object order.
+    (``in_front``, (..., T*3), from :func:`project_points` or
+    :func:`project_views`). ``edge1`` and ``edge2`` are (T, 3), ``tvecs``
+    and ``qvecs`` (..., T, 3). The triangles are box shells,
+    ``len(_BOX_FACES)`` per object in object order.
     """
     e11, e22, e12, tt = (
-        np.einsum("ij,ij->i", x, y)
+        np.einsum("...j,...j->...", x, y)
         for x, y in ((edge1, edge1), (edge2, edge2), (edge1, edge2), (tvecs, tvecs))
     )
     # the triple product cross(edge1, edge2) . tvec is edge2 . qvec, and
     # |cross(edge1, edge2)|^2 is e11 * e22 - e12^2 (Lagrange's identity)
-    facing = np.einsum("ij,ij->i", edge2, qvecs)
+    facing = np.einsum("...j,...j->...", edge2, qvecs)
     back = facing < -1e-9 * np.sqrt(np.maximum(e11 * e22 - e12 * e12, 0.0) * tt)
-    back = back.reshape(-1, _SHELL_TRIANGLES)
-    back &= in_front.reshape(-1, 3 * _SHELL_TRIANGLES).all(axis=1)[:, None]
-    return back.ravel()
+    objects = len(edge1) // _SHELL_TRIANGLES
+    shape = back.shape
+    back = back.reshape(*shape[:-1], objects, _SHELL_TRIANGLES)
+    back &= in_front.reshape(*shape[:-1], objects, 3 * _SHELL_TRIANGLES).all(axis=-1)[..., None]
+    return back.reshape(shape)
 
 
 # the most rays the caster builds at once; a larger window is cast in
@@ -301,11 +320,39 @@ def _bands(lo, hi):
             yield k, u0, top, u1, min(top + rows - 1, v1)
 
 
-def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
-    """Nearest-hit depth and int32 triangle index (-1 for no hit) for
-    every pixel center, among the triangles the view keeps.
+def _view_constants(triangles, edge1, edge2, cameras, projection):
+    """``(lo, hi, tvecs, qvecs, back)`` of the views of ``cameras``
+    (:class:`SceneCamera`) of the (T, 3, 3) ``triangles``, whose first
+    and second edges are ``edge1`` and ``edge2``, from ``projection``,
+    the triangle vertices projected into each view: the windows of
+    :func:`_screen_boxes`, each (C, T, 2), the Moeller-Trumbore ``tvec``
+    (camera center minus first vertex) and ``qvec`` (``tvec`` cross the
+    first edge), each (C, T, 3), and the (C, T) mask of
+    :func:`_back_faces`, all computed for every view at once."""
+    uv, _, in_front = projection
+    sizes = np.array([(c.intrinsics.width, c.intrinsics.height) for c in cameras], dtype=np.int64)
+    lo, hi = _screen_boxes(uv, in_front, sizes.reshape(-1, 1, 2))
+    tvecs = np.array([c.pose.translation for c in cameras]).reshape(-1, 1, 3) - triangles[:, 0]
+    qvecs = np.cross(tvecs, edge1)
+    return lo, hi, tvecs, qvecs, _back_faces(edge1, edge2, tvecs, qvecs, in_front)
 
-    Each window builds its own rays in blocks reused by every window,
+
+class RayCaster:
+    """Casts views of a scene's cameras one at a time: the nearest-hit
+    depth and int32 triangle index (-1 for no hit) at every pixel
+    center, among the triangles each view keeps.
+
+    The per-view constants of every camera in ``cameras`` (indices) come
+    from one projection of the scene, ``projection``, which is
+    :func:`project_scene` of every camera and is projected for
+    ``cameras`` alone when not given: each triangle's pixel window
+    (:func:`_screen_boxes`), the Moeller-Trumbore ``tvec`` and ``qvec``,
+    and the back faces (:func:`_back_faces`), which are passed over like
+    empty windows. The dense maps and the ray and scratch blocks are
+    allocated once, for the largest view, and every :meth:`cast` reuses
+    them, so the maps a cast returns hold until the next cast.
+
+    Each window builds its own rays in the blocks,
     ``((u - cx) / fx, (v - cy) / fy, 1)`` from one per-column and one
     per-row vector, and rotates them with one matrix product. A ray's
     camera-frame z-component is 1, so the ray parameter of a hit is its
@@ -313,81 +360,99 @@ def _cast_rays(scene: SceneSpec, intrinsics: Intrinsics, pose: Pose):
     than ``_RAY_BLOCK`` rays is cast in bands of whole rows
     (:func:`_bands`), so the blocks hold at most about 100 bytes per ray
     of ``max(_RAY_BLOCK, width)`` rays beyond the 12-byte-per-pixel
-    output maps. A triangle whose vertices are all in front of the camera
-    is tested only against the rays inside its projected bounding box,
+    maps. A triangle whose vertices are all in front of the camera is
+    tested only against the rays inside its projected bounding box,
     widened by one pixel and clipped to the image, and is skipped when
     that box is empty; a triangle with a vertex at or behind the camera
-    plane falls back to testing every ray. The per-triangle
-    Moeller-Trumbore constants (edges, ``tvec``, ``qvec``) are computed
-    for all triangles at once per view. A triangle of
-    :func:`_back_faces` is skipped like an empty window. Triangles are
-    visited in order, so the lowest index wins a tie, and the per-ray
-    arithmetic and strict nearer-hit test are the same on every path,
-    so neither the screen-box culling nor the banding changes an output
-    bit.
+    plane falls back to testing every ray. Triangles are visited in
+    order, so the lowest index wins a tie, and the per-ray arithmetic
+    and strict nearer-hit test are the same on every path, so neither
+    the screen-box culling nor the banding changes an output bit.
     """
-    h, w = intrinsics.height, intrinsics.width
-    xs = (np.arange(w, dtype=np.float64) - intrinsics.cx) / intrinsics.fx
-    ys = (np.arange(h, dtype=np.float64) - intrinsics.cy) / intrinsics.fy
 
-    triangles = scene.geometry.triangles
-    all_depth = np.full((h, w), np.inf)
-    all_index = np.full((h, w), -1, dtype=np.int32)
-    projection = project_points(triangles.reshape(-1, 3), intrinsics, pose)
-    lo, hi = _screen_boxes(projection, intrinsics)
-    # Moeller-Trumbore with a shared origin: the edges, tvec and qvec are
-    # per-triangle constants, only pvec varies per ray
-    edge1 = triangles[:, 1] - triangles[:, 0]
-    edge2 = triangles[:, 2] - triangles[:, 0]
-    tvecs = pose.translation - triangles[:, 0]
-    qvecs = np.cross(tvecs, edge1)
-    # a culled triangle is passed over like an empty window
-    hi[_back_faces(edge1, edge2, tvecs, qvecs, projection[2])] = -1
-    largest = int(np.maximum(hi - lo + 1, 0).prod(axis=1).max(initial=0))
-    # zeroed blocks reused by every band, one row longer than the largest
-    size = min(largest, max(_RAY_BLOCK, w))
-    rays, rotated = np.zeros((2, size + 1, 3))
-    # C-ordered: the same bits as the transposed view, up to 3x faster per row
-    rotation_t = np.ascontiguousarray(pose.rotation.T)
-    scalars, flags = np.empty((6, size + 1)), np.empty((2, size + 1), dtype=bool)
-    eps = _BARYCENTRIC_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k, u0, v0, u1, v1 in _bands(lo, hi):
-            window = np.s_[v0 : v1 + 1, u0 : u1 + 1]
-            shape = (v1 + 1 - v0, u1 + 1 - u0)
-            n = shape[0] * shape[1]
-            # the window's rays, row-major in (v, u), then a finite spare row: numpy hands a
-            # one-row product to BLAS as a vector call, whose bits can differ from the oracle's
-            grid = rays[:n].reshape(*shape, 3)
-            grid[..., 0] = xs[u0 : u1 + 1]
-            grid[..., 1] = ys[v0 : v1 + 1, None]
-            grid[..., 2] = 1.0
-            m = n + 1
-            dirs = np.matmul(rays[:m], rotation_t, out=rotated[:m])
-            pvec, (det, inv, u, v, t, tmp), (hit, test) = rays[:m], scalars[:, :m], flags[:, :m]
-            e1, e2, tvec, qvec = edge1[k], edge2[k], tvecs[k], qvecs[k]
-            # np.cross(dirs, e2) column by column into the spent camera-frame
-            # rays, the same multiplies and subtracts without its axis handling
-            (d0, d1, d2), (p0, p1, p2) = dirs.T, pvec.T
-            np.subtract(np.multiply(d1, e2[2], out=p0), np.multiply(d2, e2[1], out=tmp), out=p0)
-            np.subtract(np.multiply(d2, e2[0], out=p1), np.multiply(d0, e2[2], out=tmp), out=p1)
-            np.subtract(np.multiply(d0, e2[1], out=p2), np.multiply(d1, e2[0], out=tmp), out=p2)
-            np.matmul(pvec, e1, out=det)
-            np.divide(1.0, det, out=inv)
-            np.multiply(np.matmul(pvec, tvec, out=u), inv, out=u)
-            np.multiply(np.matmul(dirs, qvec, out=v), inv, out=v)
-            np.multiply(np.dot(e2, qvec), inv, out=t)
-            np.greater(np.abs(det, out=tmp), 1e-12, out=hit)
-            hit &= np.greater_equal(u, -eps, out=test)
-            hit &= np.greater_equal(v, -eps, out=test)
-            hit &= np.less_equal(np.add(u, v, out=tmp), 1.0 + eps, out=test)
-            hit &= np.greater(t, BEHIND_CAMERA_EPS, out=test)
-            depth, t, hit = all_depth[window], t[:n].reshape(shape), hit[:n].reshape(shape)
-            hit &= np.less(t, depth, out=test[:n].reshape(shape))
-            np.copyto(depth, t, where=hit)
-            np.copyto(all_index[window], k, where=hit)
-    all_depth[all_index < 0] = 0.0
-    return all_depth, all_index
+    def __init__(self, scene: SceneSpec, cameras, projection=None):
+        cameras = list(cameras)
+        self._rows = {index: row for row, index in enumerate(cameras)}
+        self._cameras = [scene.cameras[i] for i in cameras]
+        if projection is None:
+            projection = project_scene(scene, cameras)
+        else:
+            projection = tuple(array[cameras] for array in projection)
+        triangles = scene.geometry.triangles
+        # Moeller-Trumbore with a shared origin: the edges, tvec and qvec are
+        # per-triangle constants of a view, only pvec varies per ray
+        self._edge1 = triangles[:, 1] - triangles[:, 0]
+        self._edge2 = triangles[:, 2] - triangles[:, 0]
+        self._lo, self._hi, self._tvecs, self._qvecs, back = _view_constants(
+            triangles, self._edge1, self._edge2, self._cameras, projection
+        )
+        # a culled triangle is passed over like an empty window
+        self._hi[back] = -1
+        sizes = np.array([(c.intrinsics.width, c.intrinsics.height) for c in self._cameras], dtype=np.int64)
+        sizes = sizes.reshape(-1, 2)
+        largest = np.maximum(self._hi - self._lo + 1, 0).prod(axis=-1).max(axis=-1, initial=0)
+        # zeroed blocks reused by every band, one row longer than the largest
+        size = int(np.minimum(largest, np.maximum(_RAY_BLOCK, sizes[:, 0])).max(initial=0))
+        self._rays, self._rotated = np.zeros((2, size + 1, 3))
+        self._scalars, self._flags = np.empty((6, size + 1)), np.empty((2, size + 1), dtype=bool)
+        pixels = int(sizes.prod(axis=1).max(initial=0))
+        self._depth, self._index = np.empty(pixels), np.empty(pixels, dtype=np.int32)
+
+    def cast(self, camera_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (H, W) depth map, 0 where no surface, and int32 triangle
+        index map of camera ``camera_index``, which must be one of the
+        caster's cameras; both hold until the next cast."""
+        row = self._rows[camera_index]
+        intrinsics, pose = self._cameras[row].intrinsics, self._cameras[row].pose
+        h, w = intrinsics.height, intrinsics.width
+        xs = (np.arange(w, dtype=np.float64) - intrinsics.cx) / intrinsics.fx
+        ys = (np.arange(h, dtype=np.float64) - intrinsics.cy) / intrinsics.fy
+        all_depth = self._depth[: h * w].reshape(h, w)
+        all_index = self._index[: h * w].reshape(h, w)
+        all_depth.fill(np.inf)
+        all_index.fill(-1)
+        edge1, edge2, tvecs, qvecs = self._edge1, self._edge2, self._tvecs[row], self._qvecs[row]
+        rays, rotated, scalars, flags = self._rays, self._rotated, self._scalars, self._flags
+        # C-ordered: the same bits as the transposed view, up to 3x faster per row
+        rotation_t = np.ascontiguousarray(pose.rotation.T)
+        eps = _BARYCENTRIC_EPS
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, u0, v0, u1, v1 in _bands(self._lo[row], self._hi[row]):
+                window = np.s_[v0 : v1 + 1, u0 : u1 + 1]
+                shape = (v1 + 1 - v0, u1 + 1 - u0)
+                n = shape[0] * shape[1]
+                # the window's rays, row-major in (v, u), then a finite spare row: numpy hands a
+                # one-row product to BLAS as a vector call, whose bits can differ from the oracle's
+                grid = rays[:n].reshape(*shape, 3)
+                grid[..., 0] = xs[u0 : u1 + 1]
+                grid[..., 1] = ys[v0 : v1 + 1, None]
+                grid[..., 2] = 1.0
+                m = n + 1
+                dirs = np.matmul(rays[:m], rotation_t, out=rotated[:m])
+                pvec, (det, inv, u, v, t, tmp), (hit, test) = rays[:m], scalars[:, :m], flags[:, :m]
+                e1, e2, tvec, qvec = edge1[k], edge2[k], tvecs[k], qvecs[k]
+                # np.cross(dirs, e2) column by column into the spent camera-frame
+                # rays, the same multiplies and subtracts without its axis handling
+                (d0, d1, d2), (p0, p1, p2) = dirs.T, pvec.T
+                np.subtract(np.multiply(d1, e2[2], out=p0), np.multiply(d2, e2[1], out=tmp), out=p0)
+                np.subtract(np.multiply(d2, e2[0], out=p1), np.multiply(d0, e2[2], out=tmp), out=p1)
+                np.subtract(np.multiply(d0, e2[1], out=p2), np.multiply(d1, e2[0], out=tmp), out=p2)
+                np.matmul(pvec, e1, out=det)
+                np.divide(1.0, det, out=inv)
+                np.multiply(np.matmul(pvec, tvec, out=u), inv, out=u)
+                np.multiply(np.matmul(dirs, qvec, out=v), inv, out=v)
+                np.multiply(np.dot(e2, qvec), inv, out=t)
+                np.greater(np.abs(det, out=tmp), 1e-12, out=hit)
+                hit &= np.greater_equal(u, -eps, out=test)
+                hit &= np.greater_equal(v, -eps, out=test)
+                hit &= np.less_equal(np.add(u, v, out=tmp), 1.0 + eps, out=test)
+                hit &= np.greater(t, BEHIND_CAMERA_EPS, out=test)
+                depth, t, hit = all_depth[window], t[:n].reshape(shape), hit[:n].reshape(shape)
+                hit &= np.less(t, depth, out=test[:n].reshape(shape))
+                np.copyto(depth, t, where=hit)
+                np.copyto(all_index[window], k, where=hit)
+        all_depth[all_index < 0] = 0.0
+        return all_depth, all_index
 
 
 def _shade_triangles(scene: SceneSpec, triangles: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -399,7 +464,7 @@ def _shade_triangles(scene: SceneSpec, triangles: np.ndarray, owner: np.ndarray)
     return np.clip(albedo * intensity[:, None], 0.0, 1.0)
 
 
-def render(scene: SceneSpec, camera_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def render(scene: SceneSpec, camera_index: int, caster: RayCaster | None = None):
     """Noise-free render of one camera.
 
     Returns ``(depth, tri_index, shades)``: the (H, W) depth map, 0 where
@@ -407,10 +472,14 @@ def render(scene: SceneSpec, camera_index: int) -> tuple[np.ndarray, np.ndarray,
     pixel, -1 where none; and the (T+1, 3) shade table in [0, 1], one row
     per triangle plus a black last row for index -1, the scene's shared
     read-only ``geometry.shades``. The shaded color image is
-    ``np.take(shades, tri_index, axis=0)``.
+    ``np.take(shades, tri_index, axis=0)``. ``caster``, a
+    :class:`RayCaster` that holds the camera, casts the view, and then
+    the maps hold until its next cast; without it the camera gets a
+    caster of its own.
     """
-    cam = scene.cameras[camera_index]
-    depth, tri_index = _cast_rays(scene, cam.intrinsics, cam.pose)
+    if caster is None:
+        caster = RayCaster(scene, [camera_index])
+    depth, tri_index = caster.cast(camera_index)
     return depth, tri_index, scene.geometry.shades
 
 
@@ -439,54 +508,54 @@ def perturb_depth(values, pixels, size: int, sigma, outlier_rate, rng, depth_ran
     return out
 
 
-def project_gt_boxes(scene: SceneSpec, camera_index: int, min_pixels: float = 16.0):
-    """GT 2D boxes from projected mesh vertices, clipped to the image.
+def project_gt_boxes(scene: SceneSpec, projection=None, min_pixels: float = 16.0):
+    """GT 2D boxes of every camera, one list per camera, from projected
+    mesh vertices clipped to the image.
 
     An object contributes a box when at least one of its mesh vertices
     is in front of the camera and the clipped axis-aligned hull covers
     at least ``min_pixels`` of pixel area. Partially-behind objects use
     only their in-front vertices, which under-covers; acceptable for the
-    orbit scenes this simulator targets. The vertices of all objects
-    are projected in one call and sliced per object.
+    orbit scenes this simulator targets. ``projection`` is
+    :func:`project_scene` of every camera, projected here when not
+    given; the hulls of every object in every camera come from one
+    reduction over each object's vertex rows.
     """
-    cam = scene.cameras[camera_index]
-    w, h = cam.intrinsics.width, cam.intrinsics.height
-    triangles, owner, _ = scene.geometry
-    uv_all, _, front_all = project_points(triangles.reshape(-1, 3), cam.intrinsics, cam.pose)
-    # owner is sorted, so object k owns the vertex rows ends[k] .. ends[k + 1]
-    ends = (3 * np.searchsorted(owner, np.arange(len(scene.objects) + 1))).tolist()
-    boxes = []
-    for obj, a, b in zip(scene.objects, ends, ends[1:]):
-        in_front = front_all[a:b]
-        if not in_front.any():
-            continue
-        uv = uv_all[a:b][in_front]
-        u0 = max(0.0, float(uv[:, 0].min()))
-        v0 = max(0.0, float(uv[:, 1].min()))
-        u1 = min(float(w - 1), float(uv[:, 0].max()))
-        v1 = min(float(h - 1), float(uv[:, 1].max()))
-        if u1 <= u0 or v1 <= v0:
-            continue
-        box = Box2D(obj.box.category, u0, v0, u1, v1)
-        if box.area < min_pixels:
-            continue
-        boxes.append(box)
+    uv, _, in_front = project_scene(scene) if projection is None else projection
+    boxes = [[] for _ in scene.cameras]
+    if not scene.objects:
+        return boxes
+    # owner is sorted, so object k owns the vertex rows from starts[k] on
+    starts = 3 * np.searchsorted(scene.geometry.owner, np.arange(len(scene.objects)))
+    # behind-camera vertices are NaN, which fmin and fmax pass over
+    lo = np.maximum(np.fmin.reduceat(uv, starts, axis=1), 0.0)
+    corner = [(c.intrinsics.width - 1, c.intrinsics.height - 1) for c in scene.cameras]
+    hi = np.minimum(np.fmax.reduceat(uv, starts, axis=1), np.reshape(corner, (-1, 1, 2)))
+    keep = np.logical_or.reduceat(in_front, starts, axis=1) & (hi > lo).all(axis=-1)
+    keep &= (hi - lo).prod(axis=-1) >= min_pixels
+    categories = [obj.box.category for obj in scene.objects]
+    for c, k in zip(*np.nonzero(keep)):
+        boxes[c].append(Box2D(categories[k], *lo[c, k].tolist(), *hi[c, k].tolist()))
     return boxes
 
 
 def make_frame(
-    scene: SceneSpec, camera_index: int, rng: np.random.Generator, boxes_2d
+    scene: SceneSpec,
+    camera_index: int,
+    rng: np.random.Generator,
+    boxes_2d,
+    caster: RayCaster | None = None,
 ) -> CameraFrame:
     """Render one camera, keep the pixels it covers and apply the
     scene's depth perturbation to their depths, within the sensor's
     ``DEPTH_RANGE``.
 
-    The dense maps of :func:`render` live only inside this call.
-    ``boxes_2d`` are the camera's GT 2D boxes, as
-    :func:`project_gt_boxes` returns them.
+    The dense maps of :func:`render`, cast by ``caster`` when given, are
+    read only inside this call. ``boxes_2d`` are the camera's GT 2D
+    boxes, as :func:`project_gt_boxes` returns them.
     """
     cam = scene.cameras[camera_index]
-    depth, tri_index, shades = render(scene, camera_index)
+    depth, tri_index, shades = render(scene, camera_index, caster)
     covered = np.flatnonzero(tri_index >= 0)
     covered_depth = perturb_depth(
         depth.ravel()[covered], covered, depth.size,

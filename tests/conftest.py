@@ -26,8 +26,8 @@ def load_perfbench(name: str):
 
 def render_all(scene):
     return [
-        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), project_gt_boxes(scene, i))
-        for i in range(len(scene.cameras))
+        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), boxes)
+        for i, boxes in enumerate(project_gt_boxes(scene))
     ]
 
 

@@ -507,7 +507,7 @@ def occluder_frame():
     obj = SceneObject(OrientedBox((0.0, 0.0, 2.5), (1.0, 1.0, 1.0)))
     cam = SceneCamera(SIMPLE, Pose.identity())
     scene = SceneSpec(objects=(obj,), cameras=(cam,))
-    return make_frame(scene, 0, np.random.default_rng(0), project_gt_boxes(scene, 0))
+    return make_frame(scene, 0, np.random.default_rng(0), project_gt_boxes(scene)[0])
 
 
 class TestOcclusionCheck:

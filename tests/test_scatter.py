@@ -1,6 +1,7 @@
 """Point scattering: strides, radius dedup, capping."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from conftest import load_perfbench, render_all, uncovered_frame
 
 
 def noiseless_frame(scene, index=0):
-    boxes = project_gt_boxes(scene, index)
+    boxes = project_gt_boxes(scene)[index]
     return make_frame(scene, index, np.random.default_rng(0), boxes)
 
 
@@ -118,13 +119,25 @@ class TestSpatialHashGrid:
             assert grid.has_neighbor_within(q) == (d < radius)
 
 
+def add_runs(acc, frames, run):
+    """Frames added to ``acc`` in runs of ``run``; the count each run accepted."""
+    return [acc.add_run(frames[i : i + run]) for i in range(0, len(frames), run)]
+
+
+def run_sums(counts, run):
+    """Per-frame accepted counts summed over runs of ``run`` frames."""
+    return [sum(counts[i : i + run]) for i in range(0, len(counts), run)]
+
+
 class TestMatchesHashGridOracle:
     """The vectorized dedup accepts exactly the rows the per-candidate
-    hash-grid scan accepts, in the same order, frame by frame."""
+    hash-grid scan accepts, in the same order, in the pipeline's runs of
+    frames."""
 
     def assert_matches(self, frames, config):
         acc, ref = ScatterAccumulator(config), HashGridAccumulator(config)
-        assert [acc.add_frame(f) for f in frames] == [ref.add_frame(f) for f in frames]
+        run = scatter.RUN_FRAMES
+        assert add_runs(acc, frames, run) == run_sums([ref.add_frame(f) for f in frames], run)
         got, want = acc.cloud(), ref.cloud()
         assert len(acc) == len(ref) == len(got)
         for name in ("positions", "pixels", "frame_ids", "categories"):
@@ -180,7 +193,7 @@ class TestMatchesHashGridOracle:
 
 class TestMatchesTreeOracle:
     """The grid's dedup accepts the rows the KD-tree dedup it replaced
-    accepted, frame by frame, on the reduced workloads."""
+    accepted, in runs of one frame, on the reduced workloads."""
 
     @pytest.mark.parametrize("seed", [11, 29])
     @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
@@ -188,11 +201,83 @@ class TestMatchesTreeOracle:
         scene, config = load_perfbench("workloads").build(name, seed, reduced=True)
         frames = render_all(scene)
         acc, ref = ScatterAccumulator(config.scatter), TreeAccumulator(config.scatter)
-        assert [acc.add_frame(f) for f in frames] == [ref.add_frame(f) for f in frames]
+        assert add_runs(acc, frames, 1) == [ref.add_frame(f) for f in frames]
         got, want = acc.cloud(), ref.cloud()
         assert len(got) > 100
         for name in ("positions", "pixels", "frame_ids", "categories"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@functools.cache
+def workload_frames(name, seed):
+    """The frames and scatter config of a reduced workload."""
+    scene, config = load_perfbench("workloads").build(name, seed, reduced=True)
+    return render_all(scene), config.scatter
+
+
+@functools.cache
+def oracle_runs(name, seed, oracle):
+    """The per-frame accepted counts and the cloud of an oracle
+    accumulator over a reduced workload's frames."""
+    frames, config = workload_frames(name, seed)
+    ref = oracle(config)
+    return [ref.add_frame(f) for f in frames], ref.cloud()
+
+
+class TestRunsMatchOracles:
+    """Dedup of a run of frames accepts the rows that frame-by-frame dedup
+    accepts, whatever the run length: the same cloud, and per run the
+    sum of the frames' accepted counts, as the KD-tree and hash-grid
+    oracles."""
+
+    @staticmethod
+    def assert_matches(frames, config, run, counts, cloud):
+        acc = ScatterAccumulator(config)
+        assert add_runs(acc, frames, run) == run_sums(counts, run)
+        got = acc.cloud()
+        assert len(acc) == len(got) == len(cloud)
+        for name in ("positions", "pixels", "frame_ids", "categories"):
+            a, b = getattr(got, name), getattr(cloud, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("oracle", [TreeAccumulator, HashGridAccumulator], ids=["tree", "hashgrid"])
+    @pytest.mark.parametrize("run", [1, 2, 3, 4, 0], ids=["1", "2", "3", "4", "all"])
+    @pytest.mark.parametrize("seed", [11, 29])
+    @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
+    def test_workload_runs(self, name, seed, run, oracle):
+        frames, config = workload_frames(name, seed)
+        counts, cloud = oracle_runs(name, seed, oracle)
+        assert len(cloud) > 100
+        self.assert_matches(frames, config, run or len(frames), counts, cloud)
+
+    @pytest.mark.parametrize("oracle", [TreeAccumulator, HashGridAccumulator], ids=["tree", "hashgrid"])
+    @pytest.mark.parametrize("run", [2, 3])
+    def test_repeated_frame(self, noisy_frames, run, oracle):
+        # frame 0 again right after itself, inside one run, and again after
+        # frame 1, in the next run for runs of two and in the same for three
+        a, b = noisy_frames[:2]
+        frames = [a, a, b, a]
+        config = ScatterConfig(radius=0.04)
+        ref = oracle(config)
+        counts = [ref.add_frame(f) for f in frames]
+        assert counts[0] > 0 and counts[1] == counts[3] == 0
+        self.assert_matches(frames, config, run, counts, ref.cloud())
+
+    def test_scatter_frames_adds_runs_of_run_frames(self, noisy_frames, monkeypatch):
+        sizes = []
+        add_run = ScatterAccumulator.add_run
+        monkeypatch.setattr(
+            ScatterAccumulator, "add_run", lambda self, frames: sizes.append(len(frames)) or add_run(self, frames)
+        )
+        config = ScatterConfig(radius=0.04)
+        cloud = scatter_frames(noisy_frames[:10], config)
+        run = scatter.RUN_FRAMES
+        assert sizes == [min(run, 10 - i) for i in range(0, 10, run)]
+        ref = TreeAccumulator(config)
+        for frame in noisy_frames[:10]:
+            ref.add_frame(frame)
+        assert cloud.positions.tobytes() == ref.cloud().positions.tobytes()
 
 
 class TestCandidatesMatchOracle:
@@ -337,9 +422,11 @@ class TestScatterFrames:
     def test_rescatter_adds_nothing(self):
         frame = noiseless_frame(self.frontal_plane_scene())
         acc = ScatterAccumulator(ScatterConfig(radius=0.04))
-        first = acc.add_frame(frame)
-        second = acc.add_frame(frame)
+        first = acc.add_run([frame])
+        second = acc.add_run([frame])
         assert first > 0 and second == 0
+        # and inside one run
+        assert ScatterAccumulator(ScatterConfig(radius=0.04)).add_run([frame, frame]) == first
 
     def test_disjoint_views_union(self):
         # two slabs back to back, each camera sees exactly one

@@ -18,15 +18,17 @@ from pointscatter.scene import (
     SceneObject,
     DEFAULT_INTRINSICS,
     SceneSpec,
+    RayCaster,
     _back_faces,
-    _cast_rays,
     _screen_boxes,
+    _view_constants,
     _shade_triangles,
     demo_scene,
     make_frame,
     orbit_trajectory,
     perturb_depth,
     project_gt_boxes,
+    project_scene,
     render,
     scene_from_dict,
     scene_to_dict,
@@ -164,7 +166,7 @@ class TestCastRaysMatchesOracle:
     def assert_matches(scene, views):
         for i in views:
             cam = scene.cameras[i]
-            depth, index = _cast_rays(scene, cam.intrinsics, cam.pose)
+            depth, index, _ = render(scene, i)
             ref_depth, ref_index, _, _ = cast_rays(scene, cam.intrinsics, cam.pose)
             assert depth.shape == ref_depth.shape, f"view {i}"
             assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
@@ -176,7 +178,7 @@ class TestCastRaysMatchesOracle:
         oracle that skips the oracle's back faces; return the full
         oracle's index and the caster's at each pixel where they differ."""
         cam = scene.cameras[0]
-        depth, index = _cast_rays(scene, cam.intrinsics, cam.pose)
+        depth, index, _ = render(scene, 0)
         skip = oracle_back_faces(scene, cam.pose)
         ref_depth, ref_index, _, _ = cast_rays(scene, cam.intrinsics, cam.pose, skip=skip)
         assert depth.tobytes() == ref_depth.tobytes()
@@ -189,9 +191,9 @@ class TestCastRaysMatchesOracle:
     def windows(scene):
         cam = scene.cameras[0]
         triangles = np.concatenate([o.mesh() for o in scene.objects])
-        projection = project_points(triangles.reshape(-1, 3), cam.intrinsics, cam.pose)
-        lo, hi = _screen_boxes(projection, cam.intrinsics)
+        uv, _, in_front = project_points(triangles.reshape(-1, 3), cam.intrinsics, cam.pose)
         corner = [cam.intrinsics.width - 1, cam.intrinsics.height - 1]
+        lo, hi = _screen_boxes(uv, in_front, np.add(corner, 1))
         full = (lo == 0).all(axis=1) & (hi == corner).all(axis=1)
         empty = (lo > hi).any(axis=1)
         return full, empty
@@ -224,7 +226,7 @@ class TestCastRaysMatchesOracle:
         for i in (0, 3):
             cam = scene.cameras[i]
             ref_depth, ref_index, triangles, owner = cast_rays(scene, cam.intrinsics, cam.pose)
-            depth, index = _cast_rays(scene, cam.intrinsics, cam.pose)
+            depth, index, _ = render(scene, i)
             assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
             assert np.array_equal(index, ref_index), f"view {i}"
             # a frame's colour is the shade gather over the oracle's index map
@@ -235,16 +237,21 @@ class TestCastRaysMatchesOracle:
             assert color.tobytes() == shades[ref_index].tobytes(), f"view {i}"
 
     def test_resolution_switch(self):
+        # one caster casts every view in turn, reusing its maps and blocks
+        # across image sizes
         large = Intrinsics(fx=240.0, fy=240.0, cx=159.5, cy=119.5, width=320, height=240)
         wide = dataclasses.replace(DEFAULT_INTRINSICS, fx=90.0, fy=90.0)
-        scene = demo_scene(steps=6)
-        for intr in (DEFAULT_INTRINSICS, large, DEFAULT_INTRINSICS, wide):
-            for cam in scene.cameras[::2]:
-                depth, index = _cast_rays(scene, intr, cam.pose)
-                ref_depth, ref_index, _, _ = cast_rays(scene, intr, cam.pose)
-                assert depth.shape == (intr.height, intr.width)
-                assert depth.tobytes() == ref_depth.tobytes()
-                assert np.array_equal(index, ref_index)
+        poses = [c.pose for c in demo_scene(steps=6).cameras[::2]]
+        sizes = (DEFAULT_INTRINSICS, large, DEFAULT_INTRINSICS, wide)
+        cameras = [SceneCamera(intr, pose) for intr in sizes for pose in poses]
+        scene = dataclasses.replace(demo_scene(steps=6), cameras=tuple(cameras))
+        caster = RayCaster(scene, range(len(cameras)))
+        for i, cam in enumerate(cameras):
+            depth, index = caster.cast(i)
+            ref_depth, ref_index, _, _ = cast_rays(scene, cam.intrinsics, cam.pose)
+            assert depth.shape == (cam.intrinsics.height, cam.intrinsics.width)
+            assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
+            assert np.array_equal(index, ref_index), f"view {i}"
 
     def test_off_centre_principal_point(self):
         # fx != fy and a principal point off the image centre and off the
@@ -256,8 +263,8 @@ class TestCastRaysMatchesOracle:
         scene = SceneSpec(objects=tuple(SceneObject(b) for b in boxes), cameras=(cam,))
         full, empty = self.windows(scene)
         assert not full.any() and not empty.all()
-        projection = project_points(scene.geometry.triangles.reshape(-1, 3), intr, cam.pose)
-        lo, hi = _screen_boxes(projection, intr)
+        uv, _, in_front = project_points(scene.geometry.triangles.reshape(-1, 3), intr, cam.pose)
+        lo, hi = _screen_boxes(uv, in_front, np.array([intr.width, intr.height]))
         corner = [intr.width - 1, intr.height - 1]
         # some window reaches each of the four image borders
         assert (lo[~empty] == 0).any(axis=0).all() and (hi[~empty] == corner).any(axis=0).all()
@@ -271,8 +278,8 @@ class TestCastRaysMatchesOracle:
         # with a spare row like every other window's
         box = SceneObject(OrientedBox((-1.545, -1.545, 3.0), (0.005, 0.005, 0.005)))
         scene = SceneSpec(objects=(box,), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
-        projection = project_points(scene.geometry.triangles.reshape(-1, 3), SIMPLE, Pose.identity())
-        lo, hi = _screen_boxes(projection, SIMPLE)
+        uv, _, in_front = project_points(scene.geometry.triangles.reshape(-1, 3), SIMPLE, Pose.identity())
+        lo, hi = _screen_boxes(uv, in_front, np.array([SIMPLE.width, SIMPLE.height]))
         assert (lo == 0).all() and (hi == 0).all()
         self.assert_matches(scene, [0])
 
@@ -377,7 +384,7 @@ class TestBackFaceCulling:
         assert len(was) == 16 and set(was.tolist()) == {5, 8} and set(now.tolist()) == {10, 11}
         cam = scene.cameras[0]
         full_depth = cast_rays(scene, cam.intrinsics, cam.pose)[0]
-        depth = _cast_rays(scene, cam.intrinsics, cam.pose)[0]
+        depth = render(scene, 0)[0]
         assert depth.tobytes() == full_depth.tobytes()
 
     @pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9])
@@ -567,7 +574,7 @@ class TestPerturbDepth:
 class TestProjectGtBoxes:
     def test_frontal_cube_box(self):
         # near-face corners (+-0.5, +-0.5, 2) project to 50 +- 25
-        boxes = project_gt_boxes(frontal_cube_scene(), 0)
+        boxes = project_gt_boxes(frontal_cube_scene())[0]
         assert len(boxes) == 1
         box = boxes[0]
         assert (box.u_min, box.v_min, box.u_max, box.v_max) == pytest.approx(
@@ -575,11 +582,11 @@ class TestProjectGtBoxes:
         )
 
     def test_behind_camera_dropped(self):
-        boxes = project_gt_boxes(frontal_cube_scene(center=(0.0, 0.0, -3.0)), 0)
+        boxes = project_gt_boxes(frontal_cube_scene(center=(0.0, 0.0, -3.0)))[0]
         assert boxes == []
 
     def test_partially_outside_clipped(self):
-        boxes = project_gt_boxes(frontal_cube_scene(center=(0.0, 0.0, 1.0)), 0)
+        boxes = project_gt_boxes(frontal_cube_scene(center=(0.0, 0.0, 1.0)))[0]
         assert len(boxes) == 1
         box = boxes[0]
         assert box.u_min >= 0.0 and box.v_min >= 0.0
@@ -587,7 +594,7 @@ class TestProjectGtBoxes:
 
     def test_small_area_dropped(self):
         scene = frontal_cube_scene()
-        assert project_gt_boxes(scene, 0, min_pixels=1e9) == []
+        assert project_gt_boxes(scene, min_pixels=1e9) == [[]]
 
     def test_matches_vertex_hull_recomputation(self, clean_scene):
         # re-derive each box from the projected mesh vertices
@@ -595,7 +602,7 @@ class TestProjectGtBoxes:
 
         cam = clean_scene.cameras[4]
         w, h = cam.intrinsics.width, cam.intrinsics.height
-        got = project_gt_boxes(clean_scene, 4, min_pixels=16.0)
+        got = project_gt_boxes(clean_scene, min_pixels=16.0)[4]
         expected = []
         for obj in clean_scene.objects:
             uv, _, ok = project_points(obj.mesh().reshape(-1, 3), cam.intrinsics, cam.pose)
@@ -618,8 +625,9 @@ class TestProjectGtBoxesMatchesOracle:
 
     @staticmethod
     def assert_matches(scene, min_pixels=16.0):
-        for i in range(len(scene.cameras)):
-            got = project_gt_boxes(scene, i, min_pixels)
+        boxes = project_gt_boxes(scene, min_pixels=min_pixels)
+        assert len(boxes) == len(scene.cameras)
+        for i, got in enumerate(boxes):
             assert got == oracle_project_gt_boxes(scene, i, min_pixels), f"view {i}"
 
     def test_demo_scenes(self, clean_scene):
@@ -641,13 +649,84 @@ class TestProjectGtBoxesMatchesOracle:
         )
         cam = SceneCamera(SIMPLE, Pose.identity())
         scene = SceneSpec(objects=objects, cameras=(cam,))
-        got = project_gt_boxes(scene, 0)
+        got = project_gt_boxes(scene)[0]
         assert [b.category for b in got] == [0, 1, 4]
         self.assert_matches(scene)
 
     def test_no_objects(self):
         scene = SceneSpec(objects=(), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
-        assert project_gt_boxes(scene, 0) == oracle_project_gt_boxes(scene, 0) == []
+        assert project_gt_boxes(scene)[0] == oracle_project_gt_boxes(scene, 0) == []
+
+
+class TestBatchedProjectionMatchesPerView:
+    """One stacked projection of the scene's vertices gives each camera
+    the bytes of its own ``project_points`` call, and the GT boxes,
+    caster windows, ``tvec``/``qvec`` and back faces derived from it for
+    all cameras at once are those of the per-view computations."""
+
+    @staticmethod
+    def assert_matches(scene):
+        triangles = scene.geometry.triangles
+        vertices = triangles.reshape(-1, 3)
+        projection = project_scene(scene)
+        uv, depth, in_front = projection
+        assert uv.shape == (len(scene.cameras), len(vertices), 2)
+        boxes = project_gt_boxes(scene, projection)
+        edge1 = triangles[:, 1] - triangles[:, 0]
+        edge2 = triangles[:, 2] - triangles[:, 0]
+        batched = _view_constants(triangles, edge1, edge2, scene.cameras, projection)
+        for i, cam in enumerate(scene.cameras):
+            ref_uv, ref_depth, ref_front = project_points(vertices, cam.intrinsics, cam.pose)
+            for got, want in [(uv[i], ref_uv), (depth[i], ref_depth), (in_front[i], ref_front)]:
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), f"view {i}"
+                assert got.tobytes() == want.tobytes(), f"view {i}"
+            assert boxes[i] == oracle_project_gt_boxes(scene, i), f"view {i}"
+            size = np.array([cam.intrinsics.width, cam.intrinsics.height])
+            tvecs = cam.pose.translation - triangles[:, 0]
+            qvecs = np.cross(tvecs, edge1)
+            per_view = (
+                *_screen_boxes(ref_uv, ref_front, size),
+                tvecs,
+                qvecs,
+                _back_faces(edge1, edge2, tvecs, qvecs, ref_front),
+            )
+            for name, got, want in zip(("lo", "hi", "tvecs", "qvecs", "back"), batched, per_view):
+                assert (got[i].dtype, got[i].shape) == (want.dtype, want.shape), (i, name)
+                assert got[i].tobytes() == want.tobytes(), (i, name)
+            assert np.array_equal(batched[4][i], oracle_back_faces(scene, cam.pose)), f"view {i}"
+        return projection
+
+    @pytest.mark.parametrize("seed", [11, 29])
+    @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
+    def test_workload_cameras(self, name, seed):
+        scene, _ = load_perfbench("workloads").build(name, seed, reduced=True)
+        self.assert_matches(scene)
+
+    def test_cameras_with_different_intrinsics(self):
+        large = Intrinsics(fx=240.0, fy=240.0, cx=159.5, cy=119.5, width=320, height=240)
+        off_centre = Intrinsics(fx=90.0, fy=130.0, cx=10.25, cy=100.75, width=160, height=120)
+        scene = demo_scene(steps=6)
+        intrinsics = [DEFAULT_INTRINSICS, large, off_centre, SIMPLE, HIRES, large]
+        cameras = tuple(SceneCamera(intr, c.pose) for intr, c in zip(intrinsics, scene.cameras))
+        self.assert_matches(dataclasses.replace(scene, cameras=cameras))
+
+    def test_camera_inside_a_box(self):
+        # every vertex of the box around the camera is behind it or in
+        # front of it, so its windows are the whole image
+        scene = frontal_cube_scene(center=(0.0, 0.0, 0.2))
+        other = SceneObject(OrientedBox((0.3, 0.0, 3.0), (0.4, 0.4, 0.4)))
+        scene = dataclasses.replace(scene, objects=scene.objects + (other,))
+        _, _, in_front = self.assert_matches(scene)
+        assert in_front[0, :36].any() and not in_front[0, :36].all() and in_front[0, 36:].all()
+
+    def test_every_object_behind_the_camera(self):
+        objects = tuple(
+            SceneObject(OrientedBox((x, 0.0, -2.5), (0.5, 0.5, 0.5))) for x in (-1.0, 0.0, 1.0)
+        )
+        scene = SceneSpec(objects=objects, cameras=(SceneCamera(SIMPLE, Pose.identity()),))
+        uv, _, in_front = self.assert_matches(scene)
+        assert not in_front.any() and np.isnan(uv).all()
+        assert project_gt_boxes(scene) == [[]]
 
 
 class TestSceneGeometry:
@@ -715,7 +794,7 @@ class TestMakeFrame:
             clean_scene,
             3,
             stage_rng(clean_scene.rng_seed, "perturb", 3),
-            project_gt_boxes(clean_scene, 3),
+            project_gt_boxes(clean_scene)[3],
         )
         assert np.array_equal(again.depth, clean_frames[3].depth)
         assert np.array_equal(again.color, clean_frames[3].color)
@@ -735,11 +814,10 @@ class TestMakeFrame:
     @staticmethod
     def assert_cast_peak_under_twice_maps(scene):
         """The first view's traced peak stays under twice its depth and index maps."""
-        cam = scene.cameras[0]
         scene.geometry  # built once per scene, outside the measured call
         tracemalloc.start()
         try:
-            depth, index = _cast_rays(scene, cam.intrinsics, cam.pose)
+            depth, index, _ = render(scene, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -883,7 +961,7 @@ class TestSelectKeyframes:
     def test_orbit_matches_three_pass_oracle(self, steps):
         scene = demo_scene(steps=steps)
         poses = [c.pose for c in scene.cameras]
-        counts = [len(project_gt_boxes(scene, i)) for i in range(steps)]
+        counts = [len(boxes) for boxes in project_gt_boxes(scene)]
         # every third frame without detections makes the first pass fall short
         for detections in (counts, [c if i % 3 else 0 for i, c in enumerate(counts)]):
             for target in (1, 7, steps // 2, steps, steps + 3):
@@ -991,8 +1069,7 @@ class TestDemoScene:
         assert clean_scene.num_categories() == 3
 
     def test_every_object_visible_in_every_frame(self, clean_scene):
-        for i in range(len(clean_scene.cameras)):
-            assert len(project_gt_boxes(clean_scene, i)) == 3
+        assert [len(boxes) for boxes in project_gt_boxes(clean_scene)] == [3] * len(clean_scene.cameras)
 
     def test_noise_parameters_plumb_through(self):
         scene = demo_scene(noise_sigma=0.05, outlier_rate=0.1)
