@@ -106,20 +106,17 @@ class CellGrid:
     y, z, is below ``radius * radius`` (or above it by no more than a
     rounding error) is among the query's candidates. A query's
     candidates are the points in the 27 cells around it, so the relation
-    is symmetric. ``xyz`` holds the (3, N) coordinates in key order, and
-    ``ids`` each one's row in the order of insertion.
+    is symmetric. ``xyz`` holds the (3, N) coordinates of ``points`` in
+    key order, and ``ids`` each one's row in ``points``. A grid never
+    changes once built.
     """
 
-    def __init__(self, radius: float, points: np.ndarray | None = None):
+    def __init__(self, radius: float, points: np.ndarray):
         if not radius > 0:
             raise ValueError(f"radius must be positive, got {radius}")
         self.radius = radius
         self.cell = radius * (1.0 + CELL_MARGIN)
-        self.keys = np.zeros(0, dtype=np.int64)
-        self.xyz = np.zeros((3, 0))
-        self.ids = np.zeros(0, dtype=np.int64)
-        if points is not None:
-            self.insert(points)
+        self.ids, self.xyz, self.keys = self._sorted(points)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -132,25 +129,6 @@ class CellGrid:
         # no answer depends on the order of equal keys
         order = np.argsort(keys)
         return order, np.ascontiguousarray(points.take(order, axis=0).T), keys[order]
-
-    def insert(self, points: np.ndarray) -> None:
-        """Merge in (K, 3) points; they take the next K ids in row order."""
-        order, xyz, keys = self._sorted(points)
-        ids = order + len(self)
-        if len(self):
-            # the new rows' places in the merged arrays, each after the
-            # old rows of equal key
-            at = np.searchsorted(self.keys, keys, side="right") + np.arange(len(keys))
-            old = np.ones(len(self) + len(keys), dtype=bool)
-            old[at] = False
-            merged = []
-            for new, prev in zip((keys, ids, *xyz), (self.keys, self.ids, *self.xyz)):
-                out = np.empty(len(old), dtype=prev.dtype)
-                out[at] = new
-                out[old] = prev
-                merged.append(out)
-            keys, ids, xyz = merged[0], merged[1], np.stack(merged[2:])
-        self.keys, self.ids, self.xyz = keys, ids, xyz
 
     def _ranges(self, keys: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sorted positions ``lo``, ``hi`` of the given columns around

@@ -10,11 +10,13 @@ closer than that same ``radius`` to a point accepted before it. Acceptance
 order is deterministic: frames in call order, boxes in frame order,
 pixels in raster order.
 
-Dedup works a run of ``RUN_FRAMES`` frames at a time. The accumulator
-keeps the points of earlier runs in a cell grid (``neighbors.CellGrid``);
-one query of it removes the run's candidates they cover, and neighbour
-pairs among the survivors and one greedy pass in candidate order settle
-the rest. Every candidate within reach is decided with the same
+Dedup works a run of ``RUN_FRAMES`` frames at a time. Each run builds
+one cell grid (``neighbors.CellGrid``) of the points earlier runs
+accepted, and one query of it removes the run's candidates they cover;
+neighbour pairs among the survivors and one greedy pass in candidate
+order settle the rest. A candidate that no earlier run's point covers can only be
+rejected by an accepted candidate before it, and each such candidate is
+itself a survivor. Every candidate within reach is decided with the same
 squared-distance sum as a point-by-point scan, so the cloud is the one
 that scan would accept, bit for bit, whatever the run length.
 """
@@ -111,96 +113,54 @@ def _median(values: np.ndarray) -> float:
     return float(part[half] if len(values) % 2 else (part[half - 1] + part[half]) / 2)
 
 
-class ScatterAccumulator:
-    """Grows a scatter cloud run of frames by run with exact radius dedup.
+def _candidates(frame: CameraFrame, radius: float) -> ScatterCloud:
+    """Strided covered pixels of every box, in box and raster order,
+    with the frame's camera index as their frame id.
 
-    A candidate is accepted when no point accepted before it, in an
-    earlier frame or earlier in the same frame (boxes in frame order,
-    pixels in raster order), lies strictly closer than the sampling
-    radius ``r``. :meth:`add_run` decides this for a run of frames in two
-    vectorized steps: one query of the grid of every point of the earlier
-    runs, then neighbour pairs among the survivors and one greedy pass
-    in candidate order, where an accepted point rejects its later
-    neighbours. Both steps decide with the squared distance summed x, y,
-    z, ``d2 < r * r``. A candidate that no earlier run's point covers can
-    only be rejected by an accepted candidate before it, and each such
-    candidate is itself a survivor, so the run gives the points that
-    frame-by-frame dedup would. Each run merges the keys of the points it
-    accepted into the grid.
-
-    Calls to :meth:`add_run` must be serialized.
+    The box's pixels in each of its rows are one run of the frame's
+    ascending covered pixels, found by binary search; all of them
+    give the median depth that sets the stride, and the stride keeps
+    every ``stride``-th row and column counted from the box's
+    corner. The pixels of all boxes are then back-projected in one
+    call.
     """
-
-    def __init__(self, config: ScatterConfig):
-        self.config = config
-        self._frames: list[ScatterCloud] = []
-        self._grid = CellGrid(config.radius)
-
-    def __len__(self) -> int:
-        return len(self._grid)
-
-    def add_run(self, frames) -> int:
-        """Scatter a run of frames in order; returns the number of
-        accepted points."""
-        cands = _concatenate([empty_cloud(), *(self._candidates(f, f.camera_index) for f in frames)])
-        r = self.config.radius
-        keep = ~self._grid.near_any(cands.positions, r * r)
-        keep[keep] = _greedy_keep(cands.positions[keep], r)
-        accepted = cands.select(np.flatnonzero(keep))
-        self._grid.insert(accepted.positions)
-        self._frames.append(accepted)
-        return len(accepted)
-
-    def _candidates(self, frame: CameraFrame, fid: int) -> ScatterCloud:
-        """Strided covered pixels of every box, in box and raster order.
-
-        The box's pixels in each of its rows are one run of the frame's
-        ascending covered pixels, found by binary search; all of them
-        give the median depth that sets the stride, and the stride keeps
-        every ``stride``-th row and column counted from the box's
-        corner. The pixels of all boxes are then back-projected in one
-        call.
-        """
-        intr = frame.intrinsics
-        w, covered = intr.width, frame.covered
-        empty = np.zeros(0, dtype=np.int64)
-        picks, cats = [empty], [empty]
-        for box in frame.boxes_2d:
-            u0 = max(0, math.ceil(box.u_min))
-            v0 = max(0, math.ceil(box.v_min))
-            u1 = min(w - 1, math.floor(box.u_max))
-            v1 = min(intr.height - 1, math.floor(box.v_max))
-            if u1 < u0 or v1 < v0:
-                continue
-            # keys of covered's dtype, so that the search casts no copy of it
-            rows = np.arange(v0, v1 + 1, dtype=covered.dtype) * w
-            lo = np.searchsorted(covered, rows + u0)
-            hi = np.searchsorted(covered, rows + (u1 + 1))
+    intr = frame.intrinsics
+    w, covered = intr.width, frame.covered
+    empty = np.zeros(0, dtype=np.int64)
+    picks, cats = [empty], [empty]
+    for box in frame.boxes_2d:
+        u0 = max(0, math.ceil(box.u_min))
+        v0 = max(0, math.ceil(box.v_min))
+        u1 = min(w - 1, math.floor(box.u_max))
+        v1 = min(intr.height - 1, math.floor(box.v_max))
+        if u1 < u0 or v1 < v0:
+            continue
+        # keys of covered's dtype, so that the search casts no copy of it
+        rows = np.arange(v0, v1 + 1, dtype=covered.dtype) * w
+        lo = np.searchsorted(covered, rows + u0)
+        hi = np.searchsorted(covered, rows + (u1 + 1))
+        pick = runs(lo, hi)
+        if not len(pick):
+            continue
+        stride = box_sampling_stride(intr.fx, radius, _median(frame.covered_depth[pick]))
+        if stride > 1:
+            lo, hi = lo[::stride], hi[::stride]
             pick = runs(lo, hi)
-            if not len(pick):
-                continue
-            stride = box_sampling_stride(intr.fx, self.config.radius, _median(frame.covered_depth[pick]))
-            if stride > 1:
-                lo, hi = lo[::stride], hi[::stride]
-                pick = runs(lo, hi)
-                u = covered[pick] - np.repeat(rows[::stride], hi - lo)
-                pick = pick[(u - u0) % stride == 0]
-            picks.append(pick)
-            cats.append(np.full(len(pick), box.category, dtype=np.int64))
-        pick = np.concatenate(picks)
-        vv = covered[pick] // w
-        uu = covered[pick] - vv * w
-        pixels = np.stack([uu, vv], axis=1).astype(np.float64)
-        world = backproject_pixels(pixels[:, 0], pixels[:, 1], frame.covered_depth[pick], intr, frame.pose)
-        return ScatterCloud(
-            positions=world,
-            frame_ids=np.full(len(pick), fid, dtype=np.int64),
-            pixels=pixels,
-            categories=np.concatenate(cats),
-        )
-
-    def cloud(self) -> ScatterCloud:
-        return _concatenate([empty_cloud(), *self._frames])
+            u = covered[pick] - np.repeat(rows[::stride], hi - lo)
+            pick = pick[(u - u0) % stride == 0]
+        picks.append(pick)
+        cats.append(np.full(len(pick), box.category, dtype=np.int64))
+    pick = np.concatenate(picks)
+    vv = covered[pick] // w
+    uu = covered[pick] - vv * w
+    pixels = np.stack([uu, vv], axis=1).astype(np.float64)
+    world = backproject_pixels(pixels[:, 0], pixels[:, 1], frame.covered_depth[pick], intr, frame.pose)
+    return ScatterCloud(
+        positions=world,
+        frame_ids=np.full(len(pick), frame.camera_index, dtype=np.int64),
+        pixels=pixels,
+        categories=np.concatenate(cats),
+    )
 
 
 def _concatenate(clouds: list[ScatterCloud]) -> ScatterCloud:
@@ -225,13 +185,31 @@ def _greedy_keep(points: np.ndarray, r: float) -> np.ndarray:
 
 
 def scatter_frames(frames, config: ScatterConfig) -> ScatterCloud:
-    """Scatter a frame sequence in order, ``RUN_FRAMES`` frames per run,
-    and return the combined cloud."""
-    acc = ScatterAccumulator(config)
+    """Scatter a frame sequence in order and return the combined cloud.
+
+    A candidate is accepted when no point accepted before it, in an
+    earlier frame or earlier in the same frame (boxes in frame order,
+    pixels in raster order), lies strictly closer than the radius ``r``.
+    Each run of ``RUN_FRAMES`` frames decides this in two vectorized
+    steps: one query of a grid of every point the earlier runs accepted,
+    then neighbour pairs among the survivors and one greedy pass in
+    candidate order, where an accepted point rejects its later
+    neighbours. Both steps decide with the squared distance summed x, y,
+    z, ``d2 < r * r``. A candidate that no earlier run's point covers can
+    only be rejected by an accepted candidate before it, and each such
+    candidate is itself a survivor, so the runs give the points that
+    frame-by-frame dedup would.
+    """
+    r = config.radius
     frames = list(frames)
+    accepted = [empty_cloud()]
     for start in range(0, len(frames), RUN_FRAMES):
-        acc.add_run(frames[start : start + RUN_FRAMES])
-    return acc.cloud()
+        cands = _concatenate([empty_cloud(), *(_candidates(f, r) for f in frames[start : start + RUN_FRAMES])])
+        earlier = CellGrid(r, np.concatenate([c.positions for c in accepted]))
+        keep = ~earlier.near_any(cands.positions, r * r)
+        keep[keep] = _greedy_keep(cands.positions[keep], r)
+        accepted.append(cands.select(np.flatnonzero(keep)))
+    return _concatenate(accepted)
 
 
 def cap_points(cloud: ScatterCloud, max_points: int, rng: np.random.Generator) -> ScatterCloud:

@@ -40,10 +40,10 @@ class TestCellGrid:
     def test_rejects_nonpositive_radius(self):
         for radius in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError):
-                CellGrid(radius)
+                CellGrid(radius, np.zeros((0, 3)))
 
     def test_empty_grid(self):
-        grid = CellGrid(0.1)
+        grid = CellGrid(0.1, np.zeros((0, 3)))
         assert len(grid) == 0
         assert grid.near_any(np.zeros((3, 3)), 0.01).tolist() == [False] * 3
         assert [a.tolist() for a in grid.pairs(0.01)] == [[], []]
@@ -70,18 +70,17 @@ class TestCellGrid:
         queries = np.array([[0.25, 0.25, 0.25], [-0.25, -0.25, 0.25], [-0.25, 0.25, -0.25], [-0.25, 0.25, 0.7]])
         assert CellGrid(r, points).near_any(queries, r * r).tolist() == [False, False, False, True]
 
-    def test_insert_merges_in_key_order(self):
-        points = scattered(1)
-        whole = CellGrid(0.2, points)
-        grown = CellGrid(0.2)
-        for part in np.array_split(points, [0, 7, 100, 101, len(points)]):
-            grown.insert(part)
-        assert len(grown) == len(points)
-        # the same keys in order, each point once under its own key; the
-        # order within a key is free
-        assert grown.keys.tobytes() == whole.keys.tobytes()
-        assert sorted(zip(grown.keys.tolist(), grown.ids.tolist())) == sorted(zip(whole.keys.tolist(), whole.ids.tolist()))
-        assert points[grown.ids].tobytes() == np.ascontiguousarray(grown.xyz.T).tobytes()
+    def test_built_grid_is_in_key_order(self):
+        # the keys ascend, each point lies once under its own key, and
+        # its coordinates are its row's; the order within a key is free
+        for count in (0, 1, None):
+            points = scattered(1)[:count]
+            grid = CellGrid(0.2, points)
+            assert len(grid) == len(points)
+            assert (np.diff(grid.keys) >= 0).all()
+            assert sorted(grid.ids.tolist()) == list(range(len(points)))
+            assert grid.keys.tobytes() == neighbors._keys(points[grid.ids], grid.cell).tobytes()
+            assert points[grid.ids].tobytes() == np.ascontiguousarray(grid.xyz.T).tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("radius", [0.05, 0.3])

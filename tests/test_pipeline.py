@@ -389,7 +389,8 @@ class TestTracerTargets:
             tracer.run(run_pipeline, scene, config, output_dir=tmp_path)
         finally:
             tracer.restore()
-        # scatter dedups a run of frames at a time, through add_run
+        # scatter dedups every run of frames inside one stateless
+        # scatter_frames call, and the accumulator class is gone
         assert sorted(tracer.missing) == [
             "ScatterAccumulator.add_frame",
             "pipeline.boxes_to_list",

@@ -19,7 +19,6 @@ from oracles import (
 )
 from pointscatter import scatter
 from pointscatter.scatter import (
-    ScatterAccumulator,
     ScatterCloud,
     ScatterConfig,
     box_sampling_stride,
@@ -119,14 +118,20 @@ class TestSpatialHashGrid:
             assert grid.has_neighbor_within(q) == (d < radius)
 
 
-def add_runs(acc, frames, run):
-    """Frames added to ``acc`` in runs of ``run``; the count each run accepted."""
-    return [acc.add_run(frames[i : i + run]) for i in range(0, len(frames), run)]
+def assert_same_cloud(got, want, context=()):
+    """Each column a candidate cloud carries has the same dtype, shape and
+    bytes in both clouds."""
+    for name in ("positions", "pixels", "frame_ids", "categories"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), (*context, name)
+        assert a.tobytes() == b.tobytes(), (*context, name)
 
 
-def run_sums(counts, run):
-    """Per-frame accepted counts summed over runs of ``run`` frames."""
-    return [sum(counts[i : i + run]) for i in range(0, len(counts), run)]
+def per_frame_counts(cloud, frames):
+    """The points ``cloud`` took from each frame, by its camera index."""
+    ids = [f.camera_index for f in frames]
+    assert len(set(ids)) == len(ids)
+    return np.bincount(cloud.frame_ids, minlength=max(ids) + 1)[ids].tolist()
 
 
 class TestMatchesHashGridOracle:
@@ -135,15 +140,11 @@ class TestMatchesHashGridOracle:
     frames."""
 
     def assert_matches(self, frames, config):
-        acc, ref = ScatterAccumulator(config), HashGridAccumulator(config)
-        run = scatter.RUN_FRAMES
-        assert add_runs(acc, frames, run) == run_sums([ref.add_frame(f) for f in frames], run)
-        got, want = acc.cloud(), ref.cloud()
-        assert len(acc) == len(ref) == len(got)
-        for name in ("positions", "pixels", "frame_ids", "categories"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            assert a.tobytes() == b.tobytes(), name
+        ref = HashGridAccumulator(config)
+        counts = [ref.add_frame(f) for f in frames]
+        got = scatter_frames(frames, config)
+        assert len(got) == len(ref) == sum(counts)
+        assert_same_cloud(got, ref.cloud())
 
     @pytest.mark.parametrize("radius", [0.02, 0.04, 0.08])
     def test_clean_scene(self, clean_frames, radius):
@@ -171,8 +172,7 @@ class TestMatchesHashGridOracle:
         # boxes, each box's rows are an empty slice of nothing
         blank = dataclasses.replace(uncovered_frame(clean_scene), boxes_2d=clean_frames[1].boxes_2d)
         assert len(blank.boxes_2d) > 0 and len(blank.covered) == 0
-        acc = ScatterAccumulator(ScatterConfig(radius=0.04))
-        assert len(acc._candidates(blank, 1)) == 0
+        assert len(scatter._candidates(blank, 0.04)) == 0
         no_boxes = dataclasses.replace(clean_frames[2], boxes_2d=())
         frames = [blank, clean_frames[0], no_boxes, blank, clean_frames[3]]
         self.assert_matches(frames, ScatterConfig(radius=0.04))
@@ -197,15 +197,16 @@ class TestMatchesTreeOracle:
 
     @pytest.mark.parametrize("seed", [11, 29])
     @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
-    def test_workload_frames(self, name, seed):
+    def test_workload_frames(self, name, seed, monkeypatch):
         scene, config = load_perfbench("workloads").build(name, seed, reduced=True)
         frames = render_all(scene)
-        acc, ref = ScatterAccumulator(config.scatter), TreeAccumulator(config.scatter)
-        assert add_runs(acc, frames, 1) == [ref.add_frame(f) for f in frames]
-        got, want = acc.cloud(), ref.cloud()
+        ref = TreeAccumulator(config.scatter)
+        counts = [ref.add_frame(f) for f in frames]
+        monkeypatch.setattr(scatter, "RUN_FRAMES", 1)
+        got = scatter_frames(frames, config.scatter)
         assert len(got) > 100
-        for name in ("positions", "pixels", "frame_ids", "categories"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert per_frame_counts(got, frames) == counts
+        assert_same_cloud(got, ref.cloud())
 
 
 @functools.cache
@@ -226,34 +227,26 @@ def oracle_runs(name, seed, oracle):
 
 class TestRunsMatchOracles:
     """Dedup of a run of frames accepts the rows that frame-by-frame dedup
-    accepts, whatever the run length: the same cloud, and per run the
-    sum of the frames' accepted counts, as the KD-tree and hash-grid
-    oracles."""
-
-    @staticmethod
-    def assert_matches(frames, config, run, counts, cloud):
-        acc = ScatterAccumulator(config)
-        assert add_runs(acc, frames, run) == run_sums(counts, run)
-        got = acc.cloud()
-        assert len(acc) == len(got) == len(cloud)
-        for name in ("positions", "pixels", "frame_ids", "categories"):
-            a, b = getattr(got, name), getattr(cloud, name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            assert a.tobytes() == b.tobytes(), name
+    accepts, whatever the run length: the same cloud, and on frames of
+    distinct cameras the same count from each frame, as the KD-tree and
+    hash-grid oracles."""
 
     @pytest.mark.parametrize("oracle", [TreeAccumulator, HashGridAccumulator], ids=["tree", "hashgrid"])
     @pytest.mark.parametrize("run", [1, 2, 3, 4, 0], ids=["1", "2", "3", "4", "all"])
     @pytest.mark.parametrize("seed", [11, 29])
     @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
-    def test_workload_runs(self, name, seed, run, oracle):
+    def test_workload_runs(self, name, seed, run, oracle, monkeypatch):
         frames, config = workload_frames(name, seed)
         counts, cloud = oracle_runs(name, seed, oracle)
         assert len(cloud) > 100
-        self.assert_matches(frames, config, run or len(frames), counts, cloud)
+        monkeypatch.setattr(scatter, "RUN_FRAMES", run or len(frames))
+        got = scatter_frames(frames, config)
+        assert per_frame_counts(got, frames) == counts
+        assert_same_cloud(got, cloud)
 
     @pytest.mark.parametrize("oracle", [TreeAccumulator, HashGridAccumulator], ids=["tree", "hashgrid"])
     @pytest.mark.parametrize("run", [2, 3])
-    def test_repeated_frame(self, noisy_frames, run, oracle):
+    def test_repeated_frame(self, noisy_frames, run, oracle, monkeypatch):
         # frame 0 again right after itself, inside one run, and again after
         # frame 1, in the next run for runs of two and in the same for three
         a, b = noisy_frames[:2]
@@ -262,18 +255,22 @@ class TestRunsMatchOracles:
         ref = oracle(config)
         counts = [ref.add_frame(f) for f in frames]
         assert counts[0] > 0 and counts[1] == counts[3] == 0
-        self.assert_matches(frames, config, run, counts, ref.cloud())
+        monkeypatch.setattr(scatter, "RUN_FRAMES", run)
+        got = scatter_frames(frames, config)
+        assert len(got) == sum(counts)
+        assert_same_cloud(got, ref.cloud())
 
     def test_scatter_frames_adds_runs_of_run_frames(self, noisy_frames, monkeypatch):
-        sizes = []
-        add_run = ScatterAccumulator.add_run
-        monkeypatch.setattr(
-            ScatterAccumulator, "add_run", lambda self, frames: sizes.append(len(frames)) or add_run(self, frames)
-        )
+        # each run's candidates are built, then the grid of the earlier
+        # runs' points is queried once
+        events = []
+        candidates, near_any = scatter._candidates, CellGrid.near_any
+        monkeypatch.setattr(scatter, "_candidates", lambda *args: events.append("c") or candidates(*args))
+        monkeypatch.setattr(CellGrid, "near_any", lambda *args: events.append("q") or near_any(*args))
         config = ScatterConfig(radius=0.04)
         cloud = scatter_frames(noisy_frames[:10], config)
         run = scatter.RUN_FRAMES
-        assert sizes == [min(run, 10 - i) for i in range(0, 10, run)]
+        assert "".join(events) == "".join("c" * min(run, 10 - i) + "q" for i in range(0, 10, run))
         ref = TreeAccumulator(config)
         for frame in noisy_frames[:10]:
             ref.add_frame(frame)
@@ -285,13 +282,9 @@ class TestCandidatesMatchOracle:
 
     @staticmethod
     def assert_matches(frames, radius=0.04):
-        acc = ScatterAccumulator(ScatterConfig(radius=radius))
         for k, frame in enumerate(frames):
-            got, want = acc._candidates(frame, k), box_candidates(frame, k, radius)
-            for name in ("positions", "pixels", "frame_ids", "categories"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert (a.dtype, a.shape) == (b.dtype, b.shape), (k, name)
-                assert a.tobytes() == b.tobytes(), (k, name)
+            want = box_candidates(frame, frame.camera_index, radius)
+            assert_same_cloud(scatter._candidates(frame, radius), want, (k,))
 
     def test_clean_demo_frames(self, clean_frames):
         self.assert_matches(clean_frames)
@@ -320,26 +313,18 @@ class TestCandidatesMatchOracle:
             dataclasses.replace(frame, boxes_2d=()),
         ]
         self.assert_matches(frames)
-        acc = ScatterAccumulator(ScatterConfig(radius=0.04))
-        assert len(acc._candidates(frames[1], 0)) == len(acc._candidates(frames[2], 0)) == 0
+        assert len(scatter._candidates(frames[1], 0.04)) == len(scatter._candidates(frames[2], 0.04)) == 0
 
 
 class TestDenseMapOracle:
     """Candidates read from the covered pixels give the bits of those read
     from the dense depth map, and so does the whole scattered cloud."""
 
-    @staticmethod
-    def assert_same_cloud(got, want):
-        for name in ("positions", "pixels", "frame_ids", "categories"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            assert a.tobytes() == b.tobytes(), name
-
     @pytest.mark.parametrize("radius", [0.01, 0.04, 0.08])
     def test_noisy_demo_candidates(self, noisy_frames, radius):
-        acc = ScatterAccumulator(ScatterConfig(radius=radius))
-        for k, frame in enumerate(noisy_frames):
-            self.assert_same_cloud(acc._candidates(frame, k), dense_candidates(frame, k, radius))
+        for frame in noisy_frames:
+            want = dense_candidates(frame, frame.camera_index, radius)
+            assert_same_cloud(scatter._candidates(frame, radius), want)
 
     @pytest.mark.parametrize("seed", [11, 29])
     @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
@@ -349,11 +334,9 @@ class TestDenseMapOracle:
         got = scatter_frames(frames, config.scatter)
         assert len(got) > 100
         monkeypatch.setattr(
-            ScatterAccumulator,
-            "_candidates",
-            lambda self, frame, fid: dense_candidates(frame, fid, self.config.radius),
+            scatter, "_candidates", lambda frame, radius: dense_candidates(frame, frame.camera_index, radius)
         )
-        self.assert_same_cloud(got, scatter_frames(frames, config.scatter))
+        assert_same_cloud(got, scatter_frames(frames, config.scatter))
 
 
 class TestNearAnyTies:
@@ -419,14 +402,15 @@ class TestScatterFrames:
             d[i] = delta.min()
         assert np.median(d) == pytest.approx(0.04, rel=0.25)
 
-    def test_rescatter_adds_nothing(self):
+    def test_rescatter_adds_nothing(self, monkeypatch):
         frame = noiseless_frame(self.frontal_plane_scene())
-        acc = ScatterAccumulator(ScatterConfig(radius=0.04))
-        first = acc.add_run([frame])
-        second = acc.add_run([frame])
-        assert first > 0 and second == 0
-        # and inside one run
-        assert ScatterAccumulator(ScatterConfig(radius=0.04)).add_run([frame, frame]) == first
+        config = ScatterConfig(radius=0.04)
+        once = len(scatter_frames([frame], config))
+        assert once > 0
+        # the repeat in the next run, then inside the same one
+        for run in (1, scatter.RUN_FRAMES):
+            monkeypatch.setattr(scatter, "RUN_FRAMES", run)
+            assert len(scatter_frames([frame, frame], config)) == once
 
     def test_disjoint_views_union(self):
         # two slabs back to back, each camera sees exactly one
