@@ -1,38 +1,20 @@
-"""On-disk formats: ASCII PLY clouds, PGM/PPM images, JSON artifacts.
+"""On-disk formats: binary PLY clouds, PGM/PPM images, JSON artifacts.
 
-Floats written to PLY use repr-shortest formatting, so a write/read
-round trip reproduces the array values exactly and identical inputs
-produce identical bytes. A cloud's vertex rows are formatted and
-written in fixed blocks of rows, and one pass can write both a cloud's
-PLY and the PLY of an ascending subset of its points from the same
-formatted rows, so no whole file's text is ever held in memory.
+A cloud PLY is binary little-endian: each vertex is one packed row of
+its properties, 8 bytes per double and 4 per int, in the same byte
+order on every host. A write/read round trip therefore gives every
+column back bit for bit, and identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
 
 import numpy as np
 
 from .boxes import OrientedBox
 from .checks import _entries
 from .scatter import ScatterCloud
-
-
-def _float_strs(column) -> list[str]:
-    """repr-shortest strings of a float column, one ``repr`` per distinct bit pattern.
-
-    Keying on bits rather than on ``==`` keeps ``-0.0`` apart from ``0.0``.
-    """
-    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    strs = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    return strs[inverse].tolist()
-
-
-def _int_strs(column):
-    return map(str, np.asarray(column, dtype=np.int64).tolist())
 
 
 # The vertex properties of a cloud PLY, in file order: the cloud field,
@@ -47,10 +29,6 @@ _PLY_COLUMNS = (
     ("scores", ("score",), "double"),
     ("features", None, "double"),
 )
-_FORMATS = {"double": _float_strs, "int": _int_strs}
-# vertex rows formatted per write: a block's strings are all the PLY
-# writer holds at once
-_BLOCK_ROWS = 1024
 
 
 def _ply_properties(cloud: ScatterCloud):
@@ -65,57 +43,30 @@ def _ply_properties(cloud: ScatterCloud):
 
 
 def _ply_header(props, n: int) -> str:
-    lines = ["ply", "format ascii 1.0", "comment multi-view scatter cloud", f"element vertex {n}"]
+    lines = ["ply", "format binary_little_endian 1.0", "comment multi-view scatter cloud"]
+    lines.append(f"element vertex {n}")
     lines += [f"property {kind} {name}" for name, kind, _ in props]
     lines.append("end_header")
     return "\n".join(lines) + "\n"
 
 
-def _ascending_indices(subset, n: int) -> np.ndarray:
-    """``subset`` as int64 after checking it is strictly ascending within ``[0, n)``."""
-    subset = np.asarray(subset)
-    if subset.ndim != 1 or (len(subset) and subset.dtype.kind not in "iu"):
-        raise ValueError("subset must be a 1D integer index array")
-    subset = subset.astype(np.int64)
-    if len(subset) and (subset[0] < 0 or subset[-1] >= n or np.any(np.diff(subset) <= 0)):
-        raise ValueError(f"subset must be strictly ascending indices in [0, {n})")
-    return subset
-
-
-def write_cloud_ply(cloud: ScatterCloud, path, subset=None, subset_path=None) -> None:
-    """ASCII PLY with provenance properties per vertex.
+def write_cloud_ply(cloud: ScatterCloud, path) -> None:
+    """Binary little-endian PLY with provenance properties per vertex.
 
     Writes the properties of ``_PLY_COLUMNS`` for every column the
-    cloud carries. The vertex rows are formatted and written
-    ``_BLOCK_ROWS`` at a time, so the writer holds one block's strings,
-    not the file's. With ``subset``, strictly ascending indices into the
-    cloud, it also writes the PLY of ``cloud.select(subset)`` to
-    ``subset_path`` from the same formatted rows, in the same pass. A bad
-    ``subset`` raises ``ValueError`` before any file is created.
+    cloud carries. The vertex rows are one packed table (``<f8`` per
+    double, ``<i4`` per int), so the writer holds a copy of the cloud
+    as large as the file's body: 128 bytes a point for a pipeline
+    cloud, whose features have nine channels.
     """
-    n = len(cloud)
-    if (subset is None) != (subset_path is None):
-        raise ValueError("subset and subset_path must be given together")
-    targets = [(path, None)]
-    if subset is not None:
-        targets.append((subset_path, _ascending_indices(subset, n)))
     props = list(_ply_properties(cloud))
-    with ExitStack() as stack:
-        files = [(stack.enter_context(open(p, "w")), indices) for p, indices in targets]
-        for f, indices in files:
-            f.write(_ply_header(props, n if indices is None else len(indices)))
-        for start in range(0, n, _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            block = [
-                " ".join(row) + "\n"
-                for row in zip(*(_FORMATS[kind](values[start:stop]) for _, kind, values in props))
-            ]
-            for f, indices in files:
-                if indices is None:
-                    f.writelines(block)
-                else:
-                    lo, hi = np.searchsorted(indices, [start, stop])
-                    f.writelines(block[i - start] for i in indices[lo:hi].tolist())
+    dtype = [(name, "<f8" if kind == "double" else "<i4") for name, kind, _ in props]
+    rows = np.empty(len(cloud), dtype=dtype)
+    for name, _, values in props:
+        rows[name] = values
+    with open(path, "wb") as f:
+        f.write(_ply_header(props, len(cloud)).encode())
+        rows.tofile(f)
 
 
 def _write_rows(f, quant: np.ndarray) -> None:

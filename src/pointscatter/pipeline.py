@@ -366,9 +366,8 @@ def run_pipeline(scene: SceneSpec, config: PipelineConfig, output_dir=None) -> P
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_cloud_ply(
-            cloud, out / "cloud_raw.ply", filtered_indices, out / "cloud_filtered.ply"
-        )
+        write_cloud_ply(cloud, out / "cloud_raw.ply")
+        write_cloud_ply(cloud.select(filtered_indices), out / "cloud_filtered.ply")
         write_detections(detections, out / "detections.json")
         write_json(report, out / "metrics.json")
         write_json(sparsity, out / "sparsity.json")

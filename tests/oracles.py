@@ -7,6 +7,7 @@ apart from plain data containers.
 """
 
 import math
+import struct
 import types
 
 import numpy as np
@@ -1022,22 +1023,19 @@ def perturb_depth(depth, sigma, outlier_rate, rng, depth_range) -> np.ndarray:
     return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_cloud_ply(cloud: ScatterCloud, path) -> None:
-    """ASCII PLY with provenance properties per vertex, row by row.
+    """Binary little-endian PLY with provenance properties per vertex, row by row.
 
     Always writes x/y/z, source frame, category and the source pixel;
     a ``score`` property and ``f<i>`` feature properties appear when the
-    cloud carries them.
+    cloud carries them. Each row is packed on its own with
+    ``struct.pack``: 8 bytes per double, 4 per int.
     """
     n = len(cloud)
     channels = 0 if cloud.features is None else cloud.features.shape[1]
     lines = [
         "ply",
-        "format ascii 1.0",
+        "format binary_little_endian 1.0",
         "comment multi-view scatter cloud",
         f"element vertex {n}",
         "property double x",
@@ -1048,55 +1046,78 @@ def write_cloud_ply(cloud: ScatterCloud, path) -> None:
         "property double pu",
         "property double pv",
     ]
+    row_format = "<dddiidd"
     if cloud.scores is not None:
         lines.append("property double score")
+        row_format += "d"
     for c in range(channels):
         lines.append(f"property double f{c}")
+    row_format += "d" * channels
     lines.append("end_header")
-    for i in range(n):
-        row = [
-            _fmt(cloud.positions[i, 0]),
-            _fmt(cloud.positions[i, 1]),
-            _fmt(cloud.positions[i, 2]),
-            str(int(cloud.frame_ids[i])),
-            str(int(cloud.categories[i])),
-            _fmt(cloud.pixels[i, 0]),
-            _fmt(cloud.pixels[i, 1]),
-        ]
-        if cloud.scores is not None:
-            row.append(_fmt(cloud.scores[i]))
-        if channels:
-            row.extend(_fmt(v) for v in cloud.features[i])
-        lines.append(" ".join(row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    with open(path, "wb") as f:
+        f.write(("\n".join(lines) + "\n").encode("ascii"))
+        for i in range(n):
+            row = [
+                float(cloud.positions[i, 0]),
+                float(cloud.positions[i, 1]),
+                float(cloud.positions[i, 2]),
+                int(cloud.frame_ids[i]),
+                int(cloud.categories[i]),
+                float(cloud.pixels[i, 0]),
+                float(cloud.pixels[i, 1]),
+            ]
+            if cloud.scores is not None:
+                row.append(float(cloud.scores[i]))
+            if channels:
+                row.extend(float(v) for v in cloud.features[i])
+            f.write(struct.pack(row_format, *row))
+
+
+# struct code and numpy dtype of each PLY property type
+_PLY_TYPES = {"double": ("d", np.float64), "int": ("i", np.int64)}
 
 
 def read_cloud_ply(path) -> ScatterCloud:
-    """Read an ASCII cloud PLY by its header alone.
+    """Read a binary little-endian cloud PLY by its header alone.
 
     Each vertex property is read by the name and type the header gives
     it, in whatever order the header lists them, so a writer that puts
     a column under the wrong name or type fails a round trip instead of
-    being read back through the same mistake.
+    being read back through the same mistake. Any other format, and a
+    body that is not exactly the declared number of rows, is rejected.
     """
-    with open(path) as f:
-        if f.readline().strip() != "ply":
+    with open(path, "rb") as f:
+        if f.readline() != b"ply\n":
             raise ValueError(f"{path} is not a PLY file")
-        n, props = None, []
-        for line in f:
-            parts = line.split()
+        n, fmt, props = None, None, []
+        while True:
+            line = f.readline()
+            if not line:
+                raise ValueError("PLY header lacks end_header")
+            parts = line.decode("ascii").split()
             if parts == ["end_header"]:
                 break
-            if parts[:2] == ["element", "vertex"]:
+            if parts[:1] == ["format"]:
+                fmt = parts[1:]
+            elif parts[:2] == ["element", "vertex"]:
                 n = int(parts[2])
-            elif parts[0] == "property":
-                props.append((parts[2], np.int64 if parts[1] == "int" else np.float64))
-        if n is None:
-            raise ValueError("PLY header lacks a vertex element")
-        rows = [f.readline().split() for _ in range(n)]
+            elif parts[:1] == ["property"]:
+                if parts[1] not in _PLY_TYPES:
+                    raise ValueError(f"PLY property type {parts[1]} is not double or int")
+                props.append((parts[2], parts[1]))
+        body = f.read()
+    if fmt != ["binary_little_endian", "1.0"]:
+        raise ValueError(f"PLY format {fmt} is not binary_little_endian 1.0")
+    if n is None:
+        raise ValueError("PLY header lacks a vertex element")
+    row_format = "<" + "".join(_PLY_TYPES[kind][0] for _, kind in props)
+    if len(body) != n * struct.calcsize(row_format):
+        raise ValueError(f"PLY body of {len(body)} bytes is not {n} rows of {row_format}")
+    rows = list(struct.iter_unpack(row_format, body)) if props else []
     values = list(zip(*rows)) if rows else [()] * len(props)
-    col = {name: np.array(v, dtype=dtype) for (name, dtype), v in zip(props, values)}
+    col = {
+        name: np.array(v, dtype=_PLY_TYPES[kind][1]) for (name, kind), v in zip(props, values)
+    }
     for name in ("x", "y", "z", "frame", "category", "pu", "pv"):
         if name not in col:
             raise ValueError(f"PLY missing property {name}")

@@ -26,6 +26,13 @@ from pointscatter.scene import demo_scene
 import oracles
 
 
+def split_ply(path):
+    """The header lines and the body bytes of a PLY file."""
+    data = path.read_bytes()
+    end = data.index(b"end_header\n") + len(b"end_header\n")
+    return data[:end].decode("ascii").splitlines(), data[end:]
+
+
 def sample_cloud(with_features=True, with_scores=True):
     rng = np.random.default_rng(6)
     n = 17
@@ -96,9 +103,9 @@ class TestPlyHeader:
     def test_header_layout(self, tmp_path):
         path = tmp_path / "cloud.ply"
         write_cloud_ply(sample_cloud(), path)
-        lines = path.read_text().splitlines()
+        lines, _ = split_ply(path)
         assert lines[0] == "ply"
-        assert lines[1] == "format ascii 1.0"
+        assert lines[1] == "format binary_little_endian 1.0"
         assert "element vertex 17" in lines
         props = [l.split()[2] for l in lines if l.startswith("property")]
         assert props == ["x", "y", "z", "frame", "category", "pu", "pv", "score", "f0", "f1", "f2", "f3"]
@@ -106,10 +113,9 @@ class TestPlyHeader:
     def test_vertex_line_width(self, tmp_path):
         path = tmp_path / "cloud.ply"
         write_cloud_ply(sample_cloud(), path)
-        lines = path.read_text().splitlines()
-        body = lines[lines.index("end_header") + 1 :]
-        assert len(body) == 17
-        assert all(len(row.split()) == 12 for row in body)
+        _, body = split_ply(path)
+        # 3 + 2 + 1 + 4 doubles and 2 ints a vertex
+        assert len(body) == 17 * 88
 
     def test_rejects_non_ply(self, tmp_path):
         path = tmp_path / "bogus.ply"
@@ -119,12 +125,32 @@ class TestPlyHeader:
 
     def test_rejects_missing_required_property(self, tmp_path):
         path = tmp_path / "partial.ply"
-        path.write_text(
-            "ply\nformat ascii 1.0\nelement vertex 1\n"
-            "property double x\nproperty double y\nproperty double z\n"
-            "end_header\n0.0 0.0 0.0\n"
+        path.write_bytes(
+            b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+            b"property double x\nproperty double y\nproperty double z\n"
+            b"end_header\n" + bytes(24)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="missing property"):
+            oracles.read_cloud_ply(path)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [("truncated", "body"), ("trailing_bytes", "body"), ("ascii", "format"), ("big_endian", "format")],
+    )
+    def test_rejects_malformed_body_or_format(self, tmp_path, case, match):
+        path = tmp_path / "cloud.ply"
+        write_cloud_ply(sample_cloud(), path)
+        oracles.read_cloud_ply(path)
+        data = path.read_bytes()
+        if case == "truncated":
+            data = data[:-1]
+        elif case == "trailing_bytes":
+            data += b"\n"
+        else:
+            fmt = b"ascii" if case == "ascii" else b"binary_big_endian"
+            data = data.replace(b"binary_little_endian", fmt, 1)
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=match):
             oracles.read_cloud_ply(path)
 
 
@@ -143,6 +169,16 @@ class TestWritersMatchOracle:
         write(*args, got, **kwargs)
         oracle_write(*args, want, **kwargs)
         assert got.read_bytes() == want.read_bytes()
+
+    @staticmethod
+    def assert_same_bits_read_back(path, cloud):
+        """Every float column reads back bit for bit: NaN payloads and signed zeros too."""
+        back = oracles.read_cloud_ply(path)
+        for field in ("positions", "pixels", "scores", "features"):
+            got, want = getattr(back, field), getattr(cloud, field)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), field
+        np.testing.assert_array_equal(back.frame_ids, cloud.frame_ids)
+        np.testing.assert_array_equal(back.categories, cloud.categories)
 
     @pytest.mark.parametrize("part", ["raw", "filtered"])
     @pytest.mark.parametrize("with_features", [True, False])
@@ -175,7 +211,7 @@ class TestWritersMatchOracle:
             scores=special,
         )
         self.assert_same_bytes(tmp_path, write_cloud_ply, oracles.write_cloud_ply, cloud)
-        assert "-0.0 " in (tmp_path / "got").read_text()
+        self.assert_same_bits_read_back(tmp_path / "got", cloud)
 
     def test_repeated_and_special_values(self, tmp_path):
         # NaNs with three payloads, both zeros, infinities, subnormals and
@@ -196,8 +232,7 @@ class TestWritersMatchOracle:
             scores=values[:, 5],
         )
         self.assert_same_bytes(tmp_path, write_cloud_ply, oracles.write_cloud_ply, cloud)
-        rows = (tmp_path / "got").read_text().splitlines()[-97:]
-        assert rows[0].split()[:3] == ["0.0"] * 3 and rows[1].split()[:3] == ["-0.0"] * 3
+        self.assert_same_bits_read_back(tmp_path / "got", cloud)
 
     def test_empty_cloud(self, tmp_path):
         self.assert_same_bytes(tmp_path, write_cloud_ply, oracles.write_cloud_ply, empty_cloud())
@@ -212,7 +247,7 @@ class TestWritersMatchOracle:
 
 
 class TestFilteredPlyFromRawRows:
-    """cloud_filtered.ply is written from the rows formatted for cloud_raw.ply."""
+    """cloud_filtered.ply holds the rows of cloud_raw.ply at the filtered indices."""
 
     @pytest.mark.parametrize("case", ["noisy", "none_kept", "clean"])
     def test_pipeline_artifacts_match_oracle(self, tmp_path, case):
@@ -238,75 +273,18 @@ class TestFilteredPlyFromRawRows:
         if case == "none_kept":
             assert b"element vertex 0\n" in got and got.endswith(b"end_header\n")
 
-    @staticmethod
-    def assert_pair_matches_oracle(tmp_path, cloud, subset):
-        """One call writes the cloud's and the subset's PLYs with the oracle's bytes."""
-        write_cloud_ply(cloud, tmp_path / "raw.ply", subset, tmp_path / "sub.ply")
-        oracles.write_cloud_ply(cloud, tmp_path / "want_raw.ply")
-        oracles.write_cloud_ply(cloud.select(subset), tmp_path / "want_sub.ply")
-        for got, want in [("raw.ply", "want_raw.ply"), ("sub.ply", "want_sub.ply")]:
-            assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes(), got
-
-    @staticmethod
-    def subsets(n, filtered=None):
-        """All rows, none, every 7th ascending and, when given, the filtered ones."""
-        every = np.arange(n)
-        named = {"all": every, "none": np.zeros(0, dtype=np.int64), "every_7th": every[::-7][::-1]}
-        if filtered is not None:
-            named["filtered"] = filtered
-        return named
-
-    def test_subset_matches_oracle(self, tmp_path, noisy_demo_result):
-        cloud = noisy_demo_result.cloud
-        assert len(cloud) > 2 * fileio._BLOCK_ROWS
-        for name, subset in self.subsets(len(cloud), noisy_demo_result.filtered_indices).items():
-            (tmp_path / name).mkdir()
-            self.assert_pair_matches_oracle(tmp_path / name, cloud, subset)
-
-    # cloud sizes as (blocks, extra rows): 0, 1, B-1, B, B+1 and 2B+3 rows
-    @pytest.mark.parametrize(
-        "blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
-        ids=["0", "1", "B-1", "B", "B+1", "2B+3"],
-    )
-    def test_block_edges_match_oracle(self, tmp_path, noisy_demo_result, blocks, extra):
-        n = blocks * fileio._BLOCK_ROWS + extra
-        cloud = noisy_demo_result.cloud.select(np.arange(n))
-        for name, subset in self.subsets(n).items():
-            (tmp_path / name).mkdir()
-            self.assert_pair_matches_oracle(tmp_path / name, cloud, subset)
-
-    def test_bad_subset_creates_no_file(self, tmp_path):
-        cloud = sample_cloud()
-        n = len(cloud)
-        bad = {
-            "descending": np.array([3, 1]),
-            "repeated": np.array([1, 1, 2]),
-            "negative": np.array([-1, 0, 1]),
-            "past_end": np.array([0, n]),
-            "two_dimensional": np.array([[0, 1]]),
-            "float": np.array([0.0, 1.0]),
-        }
-        for name, subset in bad.items():
-            raw, sub = tmp_path / f"{name}_raw.ply", tmp_path / f"{name}_sub.ply"
-            with pytest.raises(ValueError, match="subset"):
-                write_cloud_ply(cloud, raw, subset, sub)
-            assert not raw.exists() and not sub.exists(), name
-        with pytest.raises(ValueError, match="subset"):
-            write_cloud_ply(cloud, tmp_path / "lone_raw.ply", np.arange(n))
-        assert not (tmp_path / "lone_raw.ply").exists()
-
     def test_demo_write_peak_memory(self, tmp_path, noisy_demo_result):
-        # the rows are formatted and written in blocks: the writer never
-        # holds as much as the file it writes
-        cloud, kept = noisy_demo_result.cloud, noisy_demo_result.filtered_indices
-        raw = tmp_path / "cloud_raw.ply"
+        # the writer holds one packed row table, as large as the file's
+        # vertex rows, and little else
+        path = tmp_path / "cloud_raw.ply"
         tracemalloc.start()
         try:
-            write_cloud_ply(cloud, raw, kept, tmp_path / "cloud_filtered.ply")
+            write_cloud_ply(noisy_demo_result.cloud, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < raw.stat().st_size
+        _, body = split_ply(path)
+        assert peak <= len(body) + 64 * 1024
 
 
 class TestPgm:
