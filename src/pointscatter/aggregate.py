@@ -8,10 +8,13 @@ also lie no deeper than the rendered depth at its nearest pixel plus a
 noise tolerance, and empty background never hides it. Each seen point
 contributes the frame's color, bilinearly sampled as ``shades[tri]``
 at the four corner texels. Both the nearest pixel's depth and the
-corners' triangle indices come from ``CameraFrame.lookup`` on the
-frame's covered pixels, each row's two corners from one
-``CameraFrame.lookup_pair``, so no dense map or RGB image is built and
-a view's cost follows the points it sees, not its pixel count.
+corners' triangle indices are gathers from the frame's covered pixels
+through one int32 map from flat pixel to position in ``covered``, -1
+where the frame covers nothing. The call allocates the map once, sized
+to its largest frame, writes each frame's positions before that frame's
+projection and clears them after it, so no dense map or RGB image is
+built and a view's cost follows the points it sees and the pixels it
+covers, not its pixel count.
 :func:`reduce_views` reduces the samples to a masked mean and a
 masked population variance of the samples shifted by the point's first
 one, so agreeing samples give exactly 0; a point no frame sees gets
@@ -27,14 +30,15 @@ from .camera import BEHIND_CAMERA_EPS
 from .scatter import ScatterCloud
 
 
-def _sample_colors(frame, u, v) -> np.ndarray:
+def _sample_colors(frame, pos, u, v) -> np.ndarray:
     """(K, C) bilinear samples of the frame's color at pixel coordinates
     ``u``, ``v`` inside ``[0, W-1] x [0, H-1]`` (pixel centers at
     integers, so integer coordinates return the exact texel).
 
-    The texel at flat pixel ``i`` is ``shades[tri]`` with ``tri`` from
-    ``frame.lookup``, which gives -1, the black row, where no surface
-    is; each channel is interpolated on its own.
+    The texel at flat pixel ``i`` is ``shades[tri]``, with ``tri`` the
+    frame's triangle at ``i`` read through the position map ``pos``, or
+    -1, the black row, where no surface is; each channel is interpolated
+    on its own.
     """
     w, h = frame.intrinsics.width, frame.intrinsics.height
     x0 = np.minimum(np.floor(u), w - 2).astype(np.int64) if w > 1 else np.zeros(len(u), np.int64)
@@ -44,13 +48,8 @@ def _sample_colors(frame, u, v) -> np.ndarray:
     gx, gy = 1 - fx, 1 - fy
     # flat corner offsets; an image 1 pixel wide or high repeats its edge
     dx, dy = int(w > 1), w if h > 1 else 0
-    corner = y0 * w + x0
-    left = np.concatenate([corner, corner + dy])
-    if dx:
-        lefts, rights = frame.lookup_pair(left, frame.covered_tri, -1)
-    else:
-        lefts = rights = frame.lookup(left, frame.covered_tri, -1)
-    (i00, i10), (i01, i11) = lefts.reshape(2, -1), rights.reshape(2, -1)
+    corners = y0 * w + x0 + np.array([0, dx, dy, dx + dy])[:, None]
+    i00, i01, i10, i11 = np.append(frame.covered_tri, -1)[pos[corners]]
     rows = np.ascontiguousarray(frame.shades.T)
     out = np.empty((len(rows), len(u)))
     for t, o in zip(rows, out):
@@ -58,10 +57,11 @@ def _sample_colors(frame, u, v) -> np.ndarray:
     return out.T
 
 
-def _frame_projection(positions, frame, occlusion_check, depth_sigma):
+def _frame_projection(positions, frame, pos, occlusion_check, depth_sigma):
     """``(idx, u, v)``: the ascending indices of the (N, 3) points one frame
     sees, as the module docstring defines it, and their pixel coordinates;
-    the occlusion tolerance is ``max(3 * depth_sigma, 0.01)``."""
+    the rendered depth is read through the position map ``pos`` and the
+    occlusion tolerance is ``max(3 * depth_sigma, 0.01)``."""
     intr = frame.intrinsics
     x, y, z = frame.pose.world_to_camera(positions).T
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -72,7 +72,7 @@ def _frame_projection(positions, frame, occlusion_check, depth_sigma):
     u, v = u[idx], v[idx]
     if occlusion_check:
         nearest = np.rint(v).astype(np.int64) * intr.width + np.rint(u).astype(np.int64)
-        rendered = frame.lookup(nearest, frame.covered_depth, 0.0)
+        rendered = np.append(frame.covered_depth, 0.0)[pos[nearest]]
         seen = (rendered <= 0) | (z[idx] <= rendered + max(3.0 * depth_sigma, 0.01))
         idx, u, v = idx[seen], u[seen], v[seen]
     return idx, u, v
@@ -94,11 +94,18 @@ def aggregate_cloud(
     """
     positions = cloud.positions
     channels = frames[0].shades.shape[1] if frames else 0
+    size = max((f.intrinsics.width * f.intrinsics.height for f in frames), default=0)
+    pos = np.full(size, -1, dtype=np.int32)
     views = []
     for frame in frames:
-        idx, u, v = _frame_projection(positions, frame, occlusion_check, depth_sigma)
+        # int64 indices: numpy scatters through them faster than through
+        # the frame's int32 ones, cast included
+        covered = frame.covered.astype(np.intp)
+        pos[covered] = np.arange(len(covered), dtype=np.int32)
+        idx, u, v = _frame_projection(positions, frame, pos, occlusion_check, depth_sigma)
         if len(idx):
-            views.append((idx, _sample_colors(frame, u, v)))
+            views.append((idx, _sample_colors(frame, pos, u, v)))
+        pos[covered] = -1
     return reduce_views(views, len(positions), channels)
 
 

@@ -8,12 +8,12 @@ albedo under a single fixed directional light plus an ambient term, so
 a view's color is the triangle hit at each pixel (-1 marks no hit)
 plus the scene's (T+1, 3) shade table, whose last, black row is what -1
 picks. A ``CameraFrame`` keeps only the pixels its view covers, with
-the depth and triangle index at each; ``CameraFrame.depth``,
-``tri_index`` and ``color`` build the dense maps and the RGB image on
-demand. The triangle stack, its owning objects and the shade table
-depend only on the scene, so each scene builds them once
-(``SceneSpec.geometry``) and every view, GT box projection and surface
-sample shares them. One stacked product projects the triangle vertices
+the depth and triangle index at each, and nothing for the pixels it
+does not cover; ``CameraFrame.depth``, ``tri_index`` and ``color``
+build the dense maps and the RGB image on demand. The triangle stack,
+its owning objects and the shade table depend only on the scene, so
+each scene builds them once (``SceneSpec.geometry``) and every view,
+GT box projection and surface sample shares them. One stacked product projects the triangle vertices
 into every camera (``project_scene``); the GT boxes of every camera and
 the caster's per-view constants for every keyframe come from that one
 projection, and one ``RayCaster`` casts the keyframes in turn, reusing
@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -155,15 +155,7 @@ class CameraFrame:
     pixels of valid depth; the rest of the image is held by no array.
     ``shades`` is the (T+1, 3) color per triangle with a black last row,
     which index -1 picks. The dense maps are built on each access, for
-    writers and checks; the stages read the covered pixels directly or
-    through :meth:`lookup`.
-
-    For :meth:`lookup`, each frame derives a rank directory from
-    ``covered`` (Jacobson, 1989): one bit per pixel, set where it is
-    covered, in 64-bit words, and per word the position in ``covered``
-    of the last covered pixel before it, 16 bytes per 64 pixels in all.
-    A covered pixel's position is its word's entry plus the set bits at
-    and below its own.
+    writers and checks; the stages read the covered pixels directly.
     """
 
     camera_index: int
@@ -174,18 +166,6 @@ class CameraFrame:
     covered_tri: np.ndarray
     shades: np.ndarray
     boxes_2d: tuple[Box2D, ...]
-    _words: np.ndarray = field(init=False, repr=False)
-    _last: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        mask = np.zeros(-(-self.intrinsics.width * self.intrinsics.height // 64) * 64, dtype=bool)
-        mask[self.covered] = True
-        words = np.packbits(mask, bitorder="little").view("<u8")
-        last = np.full(len(words), -1, dtype=np.int64)
-        np.cumsum(np.bitwise_count(words[:-1]), out=last[1:])
-        last[1:] -= 1
-        object.__setattr__(self, "_words", words)
-        object.__setattr__(self, "_last", last)
 
     def _dense(self, values: np.ndarray, fill) -> np.ndarray:
         intr = self.intrinsics
@@ -207,39 +187,6 @@ class CameraFrame:
     def color(self) -> np.ndarray:
         """(H, W, 3) shaded color image in [0, 1], built on each access."""
         return np.take(self.shades, self.tri_index, axis=0)
-
-    def _rank(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(pos, hit)``: where in ``covered`` the last covered pixel at
-        or before each flat index is, -1 for none, and whether that is
-        the pixel itself."""
-        word = flat >> 6
-        # the word's bits at and below the pixel's, moved to the top
-        upto = self._words[word] << (~flat & 63).view(np.uint64)
-        return self._last[word] + np.bitwise_count(upto), upto >= np.uint64(1 << 63)
-
-    def lookup(self, flat: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
-        """``values`` (``covered_depth`` or ``covered_tri``) at integer flat
-        pixel indices inside the image, ``fill`` where the frame covers
-        no surface. A fixed number of array passes over the indices,
-        through the rank directory, so the cost follows the indices, not
-        the image size."""
-        flat = np.asarray(flat, dtype=np.int64)
-        if not len(values):
-            return np.full(len(flat), fill, dtype=values.dtype)
-        pos, hit = self._rank(flat)
-        return np.where(hit, values[pos], fill)
-
-    def lookup_pair(self, flat: np.ndarray, values: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`lookup` at ``flat`` and at ``flat + 1``, both inside the
-        image, from one rank pass: the right pixel's position in
-        ``covered`` is the left one's plus the right pixel's own bit."""
-        flat = np.asarray(flat, dtype=np.int64)
-        if not len(values):
-            return (np.full(len(flat), fill, dtype=values.dtype),) * 2
-        pos, hit = self._rank(flat)
-        right = flat + 1
-        bit = ((self._words[right >> 6] >> (right & 63).view(np.uint64)) & np.uint64(1)).view(np.int64)
-        return np.where(hit, values[pos], fill), np.where(bit == 1, values[pos + bit], fill)
 
 
 def project_scene(scene: SceneSpec, cameras=None):

@@ -14,13 +14,15 @@ from pointscatter import aggregate
 from pointscatter.aggregate import aggregate_cloud, compose_features, reduce_views
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose, look_at_pose, project_points
-from pointscatter.pipeline import run_front
+from pointscatter.pipeline import run_front, stage_rng
 from pointscatter.scatter import ScatterCloud, ScatterConfig, scatter_frames
 from pointscatter.scene import (
+    DEFAULT_INTRINSICS,
     CameraFrame,
     SceneCamera,
     SceneObject,
     SceneSpec,
+    demo_scene,
     make_frame,
     project_gt_boxes,
 )
@@ -59,6 +61,14 @@ def flat_frame(translation, rotation=None):
     )
 
 
+def position_map(frame):
+    """The frame's int32 map from flat pixel to position in ``covered``,
+    -1 where it covers nothing, as ``aggregate_cloud`` fills it."""
+    pos = np.full(frame.intrinsics.width * frame.intrinsics.height, -1, dtype=np.int32)
+    pos[frame.covered] = np.arange(len(frame.covered), dtype=np.int32)
+    return pos
+
+
 def sample_image(image, u, v):
     """``aggregate._sample_colors`` on a frame whose color image is the
     plain (H, W) or (H, W, C) ``image``: every pixel is covered and
@@ -78,7 +88,7 @@ def sample_image(image, u, v):
         shades=shades,
         boxes_2d=(),
     )
-    got = aggregate._sample_colors(frame, np.atleast_1d(u), np.atleast_1d(v))
+    got = aggregate._sample_colors(frame, position_map(frame), np.atleast_1d(u), np.atleast_1d(v))
     want = oracles.palette_sample(np.arange(h * w).reshape(h, w), shades, u, v)
     if img.ndim == 2:
         got = got[:, 0]
@@ -172,15 +182,15 @@ class TestBilinearSample:
         assert sample_image(np.array([[[0.25, 0.5, 1.0]]]), 0.0, 0.0).tolist() == [0.25, 0.5, 1.0]
 
     def test_palette_matches_image_oracle(self, clean_frames):
-        # the package's sampler, which looks the corners up among the
-        # covered pixels, gives the bits of the image sampler on the
+        # the package's sampler, which reads the corners among the
+        # covered pixels through the position map, gives the bits of the image sampler on the
         # frame's color image, at integer, edge and interior coordinates
         rng = np.random.default_rng(3)
         for frame in clean_frames[::4]:
             w, h = frame.intrinsics.width, frame.intrinsics.height
             u = np.concatenate([rng.uniform(0.0, w - 1, 200), [0.0, w - 1.0, 7.0, 0.0]])
             v = np.concatenate([rng.uniform(0.0, h - 1, 200), [0.0, h - 1.0, 5.0, h - 1.0]])
-            got = aggregate._sample_colors(frame, u, v)
+            got = aggregate._sample_colors(frame, position_map(frame), u, v)
             assert got.tobytes() == oracles.bilinear_sample(frame.color, u, v).tobytes()
 
 
@@ -462,7 +472,7 @@ class TestAggregatePointAndCloud:
     def test_frames_covering_no_pixel(self, clean_scene, clean_frames, occlusion_check):
         # a camera looking away covers no pixel and sees no point; a frame
         # with a real pose but nothing covered sees every point in its
-        # image, over background, so lookups into an empty covered list
+        # image, over background, so gathers from an empty covered list
         # give depth 0 and the black row
         away = uncovered_frame(clean_scene)
         bare = dataclasses.replace(
@@ -487,8 +497,8 @@ class TestAggregatePointAndCloud:
 
 
 class TestDenseMapOracle:
-    """Depth and triangle lookups among the covered pixels give the bits
-    of the dense (H, W) maps they replaced."""
+    """Depth and triangle gathers from the covered pixels, through the
+    position map, give the bits of the dense (H, W) maps they replaced."""
 
     @pytest.mark.parametrize("seed", [11, 29])
     @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
@@ -500,6 +510,26 @@ class TestDenseMapOracle:
             got = aggregate_cloud(cloud, frames, occlusion_check, sigma)
             assert got[2].sum() > len(cloud)
             assert_same_bytes(got, oracles.dense_aggregate_cloud(cloud, frames, occlusion_check, sigma))
+
+    def test_mixed_sizes_and_uncovered_frames_match_oracle(self):
+        # frames of two image sizes, a larger after a smaller and a
+        # smaller after a larger, and frames covering nothing after frames
+        # that cover pixels: the one position map is sized to the largest
+        # frame and keeps no position of the frame before
+        large = Intrinsics(fx=240.0, fy=240.0, cx=159.5, cy=119.5, width=320, height=240)
+        scene = demo_scene(noise_sigma=0.05, outlier_rate=0.1, steps=6)
+        sizes = [DEFAULT_INTRINSICS, DEFAULT_INTRINSICS, large, DEFAULT_INTRINSICS, large, DEFAULT_INTRINSICS]
+        cameras = tuple(SceneCamera(intr, c.pose) for intr, c in zip(sizes, scene.cameras))
+        scene = dataclasses.replace(scene, cameras=cameras)
+        boxes = project_gt_boxes(scene)
+        seen = [make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), boxes[i]) for i in range(6)]
+        away = uncovered_frame(scene)
+        frames = [*seen[:3], away, *seen[3:5], away, seen[5]]
+        cloud = scatter_frames(seen, ScatterConfig())
+        for occlusion_check in (False, True):
+            got = aggregate_cloud(cloud, frames, occlusion_check, 0.05)
+            assert got[2].max() == 6
+            assert_same_bytes(got, oracles.dense_aggregate_cloud(cloud, frames, occlusion_check, 0.05))
 
 
 def occluder_frame():

@@ -860,66 +860,24 @@ class TestDenseMapOracle:
             # the covered pixels are exactly those of valid depth
             np.testing.assert_array_equal(frame.covered, np.flatnonzero(depth > 0))
 
-    def test_lookup_matches_dense_maps(self, noisy_frames):
-        rng = np.random.default_rng(5)
-        for frame in noisy_frames[::3]:
-            flat = rng.integers(0, frame.intrinsics.width * frame.intrinsics.height, 500)
-            flat = np.concatenate([flat, frame.covered[:3], frame.covered[-3:], [0]])
-            depth = frame.lookup(flat, frame.covered_depth, 0.0)
-            tri = frame.lookup(flat, frame.covered_tri, -1)
-            assert depth.tobytes() == frame.depth.ravel()[flat].tobytes()
-            assert tri.tobytes() == frame.tri_index.ravel()[flat].tobytes()
-
-    def test_lookup_pair_matches_two_lookups(self, noisy_frames, clean_scene):
-        rng = np.random.default_rng(6)
-        for frame in [*noisy_frames[::3], uncovered_frame(clean_scene)]:
-            size = frame.intrinsics.width * frame.intrinsics.height
-            # word ends, where the right pixel lies in the next 64-bit word
-            flat = np.concatenate([rng.integers(0, size - 1, 500), np.arange(63, size - 1, 64), [0, size - 2]])
-            flat = np.concatenate([flat, frame.covered[:3], frame.covered[-3:] - 1]).clip(0, size - 2)
-            for values, fill in [(frame.covered_depth, 0.0), (frame.covered_tri, -1)]:
-                left, right = frame.lookup_pair(flat, values, fill)
-                assert left.tobytes() == frame.lookup(flat, values, fill).tobytes()
-                assert right.tobytes() == frame.lookup(flat + 1, values, fill).tobytes()
-
-    @pytest.mark.parametrize("count", [2, 501])
-    def test_lookup_takes_int32_indices(self, noisy_frames, count):
-        # frame.covered itself is int32; two indices are the case where a
-        # reinterpreting cast would broadcast instead of failing
-        frame = noisy_frames[0]
-        flat = np.concatenate([frame.covered[:1], np.arange(count - 1) * 37]).astype(np.int32)
-        for values, fill in [(frame.covered_depth, 0.0), (frame.covered_tri, -1)]:
-            want = frame.lookup(flat.astype(np.int64), values, fill)
-            assert frame.lookup(flat, values, fill).tobytes() == want.tobytes()
-        assert frame.lookup(flat, frame.covered_depth, 0.0).tobytes() == frame.depth.ravel()[flat].tobytes()
-
     def test_uncovered_frame(self, clean_scene):
         frame = uncovered_frame(clean_scene)
-        flat = np.array([0, 7, 19_199])
-        depth = frame.lookup(flat, frame.covered_depth, 0.0)
-        tri = frame.lookup(flat, frame.covered_tri, -1)
-        assert depth.dtype == np.float64 and depth.tolist() == [0.0, 0.0, 0.0]
-        assert tri.dtype == np.int32 and tri.tolist() == [-1, -1, -1]
         assert not frame.depth.any() and (frame.tri_index == -1).all()
         assert frame.depth.shape == frame.tri_index.shape == (120, 160)
 
     @pytest.mark.parametrize("seed", [11, 29])
-    def test_hires_frames_hold_20_bytes_per_covered_pixel(self, seed):
+    def test_hires_frames_hold_16_bytes_per_covered_pixel(self, seed):
         # an int32 flat index, a depth and an int32 triangle index per
-        # covered pixel, a 64-bit word and a 64-bit count per 64 pixels
-        # for the rank directory, and the scene's shared shade table;
-        # counted in bytes held, not measured, so the bound cannot flake
+        # covered pixel, nothing per uncovered pixel, and the scene's
+        # shared shade table; counted in bytes held, not measured, so the
+        # bound cannot flake
         scene, config = load_perfbench("workloads").build("hires_6view", seed, reduced=True)
         _, frames, _ = run_front(scene, config)
         for frame in frames:
-            arrays = [getattr(frame, f.name) for f in dataclasses.fields(frame)]
-            arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-            covered = len(frame.covered)
-            words = -(-frame.intrinsics.width * frame.intrinsics.height // 64)
-            assert 0 < covered < 0.5 * 64 * words
-            total = sum(held(a) for a in arrays)
-            assert total == 16 * covered + 16 * words + held(frame.shades)
-            assert total <= 20 * covered + held(frame.shades)
+            # every array the frame holds, declared as a field or not
+            arrays = [a for a in vars(frame).values() if isinstance(a, np.ndarray)]
+            assert len(frame.covered) > 0
+            assert sum(held(a) for a in arrays) == 16 * len(frame.covered) + held(frame.shades)
 
 
 class TestSelectKeyframes:
