@@ -81,8 +81,8 @@ def _frame_projection(positions, frame, pos, occlusion_check, depth_sigma):
 def aggregate_cloud(
     cloud: ScatterCloud,
     frames,
-    occlusion_check: bool = False,
-    depth_sigma: float = 0.0,
+    occlusion_check: bool,
+    depth_sigma: float,
 ):
     """Batch mean/variance/valid-count aggregation for a whole cloud.
 

@@ -89,10 +89,6 @@ class Pose:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         """Map (..., 3) world points into the camera frame."""
         p = np.asarray(points, dtype=np.float64)

@@ -74,17 +74,16 @@ def _write_rows(f, quant: np.ndarray) -> None:
     f.writelines(" ".join(map(str, row)) + "\n" for row in quant.tolist())
 
 
-def write_pgm(image: np.ndarray, path, max_value: float | None = None) -> None:
+def write_pgm(image: np.ndarray, path, max_value: float) -> None:
     """16-bit ASCII PGM of a scalar map (e.g. depth).
 
-    Values are scaled so ``max_value`` (default: the array maximum) maps
-    to 65535; the scale is recorded in a header comment.
+    Values are scaled so the positive ``max_value`` maps to 65535; the
+    scale is recorded in a header comment.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("PGM export needs a 2D map")
-    peak = float(img.max()) if max_value is None else float(max_value)
-    scale = 65535.0 / peak if peak > 0 else 0.0
+    scale = 65535.0 / float(max_value)
     quant = np.clip(np.rint(img * scale), 0, 65535).astype(np.int64)
     h, w = img.shape
     with open(path, "w") as f:

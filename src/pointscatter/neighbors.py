@@ -14,11 +14,11 @@ order, so that neighbouring searches take the same path. Candidate
 pairs are made in blocks of at most ``BLOCK`` pairs, so no temporary
 array grows beyond a few MB.
 
-:func:`nearest_sq` and :func:`mutual_nearest_sq` find the nearest point
-at any distance: a grid certifies a query whose nearest candidate lies
-within its radius, and the others go to a search over the leaves of a
-k-d tree, which reads only the leaves whose boxes come within a bound
-of the distance.
+:func:`mutual_nearest_sq` finds the nearest point of each of two sets
+in the other at any distance: a grid certifies a point whose nearest
+candidate lies within its radius, and the others go to one search over
+the leaves of k-d trees of both sets, which reads only the leaves whose
+boxes come within a bound of the distance.
 :func:`component_labels` links points within a distance and labels
 their connected components.
 """
@@ -242,8 +242,7 @@ def _box_gaps(alo, ahi, blo, bhi) -> np.ndarray:
 def _leaf_pairs(axyz, bxyz, ia, ib, best_a, best_b) -> None:
     """Lower ``best_a`` and ``best_b``, (LEAF, n) by leaf, to the least
     squared distances between the leaves ``ia`` of ``a`` and ``ib`` of
-    ``b``, in blocks of at most ``BLOCK`` point pairs; ``best_b`` may be
-    None."""
+    ``b``, in blocks of at most ``BLOCK`` point pairs."""
     step = max(1, BLOCK // (LEAF * LEAF))
     slots = np.arange(LEAF)[:, None]
     for s in range(0, len(ia), step):
@@ -261,14 +260,13 @@ def _leaf_pairs(axyz, bxyz, ia, ib, best_a, best_b) -> None:
             np.minimum(to_b, d2, out=to_b)
             np.minimum.reduce(d2, axis=0, out=to_a[j])
         np.minimum.at(best_a.reshape(-1), (slots * best_a.shape[1] + la).ravel(), to_b.ravel())
-        if best_b is not None:
-            np.minimum.at(best_b.reshape(-1), (slots * best_b.shape[1] + lb).ravel(), to_a.ravel())
+        np.minimum.at(best_b.reshape(-1), (slots * best_b.shape[1] + lb).ravel(), to_a.ravel())
 
 
-def _leaf_search(a: np.ndarray, b: np.ndarray, best_a: np.ndarray, best_b: np.ndarray | None = None) -> None:
+def _leaf_search(a: np.ndarray, b: np.ndarray, best_a: np.ndarray, best_b: np.ndarray) -> None:
     """Lower ``best_a``, upper bounds on the least squared distance from
     each row of ``a`` to ``b`` (inf where there is none), to the exact
-    value, in place; and ``best_b``, if given, from ``b`` to ``a``.
+    value, in place; and ``best_b`` likewise from ``b`` to ``a``.
 
     Both sets go into k-d tree leaves, ``a`` a chunk at a time so that
     the table of gaps between leaf boxes holds at most ``BLOCK``
@@ -279,7 +277,7 @@ def _leaf_search(a: np.ndarray, b: np.ndarray, best_a: np.ndarray, best_b: np.nd
     """
     ob, bxyz = _leaves(b)
     nb = bxyz.shape[2]
-    bb = best_b[ob].reshape(nb, LEAF).T.copy() if best_b is not None else None
+    bb = best_b[ob].reshape(nb, LEAF).T.copy()
     blo, bhi = bxyz.min(axis=1), bxyz.max(axis=1)
     # a margin far above the rounding of the squared gaps
     margin = 1.0 + 1e-9
@@ -292,33 +290,15 @@ def _leaf_search(a: np.ndarray, b: np.ndarray, best_a: np.ndarray, best_b: np.nd
         gap = _box_gaps(axyz.min(axis=1), axyz.max(axis=1), blo, bhi)
         # each leaf first reads the leaf of the other set with the
         # nearest box, which is then marked read
-        ia, ib = [np.arange(na)], [gap.argmin(axis=1)]
-        if bb is not None:
-            ia.append(gap.argmin(axis=0))
-            ib.append(np.arange(nb))
-        ia, ib = np.concatenate(ia), np.concatenate(ib)
+        ia = np.concatenate([np.arange(na), gap.argmin(axis=0)])
+        ib = np.concatenate([gap.argmin(axis=1), np.arange(nb)])
         _leaf_pairs(axyz, bxyz, ia, ib, ba, bb)
         gap[ia, ib] = np.inf
         read = gap <= ba.max(axis=0)[:, None] * margin
-        if bb is not None:
-            read |= gap <= bb.max(axis=0) * margin
+        read |= gap <= bb.max(axis=0) * margin
         _leaf_pairs(axyz, bxyz, *np.nonzero(read), ba, bb)
         chunk[oa] = ba.T.ravel()
-    if best_b is not None:
-        best_b[ob] = bb.T.ravel()
-
-
-def nearest_sq(queries: np.ndarray, grid: CellGrid) -> np.ndarray:
-    """Squared distance, summed x, y, z, from each (Q, 3) query to its
-    nearest point of a non-empty ``grid``, exact at any distance."""
-    queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    best = grid.nearest_sq(queries)[0]
-    far = np.flatnonzero(~(best < grid.radius * grid.radius))
-    if len(far):
-        found = best[far]
-        _leaf_search(queries[far], np.ascontiguousarray(grid.xyz.T), found)
-        best[far] = found
-    return best
+    best_b[ob] = bb.T.ravel()
 
 
 def mutual_nearest_sq(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

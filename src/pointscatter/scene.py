@@ -13,12 +13,14 @@ does not cover; ``CameraFrame.depth``, ``tri_index`` and ``color``
 build the dense maps and the RGB image on demand. The triangle stack,
 its owning objects and the shade table depend only on the scene, so
 each scene builds them once (``SceneSpec.geometry``) and every view,
-GT box projection and surface sample shares them. One stacked product projects the triangle vertices
-into every camera (``project_scene``); the GT boxes of every camera and
-the caster's per-view constants for every keyframe come from that one
-projection, and one ``RayCaster`` casts the keyframes in turn, reusing
-its maps and ray blocks. Each triangle is tested
-only against the rays inside its projected bounding box, widened by one
+GT box projection and surface sample shares them. A frame has one
+route: one stacked product projects the triangle vertices into every
+camera (``project_scene``), the GT boxes of every camera
+(``project_gt_boxes``) and the per-view constants of one ``RayCaster``
+for every keyframe come from that one projection, and ``make_frame``
+takes each keyframe's maps from that caster, which casts the keyframes
+in turn, reusing its maps and ray blocks. Each triangle is tested only
+against the rays inside its projected bounding box, widened by one
 pixel and clipped to the image; a triangle with a vertex at or behind
 the camera plane is tested against every ray. Every object is a closed,
 outward-wound box shell, and a view sees only its visible surface: the
@@ -56,6 +58,9 @@ DEFAULT_INTRINSICS = Intrinsics(fx=120.0, fy=120.0, cx=79.5, cy=59.5, width=160,
 # the depth sensor's range in metres: perturbed depths are clipped into
 # it and outliers drawn from it
 DEPTH_RANGE = (0.2, 6.4)
+
+# the least pixel area of a GT 2D box: a smaller clipped hull gives none
+MIN_BOX_PIXELS = 16.0
 
 
 @dataclass(frozen=True)
@@ -138,10 +143,6 @@ class Box2D:
     u_max: float
     v_max: float
 
-    @property
-    def area(self) -> float:
-        return max(0.0, self.u_max - self.u_min) * max(0.0, self.v_max - self.v_min)
-
 
 @dataclass(frozen=True, eq=False)
 class CameraFrame:
@@ -170,7 +171,8 @@ class CameraFrame:
     def _dense(self, values: np.ndarray, fill) -> np.ndarray:
         intr = self.intrinsics
         out = np.full(intr.height * intr.width, fill, dtype=values.dtype)
-        out[self.covered] = values
+        # numpy scatters through intp indices faster than through int32 ones
+        out[self.covered.astype(np.intp)] = values
         return out.reshape(intr.height, intr.width)
 
     @property
@@ -189,13 +191,12 @@ class CameraFrame:
         return np.take(self.shades, self.tri_index, axis=0)
 
 
-def project_scene(scene: SceneSpec, cameras=None):
-    """The scene's (T*3) triangle vertices projected into the cameras
-    with indices ``cameras``, every camera by default, by one
-    :func:`project_views` call: ``(uv, depth, in_front)``, one leading
-    row per camera, each with the bits of :func:`project_points`."""
-    cams = scene.cameras if cameras is None else [scene.cameras[i] for i in cameras]
+def project_scene(scene: SceneSpec):
+    """The scene's (T*3) triangle vertices projected into every camera
+    by one :func:`project_views` call: ``(uv, depth, in_front)``, one
+    leading row per camera, each with the bits of :func:`project_points`."""
     vertices = scene.geometry.triangles.reshape(-1, 3)
+    cams = scene.cameras
     return project_views(vertices, [c.intrinsics for c in cams], [c.pose for c in cams])
 
 
@@ -291,8 +292,7 @@ class RayCaster:
 
     The per-view constants of every camera in ``cameras`` (indices) come
     from one projection of the scene, ``projection``, which is
-    :func:`project_scene` of every camera and is projected for
-    ``cameras`` alone when not given: each triangle's pixel window
+    :func:`project_scene` of every camera: each triangle's pixel window
     (:func:`_screen_boxes`), the Moeller-Trumbore ``tvec`` and ``qvec``,
     and the back faces (:func:`_back_faces`), which are passed over like
     empty windows. The dense maps and the ray and scratch blocks are
@@ -317,14 +317,11 @@ class RayCaster:
     the screen-box culling nor the banding changes an output bit.
     """
 
-    def __init__(self, scene: SceneSpec, cameras, projection=None):
+    def __init__(self, scene: SceneSpec, cameras, projection):
         cameras = list(cameras)
         self._rows = {index: row for row, index in enumerate(cameras)}
         self._cameras = [scene.cameras[i] for i in cameras]
-        if projection is None:
-            projection = project_scene(scene, cameras)
-        else:
-            projection = tuple(array[cameras] for array in projection)
+        projection = tuple(array[cameras] for array in projection)
         triangles = scene.geometry.triangles
         # Moeller-Trumbore with a shared origin: the edges, tvec and qvec are
         # per-triangle constants of a view, only pvec varies per ray
@@ -411,25 +408,6 @@ def _shade_triangles(scene: SceneSpec, triangles: np.ndarray, owner: np.ndarray)
     return np.clip(albedo * intensity[:, None], 0.0, 1.0)
 
 
-def render(scene: SceneSpec, camera_index: int, caster: RayCaster | None = None):
-    """Noise-free render of one camera.
-
-    Returns ``(depth, tri_index, shades)``: the (H, W) depth map, 0 where
-    no surface; the (H, W) int32 index of the triangle seen at each
-    pixel, -1 where none; and the (T+1, 3) shade table in [0, 1], one row
-    per triangle plus a black last row for index -1, the scene's shared
-    read-only ``geometry.shades``. The shaded color image is
-    ``np.take(shades, tri_index, axis=0)``. ``caster``, a
-    :class:`RayCaster` that holds the camera, casts the view, and then
-    the maps hold until its next cast; without it the camera gets a
-    caster of its own.
-    """
-    if caster is None:
-        caster = RayCaster(scene, [camera_index])
-    depth, tri_index = caster.cast(camera_index)
-    return depth, tri_index, scene.geometry.shades
-
-
 def perturb_depth(values, pixels, size: int, sigma, outlier_rate, rng, depth_range) -> np.ndarray:
     """Add Gaussian noise and uniform outliers to the valid depths of an
     image of ``size`` pixels.
@@ -455,20 +433,19 @@ def perturb_depth(values, pixels, size: int, sigma, outlier_rate, rng, depth_ran
     return out
 
 
-def project_gt_boxes(scene: SceneSpec, projection=None, min_pixels: float = 16.0):
+def project_gt_boxes(scene: SceneSpec, projection):
     """GT 2D boxes of every camera, one list per camera, from projected
     mesh vertices clipped to the image.
 
     An object contributes a box when at least one of its mesh vertices
     is in front of the camera and the clipped axis-aligned hull covers
-    at least ``min_pixels`` of pixel area. Partially-behind objects use
-    only their in-front vertices, which under-covers; acceptable for the
-    orbit scenes this simulator targets. ``projection`` is
-    :func:`project_scene` of every camera, projected here when not
-    given; the hulls of every object in every camera come from one
-    reduction over each object's vertex rows.
+    at least ``MIN_BOX_PIXELS`` of pixel area. Partially-behind objects
+    use only their in-front vertices, which under-covers; acceptable for
+    the orbit scenes this simulator targets. ``projection`` is
+    :func:`project_scene` of every camera; the hulls of every object in
+    every camera come from one reduction over each object's vertex rows.
     """
-    uv, _, in_front = project_scene(scene) if projection is None else projection
+    uv, _, in_front = projection
     boxes = [[] for _ in scene.cameras]
     if not scene.objects:
         return boxes
@@ -479,7 +456,7 @@ def project_gt_boxes(scene: SceneSpec, projection=None, min_pixels: float = 16.0
     corner = [(c.intrinsics.width - 1, c.intrinsics.height - 1) for c in scene.cameras]
     hi = np.minimum(np.fmax.reduceat(uv, starts, axis=1), np.reshape(corner, (-1, 1, 2)))
     keep = np.logical_or.reduceat(in_front, starts, axis=1) & (hi > lo).all(axis=-1)
-    keep &= (hi - lo).prod(axis=-1) >= min_pixels
+    keep &= (hi - lo).prod(axis=-1) >= MIN_BOX_PIXELS
     categories = [obj.box.category for obj in scene.objects]
     for c, k in zip(*np.nonzero(keep)):
         boxes[c].append(Box2D(categories[k], *lo[c, k].tolist(), *hi[c, k].tolist()))
@@ -491,18 +468,20 @@ def make_frame(
     camera_index: int,
     rng: np.random.Generator,
     boxes_2d,
-    caster: RayCaster | None = None,
+    caster: RayCaster,
 ) -> CameraFrame:
     """Render one camera, keep the pixels it covers and apply the
     scene's depth perturbation to their depths, within the sensor's
     ``DEPTH_RANGE``.
 
-    The dense maps of :func:`render`, cast by ``caster`` when given, are
-    read only inside this call. ``boxes_2d`` are the camera's GT 2D
-    boxes, as :func:`project_gt_boxes` returns them.
+    ``caster``, a :class:`RayCaster` that holds the camera, casts the
+    dense depth and triangle-index maps, which are read only inside this
+    call; the frame shares the scene's read-only shade table
+    (``geometry.shades``). ``boxes_2d`` are the camera's GT 2D boxes, as
+    :func:`project_gt_boxes` returns them.
     """
     cam = scene.cameras[camera_index]
-    depth, tri_index, shades = render(scene, camera_index, caster)
+    depth, tri_index = caster.cast(camera_index)
     covered = np.flatnonzero(tri_index >= 0)
     covered_depth = perturb_depth(
         depth.ravel()[covered], covered, depth.size,
@@ -515,7 +494,7 @@ def make_frame(
         covered=covered.astype(np.int32),
         covered_depth=covered_depth,
         covered_tri=tri_index.ravel()[covered],
-        shades=shades,
+        shades=scene.geometry.shades,
         boxes_2d=tuple(boxes_2d),
     )
 
@@ -529,8 +508,8 @@ def select_keyframes(
     poses,
     detections_per_frame,
     target_count: int,
-    min_translation: float = 0.1,
-    min_rotation_deg: float = 10.0,
+    min_translation: float,
+    min_rotation_deg: float,
 ) -> list[int]:
     """Greedy keyframe selection preferring detections and ego-motion.
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .meshes import sample_surface_points, triangle_areas
-from .neighbors import CellGrid, nearest_sq
+from .neighbors import CellGrid, mutual_nearest_sq
 
 CLIP_EPS = 1e-7
 
@@ -32,9 +32,9 @@ DEFAULT_SCORE = 0.5
 
 @dataclass(frozen=True, eq=False)
 class SurfaceLabeling:
-    """Inlier labels, and the exact nearest-surface distances, which a
-    search of the labels' grid of surface samples without their ``tau``
-    bound finds on first read."""
+    """Inlier labels, and the exact nearest-surface distances, which
+    :func:`mutual_nearest_sq` of the points and the labels' grid of
+    surface samples, at the grid's radius, finds on first read."""
 
     labels: np.ndarray
     grid: CellGrid
@@ -42,7 +42,9 @@ class SurfaceLabeling:
 
     @cached_property
     def distances(self) -> np.ndarray:
-        return np.sqrt(nearest_sq(self.points, self.grid))
+        if len(self.points) == 0:
+            return np.zeros(0)
+        return np.sqrt(mutual_nearest_sq(self.points, self.grid.xyz.T, self.grid.radius)[0])
 
     @property
     def inlier_fraction(self) -> float:
@@ -102,7 +104,7 @@ def _p_t(scores, labels):
     return np.where(l.astype(bool), p, 1.0 - p)
 
 
-def focal_loss(scores, labels, gamma: float = 2.0) -> float:
+def focal_loss(scores, labels, gamma: float) -> float:
     """Binary focal loss, averaged over points.
 
     ``scores`` are inlier probabilities, ``labels`` 0/1. With
@@ -116,7 +118,7 @@ def focal_loss(scores, labels, gamma: float = 2.0) -> float:
     return float(per_point.mean())
 
 
-def focal_loss_grad(scores, labels, gamma: float = 2.0) -> np.ndarray:
+def focal_loss_grad(scores, labels, gamma: float) -> np.ndarray:
     """Analytic d(focal_loss)/d(scores) for interior probabilities."""
     pt = _p_t(scores, labels)
     sign = np.where(np.asarray(labels).astype(bool), 1.0, -1.0)
@@ -127,7 +129,7 @@ def focal_loss_grad(scores, labels, gamma: float = 2.0) -> np.ndarray:
     return sign * d_pt / pt.size
 
 
-def photometric_score(variances: np.ndarray, valid_counts: np.ndarray, k_sigma: float = 0.01) -> np.ndarray:
+def photometric_score(variances: np.ndarray, valid_counts: np.ndarray, k_sigma: float) -> np.ndarray:
     """Training-free inlier score from cross-view color variance.
 
     ``exp(-mean_channel_variance / k_sigma)``: photometrically
@@ -147,7 +149,7 @@ def photometric_score(variances: np.ndarray, valid_counts: np.ndarray, k_sigma: 
     return np.where(counts < 2, DEFAULT_SCORE, scores)
 
 
-def soft_weight(features: np.ndarray, scores: np.ndarray, num_onehot: int = 0) -> np.ndarray:
+def soft_weight(features: np.ndarray, scores: np.ndarray, num_onehot: int) -> np.ndarray:
     """Scale learned feature channels by per-point scores.
 
     The trailing ``num_onehot`` columns (category block) pass through

@@ -30,9 +30,9 @@ def voxel_indices(points: np.ndarray, voxel_size: float, origin) -> np.ndarray:
     return np.floor((p - o) / voxel_size).astype(np.int64)
 
 
-def voxelize(positions: np.ndarray, voxel_size: float, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """Ascending unique packed keys of the voxels that hold one of the
-    (N, 3) ``positions``."""
+def voxelize(positions: np.ndarray, voxel_size: float, origin) -> np.ndarray:
+    """Ascending unique packed keys of the voxels, of a grid with a
+    corner at ``origin``, that hold one of the (N, 3) ``positions``."""
     idx = voxel_indices(positions, voxel_size, origin)
     if len(idx) == 0:
         return np.zeros(0, np.int64)

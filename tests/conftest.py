@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from pointscatter.aggregate import reduce_views
-from pointscatter.camera import look_at_pose
+from pointscatter.camera import Pose, look_at_pose
 from pointscatter.pipeline import stage_rng
-from pointscatter.scene import SceneCamera, demo_scene, make_frame, project_gt_boxes
+from pointscatter.scene import RayCaster, SceneCamera, demo_scene, make_frame, project_gt_boxes, project_scene
 # the sensor's depth range, for the tests that take it from here
 from pointscatter.scene import DEPTH_RANGE  # noqa: F401
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# a camera at the world origin, looking down +z
+IDENTITY = Pose(np.eye(3), np.zeros(3))
 
 
 def load_perfbench(name: str):
@@ -24,10 +27,35 @@ def load_perfbench(name: str):
     return module
 
 
+def gt_boxes(scene):
+    """The GT 2D boxes of every camera, from one projection of the scene."""
+    return project_gt_boxes(scene, project_scene(scene))
+
+
+def caster_of(scene, cameras):
+    """A caster of the cameras with indices ``cameras``, from one
+    projection of the scene, as the render stage builds it."""
+    return RayCaster(scene, cameras, project_scene(scene))
+
+
+def cast(scene, camera_index):
+    """The depth and int32 triangle-index maps of one camera."""
+    return caster_of(scene, [camera_index]).cast(camera_index)
+
+
+def frame_of(scene, camera_index, rng, boxes_2d=()):
+    """One camera's keyframe, cast by a caster of its own."""
+    return make_frame(scene, camera_index, rng, boxes_2d, caster_of(scene, [camera_index]))
+
+
 def render_all(scene):
+    """Every camera's keyframe, made as the pipeline makes them: one
+    projection of the scene and one caster for all cameras."""
+    projection = project_scene(scene)
+    caster = RayCaster(scene, range(len(scene.cameras)), projection)
     return [
-        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), boxes)
-        for i, boxes in enumerate(project_gt_boxes(scene))
+        make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), boxes, caster)
+        for i, boxes in enumerate(project_gt_boxes(scene, projection))
     ]
 
 
@@ -35,7 +63,7 @@ def uncovered_frame(scene):
     """A keyframe of ``scene`` from a camera 10 m out, looking away from
     every object: it covers no pixel."""
     cam = SceneCamera(scene.cameras[0].intrinsics, look_at_pose((10.0, 0.0, 1.0), (20.0, 0.0, 1.0)))
-    frame = make_frame(dataclasses.replace(scene, cameras=(cam,)), 0, np.random.default_rng(0), ())
+    frame = frame_of(dataclasses.replace(scene, cameras=(cam,)), 0, np.random.default_rng(0))
     assert frame.covered.shape == frame.covered_depth.shape == frame.covered_tri.shape == (0,)
     return frame
 

@@ -362,10 +362,9 @@ def project_gt_boxes(scene, camera_index, min_pixels=16.0):
         v1 = min(float(h - 1), float(uv[:, 1].max()))
         if u1 <= u0 or v1 <= v0:
             continue
-        box = Box2D(obj.box.category, u0, v0, u1, v1)
-        if box.area < min_pixels:
+        if (u1 - u0) * (v1 - v0) < min_pixels:
             continue
-        boxes.append(box)
+        boxes.append(Box2D(obj.box.category, u0, v0, u1, v1))
     return boxes
 
 

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_perfbench, reduce_rows, uncovered_frame
+from conftest import IDENTITY, frame_of, gt_boxes, load_perfbench, reduce_rows, render_all, uncovered_frame
 import oracles
 from oracles import aggregate_point, append_onehot, project_point_views
 from pointscatter import aggregate
 from pointscatter.aggregate import aggregate_cloud, compose_features, reduce_views
 from pointscatter.boxes import OrientedBox
 from pointscatter.camera import Intrinsics, Pose, look_at_pose, project_points
-from pointscatter.pipeline import run_front, stage_rng
+from pointscatter.pipeline import run_front
 from pointscatter.scatter import ScatterCloud, ScatterConfig, scatter_frames
 from pointscatter.scene import (
     DEFAULT_INTRINSICS,
@@ -23,8 +23,6 @@ from pointscatter.scene import (
     SceneObject,
     SceneSpec,
     demo_scene,
-    make_frame,
-    project_gt_boxes,
 )
 from pointscatter.surface import label_points, sample_scene_surface
 
@@ -81,7 +79,7 @@ def sample_image(image, u, v):
     frame = CameraFrame(
         camera_index=0,
         intrinsics=Intrinsics(1.0, 1.0, 0.0, 0.0, w, h),
-        pose=Pose.identity(),
+        pose=IDENTITY,
         covered=np.arange(h * w, dtype=np.int32),
         covered_depth=np.ones(h * w),
         covered_tri=np.arange(h * w, dtype=np.int32),
@@ -117,10 +115,10 @@ def assert_same_bytes(got, ref):
         assert a.tobytes() == b.tobytes(), name
 
 
-def valid_views(point, frames, **kwargs):
+def valid_views(point, frames, occlusion_check=False, depth_sigma=0.0):
     """Per-frame visibility of one point as ``aggregate_cloud`` counts it."""
     cloud = as_cloud([point])
-    return [int(aggregate_cloud(cloud, [f], **kwargs)[2][0]) for f in frames]
+    return [int(aggregate_cloud(cloud, [f], occlusion_check, depth_sigma)[2][0]) for f in frames]
 
 
 class TestBilinearSample:
@@ -205,7 +203,7 @@ class TestProjectionSet:
 
     def test_visibility_mask(self):
         assert valid_views((0.0, 0.0, 0.0), self.rig()) == [1, 1, 1, 0, 0]
-        _, _, counts = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), self.rig())
+        _, _, counts = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), self.rig(), False, 0.0)
         np.testing.assert_array_equal(counts, [3])
         _, mask, _, _ = project_point_views((0.0, 0.0, 0.0), self.rig())
         np.testing.assert_array_equal(mask, [True, True, True, False, False])
@@ -226,7 +224,7 @@ class TestProjectionSet:
         features, _, pixels, _ = project_point_views((0.0, 0.0, 0.0), [frame])
         np.testing.assert_allclose(pixels[0], [2.0, 2.0], atol=1e-12)
         np.testing.assert_array_equal(features[0], RAMP[2, 2])
-        means, _, _ = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), [frame])
+        means, _, _ = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), [frame], False, 0.0)
         np.testing.assert_array_equal(means[0], RAMP[2, 2])
 
     def test_out_of_bounds_projection_invalid(self):
@@ -245,7 +243,7 @@ class TestProjectionSet:
         rng = np.random.default_rng(11)
         points = rng.uniform([-1.0, -1.0, 0.0], [1.0, 1.0, 1.2], size=(25, 3))
         for frame in clean_frames:
-            _, _, counts = aggregate_cloud(as_cloud(points), [frame])
+            _, _, counts = aggregate_cloud(as_cloud(points), [frame], False, 0.0)
             uv, _, in_front = project_points(points, frame.intrinsics, frame.pose)
             w, h = frame.intrinsics.width, frame.intrinsics.height
             with np.errstate(invalid="ignore"):
@@ -333,7 +331,7 @@ class TestAggregatePointAndCloud:
     def test_degenerate_point(self):
         # the only camera sits at z = 2 looking away from the point
         means, variances, counts = aggregate_cloud(
-            as_cloud([[0.0, 0.0, 0.0]]), [flat_frame((0.0, 0.0, 2.0))]
+            as_cloud([[0.0, 0.0, 0.0]]), [flat_frame((0.0, 0.0, 2.0))], False, 0.0
         )
         np.testing.assert_array_equal(counts, [0])
         np.testing.assert_array_equal(means, np.zeros((1, 3)))
@@ -341,7 +339,7 @@ class TestAggregatePointAndCloud:
 
     def test_single_frame(self):
         means, variances, counts = aggregate_cloud(
-            as_cloud([[0.0, 0.0, 0.0]]), [flat_frame((0.0, 0.0, -2.0))]
+            as_cloud([[0.0, 0.0, 0.0]]), [flat_frame((0.0, 0.0, -2.0))], False, 0.0
         )
         np.testing.assert_array_equal(counts, [1])
         np.testing.assert_array_equal(means[0], RAMP[2, 2])
@@ -428,12 +426,12 @@ class TestAggregatePointAndCloud:
         frames = [away, clean_frames[0], clean_frames[7], away, clean_frames[13], away]
         cloud = scatter_frames(clean_frames[:8], ScatterConfig())
         for views in (frames, [away, away]):
-            got = aggregate_cloud(cloud, views, occlusion_check)
+            got = aggregate_cloud(cloud, views, occlusion_check, 0.0)
             ref = oracles.aggregate_cloud(cloud, views, occlusion_check)
             assert_same_bytes(got, ref)
         # some points are seen by all three real frames, none by a turned-away one
-        assert aggregate_cloud(cloud, frames, occlusion_check)[2].max() == 3
-        assert not aggregate_cloud(cloud, [away, away], occlusion_check)[2].any()
+        assert aggregate_cloud(cloud, frames, occlusion_check, 0.0)[2].max() == 3
+        assert not aggregate_cloud(cloud, [away, away], occlusion_check, 0.0)[2].any()
 
     @pytest.mark.parametrize("seed", [11, 29])
     @pytest.mark.parametrize("name", ["demo_noisy", "orbit80_clean", "hires_6view"])
@@ -483,14 +481,14 @@ class TestAggregatePointAndCloud:
         )
         cloud = scatter_frames(clean_frames[:4], ScatterConfig())
         frames = [away, clean_frames[0], bare, away]
-        got = aggregate_cloud(cloud, frames, occlusion_check)
+        got = aggregate_cloud(cloud, frames, occlusion_check, 0.0)
         assert_same_bytes(got, oracles.dense_aggregate_cloud(cloud, frames, occlusion_check))
-        assert not aggregate_cloud(cloud, [away], occlusion_check)[2].any()
-        means, _, counts = aggregate_cloud(cloud, [bare], occlusion_check)
+        assert not aggregate_cloud(cloud, [away], occlusion_check, 0.0)[2].any()
+        means, _, counts = aggregate_cloud(cloud, [bare], occlusion_check, 0.0)
         assert counts.sum() > 0 and not means.any()
 
     def test_empty_frame_list(self):
-        means, variances, counts = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), [])
+        means, variances, counts = aggregate_cloud(as_cloud([[0.0, 0.0, 0.0]]), [], False, 0.0)
         assert means.shape == (1, 0)
         assert variances.shape == (1, 0)
         np.testing.assert_array_equal(counts, [0])
@@ -521,8 +519,7 @@ class TestDenseMapOracle:
         sizes = [DEFAULT_INTRINSICS, DEFAULT_INTRINSICS, large, DEFAULT_INTRINSICS, large, DEFAULT_INTRINSICS]
         cameras = tuple(SceneCamera(intr, c.pose) for intr, c in zip(sizes, scene.cameras))
         scene = dataclasses.replace(scene, cameras=cameras)
-        boxes = project_gt_boxes(scene)
-        seen = [make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), boxes[i]) for i in range(6)]
+        seen = render_all(scene)
         away = uncovered_frame(scene)
         frames = [*seen[:3], away, *seen[3:5], away, seen[5]]
         cloud = scatter_frames(seen, ScatterConfig())
@@ -535,9 +532,9 @@ class TestDenseMapOracle:
 def occluder_frame():
     """Unit cube ahead of an identity camera; near face at z = 2."""
     obj = SceneObject(OrientedBox((0.0, 0.0, 2.5), (1.0, 1.0, 1.0)))
-    cam = SceneCamera(SIMPLE, Pose.identity())
+    cam = SceneCamera(SIMPLE, IDENTITY)
     scene = SceneSpec(objects=(obj,), cameras=(cam,))
-    return make_frame(scene, 0, np.random.default_rng(0), project_gt_boxes(scene)[0])
+    return frame_of(scene, 0, np.random.default_rng(0), gt_boxes(scene)[0])
 
 
 class TestOcclusionCheck:
@@ -629,8 +626,8 @@ class TestVarianceSeparatesSurfaceFromFreeSpace:
         free = candidates[~labeling.labels]
         assert len(free) >= 1000
 
-        _, var_surface, n_surface = aggregate_cloud(as_cloud(surface), clean_frames)
-        _, var_free, n_free = aggregate_cloud(as_cloud(free), clean_frames)
+        _, var_surface, n_surface = aggregate_cloud(as_cloud(surface), clean_frames, False, 0.0)
+        _, var_free, n_free = aggregate_cloud(as_cloud(free), clean_frames, False, 0.0)
         assert np.all(n_surface > 0) and np.all(n_free > 0)
 
         med_surface = float(np.median(var_surface.mean(axis=1)))
@@ -642,7 +639,7 @@ class TestVarianceSeparatesSurfaceFromFreeSpace:
 
         # restricting to frames that actually see each point makes surface
         # colors view-consistent up to interpolation round-off
-        _, vs_occ, _ = aggregate_cloud(as_cloud(surface), clean_frames, occlusion_check=True)
-        _, vf_occ, _ = aggregate_cloud(as_cloud(free), clean_frames, occlusion_check=True)
+        _, vs_occ, _ = aggregate_cloud(as_cloud(surface), clean_frames, True, 0.0)
+        _, vf_occ, _ = aggregate_cloud(as_cloud(free), clean_frames, True, 0.0)
         assert float(np.median(vs_occ.mean(axis=1))) < 1e-9
         assert float(np.median(vf_occ.mean(axis=1))) > 1e-3

@@ -18,6 +18,8 @@ from pointscatter.camera import (
     project_points,
 )
 
+from conftest import IDENTITY
+
 SIMPLE = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
 
 
@@ -69,14 +71,14 @@ class TestPose:
         assert np.array_equal(pose.camera_to_world(np.zeros(3)), [3.0, 1.0, -4.0])
 
     def test_arrays_frozen(self):
-        pose = Pose.identity()
+        pose = IDENTITY
         with pytest.raises(ValueError):
             pose.rotation[0, 0] = 2.0
 
 
 def project_one(point, pose=None):
     """``(u, v, depth)`` of one point under SIMPLE, or None when behind."""
-    pose = Pose.identity() if pose is None else pose
+    pose = IDENTITY if pose is None else pose
     uv, z, ok = project_points(np.array([point], dtype=np.float64), SIMPLE, pose)
     return (float(uv[0, 0]), float(uv[0, 1]), float(z[0])) if ok[0] else None
 
@@ -91,7 +93,7 @@ class TestProject:
         assert project_one((1.0, 0.0, 2.0)) == (100.0, 50.0, 2.0)
 
     def test_behind_camera_is_absent(self):
-        uv, z, ok = project_points(np.array([[0.0, 0.0, -1.0]]), SIMPLE, Pose.identity())
+        uv, z, ok = project_points(np.array([[0.0, 0.0, -1.0]]), SIMPLE, IDENTITY)
         assert not ok[0]
         assert np.isnan(uv[0]).all()
         assert z[0] == -1.0
@@ -129,7 +131,7 @@ class TestProject:
         pts = np.random.default_rng(7).normal(scale=3.0, size=(100, 3))
         uv_pose, z_pose, ok_pose = project_points(pts, SIMPLE, pose)
         uv_id, z_id, ok_id = project_points(
-            pose.world_to_camera(pts), SIMPLE, Pose.identity()
+            pose.world_to_camera(pts), SIMPLE, IDENTITY
         )
         assert np.array_equal(ok_pose, ok_id)
         assert np.allclose(uv_pose[ok_pose], uv_id[ok_id], atol=1e-9)
@@ -137,7 +139,7 @@ class TestProject:
 
 
 def backproject_one(u, v, depth, pose=None):
-    pose = Pose.identity() if pose is None else pose
+    pose = IDENTITY if pose is None else pose
     return backproject_pixels(np.array([u]), np.array([v]), np.array([depth]), SIMPLE, pose)[0]
 
 
@@ -154,7 +156,7 @@ class TestBackproject:
             backproject_one(50.0, 50.0, 0.0)
         with pytest.raises(ValueError):
             backproject_pixels(
-                np.array([50.0]), np.array([50.0]), np.array([-1.0]), SIMPLE, Pose.identity()
+                np.array([50.0]), np.array([50.0]), np.array([-1.0]), SIMPLE, IDENTITY
             )
 
     def test_round_trip_thousand_samples(self):

@@ -239,7 +239,9 @@ class TestWritersMatchOracle:
 
     def test_demo_frames(self, tmp_path, noisy_frames):
         for frame in noisy_frames[:4]:
-            self.assert_same_bytes(tmp_path, write_pgm, oracles.write_pgm, frame.depth)
+            self.assert_same_bytes(
+                tmp_path, write_pgm, oracles.write_pgm, frame.depth, max_value=float(frame.depth.max())
+            )
             self.assert_same_bytes(
                 tmp_path, write_pgm, oracles.write_pgm, frame.depth, max_value=6.4
             )
@@ -291,7 +293,7 @@ class TestPgm:
     def test_header_and_scale(self, tmp_path):
         depth = np.array([[0.0, 1.0], [2.0, 4.0]])
         path = tmp_path / "depth.pgm"
-        write_pgm(depth, path)
+        write_pgm(depth, path, max_value=4.0)
         lines = path.read_text().splitlines()
         assert lines[0] == "P2"
         assert lines[1].startswith("# scale: ")
@@ -316,12 +318,12 @@ class TestPgm:
 
     def test_all_zero_map(self, tmp_path):
         path = tmp_path / "zero.pgm"
-        write_pgm(np.zeros((1, 2)), path)
+        write_pgm(np.zeros((1, 2)), path, max_value=6.4)
         assert path.read_text().splitlines()[4].split() == ["0", "0"]
 
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
-            write_pgm(np.zeros((2, 2, 3)), tmp_path / "bad.pgm")
+            write_pgm(np.zeros((2, 2, 3)), tmp_path / "bad.pgm", max_value=1.0)
 
 
 class TestPpm:

@@ -1,18 +1,23 @@
 """Every name a package module imports is used in that module, every
-public name a package module binds has a caller, and every module
-imports on its own.
+public name a package module binds has a caller, every public method
+and property of a package class has a caller, every default of a public
+function or method is relied on, and every module imports on its own.
 
-No linter ships with the test dependencies, so the first two are small
+No linter ships with the test dependencies, so the first four are small
 ``ast`` passes. The first is in the spirit of pyflakes' F401: an import
 binds names, and each bound name must be read somewhere in the module.
 An import statement carrying ``# noqa: F401`` is exempt. The second
 holds each public top-level def, class and assigned name of a module to
 a caller: the module reads it itself, or the package, its scripts or
 its benchmark import it by name or read it as an attribute, or the
-acceptance tests do. The package namespace re-exports nothing, so
-callers name the modules, and the third check imports each module in a
-fresh interpreter so that an import cycle shows whichever module is
-imported first.
+acceptance tests do. The third holds each public method and property
+of a class to the same callers, which read it as an attribute. The
+fourth holds each default of a public function, method or class
+constructor to a call among the same callers that omits the argument,
+so that no default serves only the tests. The package namespace
+re-exports nothing, so callers name the modules, and the last check
+imports each module in a fresh interpreter so that an import cycle
+shows whichever module is imported first.
 """
 
 import ast
@@ -117,6 +122,147 @@ def test_caller_check_flags_unread_names():
     )
     called = caller_reads("from m import f\nimport m\nm.C\n")
     assert uncalled_names(module, called) == ["g", "logger"]
+
+
+# public methods that no package code calls: argparse calls its parser's
+EXEMPT_MEMBERS = {"_Parser.error"}
+
+
+def uncalled_members(source: str, called: set[str]) -> list[str]:
+    """``Class.name`` of each public method and property of the classes
+    of module ``source`` that is not in ``called`` or exempt."""
+    members = [
+        f"{node.name}.{item.name}"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+    return sorted(m for m in members if m.split(".")[1] not in called and m not in EXEMPT_MEMBERS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_member_has_a_caller(path, called):
+    uncalled = uncalled_members(path.read_text(), called)
+    assert [f"{path.name}: {name}" for name in uncalled] == []
+
+
+def test_member_check_flags_unread_members():
+    module = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def run(self):\n"
+        "        pass\n"
+        "    def stop(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def _helper(self):\n"
+        "        pass\n"
+        "class _Parser:\n"
+        "    def error(self, message):\n"
+        "        pass\n"
+    )
+    called = caller_reads("from m import C\nC().run()\n")
+    assert uncalled_members(module, called) == ["C.size", "C.stop"]
+
+
+def defaults(source: str) -> list[tuple[str, str, int | None]]:
+    """``(function, parameter, position)`` of each defaulted parameter of
+    the public functions, public methods and public classes'
+    constructors of module ``source``; a keyword-only parameter has no
+    position, and ``self`` or ``cls`` takes none."""
+    found = []
+
+    def add(name, args, skip):
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found.extend((name, a.arg, i - skip) for i, a in enumerate(positional) if i >= first)
+        found.extend((name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            add(node.name, node.args, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                if item.name == "__init__" and not node.name.startswith("_"):
+                    add(node.name, item.args, 1)
+                elif not item.name.startswith("_"):
+                    add(item.name, item.args, 0 if static else 1)
+    return found
+
+
+def calls(source: str) -> list[tuple[str, int, set[str]]]:
+    """``(name, positional, keywords)`` of each call in ``source`` of a
+    name or attribute; a call with ``*args`` counts as passing every
+    position, and one with ``**kwargs`` every keyword."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        found.append((name, sys.maxsize if starred else len(node.args), keywords))
+    return found
+
+
+def unrelied_defaults(source: str, made: list[tuple[str, int, set[str]]]) -> list[str]:
+    """``function(parameter)`` of each default of module ``source`` that
+    no call in ``made`` omits."""
+    omitted = set()
+    for name, parameter, position in defaults(source):
+        for callee, positional, keywords in made:
+            if callee != name or None in keywords or parameter in keywords:
+                continue
+            if position is None or positional <= position:
+                omitted.add((name, parameter))
+                break
+    return sorted(f"{n}({p})" for n, p, _ in defaults(source) if (n, p) not in omitted)
+
+
+@pytest.fixture(scope="module")
+def made():
+    return [call for p in CALLERS for call in calls(p.read_text())]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_default_is_relied_on(path, made):
+    unrelied = unrelied_defaults(path.read_text(), made)
+    assert [f"{path.name}: {name}" for name in unrelied] == []
+
+
+def test_default_check_flags_defaults_every_call_passes():
+    module = (
+        "def f(a, b=1, c=2, *, d=3):\n"
+        "    pass\n"
+        "def _g(a=1):\n"
+        "    pass\n"
+        "class C:\n"
+        "    def __init__(self, size=4):\n"
+        "        pass\n"
+        "    def run(self, steps=5):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def make(x=6):\n"
+        "        pass\n"
+    )
+    made = calls(
+        "f(0, 1, d=4)\n"
+        "m.f(0, 1)\n"
+        "C(4).run()\n"
+        "C(*sizes)\n"
+        "C.make(**options)\n"
+    )
+    assert unrelied_defaults(module, made) == ["C(size)", "f(b)", "make(x)"]
 
 
 def test_every_module_imports_alone():

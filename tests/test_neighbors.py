@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import load_perfbench
 from pointscatter import neighbors
-from pointscatter.neighbors import CellGrid, component_labels, mutual_nearest_sq, nearest_sq
+from pointscatter.neighbors import CellGrid, component_labels, mutual_nearest_sq
 from pointscatter.pipeline import _connected_components, _filter, run_front
 
 
@@ -53,14 +53,14 @@ class TestCellGrid:
     def test_no_queries(self):
         grid = CellGrid(0.1, np.zeros((4, 3)))
         assert grid.near_any(np.zeros((0, 3)), 0.01).shape == (0,)
-        assert nearest_sq(np.zeros((0, 3)), grid).shape == (0,)
 
     def test_single_point(self):
         grid = CellGrid(0.1, np.array([[1.0, -2.0, 3.0]]))
         queries = np.array([[1.0, -2.0, 3.05], [1.0, -2.0, 3.1], [1.0, -2.0, 30.0]])
         assert grid.near_any(queries, 0.01).tolist() == [True, False, False]
         assert [a.tolist() for a in grid.pairs(0.01)] == [[], []]
-        assert nearest_sq(queries, grid).tolist() == brute_sq(queries, grid.xyz.T)[:, 0].tolist()
+        to_points = mutual_nearest_sq(queries, grid.xyz.T, grid.radius)[0]
+        assert to_points.tolist() == brute_sq(queries, grid.xyz.T)[:, 0].tolist()
 
     def test_exactly_r_apart_across_a_cell_face_is_not_near(self):
         # exact coordinates 0.5 apart on each axis, on both sides of a
@@ -103,7 +103,7 @@ class TestCellGrid:
                 grid.near_any(queries, 0.09),
                 *grid.pairs(0.09),
                 *grid.nearest_sq(queries),
-                nearest_sq(queries, grid),
+                *mutual_nearest_sq(queries, points, 0.3),
                 *mutual_nearest_sq(queries, points + 0.5, 0.3),
             )
 
@@ -124,7 +124,8 @@ class TestCellGrid:
         bound = 0.04 * 0.04
         assert grid.near_any(queries, bound).tolist() == (brute_sq(queries, points) < bound).any(axis=1).tolist()
         assert [a.tolist() for a in grid.pairs(bound)] == [[1], [2]]
-        assert nearest_sq(queries, grid).tolist() == brute_sq(queries, points).min(axis=1).tolist()
+        to_points = mutual_nearest_sq(queries, points, grid.radius)[0]
+        assert to_points.tolist() == brute_sq(queries, points).min(axis=1).tolist()
 
 
 class TestNearest:
@@ -133,7 +134,7 @@ class TestNearest:
     def test_nearest_matches_brute_force(self, seed, radius):
         points, queries = scattered(seed), scattered(seed + 20)
         want = brute_sq(queries, points).min(axis=1)
-        assert nearest_sq(queries, CellGrid(radius, points)).tobytes() == want.tobytes()
+        assert mutual_nearest_sq(queries, points, radius)[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shift", [0.0, 0.05, 0.4, 3.0])
     def test_mutual_matches_brute_force(self, shift):

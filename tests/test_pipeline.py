@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import load_perfbench
+from conftest import load_perfbench, render_all
 from oracles import read_cloud_ply, union_find_components
 from pointscatter import cli
 from pointscatter.fileio import (
@@ -34,8 +34,6 @@ from pointscatter.scene import (
     SceneCamera,
     demo_scene,
     load_scene,
-    make_frame,
-    project_gt_boxes,
     save_scene,
     scene_to_dict,
 )
@@ -531,9 +529,7 @@ class TestCli:
         assert ppms == [f"color_{i:03d}.ppm" for i in range(8)]
         # the files match frames rendered afresh with the same perturbation seeds
         scene = load_scene(scene_path)
-        for i, boxes in enumerate(project_gt_boxes(scene)[:8]):
-            rng = stage_rng(scene.rng_seed, "perturb", i)
-            frame = make_frame(scene, i, rng, boxes)
+        for i, frame in enumerate(render_all(scene)[:8]):
             write_pgm(frame.depth, tmp_path / "depth.pgm", max_value=DEPTH_RANGE[1])
             write_ppm(frame.color, tmp_path / "color.ppm")
             assert (img_dir / pgms[i]).read_bytes() == (tmp_path / "depth.pgm").read_bytes()

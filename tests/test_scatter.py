@@ -32,20 +32,17 @@ from pointscatter.scene import (
     SceneObject,
     SceneSpec,
     demo_scene,
-    make_frame,
-    project_gt_boxes,
 )
-from pointscatter.camera import Intrinsics, Pose, look_at_pose
+from pointscatter.camera import Intrinsics, look_at_pose
 from pointscatter.boxes import OrientedBox
 from pointscatter.neighbors import CellGrid
 from pointscatter.pipeline import run_front
 
-from conftest import load_perfbench, render_all, uncovered_frame
+from conftest import IDENTITY, frame_of, gt_boxes, load_perfbench, render_all, uncovered_frame
 
 
 def noiseless_frame(scene, index=0):
-    boxes = project_gt_boxes(scene)[index]
-    return make_frame(scene, index, np.random.default_rng(0), boxes)
+    return frame_of(scene, index, np.random.default_rng(0), gt_boxes(scene)[index])
 
 
 class TestStride:
@@ -383,7 +380,7 @@ class TestScatterFrames:
         # large thin slab facing the camera: one planar visible face
         slab = SceneObject(OrientedBox((0.0, 0.0, face_depth + 0.01), (1.0, 1.0, 0.02)))
         intr = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
-        cam = SceneCamera(intr, Pose.identity())
+        cam = SceneCamera(intr, IDENTITY)
         return SceneSpec(objects=(slab,), cameras=(cam,))
 
     def test_planar_grid_spacing(self):

@@ -18,24 +18,21 @@ from pointscatter.scene import (
     SceneObject,
     DEFAULT_INTRINSICS,
     SceneSpec,
-    RayCaster,
     _back_faces,
     _screen_boxes,
     _view_constants,
     _shade_triangles,
     demo_scene,
-    make_frame,
     orbit_trajectory,
     perturb_depth,
     project_gt_boxes,
     project_scene,
-    render,
     scene_from_dict,
     scene_to_dict,
     select_keyframes,
 )
 
-from conftest import DEPTH_RANGE, load_perfbench, uncovered_frame
+from conftest import DEPTH_RANGE, IDENTITY, cast, caster_of, frame_of, gt_boxes, load_perfbench, uncovered_frame
 from oracles import (
     _scene_triangles as oracle_scene_triangles,
     back_faces as oracle_back_faces,
@@ -63,14 +60,13 @@ def hires_inside_box_scene():
     """A 640x480 camera inside a unit cube: every window is the whole image."""
     return dataclasses.replace(
         frontal_cube_scene(center=(0.0, 0.0, 0.2)),
-        cameras=(SceneCamera(HIRES, Pose.identity()),),
+        cameras=(SceneCamera(HIRES, IDENTITY),),
     )
 
 
 def render_color(scene, camera_index=0):
     """One view's color image, as ``CameraFrame.color`` builds it."""
-    frame = make_frame(scene, camera_index, np.random.default_rng(0), ())
-    return frame.color
+    return frame_of(scene, camera_index, np.random.default_rng(0)).color
 
 
 def frontal_cube_scene(center=(0.0, 0.0, 2.5), camera_z=0.0):
@@ -99,43 +95,44 @@ class TestSceneObject:
 class TestRenderDepth:
     def test_frontal_face_depth(self):
         # near face of the cube sits at z=2
-        depth = render(frontal_cube_scene(), 0)[0]
+        depth = cast(frontal_cube_scene(), 0)[0]
         assert depth[50, 50] == pytest.approx(2.0, abs=1e-12)
 
     def test_translated_camera(self):
-        depth = render(frontal_cube_scene(camera_z=0.5), 0)[0]
+        depth = cast(frontal_cube_scene(camera_z=0.5), 0)[0]
         assert depth[50, 50] == pytest.approx(1.5, abs=1e-12)
 
     def test_empty_scene_is_all_invalid(self):
-        cam = SceneCamera(SIMPLE, Pose.identity())
+        cam = SceneCamera(SIMPLE, IDENTITY)
         scene = SceneSpec(objects=(), cameras=(cam,))
-        assert not render(scene, 0)[0].any()
+        assert not cast(scene, 0)[0].any()
 
     def test_background_pixels_are_zero(self):
-        depth = render(frontal_cube_scene(), 0)[0]
+        depth = cast(frontal_cube_scene(), 0)[0]
         # corner rays miss the cube
         assert depth[0, 0] == 0.0
 
     def test_rejects_invalid_camera_index(self):
         with pytest.raises(IndexError):
-            render(frontal_cube_scene(), 3)
+            cast(frontal_cube_scene(), 3)
 
     def test_deterministic(self):
-        a = render(frontal_cube_scene(), 0)[0]
-        b = render(frontal_cube_scene(), 0)[0]
+        a = cast(frontal_cube_scene(), 0)[0]
+        b = cast(frontal_cube_scene(), 0)[0]
         assert np.array_equal(a, b)
 
     def test_occlusion_keeps_nearest(self):
         near = SceneObject(OrientedBox((0.0, 0.0, 1.5), (0.4, 0.4, 0.4)))
         far = SceneObject(OrientedBox((0.0, 0.0, 3.0), (1.0, 1.0, 1.0)))
-        cam = SceneCamera(SIMPLE, Pose.identity())
-        depth = render(SceneSpec(objects=(near, far), cameras=(cam,)), 0)[0]
+        cam = SceneCamera(SIMPLE, IDENTITY)
+        depth = cast(SceneSpec(objects=(near, far), cameras=(cam,)), 0)[0]
         assert depth[50, 50] == pytest.approx(1.3, abs=1e-12)
 
 
 class TestRenderColor:
     def test_shading_range_and_background(self):
-        _, tri_index, shades = render(frontal_cube_scene(), 0)
+        frame = frame_of(frontal_cube_scene(), 0, np.random.default_rng(0))
+        tri_index, shades = frame.tri_index, frame.shades
         assert tri_index.shape == (100, 100) and tri_index.dtype == np.int32
         # one shade per cube triangle plus the black row index -1 picks
         assert shades.shape == (13, 3) and not shades[-1].any()
@@ -150,7 +147,7 @@ class TestRenderColor:
         assert np.array_equal(color[50, 50], color[45, 55])
 
     def test_empty_scene_is_black(self):
-        cam = SceneCamera(SIMPLE, Pose.identity())
+        cam = SceneCamera(SIMPLE, IDENTITY)
         color = render_color(SceneSpec(objects=(), cameras=(cam,)))
         assert color.shape == (100, 100, 3) and not color.any()
 
@@ -166,7 +163,7 @@ class TestCastRaysMatchesOracle:
     def assert_matches(scene, views):
         for i in views:
             cam = scene.cameras[i]
-            depth, index, _ = render(scene, i)
+            depth, index = cast(scene, i)
             ref_depth, ref_index, _, _ = cast_rays(scene, cam.intrinsics, cam.pose)
             assert depth.shape == ref_depth.shape, f"view {i}"
             assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
@@ -178,7 +175,7 @@ class TestCastRaysMatchesOracle:
         oracle that skips the oracle's back faces; return the full
         oracle's index and the caster's at each pixel where they differ."""
         cam = scene.cameras[0]
-        depth, index, _ = render(scene, 0)
+        depth, index = cast(scene, 0)
         skip = oracle_back_faces(scene, cam.pose)
         ref_depth, ref_index, _, _ = cast_rays(scene, cam.intrinsics, cam.pose, skip=skip)
         assert depth.tobytes() == ref_depth.tobytes()
@@ -226,12 +223,12 @@ class TestCastRaysMatchesOracle:
         for i in (0, 3):
             cam = scene.cameras[i]
             ref_depth, ref_index, triangles, owner = cast_rays(scene, cam.intrinsics, cam.pose)
-            depth, index, _ = render(scene, i)
+            depth, index = cast(scene, i)
             assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
             assert np.array_equal(index, ref_index), f"view {i}"
             # a frame's colour is the shade gather over the oracle's index map
             shades = np.concatenate([_shade_triangles(scene, triangles, owner), np.zeros((1, 3))])
-            depth = render(scene, i)[0]
+            depth = cast(scene, i)[0]
             color = render_color(scene, i)
             assert depth.tobytes() == ref_depth.tobytes(), f"view {i}"
             assert color.tobytes() == shades[ref_index].tobytes(), f"view {i}"
@@ -245,7 +242,7 @@ class TestCastRaysMatchesOracle:
         sizes = (DEFAULT_INTRINSICS, large, DEFAULT_INTRINSICS, wide)
         cameras = [SceneCamera(intr, pose) for intr in sizes for pose in poses]
         scene = dataclasses.replace(demo_scene(steps=6), cameras=tuple(cameras))
-        caster = RayCaster(scene, range(len(cameras)))
+        caster = caster_of(scene, range(len(cameras)))
         for i, cam in enumerate(cameras):
             depth, index = caster.cast(i)
             ref_depth, ref_index, _, _ = cast_rays(scene, cam.intrinsics, cam.pose)
@@ -259,7 +256,7 @@ class TestCastRaysMatchesOracle:
         intr = Intrinsics(fx=90.0, fy=130.0, cx=10.25, cy=100.75, width=160, height=120)
         centers = [(-0.3, -2.3), (4.9, -2.3), (-0.3, 0.4), (4.9, 0.4), (2.3, -1.0)]
         boxes = [OrientedBox((x, y, 3.0), (0.6, 0.6, 0.6), yaw=0.3) for x, y in centers]
-        cam = SceneCamera(intr, Pose.identity())
+        cam = SceneCamera(intr, IDENTITY)
         scene = SceneSpec(objects=tuple(SceneObject(b) for b in boxes), cameras=(cam,))
         full, empty = self.windows(scene)
         assert not full.any() and not empty.all()
@@ -269,7 +266,7 @@ class TestCastRaysMatchesOracle:
         # some window reaches each of the four image borders
         assert (lo[~empty] == 0).any(axis=0).all() and (hi[~empty] == corner).any(axis=0).all()
         self.assert_matches(scene, [0])
-        depth = render(scene, 0)[0]
+        depth = cast(scene, 0)[0]
         assert all(edge.any() for edge in (depth[0], depth[-1], depth[:, 0], depth[:, -1]))
 
     def test_one_pixel_windows(self):
@@ -277,8 +274,8 @@ class TestCastRaysMatchesOracle:
         # its windows clip to the single pixel (0, 0), whose products run
         # with a spare row like every other window's
         box = SceneObject(OrientedBox((-1.545, -1.545, 3.0), (0.005, 0.005, 0.005)))
-        scene = SceneSpec(objects=(box,), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
-        uv, _, in_front = project_points(scene.geometry.triangles.reshape(-1, 3), SIMPLE, Pose.identity())
+        scene = SceneSpec(objects=(box,), cameras=(SceneCamera(SIMPLE, IDENTITY),))
+        uv, _, in_front = project_points(scene.geometry.triangles.reshape(-1, 3), SIMPLE, IDENTITY)
         lo, hi = _screen_boxes(uv, in_front, np.array([SIMPLE.width, SIMPLE.height]))
         assert (lo == 0).all() and (hi == 0).all()
         self.assert_matches(scene, [0])
@@ -288,7 +285,7 @@ class TestCastRaysMatchesOracle:
         full, _ = self.windows(scene)
         assert full.any()
         self.assert_matches(scene, [0])
-        assert render(scene, 0)[0].all()
+        assert cast(scene, 0)[0].all()
 
     def test_640x480_camera_inside_box(self):
         # whole-image windows of 307,200 rays, cast in bands of whole rows
@@ -296,7 +293,7 @@ class TestCastRaysMatchesOracle:
         full, _ = self.windows(scene)
         assert full.all() and HIRES.width * HIRES.height > scene_module._RAY_BLOCK
         self.assert_matches(scene, [0])
-        assert render(scene, 0)[0].all()
+        assert cast(scene, 0)[0].all()
 
     @pytest.mark.parametrize("block", [1, 7, 500])
     def test_banded_windows(self, monkeypatch, block):
@@ -315,7 +312,7 @@ class TestCastRaysMatchesOracle:
         # full oracle's back faces 5 and 8 tie the front faces 10 and 11
         was, now = self.culled_changes(scene)
         assert len(was) == 16 and set(was.tolist()) == {5, 8} and set(now.tolist()) == {10, 11}
-        depth = render(scene, 0)[0]
+        depth = cast(scene, 0)[0]
         assert depth[:, -1].any() and not depth[:, 0].any()
 
     def test_box_fully_off_screen(self):
@@ -329,10 +326,10 @@ class TestCastRaysMatchesOracle:
         full, _ = self.windows(scene)
         assert full.all()
         self.assert_matches(scene, [0])
-        assert not render(scene, 0)[0].any()
+        assert not cast(scene, 0)[0].any()
 
     def test_no_objects(self):
-        scene = SceneSpec(objects=(), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
+        scene = SceneSpec(objects=(), cameras=(SceneCamera(SIMPLE, IDENTITY),))
         self.assert_matches(scene, [0])
 
 
@@ -384,7 +381,7 @@ class TestBackFaceCulling:
         assert len(was) == 16 and set(was.tolist()) == {5, 8} and set(now.tolist()) == {10, 11}
         cam = scene.cameras[0]
         full_depth = cast_rays(scene, cam.intrinsics, cam.pose)[0]
-        depth = render(scene, 0)[0]
+        depth = cast(scene, 0)[0]
         assert depth.tobytes() == full_depth.tobytes()
 
     @pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9])
@@ -465,12 +462,12 @@ class TestBackFaceCulling:
     def test_object_straddling_camera_plane_is_not_culled(self):
         straddling = SceneObject(OrientedBox((0.6, 0.0, 0.2), (0.8, 1.0, 1.0)))
         ahead = SceneObject(OrientedBox((-0.5, 0.0, 3.0), (0.6, 0.6, 0.6), yaw=0.3))
-        cam = SceneCamera(SIMPLE, Pose.identity())
+        cam = SceneCamera(SIMPLE, IDENTITY)
         scene = SceneSpec(objects=(straddling, ahead), cameras=(cam,))
         skip = cull_mask(scene, 0)
         assert not skip[:12].any() and skip[12:].any()
         self.assert_matches(scene, [0])
-        assert render(scene, 0)[0][:, -1].any()
+        assert cast(scene, 0)[0][:, -1].any()
 
     def test_every_orbit80_view(self):
         # the views test_orbit80_subset leaves out
@@ -574,7 +571,7 @@ class TestPerturbDepth:
 class TestProjectGtBoxes:
     def test_frontal_cube_box(self):
         # near-face corners (+-0.5, +-0.5, 2) project to 50 +- 25
-        boxes = project_gt_boxes(frontal_cube_scene())[0]
+        boxes = gt_boxes(frontal_cube_scene())[0]
         assert len(boxes) == 1
         box = boxes[0]
         assert (box.u_min, box.v_min, box.u_max, box.v_max) == pytest.approx(
@@ -582,19 +579,19 @@ class TestProjectGtBoxes:
         )
 
     def test_behind_camera_dropped(self):
-        boxes = project_gt_boxes(frontal_cube_scene(center=(0.0, 0.0, -3.0)))[0]
+        boxes = gt_boxes(frontal_cube_scene(center=(0.0, 0.0, -3.0)))[0]
         assert boxes == []
 
     def test_partially_outside_clipped(self):
-        boxes = project_gt_boxes(frontal_cube_scene(center=(0.0, 0.0, 1.0)))[0]
+        boxes = gt_boxes(frontal_cube_scene(center=(0.0, 0.0, 1.0)))[0]
         assert len(boxes) == 1
         box = boxes[0]
         assert box.u_min >= 0.0 and box.v_min >= 0.0
         assert box.u_max <= 99.0 and box.v_max <= 99.0
 
-    def test_small_area_dropped(self):
-        scene = frontal_cube_scene()
-        assert project_gt_boxes(scene, min_pixels=1e9) == [[]]
+    def test_small_area_dropped(self, monkeypatch):
+        monkeypatch.setattr(scene_module, "MIN_BOX_PIXELS", 1e9)
+        assert gt_boxes(frontal_cube_scene()) == [[]]
 
     def test_matches_vertex_hull_recomputation(self, clean_scene):
         # re-derive each box from the projected mesh vertices
@@ -602,7 +599,7 @@ class TestProjectGtBoxes:
 
         cam = clean_scene.cameras[4]
         w, h = cam.intrinsics.width, cam.intrinsics.height
-        got = project_gt_boxes(clean_scene, min_pixels=16.0)[4]
+        got = gt_boxes(clean_scene)[4]
         expected = []
         for obj in clean_scene.objects:
             uv, _, ok = project_points(obj.mesh().reshape(-1, 3), cam.intrinsics, cam.pose)
@@ -624,16 +621,17 @@ class TestProjectGtBoxesMatchesOracle:
     projection per object, to the bit."""
 
     @staticmethod
-    def assert_matches(scene, min_pixels=16.0):
-        boxes = project_gt_boxes(scene, min_pixels=min_pixels)
+    def assert_matches(scene):
+        boxes = gt_boxes(scene)
         assert len(boxes) == len(scene.cameras)
         for i, got in enumerate(boxes):
-            assert got == oracle_project_gt_boxes(scene, i, min_pixels), f"view {i}"
+            assert got == oracle_project_gt_boxes(scene, i, scene_module.MIN_BOX_PIXELS), f"view {i}"
 
-    def test_demo_scenes(self, clean_scene):
+    def test_demo_scenes(self, clean_scene, monkeypatch):
         self.assert_matches(clean_scene)
         self.assert_matches(demo_scene(steps=80))
-        self.assert_matches(clean_scene, min_pixels=0.0)
+        monkeypatch.setattr(scene_module, "MIN_BOX_PIXELS", 0.0)
+        self.assert_matches(clean_scene)
 
     def test_640x480_views(self):
         self.assert_matches(hires_scene())
@@ -647,15 +645,15 @@ class TestProjectGtBoxesMatchesOracle:
             SceneObject(OrientedBox((0.0, 0.0, -3.0), (1.0, 1.0, 1.0), category=3)),
             SceneObject(OrientedBox((-1.2, 0.9, 4.0), (0.4, 0.7, 0.3), yaw=0.4, category=4)),
         )
-        cam = SceneCamera(SIMPLE, Pose.identity())
+        cam = SceneCamera(SIMPLE, IDENTITY)
         scene = SceneSpec(objects=objects, cameras=(cam,))
-        got = project_gt_boxes(scene)[0]
+        got = gt_boxes(scene)[0]
         assert [b.category for b in got] == [0, 1, 4]
         self.assert_matches(scene)
 
     def test_no_objects(self):
-        scene = SceneSpec(objects=(), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
-        assert project_gt_boxes(scene)[0] == oracle_project_gt_boxes(scene, 0) == []
+        scene = SceneSpec(objects=(), cameras=(SceneCamera(SIMPLE, IDENTITY),))
+        assert gt_boxes(scene)[0] == oracle_project_gt_boxes(scene, 0) == []
 
 
 class TestBatchedProjectionMatchesPerView:
@@ -723,21 +721,21 @@ class TestBatchedProjectionMatchesPerView:
         objects = tuple(
             SceneObject(OrientedBox((x, 0.0, -2.5), (0.5, 0.5, 0.5))) for x in (-1.0, 0.0, 1.0)
         )
-        scene = SceneSpec(objects=objects, cameras=(SceneCamera(SIMPLE, Pose.identity()),))
+        scene = SceneSpec(objects=objects, cameras=(SceneCamera(SIMPLE, IDENTITY),))
         uv, _, in_front = self.assert_matches(scene)
         assert not in_front.any() and np.isnan(uv).all()
-        assert project_gt_boxes(scene) == [[]]
+        assert gt_boxes(scene) == [[]]
 
 
 class TestSceneGeometry:
-    def test_arrays_are_read_only_and_shared(self, clean_scene):
+    def test_arrays_are_read_only_and_shared(self, clean_scene, clean_frames):
         geometry = clean_scene.geometry
         assert geometry is clean_scene.geometry
         for array in geometry:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
-        assert render(clean_scene, 0)[2] is geometry.shades
+        assert all(frame.shades is geometry.shades for frame in clean_frames)
 
     def test_matches_per_object_shells(self, clean_scene):
         triangles, owner, shades = clean_scene.geometry
@@ -748,11 +746,11 @@ class TestSceneGeometry:
         assert shades.tobytes() == np.concatenate([ref_shades, np.zeros((1, 3))]).tobytes()
 
     def test_zero_object_scene_renders(self):
-        scene = SceneSpec(objects=(), cameras=(SceneCamera(SIMPLE, Pose.identity()),))
+        scene = SceneSpec(objects=(), cameras=(SceneCamera(SIMPLE, IDENTITY),))
         triangles, owner, shades = scene.geometry
         assert triangles.shape == (0, 3, 3) and owner.shape == (0,)
         assert shades.shape == (1, 3) and not shades.any()
-        depth, tri_index, _ = render(scene, 0)
+        depth, tri_index = cast(scene, 0)
         assert not depth.any() and (tri_index == -1).all()
 
     def test_replaced_scene_gets_its_own_geometry(self, clean_scene):
@@ -790,11 +788,11 @@ class TestMakeFrame:
     def test_bit_identical_rerender(self, clean_scene, clean_frames):
         from pointscatter.pipeline import stage_rng
 
-        again = make_frame(
+        again = frame_of(
             clean_scene,
             3,
             stage_rng(clean_scene.rng_seed, "perturb", 3),
-            project_gt_boxes(clean_scene)[3],
+            gt_boxes(clean_scene)[3],
         )
         assert np.array_equal(again.depth, clean_frames[3].depth)
         assert np.array_equal(again.color, clean_frames[3].color)
@@ -804,7 +802,7 @@ class TestMakeFrame:
         # depth (8 bytes) and the int32 triangle index (4 bytes) per pixel
         # plus the shade table; no (H, W, 3) float image is kept
         scene = hires_scene()
-        frame = make_frame(scene, 0, np.random.default_rng(0), ())
+        frame = frame_of(scene, 0, np.random.default_rng(0))
         arrays = [getattr(frame, f.name) for f in dataclasses.fields(frame)]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert sum(held(a) for a in arrays) <= 12 * HIRES.width * HIRES.height + held(frame.shades)
@@ -817,7 +815,7 @@ class TestMakeFrame:
         scene.geometry  # built once per scene, outside the measured call
         tracemalloc.start()
         try:
-            depth, index, _ = render(scene, 0)
+            depth, index = cast(scene, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -849,8 +847,8 @@ class TestDenseMapOracle:
     def test_workload_frames(self, name, seed):
         scene, _ = load_perfbench("workloads").build(name, seed, reduced=True)
         for i in range(len(scene.cameras)):
-            frame = make_frame(scene, i, stage_rng(scene.rng_seed, "perturb", i), ())
-            depth, tri_index, _ = render(scene, i)
+            frame = frame_of(scene, i, stage_rng(scene.rng_seed, "perturb", i))
+            depth, tri_index = cast(scene, i)
             rng = stage_rng(scene.rng_seed, "perturb", i)
             sigma, rate = scene.depth_noise_sigma, scene.outlier_rate
             depth = oracle_perturb_depth(depth, sigma, rate, rng, DEPTH_RANGE)
@@ -882,36 +880,36 @@ class TestDenseMapOracle:
 
 class TestSelectKeyframes:
     def test_identical_poses_relax_to_target(self):
-        poses = [Pose.identity()] * 100
-        picked = select_keyframes(poses, [1] * 100, target_count=50)
+        poses = [IDENTITY] * 100
+        picked = select_keyframes(poses, [1] * 100, 50, 0.1, 10.0)
         assert picked == list(range(50))
 
     def test_translating_sequence(self):
         poses = [Pose(np.eye(3), np.array([0.2 * i, 0.0, 0.0])) for i in range(10)]
-        assert select_keyframes(poses, [1] * 10, target_count=3) == [0, 1, 2]
+        assert select_keyframes(poses, [1] * 10, 3, 0.1, 10.0) == [0, 1, 2]
 
     def test_alternating_detections(self):
         poses = [Pose(np.eye(3), np.array([1.0 * i, 0.0, 0.0])) for i in range(6)]
         detections = [1, 0, 1, 0, 1, 0]
-        assert select_keyframes(poses, detections, target_count=2) == [0, 2]
+        assert select_keyframes(poses, detections, 2, 0.1, 10.0) == [0, 2]
 
     def test_motion_gate_skips_static_frames(self):
         # frames 1 and 2 barely move; frame 3 moves enough
         offsets = [0.0, 0.01, 0.02, 0.5]
         poses = [Pose(np.eye(3), np.array([o, 0.0, 0.0])) for o in offsets]
-        assert select_keyframes(poses, [1] * 4, target_count=2) == [0, 3]
+        assert select_keyframes(poses, [1] * 4, 2, 0.1, 10.0) == [0, 3]
 
     def test_rotation_counts_as_motion(self):
         c, s = np.cos(np.radians(15)), np.sin(np.radians(15))
         turned = Pose(np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]), np.zeros(3))
-        poses = [Pose.identity(), turned]
-        assert select_keyframes(poses, [1, 1], target_count=2) == [0, 1]
+        poses = [IDENTITY, turned]
+        assert select_keyframes(poses, [1, 1], 2, 0.1, 10.0) == [0, 1]
 
     def test_output_sorted_unique_bounded(self):
         rng = np.random.default_rng(0)
         poses = [Pose(np.eye(3), rng.uniform(-1, 1, 3)) for _ in range(30)]
         detections = rng.integers(0, 2, 30).tolist()
-        picked = select_keyframes(poses, detections, target_count=12)
+        picked = select_keyframes(poses, detections, 12, 0.1, 10.0)
         assert picked == sorted(set(picked))
         assert len(picked) <= 12
 
@@ -919,7 +917,7 @@ class TestSelectKeyframes:
     def test_orbit_matches_three_pass_oracle(self, steps):
         scene = demo_scene(steps=steps)
         poses = [c.pose for c in scene.cameras]
-        counts = [len(boxes) for boxes in project_gt_boxes(scene)]
+        counts = [len(boxes) for boxes in gt_boxes(scene)]
         # every third frame without detections makes the first pass fall short
         for detections in (counts, [c if i % 3 else 0 for i, c in enumerate(counts)]):
             for target in (1, 7, steps // 2, steps, steps + 3):
@@ -943,9 +941,9 @@ class TestSelectKeyframes:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            select_keyframes([Pose.identity()], [1, 2], 1)
+            select_keyframes([IDENTITY], [1, 2], 1, 0.1, 10.0)
         with pytest.raises(ValueError):
-            select_keyframes([Pose.identity()], [1], 0)
+            select_keyframes([IDENTITY], [1], 0, 0.1, 10.0)
 
 
 class TestOrbitAndSerialization:
@@ -1027,7 +1025,7 @@ class TestDemoScene:
         assert clean_scene.num_categories() == 3
 
     def test_every_object_visible_in_every_frame(self, clean_scene):
-        assert [len(boxes) for boxes in project_gt_boxes(clean_scene)] == [3] * len(clean_scene.cameras)
+        assert [len(boxes) for boxes in gt_boxes(clean_scene)] == [3] * len(clean_scene.cameras)
 
     def test_noise_parameters_plumb_through(self):
         scene = demo_scene(noise_sigma=0.05, outlier_rate=0.1)

@@ -95,6 +95,7 @@ class TestLabelPoints:
         lab = label_points(np.zeros((0, 3)), np.array([[0.0, 0.0, 0.0]]), 0.1)
         assert len(lab.labels) == 0
         assert lab.inlier_fraction == 0.0
+        assert lab.distances.shape == (0,)
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -220,7 +221,7 @@ class TestFocalLoss:
 
 class TestPhotometricScore:
     def test_zero_variance_scores_one(self):
-        got = photometric_score(np.zeros((1, 3)), np.array([5]))
+        got = photometric_score(np.zeros((1, 3)), np.array([5]), k_sigma=0.01)
         assert got[0] == 1.0
 
     def test_k_sigma_sets_e_folding(self):
@@ -229,14 +230,14 @@ class TestPhotometricScore:
 
     def test_few_views_get_default(self):
         var = np.full((3, 3), 9.0)
-        got = photometric_score(var, np.array([0, 1, 2]))
+        got = photometric_score(var, np.array([0, 1, 2]), k_sigma=0.01)
         assert got[0] == 0.5
         assert got[1] == 0.5
         assert got[2] < 1e-3
 
     def test_monotone_decreasing_in_variance(self):
         vs = np.linspace(0.0, 0.1, 11)[:, None] * np.ones((1, 3))
-        got = photometric_score(vs, np.full(11, 4))
+        got = photometric_score(vs, np.full(11, 4), k_sigma=0.01)
         assert all(a > b for a, b in zip(got, got[1:]))
 
     def test_rejects_bad_k_sigma(self):
@@ -247,15 +248,15 @@ class TestPhotometricScore:
 class TestSoftWeight:
     def test_unit_scores_identity(self):
         f = np.array([[2.0, 4.0], [1.0, 3.0]])
-        np.testing.assert_array_equal(soft_weight(f, np.ones(2)), f)
+        np.testing.assert_array_equal(soft_weight(f, np.ones(2), num_onehot=0), f)
 
     def test_zero_scores_zero_features(self):
         f = np.array([[2.0, 4.0]])
-        np.testing.assert_array_equal(soft_weight(f, np.zeros(1)), [[0.0, 0.0]])
+        np.testing.assert_array_equal(soft_weight(f, np.zeros(1), num_onehot=0), [[0.0, 0.0]])
 
     def test_half_score(self):
         f = np.array([[2.0, 4.0]])
-        np.testing.assert_array_equal(soft_weight(f, np.array([0.5])), [[1.0, 2.0]])
+        np.testing.assert_array_equal(soft_weight(f, np.array([0.5]), num_onehot=0), [[1.0, 2.0]])
 
     def test_onehot_block_untouched(self):
         f = np.array([[2.0, 4.0, 0.0, 1.0]])
@@ -264,7 +265,7 @@ class TestSoftWeight:
 
     def test_input_not_mutated(self):
         f = np.array([[2.0, 4.0]])
-        soft_weight(f, np.array([0.5]))
+        soft_weight(f, np.array([0.5]), num_onehot=0)
         np.testing.assert_array_equal(f, [[2.0, 4.0]])
 
     def test_all_onehot_passthrough(self):
@@ -274,7 +275,7 @@ class TestSoftWeight:
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            soft_weight(np.zeros((2, 3)), np.zeros(3))
+            soft_weight(np.zeros((2, 3)), np.zeros(3), num_onehot=0)
         with pytest.raises(ValueError):
             soft_weight(np.zeros((2, 3)), np.zeros(2), num_onehot=4)
 
@@ -283,7 +284,7 @@ class TestPhotometricFiltering:
     def test_threshold_reduces_outlier_fraction(self, noisy_scene, noisy_frames):
         frames = noisy_frames[:6]
         cloud = scatter_frames(frames, ScatterConfig(radius=0.04, max_points=100_000))
-        _, variances, counts = aggregate_cloud(cloud, frames)
+        _, variances, counts = aggregate_cloud(cloud, frames, False, 0.0)
         scores = photometric_score(variances, counts, k_sigma=0.01)
 
         rng = np.random.default_rng(23)

@@ -9,6 +9,9 @@ from oracles import pack_index, unpack_index
 from pointscatter.scatter import ScatterCloud, empty_cloud
 from pointscatter.voxel import INDEX_RANGE, dense_cell_count, sparsity_report, voxel_indices, voxelize
 
+# the corner of a grid at the world origin
+ORIGIN = (0.0, 0.0, 0.0)
+
 
 def cloud_at(positions, features=None):
     positions = np.asarray(positions, dtype=np.float64)
@@ -43,7 +46,7 @@ class TestPackedKeys:
         assert unpack_index(pack_index(hi, hi, hi)) == (hi, hi, hi)
         corners = np.array([[lo, lo, lo], [hi + 0.5, hi + 0.5, hi + 0.5]], dtype=np.float64)
         np.testing.assert_array_equal(
-            voxelize(corners, 1.0), [pack_index(lo, lo, lo), pack_index(hi, hi, hi)]
+            voxelize(corners, 1.0, ORIGIN), [pack_index(lo, lo, lo), pack_index(hi, hi, hi)]
         )
 
     def test_out_of_range_rejected(self):
@@ -64,7 +67,7 @@ class TestPackedKeys:
 
     def test_keys_are_unique_per_cell(self):
         cells = [(ix, iy, iz) for ix in range(-3, 4) for iy in range(-3, 4) for iz in range(-3, 4)]
-        keys = voxelize((np.array(cells) + 0.5) * 0.1, 0.1)
+        keys = voxelize((np.array(cells) + 0.5) * 0.1, 0.1, ORIGIN)
         assert len(keys) == 7**3
         np.testing.assert_array_equal(keys, sorted(pack_index(*c) for c in cells))
 
@@ -94,15 +97,15 @@ class TestVoxelIndices:
 
 class TestVoxelize:
     def test_two_points_one_cell(self):
-        keys = voxelize(np.array([[0.01, 0.01, 0.01], [0.03, 0.02, 0.04]]), 0.05)
+        keys = voxelize(np.array([[0.01, 0.01, 0.01], [0.03, 0.02, 0.04]]), 0.05, ORIGIN)
         np.testing.assert_array_equal(keys, [pack_index(0, 0, 0)])
 
     def test_straddling_points_two_cells(self):
-        keys = voxelize(np.array([[0.01, 0.0, 0.0], [0.06, 0.0, 0.0]]), 0.05)
+        keys = voxelize(np.array([[0.01, 0.0, 0.0], [0.06, 0.0, 0.0]]), 0.05, ORIGIN)
         assert len(keys) == 2
 
     def test_empty_cloud(self):
-        keys = voxelize(empty_cloud().positions, 0.05)
+        keys = voxelize(empty_cloud().positions, 0.05, ORIGIN)
         assert keys.dtype == np.int64 and keys.shape == (0,)
 
     def test_keys_match_brute_force(self):
@@ -120,10 +123,10 @@ class TestVoxelize:
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1, 1, size=(100, 3))
         perm = rng.permutation(100)
-        np.testing.assert_array_equal(voxelize(pts, 0.2), voxelize(pts[perm], 0.2))
+        np.testing.assert_array_equal(voxelize(pts, 0.2, ORIGIN), voxelize(pts[perm], 0.2, ORIGIN))
 
     def test_indices_and_centers(self):
-        keys = voxelize(np.array([[0.07, 0.0, -0.01]]), 0.05)
+        keys = voxelize(np.array([[0.07, 0.0, -0.01]]), 0.05, ORIGIN)
         assert unpack_index(keys[0]) == (1, 0, -1)
         assert key_row(keys, 1, 0, -1) == 0
         assert key_row(keys, 0, 0, 0) is None
@@ -132,13 +135,13 @@ class TestVoxelize:
         rng = np.random.default_rng(11)
         pts = rng.uniform(0, 1, size=(50, 3))
         shift = np.array([3.0, -2.0, 1.0]) * 0.2
-        a = voxelize(pts, 0.2, origin=(0.0, 0.0, 0.0))
+        a = voxelize(pts, 0.2, ORIGIN)
         b = voxelize(pts + shift, 0.2, origin=tuple(shift))
         np.testing.assert_array_equal(a, b)
 
     def test_unpackable_points_rejected(self):
         with pytest.raises(ValueError):
-            voxelize(np.array([[2e6, 0.0, 0.0]]), 1.0)
+            voxelize(np.array([[2e6, 0.0, 0.0]]), 1.0, ORIGIN)
 
 
 class TestDenseGridSpec:
@@ -172,7 +175,7 @@ class TestSparsityReport:
 
     def test_reduction_factor(self):
         cloud = cloud_at(np.zeros((100_000, 3)))
-        occupied = len(voxelize(cloud.positions, 0.04))
+        occupied = len(voxelize(cloud.positions, 0.04, ORIGIN))
         report = sparsity_report(cloud, occupied, dense_cell_count((8.0, 8.0, 3.0), 0.04), 0.04)
         assert report["reduction_factor"] == pytest.approx(30.0, rel=1e-12)
         assert report["scatter_points"] == 100_000
@@ -210,6 +213,6 @@ class TestSparsityReport:
     def test_deterministic(self):
         cloud = cloud_at(np.linspace(0, 1, 30).reshape(10, 3))
         dense = dense_cell_count((2.0, 2.0, 2.0), 0.2)
-        a = sparsity_report(cloud, len(voxelize(cloud.positions, 0.2)), dense, 0.2)
-        b = sparsity_report(cloud, len(voxelize(cloud.positions, 0.2)), dense, 0.2)
+        a = sparsity_report(cloud, len(voxelize(cloud.positions, 0.2, ORIGIN)), dense, 0.2)
+        b = sparsity_report(cloud, len(voxelize(cloud.positions, 0.2, ORIGIN)), dense, 0.2)
         assert a == b
