@@ -46,19 +46,25 @@ def triangle_normals(triangles: np.ndarray) -> np.ndarray:
 
 
 def sample_surface_points(triangles: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform area-weighted sample of ``count`` points on a mesh surface."""
+    """Uniform area-weighted sample of ``count`` points on a mesh surface;
+    its triangles are those ``rng.choice(p=areas / total)`` draws, bit for bit."""
     tri = np.asarray(triangles, dtype=np.float64)
     if count < 1:
         raise ValueError(f"need a positive sample count, got {count}")
     areas = triangle_areas(tri)
     total = areas.sum()
-    if total <= 0:
-        raise ValueError("mesh has zero surface area")
-    idx = rng.choice(len(tri), size=count, p=areas / total)
+    if not 0 < total < np.inf:
+        raise ValueError(f"mesh surface area must be positive and finite, got {total}")
+    cdf = (areas / total).cumsum()
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(count), side="right")
     u = rng.random(count)
     v = rng.random(count)
     flip = u + v > 1.0
     u[flip] = 1.0 - u[flip]
     v[flip] = 1.0 - v[flip]
-    a, b, c = tri[idx, 0], tri[idx, 1], tri[idx, 2]
-    return a + u[:, None] * (b - a) + v[:, None] * (c - a)
+    out = np.empty((count, 3))
+    for k in range(3):
+        a, b, c = (tri[:, j, k].take(idx) for j in range(3))
+        out[:, k] = a + u * (b - a) + v * (c - a)
+    return out

@@ -11,14 +11,18 @@ is decided with the squared distance summed in x, y, z order. So a
 query's answer is the one a scan of every point would give, bit for
 bit. The searches run one column offset at a time over queries in key
 order, so that neighbouring searches take the same path. Candidate
-pairs are made in blocks of at most ``BLOCK`` pairs, so no temporary
-array grows beyond a few MB.
+pairs are made in blocks of at most ``BLOCK`` pairs, so that each of a
+block's temporaries, 128 KB, comes from memory the heap already holds
+rather than from pages mapped afresh on every call.
 
 :func:`mutual_nearest_sq` finds the nearest point of each of two sets
 in the other at any distance: a grid certifies a point whose nearest
 candidate lies within its radius, and the others go to one search over
 the leaves of k-d trees of both sets, which reads only the leaves whose
-boxes come within a bound of the distance.
+boxes come within a bound of the distance. It reads ``BLOCK // LEAF``
+leaf pairs a block, ``BLOCK`` entries a temporary; its table of gaps
+between leaf boxes holds up to ``BLOCK * LEAF`` entries, so that few
+chunks of queries each read the other set's leaves again.
 :func:`component_labels` links points within a distance and labels
 their connected components.
 """
@@ -54,7 +58,7 @@ _EDGES = np.array([_column(-1, -1), _column(-1, 1), _column(1, -1), _column(1, 1
 _AFTER = np.array([_column(0, 1), _column(1, 0), _column(1, -1), _column(1, 1)], dtype=np.int64)
 _ALL = np.concatenate([_OWN, _FACES, _EDGES])
 # candidate pairs per block
-BLOCK = 1 << 17
+BLOCK = 1 << 14
 # points per leaf of the searches past a grid's radius
 LEAF = 8
 # weights that pack three offset cell indices into one key
@@ -242,8 +246,8 @@ def _box_gaps(alo, ahi, blo, bhi) -> np.ndarray:
 def _leaf_pairs(axyz, bxyz, ia, ib, best_a, best_b) -> None:
     """Lower ``best_a`` and ``best_b``, (LEAF, n) by leaf, to the least
     squared distances between the leaves ``ia`` of ``a`` and ``ib`` of
-    ``b``, in blocks of at most ``BLOCK`` point pairs."""
-    step = max(1, BLOCK // (LEAF * LEAF))
+    ``b``, in blocks of at most ``BLOCK // LEAF`` leaf pairs."""
+    step = max(1, BLOCK // LEAF)
     slots = np.arange(LEAF)[:, None]
     for s in range(0, len(ia), step):
         la, lb = ia[s : s + step], ib[s : s + step]
@@ -269,7 +273,7 @@ def _leaf_search(a: np.ndarray, b: np.ndarray, best_a: np.ndarray, best_b: np.nd
     value, in place; and ``best_b`` likewise from ``b`` to ``a``.
 
     Both sets go into k-d tree leaves, ``a`` a chunk at a time so that
-    the table of gaps between leaf boxes holds at most ``BLOCK``
+    the table of gaps between leaf boxes holds at most ``BLOCK * LEAF``
     entries. Each leaf first reads the leaf of the other set whose box
     is nearest to its own, then every other leaf whose box comes within
     the largest bound of its points, which holds the nearest point of
@@ -281,7 +285,7 @@ def _leaf_search(a: np.ndarray, b: np.ndarray, best_a: np.ndarray, best_b: np.nd
     blo, bhi = bxyz.min(axis=1), bxyz.max(axis=1)
     # a margin far above the rounding of the squared gaps
     margin = 1.0 + 1e-9
-    step = max(1, BLOCK // nb) * LEAF
+    step = max(1, BLOCK * LEAF // nb) * LEAF
     for s in range(0, len(a), step):
         oa, axyz = _leaves(a[s : s + step])
         na = axyz.shape[2]

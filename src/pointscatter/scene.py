@@ -250,10 +250,10 @@ def _back_faces(edge1, edge2, tvecs, qvecs, in_front):
     return back.reshape(shape)
 
 
-# the most rays the caster builds at once; a larger window is cast in
-# bands of whole rows. It splits no window of the benchmark poses, whose
-# largest (hires_6view) has 24,124 pixels
-_RAY_BLOCK = 24576
+# the most rays the caster builds at once (about 100 bytes each, kept in
+# memory the heap already holds); a larger window is cast in bands of whole
+# rows. Of the benchmark windows only 36 of hires_6view's 104 are split
+_RAY_BLOCK = 8192
 
 
 def _bands(lo, hi):

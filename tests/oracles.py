@@ -252,6 +252,29 @@ def point_mesh_distance(points: np.ndarray, triangles: np.ndarray, chunk: int = 
     return out
 
 
+def choice_sample_surface_points(triangles: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform area-weighted sample of ``count`` points on a mesh surface.
+
+    The package's sampler as it was before it drew the triangles itself:
+    ``rng.choice`` with area weights, then (count, 3) vertex rows.
+    """
+    tri = np.asarray(triangles, dtype=np.float64)
+    if count < 1:
+        raise ValueError(f"need a positive sample count, got {count}")
+    areas = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+    total = areas.sum()
+    if total <= 0:
+        raise ValueError("mesh has zero surface area")
+    idx = rng.choice(len(tri), size=count, p=areas / total)
+    u = rng.random(count)
+    v = rng.random(count)
+    flip = u + v > 1.0
+    u[flip] = 1.0 - u[flip]
+    v[flip] = 1.0 - v[flip]
+    a, b, c = tri[idx, 0], tri[idx, 1], tri[idx, 2]
+    return a + u[:, None] * (b - a) + v[:, None] * (c - a)
+
+
 def _scene_triangles(scene):
     """Stack all object shells; returns (triangles, owning object index)."""
     tris = []

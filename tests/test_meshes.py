@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import point_mesh_distance, point_triangle_distance
+from oracles import choice_sample_surface_points, point_mesh_distance, point_triangle_distance
 from pointscatter.boxes import OrientedBox, box_corners
 from pointscatter.meshes import box_shell, sample_surface_points, triangle_areas, triangle_normals
 
@@ -70,6 +70,73 @@ class TestSampling:
         pts = sample_surface_points(np.stack([small, big]), 1000, np.random.default_rng(1))
         frac_big = (pts[:, 0] > 5.0).mean()
         assert abs(frac_big - 0.9) < 0.04
+
+
+def random_triangles(seed, count=36):
+    """``count`` triangles of random vertices in a 2 m cube, as many as
+    the demo scene's three box shells."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, 3, 3))
+
+
+class TestSamplingMatchesChoiceOracle:
+    """The sampler draws its triangles as ``rng.choice(p=...)`` does and
+    interpolates a coordinate at a time: the points are the bits of the
+    ``rng.choice`` sampler's, and the generator is left in the same state."""
+
+    # the surface sampler's count on the demo scene
+    COUNT = 11328
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_box_shells(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        center, size = rng.uniform(-1, 1, 3).tolist(), rng.uniform(0.1, 1.5, 3).tolist()
+        box = OrientedBox(tuple(center), tuple(size), yaw=float(rng.uniform(-3, 3)))
+        self.assert_same(box_shell(box), seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_triangles(self, seed):
+        self.assert_same(random_triangles(seed), seed)
+
+    def test_degenerate_triangles_are_never_drawn(self):
+        # zero-area triangles between and at the ends of the others
+        tri = random_triangles(7, 4)
+        flat = np.zeros((1, 3, 3))
+        self.assert_same(np.concatenate([flat, tri[:2], flat, flat, tri[2:], flat]), 7)
+
+    @staticmethod
+    def assert_same(triangles, seed, count=COUNT):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_surface_points(triangles, count, got_rng)
+        want = choice_sample_surface_points(triangles, count, want_rng)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+
+class TestSamplingErrors:
+    def test_zero_area(self):
+        collinear = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]] * 3)
+        with pytest.raises(ValueError, match="area"):
+            sample_surface_points(collinear, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex(self, bad):
+        # the area of a triangle with such a vertex is NaN; numpy's
+        # invalid-value warning on the way is not what this checks
+        tri = random_triangles(3, 4)
+        tri[2, 1, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="area"):
+            sample_surface_points(tri, 10, np.random.default_rng(0))
+
+    def test_infinite_area(self):
+        # finite vertices whose area overflows to inf
+        tri = RIGHT_TRIANGLE * 1e154
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="area"):
+            sample_surface_points(tri, 10, np.random.default_rng(0))
+
+    def test_non_positive_count(self):
+        with pytest.raises(ValueError, match="count"):
+            sample_surface_points(RIGHT_TRIANGLE, 0, np.random.default_rng(0))
 
 
 class TestPointTriangleDistance:

@@ -1,12 +1,17 @@
 """Cell-grid neighbour queries against brute-force scans and the KD-tree
 references they replaced."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import load_perfbench
 from pointscatter import neighbors
+from pointscatter.boxes import OrientedBox
+from pointscatter.meshes import box_shell, sample_surface_points
+from pointscatter.metrics import chamfer_fscore
 from pointscatter.neighbors import CellGrid, component_labels, mutual_nearest_sq
 from pointscatter.pipeline import _connected_components, _filter, run_front
 
@@ -108,9 +113,33 @@ class TestCellGrid:
             )
 
         want = answers()
-        # blocks of a few pairs, and leaf searches a leaf of queries at a time
+        # blocks of a few pairs, and leaf searches a leaf of queries at a
+        # time (a gap table of at most 7 * LEAF entries against the 64
+        # leaves of ``points``) and a leaf pair at a time (7 // LEAF is 0)
         monkeypatch.setattr(neighbors, "BLOCK", 7)
+        chunks, blocks = [], []
+        box_gaps = neighbors._box_gaps
+
+        def spied_gaps(alo, ahi, blo, bhi):
+            chunks.append(alo.shape[1])
+            return box_gaps(alo, ahi, blo, bhi)
+
+        class SpiedNumpy:
+            """numpy, with the leaf pairs' gathers of leaf columns recorded."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def take(a, indices, axis=None):
+                if axis == 2:
+                    blocks.append(len(indices))
+                return np.take(a, indices, axis=axis)
+
+        monkeypatch.setattr(neighbors, "_box_gaps", spied_gaps)
+        monkeypatch.setattr(neighbors, "np", SpiedNumpy())
         got = answers()
+        assert set(chunks) == {1} and set(blocks) == {1}
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         d2 = brute_sq(queries, points + 0.5)
         assert [a.tobytes() for a in got[-2:]] == [d2.min(axis=1).tobytes(), d2.min(axis=0).tobytes()]
@@ -147,6 +176,22 @@ class TestNearest:
         to_b, to_a = mutual_nearest_sq(a, b, 0.063)
         assert to_b.tobytes() == d2.min(axis=1).tobytes()
         assert to_a.tobytes() == d2.min(axis=0).tobytes()
+
+    def test_chamfer_peak_memory(self):
+        # two 2,048-point samples of a 0.6 m box shell, about 87,000
+        # candidate pairs within the F-score's radius: blocks of BLOCK
+        # pairs keep the pass's traced peak under 2.5 MB; one block of
+        # all its pairs takes it over 4 MB
+        shell = box_shell(OrientedBox((0.0, 0.0, 0.3), (0.6, 0.6, 0.6)))
+        rng = np.random.default_rng(0)
+        gt, det = sample_surface_points(shell, 2048, rng), sample_surface_points(shell, 2048, rng)
+        tracemalloc.start()
+        try:
+            chamfer_fscore(gt, det)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_single_points_and_duplicates(self):
         a = np.array([[1.0, 1.0, 1.0]])
